@@ -11,11 +11,11 @@ coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import ast
 from .errors import TypeCheckError
-from .typecheck import RelSig, _labels
+from .typecheck import _labels
 from .values import Schema
 
 # analysis catalog: relation name -> (labels, frozenset of nullable labels)
@@ -29,11 +29,6 @@ def _null_catalog(schema_or_catalog) -> NullCatalog:
             for rel in schema_or_catalog.relations.values()
         }
     return dict(schema_or_catalog)
-
-
-def _labels_of(e: ast.Expression, cat: NullCatalog) -> tuple[str, ...]:
-    sigs = {name: RelSig(labels, ("o",) * len(labels)) for name, (labels, _) in cat.items()}
-    return _labels(e, sigs)
 
 
 def nullable(e: ast.Expression, schema_or_catalog) -> tuple[str, ...]:
@@ -50,21 +45,28 @@ def nullable(e: ast.Expression, schema_or_catalog) -> tuple[str, ...]:
     return _nullable(e, _null_catalog(schema_or_catalog))
 
 
-def _nullable(e: ast.Expression, cat: NullCatalog) -> tuple[str, ...]:
+def _label_map(cat: NullCatalog) -> dict:
+    """Relation name -> labels, the catalog `typecheck._labels` reads."""
+    return {name: labels for name, (labels, _) in cat.items()}
+
+
+def _nullable(e: ast.Expression, cat: NullCatalog, outer: frozenset = frozenset()) -> tuple[str, ...]:
+    """`nullable` under a catalog; `outer` lists the possibly-null names a
+    correlated subquery sees from the enclosing rows."""
     if isinstance(e, ast.BaseRelation):
         if e.name not in cat:
             raise TypeCheckError(f"unknown relation {e.name!r}")
         labels, nul = cat[e.name]
         return tuple(n for n in labels if n in nul)
     if isinstance(e, (ast.Selection, ast.Distinct)):
-        return _nullable(e.source, cat)
+        return _nullable(e.source, cat, outer)
     if isinstance(e, ast.Product):
-        return _nullable(e.left, cat) + _nullable(e.right, cat)
+        return _nullable(e.left, cat, outer) + _nullable(e.right, cat, outer)
     if isinstance(e, ast.SetOp):
-        left_labels = _labels_of(e.left, cat)
-        right_labels = _labels_of(e.right, cat)
-        lnul = set(_nullable(e.left, cat))
-        rnul = set(_nullable(e.right, cat))
+        left_labels = _labels(e.left, _label_map(cat))
+        right_labels = _labels(e.right, _label_map(cat))
+        lnul = set(_nullable(e.left, cat, outer))
+        rnul = set(_nullable(e.right, cat, outer))
         out = []
         for a, b in zip(left_labels, right_labels):
             if e.op == "union" and (a in lnul or b in rnul):
@@ -75,33 +77,35 @@ def _nullable(e: ast.Expression, cat: NullCatalog) -> tuple[str, ...]:
                 out.append(a)
         return tuple(out)
     if isinstance(e, ast.Projection):
-        src_nul = set(_nullable(e.source, cat))
+        src_nul = set(_nullable(e.source, cat, outer))
+        if outer:  # enclosing rows' names, unless the source row shadows them
+            src_nul |= outer - set(_labels(e.source, _label_map(cat)))
         out = []
         for item in e.items:
             if ast.term_can_yield_null(item.term, src_nul):
                 out.append(ast.proj_item_name(item))
         return tuple(out)
     if isinstance(e, ast.Group):
-        src_nul = set(_nullable(e.source, cat))
+        src_nul = set(_nullable(e.source, cat, outer))
         out = [n for n in e.names if n in src_nul]
         for agg in e.aggs:
             if agg.column is not None and agg.column in src_nul:
                 out.append(ast.agg_name(agg))
         return tuple(out)
     if isinstance(e, ast.Mu):
-        return _nullable_mu(e, cat)
+        return _nullable_mu(e, cat, outer)
     raise TypeCheckError(f"not an expression: {e!r}")
 
 
-def _nullable_mu(e: ast.Mu, cat: NullCatalog) -> tuple[str, ...]:
-    seed_labels = _labels_of(e.seed, cat)
-    current = frozenset(_nullable(e.seed, cat))
+def _nullable_mu(e: ast.Mu, cat: NullCatalog, outer: frozenset) -> tuple[str, ...]:
+    seed_labels = _labels(e.seed, _label_map(cat))
+    current = frozenset(_nullable(e.seed, cat, outer))
     # the iterated relation feeds itself; grow the set until stable
     while True:
         step_cat = dict(cat)
         step_cat[e.rel] = (seed_labels, current)
-        step_labels = _labels_of(e.step, step_cat)
-        step_nul = set(_nullable(e.step, step_cat))
+        step_labels = _labels(e.step, _label_map(step_cat))
+        step_nul = set(_nullable(e.step, step_cat, outer))
         merged = set(current)
         for a, b in zip(seed_labels, step_labels):
             if b in step_nul:
@@ -151,31 +155,17 @@ def _check_negated(
 ) -> list[Violation]:
     violations = []
     for apath, atom in _atoms_under(theta, path):
-        terms: list[ast.Term] = []
         if isinstance(atom, ast.Compare):
-            terms = list(atom.lhs + atom.rhs)
+            terms, what = atom.lhs + atom.rhs, "comparison"
         elif isinstance(atom, (ast.In, ast.Quant)):
-            terms = list(atom.items)
-        for t in terms:
-            if ast.term_contains_null(t):
-                violations.append(
-                    Violation(apath, "null-literal", "NULL constant under negation")
-                )
-                break
-        if isinstance(atom, ast.Compare):
-            bad = set()
-            for t in terms:
-                bad |= ast.term_names(t) & effective_nullable
-            if bad:
-                violations.append(
-                    Violation(
-                        apath,
-                        "nullable-comparison",
-                        f"comparison under negation mentions nullable name(s) {sorted(bad)}",
-                    )
-                )
-        elif isinstance(atom, (ast.In, ast.Quant)):
-            sub_nul = _nullable(atom.query, cat)
+            terms, what = atom.items, "membership tuple"
+        else:
+            continue
+        literal = any(ast.term_contains_null(t) for t in terms)
+        if literal:
+            violations.append(Violation(apath, "null-literal", "NULL constant under negation"))
+        if not isinstance(atom, ast.Compare):
+            sub_nul = _nullable(atom.query, cat, effective_nullable)
             if sub_nul:
                 violations.append(
                     Violation(
@@ -184,17 +174,23 @@ def _check_negated(
                         f"subquery under negation has nullable output(s) {list(sub_nul)}",
                     )
                 )
-            bad = set()
-            for t in atom.items:
-                bad |= ast.term_names(t) & effective_nullable
-            if bad:
-                violations.append(
-                    Violation(
-                        apath,
-                        "nullable-comparison",
-                        f"membership tuple under negation mentions nullable name(s) {sorted(bad)}",
-                    )
+        bad = set().union(*(ast.term_names(t) for t in terms)) & effective_nullable
+        if bad:
+            violations.append(
+                Violation(
+                    apath,
+                    "nullable-comparison",
+                    f"{what} under negation mentions nullable name(s) {sorted(bad)}",
                 )
+            )
+        elif not literal and any(ast.term_can_yield_null(t, effective_nullable) for t in terms):
+            violations.append(
+                Violation(
+                    apath,
+                    "nullable-comparison",
+                    f"{what} under negation has a div/mod term, NULL on a zero divisor",
+                )
+            )
     return violations
 
 
@@ -210,8 +206,8 @@ def null_free(
     a local one, so those names count too.
     """
     cat = _null_catalog(schema_or_catalog)
-    src_labels = _labels_of(selection.source, cat)
-    src_nullable = frozenset(_nullable(selection.source, cat))
+    src_labels = _labels(selection.source, _label_map(cat))
+    src_nullable = frozenset(_nullable(selection.source, cat, param_nullable))
     effective = (param_nullable - set(src_labels)) | src_nullable
     violations = []
     for path, theta in _negated_subconditions(selection.cond, "cond"):
@@ -293,12 +289,12 @@ def _walk_expr(
     cat: NullCatalog,
     report: NullabilityReport,
 ):
-    report.subexpressions.append((path, _labels_of(e, cat), _nullable(e, cat)))
+    report.subexpressions.append((path, _labels(e, _label_map(cat)), _nullable(e, cat, param_nullable)))
     if isinstance(e, ast.Selection):
         ok, violations = null_free(e, cat, param_nullable)
         report.selections.append(SelectionReport(path, ok, violations))
-        src_labels = _labels_of(e.source, cat)
-        effective = (param_nullable - set(src_labels)) | set(_nullable(e.source, cat))
+        src_labels = _labels(e.source, _label_map(cat))
+        effective = (param_nullable - set(src_labels)) | set(_nullable(e.source, cat, param_nullable))
         _walk_cond(e.cond, path + "/cond", frozenset(effective), cat, report)
         _walk_expr(e.source, path + "/src", param_nullable, cat, report)
         return
@@ -313,8 +309,8 @@ def _walk_expr(
         return
     if isinstance(e, ast.Mu):
         _walk_expr(e.seed, path + "/seed", param_nullable, cat, report)
-        seed_labels = _labels_of(e.seed, cat)
-        mu_nullable = frozenset(_nullable_mu(e, cat))
+        seed_labels = _labels(e.seed, _label_map(cat))
+        mu_nullable = frozenset(_nullable_mu(e, cat, param_nullable))
         saved = cat.get(e.rel)
         cat[e.rel] = (seed_labels, mu_nullable)
         try:

@@ -232,20 +232,6 @@ Expression = Union[
 ]
 
 
-def project(items, source) -> Projection:
-    norm = []
-    for it in items:
-        if isinstance(it, ProjItem):
-            norm.append(it)
-        elif isinstance(it, tuple):
-            norm.append(ProjItem(it[0], it[1]))
-        elif isinstance(it, str):
-            norm.append(ProjItem(NameRef(it), None))
-        else:
-            norm.append(ProjItem(it, None))
-    return Projection(tuple(norm), source)
-
-
 # ---------------------------------------------------------------------------
 # Canonical term names (the one-to-one Name function)
 

@@ -14,7 +14,7 @@ from .evaluator import EvalConfig, evaluate
 from .logic import load_grounding, load_kernel
 from .parser import parse_expression
 from .typecheck import typecheck
-from .values import bag_to_json, load_database
+from .values import bag_to_json, load_database, read_json
 from .harness import kernel_by_name
 
 
@@ -58,20 +58,14 @@ def _cmd_translate(args) -> int:
     expr = parse_expression(text)
     schema = load_database(args.schema).schema if args.schema else fuzz.default_schema()
     expr = typecheck(expr, schema).expr
-    if args.direction == "2to3":
-        result = translate.tr_to_3vl(expr, schema)
-    elif args.direction == "3to2":
-        result = translate.tr_from_3vl(expr, schema)
-    elif args.direction == "gr-to-3":
-        if not args.grounding:
-            raise NullvlError("gr-to-3 needs --grounding <file>")
-        result = translate.tr_grounded_to_3vl(expr, schema, load_grounding(args.grounding))
-    elif args.direction == "mvl-to-3":
-        if not args.kernel:
-            raise NullvlError("mvl-to-3 needs --kernel <file>")
-        result = translate.tr_mvl_to_3vl(expr, schema, load_kernel(args.kernel))
-    else:
-        raise NullvlError(f"unknown direction {args.direction!r}")
+    direction = translate.DIRECTIONS[args.direction]
+    param = None
+    if direction.param and direction.translation_uses_param:
+        path = getattr(args, direction.param)
+        if not path:
+            raise NullvlError(f"{args.direction} needs --{direction.param} <file>")
+        param = (load_grounding if direction.param == "grounding" else load_kernel)(path)
+    result = direction.translate(expr, schema, param)
     print(ast.render_expression(result.output))
     if args.trace:
         print(json.dumps({"size_ratio": float(result.size_ratio), "trace": result.trace_json()}, indent=1), file=sys.stderr)
@@ -128,9 +122,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    with open(args.bundle, "r", encoding="utf-8") as fh:
-        bundle = json.load(fh)
-    outcome = harness.replay(bundle)
+    outcome = harness.replay(read_json(args.bundle))
     print(json.dumps({"status": outcome.status, "detail": outcome.detail}))
     return 0 if outcome.status == "pass" else 1
 
@@ -153,9 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=_cmd_eval)
 
     pt = sub.add_parser("translate", help="translate an expression between semantics")
-    pt.add_argument("--direction", required=True, choices=["2to3", "3to2", "gr-to-3", "mvl-to-3"])
-    pt.add_argument("--grounding", help="grounding JSON file (gr-to-3)")
-    pt.add_argument("--kernel", help="kernel JSON file (mvl-to-3)")
+    pt.add_argument("--direction", required=True, choices=list(translate.DIRECTIONS))
+    for flag in ("grounding", "kernel"):
+        users = [name for name, d in translate.DIRECTIONS.items()
+                 if d.param == flag and d.translation_uses_param]
+        pt.add_argument(f"--{flag}", help=f"{flag} JSON file ({', '.join(users)})")
     pt.add_argument("--schema", help="database JSON supplying the schema")
     pt.add_argument("--trace", action="store_true", help="emit the per-node rule trace")
     pt.add_argument("expr", help="expression file ('-' for stdin)")
@@ -175,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("rewrite", help="rewrite SQL from one semantics into another")
     pr.add_argument("--from", dest="source", required=True)
     pr.add_argument("--to", dest="target", required=True)
-    pr.add_argument("--dialect", default="generic", choices=["generic"])
     pr.add_argument("--schema", required=True, help="database JSON supplying the schema")
     pr.add_argument("sql", help="SQL file ('-' for stdin)")
     pr.set_defaults(fn=_cmd_rewrite)

@@ -14,7 +14,7 @@ from . import ast
 from .errors import EvalError, RecursionLimitError
 from .funcs import apply_aggregate, apply_function
 from .logic import AND, OR, LogicKernel, TruthValue, kernel_3vl
-from .typecheck import RelSig, _labels
+from .typecheck import _labels
 from .values import Bag, Database, Value, is_null
 
 Env = Mapping[str, Value]
@@ -72,14 +72,6 @@ def _compare_value_tuples(kernel: LogicKernel, lvals, op: str, rvals) -> TruthVa
         parts.append(kernel.compare(op, lvals[i], rvals[i]))
         disjuncts.append(kernel.fold(AND, parts))
     return kernel.fold(OR, disjuncts)
-
-
-def _rt_catalog(rt: Rt) -> dict[str, RelSig]:
-    return {name: RelSig(labels, ("o",) * len(labels)) for name, (labels, _) in rt.items()}
-
-
-def _expr_labels(e: ast.Expression, rt: Rt) -> tuple[str, ...]:
-    return _labels(e, _rt_catalog(rt))
 
 
 def eval_condition_rt(cond: ast.Condition, rt: Rt, env: Env, cfg: EvalConfig) -> TruthValue:
@@ -142,7 +134,7 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
             raise EvalError(f"unknown relation {e.name!r} at runtime")
 
     if isinstance(e, ast.Projection):
-        src_labels = _expr_labels(e.source, rt)
+        src_labels = _labels(e.source, {n: l for n, (l, _) in rt.items()})
         src = eval_rt(e.source, rt, env, cfg)
         counts: dict = {}
         for record, k in src.items():
@@ -152,7 +144,7 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
         return Bag.from_counts(counts)
 
     if isinstance(e, ast.Selection):
-        src_labels = _expr_labels(e.source, rt)
+        src_labels = _labels(e.source, {n: l for n, (l, _) in rt.items()})
         src = eval_rt(e.source, rt, env, cfg)
         counts: dict = {}
         for record, k in src.items():
@@ -193,7 +185,7 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
 
 
 def _eval_group(e: ast.Group, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
-    src_labels = _expr_labels(e.source, rt)
+    src_labels = _labels(e.source, {n: l for n, (l, _) in rt.items()})
     src = eval_rt(e.source, rt, env, cfg)
     key_pos = [src_labels.index(n) for n in e.names]
     agg_pos = [src_labels.index(a.column) if a.column is not None else None for a in e.aggs]
@@ -228,7 +220,7 @@ def _eval_mu(e: ast.Mu, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
     seed = eval_rt(e.seed, rt, env, cfg)
     if e.distinct:
         seed = seed.distinct()
-    seed_labels = _expr_labels(e.seed, rt)
+    seed_labels = _labels(e.seed, {n: l for n, (l, _) in rt.items()})
     result = seed
     frontier = seed
     iterations = 0

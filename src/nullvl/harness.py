@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import analyze, ast, fuzz, translate
-from .errors import EvalError, NullvlError, RecursionLimitError, SqlEmitError
+from .errors import NullvlError, RecursionLimitError, SqlEmitError
 from .evaluator import EvalConfig, eval_condition, evaluate
 from .logic import (
     LogicKernel,
@@ -109,29 +109,18 @@ def _checked_expr(case: dict, db: Database):
 def _check_capture_case(case: dict) -> CaseOutcome:
     db = _load_case_db(case)
     expr = _checked_expr(case, db)
-    direction = case["direction"]
-    if direction == "2to3":
-        tr = translate.tr_to_3vl(expr, db.schema)
-        source, target = kernel_2vl(), kernel_3vl()
-    elif direction == "3to2":
-        tr = translate.tr_from_3vl(expr, db.schema)
-        source, target = kernel_3vl(), kernel_2vl()
-    elif direction == "gr-to-3":
-        grounding = _GROUNDINGS[case["grounding"]]()
-        tr = translate.tr_grounded_to_3vl(expr, db.schema, grounding)
-        source, target = kernel_grounded(grounding), kernel_3vl()
-    elif direction == "3-to-gr":
-        grounding = _GROUNDINGS[case["grounding"]]()
-        tr = translate.tr_3vl_to_grounded(expr, db.schema)
-        source, target = kernel_3vl(), kernel_grounded(grounding)
-    elif direction == "mvl-to-3":
-        kernel = kernel_by_name(case["kernel"])
-        tr = translate.tr_mvl_to_3vl(expr, db.schema, kernel)
-        source, target = kernel, kernel_3vl()
-    else:
-        raise NullvlError(f"unknown direction {direction!r}")
+    direction = translate.DIRECTIONS.get(case["direction"])
+    if direction is None:
+        raise NullvlError(f"unknown direction {case['direction']!r}")
+    param = None
+    if direction.param == "grounding":
+        param = _GROUNDINGS[case["grounding"]]()
+    elif direction.param == "kernel":
+        param = kernel_by_name(case["kernel"])
+    tr = direction.translate(expr, db.schema, param)
     verdict = translate.check_capture(
-        expr, db, EvalConfig(kernel=source), EvalConfig(kernel=target), tr
+        expr, db, EvalConfig(kernel=direction.source(param)),
+        EvalConfig(kernel=direction.target(param)), tr,
     )
     if verdict.status == "inconclusive":
         return CaseOutcome("skip", verdict.detail)
@@ -244,14 +233,19 @@ def _check_roundtrip_case(case: dict) -> CaseOutcome:
     return CaseOutcome("fail", f"round-trip changed the result; sql: {sql}")
 
 
+# capture family -> (direction, grounding or kernel name, expression depth cap)
+CAPTURE_FAMILIES = {
+    "capture-2vl-to-3vl": ("2to3", None, None),
+    "capture-3vl-to-2vl": ("3to2", None, None),
+    "grounded-syntactic": ("gr-to-3", "syntactic", None),
+    "grounded-leq": ("gr-to-3", "leq-sign", None),
+    "capture-3vl-to-grounded": ("3-to-gr", "leq-sign", None),
+    "mvl-4vl": ("mvl-to-3", "4vl", 3),
+    "mvl-self": ("mvl-to-3", "3vl", 3),
+}
+
 _CHECKERS: dict[str, Callable[[dict], CaseOutcome]] = {
-    "capture-2vl-to-3vl": _check_capture_case,
-    "capture-3vl-to-2vl": _check_capture_case,
-    "grounded-syntactic": _check_capture_case,
-    "grounded-leq": _check_capture_case,
-    "capture-3vl-to-grounded": _check_capture_case,
-    "mvl-4vl": _check_capture_case,
-    "mvl-self": _check_capture_case,
+    **{family: _check_capture_case for family in CAPTURE_FAMILIES},
     "null-free-invariance": _check_invariance_case,
     "prop-4.1": _check_prop41_case,
     "coincidence": _check_coincidence_case,
@@ -280,33 +274,13 @@ def _base_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, family: str, depth=Non
 
 
 def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
-    if family == "capture-2vl-to-3vl":
-        case = _base_case(schema, cfg, rng, family)
-        case["direction"] = "2to3"
-        return case
-    if family == "capture-3vl-to-2vl":
-        case = _base_case(schema, cfg, rng, family)
-        case["direction"] = "3to2"
-        return case
-    if family == "grounded-syntactic":
-        case = _base_case(schema, cfg, rng, family)
-        case.update(direction="gr-to-3", grounding="syntactic")
-        return case
-    if family == "grounded-leq":
-        case = _base_case(schema, cfg, rng, family)
-        case.update(direction="gr-to-3", grounding="leq-sign")
-        return case
-    if family == "capture-3vl-to-grounded":
-        case = _base_case(schema, cfg, rng, family)
-        case.update(direction="3-to-gr", grounding="leq-sign")
-        return case
-    if family == "mvl-4vl":
-        case = _base_case(schema, cfg, rng, family, depth=min(cfg.max_depth, 3))
-        case.update(direction="mvl-to-3", kernel="4vl")
-        return case
-    if family == "mvl-self":
-        case = _base_case(schema, cfg, rng, family, depth=min(cfg.max_depth, 3))
-        case.update(direction="mvl-to-3", kernel="3vl")
+    if family in CAPTURE_FAMILIES:
+        direction, param, depth_cap = CAPTURE_FAMILIES[family]
+        depth = None if depth_cap is None else min(cfg.max_depth, depth_cap)
+        case = _base_case(schema, cfg, rng, family, depth=depth)
+        case["direction"] = direction
+        if param is not None:
+            case[translate.DIRECTIONS[direction].param] = param
         return case
     if family == "null-free-invariance":
         nf_cfg = fuzz.FuzzConfig(

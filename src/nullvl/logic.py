@@ -13,14 +13,13 @@ fold connectives over counted multisets.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional
 
 from . import ast
 from .errors import KernelError
 from .funcs import apply_function
-from .values import NUM, Value, is_null
+from .values import NUM, Value, is_null, read_json
 
 TruthValue = str
 
@@ -647,10 +646,6 @@ def fold_counted(kernel: LogicKernel, conn: str, counts: Mapping[TruthValue, int
     return acc
 
 
-def fold_direct(kernel: LogicKernel, conn: str, items: Iterable[TruthValue]) -> TruthValue:
-    return kernel.fold(conn, items)
-
-
 # ---------------------------------------------------------------------------
 # JSON definition files
 
@@ -717,8 +712,7 @@ def kernel_from_json(obj: Mapping) -> LogicKernel:
 
 
 def load_kernel(path: str) -> LogicKernel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return kernel_from_json(json.load(fh))
+    return kernel_from_json(read_json(path))
 
 
 def grounding_from_json(obj: Mapping) -> Grounding:
@@ -733,5 +727,4 @@ def grounding_from_json(obj: Mapping) -> Grounding:
 
 
 def load_grounding(path: str) -> Grounding:
-    with open(path, "r", encoding="utf-8") as fh:
-        return grounding_from_json(json.load(fh))
+    return grounding_from_json(read_json(path))

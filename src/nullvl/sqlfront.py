@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import ast
 from .errors import SqlEmitError, SqlParseError, UnsupportedSqlError
+from .typecheck import _labels
 from .values import Schema, parse_number
 
 _KEYWORDS = {
@@ -682,7 +683,11 @@ class _Lowerer:
     def __init__(self, schema: Schema):
         self.schema = schema
         self.scopes: list[_Scope] = []
-        self.ctes: dict[str, tuple[tuple[str, ...], Optional[ast.Expression]]] = {}
+        # relation name -> labels, for the schema's relations and the
+        # recursive relations in scope
+        self.labels = {rel.name: rel.labels for rel in schema.relations.values()}
+        # recursive relation name -> the fixpoint it stands for, None inside its step
+        self.ctes: dict[str, Optional[ast.Expression]] = {}
 
     # -- resolution -----------------------------------------------------------
 
@@ -712,9 +717,9 @@ class _Lowerer:
 
     def _relation_source(self, name: str, alias: str) -> _Source:
         if name in self.ctes:
-            labels, bound = self.ctes[name]
+            bound = self.ctes[name]
             expr = bound if bound is not None else ast.BaseRelation(name)
-            return _Source(alias, labels, expr)
+            return _Source(alias, self.labels[name], expr)
         if name not in self.schema:
             raise SqlParseError(f"unknown relation {name!r}")
         rel = self.schema[name]
@@ -730,7 +735,7 @@ class _Lowerer:
                 sources.append(self._relation_source(fi.source, fi.alias))
             else:
                 sub = self.lower_query(fi.source)
-                labels = self._labels_of(sub)
+                labels = _labels(sub, self.labels)
                 sources.append(_Source(fi.alias, labels, sub))
         # rename any source whose labels collide with another source's
         all_labels: dict[str, int] = {}
@@ -765,17 +770,6 @@ class _Lowerer:
         )
         return _Source(src.alias, new_labels, ast.Projection(items, src.expr))
 
-    def _labels_of(self, e: ast.Expression) -> tuple[str, ...]:
-        from .typecheck import RelSig, _labels
-
-        sigs = {
-            rel.name: RelSig(rel.labels, rel.types)
-            for rel in self.schema.relations.values()
-        }
-        for name, (labels, _) in self.ctes.items():
-            sigs[name] = RelSig(labels, ("o",) * len(labels))
-        return _labels(e, sigs)
-
     # -- queries ----------------------------------------------------------------
 
     def lower_query(self, q: SQuery) -> ast.Expression:
@@ -794,10 +788,10 @@ class _Lowerer:
         raise SqlParseError(f"not a query node: {q!r}")
 
     def lower_with(self, q: WithRecursive) -> ast.Expression:
-        if q.name in self.schema or q.name in self.ctes:
+        if q.name in self.labels:
             raise SqlParseError(f"recursive relation {q.name!r} is not a fresh name")
         seed = self.lower_query(q.seed)
-        labels = self._labels_of(seed)
+        labels = _labels(seed, self.labels)
         if q.columns is not None:
             if len(q.columns) != len(labels):
                 raise SqlParseError(
@@ -812,14 +806,16 @@ class _Lowerer:
                 seed,
             )
             labels = tuple(q.columns)
-        self.ctes[q.name] = (labels, None)  # step refers to the relation itself
+        self.labels[q.name] = labels
+        self.ctes[q.name] = None  # step refers to the relation itself
         try:
             step = self.lower_query(q.step)
             mu = ast.Mu(q.name, q.distinct, seed, step)
-            self.ctes[q.name] = (labels, mu)  # the body sees the fixpoint
+            self.ctes[q.name] = mu  # the body sees the fixpoint
             return self.lower_query(q.body)
         finally:
             del self.ctes[q.name]
+            del self.labels[q.name]
 
     # -- one SELECT core ---------------------------------------------------------
 

@@ -13,10 +13,11 @@ prefix ``__``.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Mapping, Optional
+from typing import Callable, Optional
 
 from . import ast
 from .errors import EvalError, NullvlError, RecursionLimitError
@@ -28,9 +29,11 @@ from .logic import (
     LogicKernel,
     fold_counted,
     grounded_comparison_condition,
-    reduce_count,
+    kernel_2vl,
+    kernel_3vl,
+    kernel_grounded,
 )
-from .typecheck import RelSig, _labels
+from .typecheck import _labels
 from .values import Bag, Database, Schema
 
 COUNT_LABEL = "__cnt"
@@ -47,20 +50,6 @@ class TranslationResult:
         return [{"path": path, "rule": rule} for path, rule in self.trace]
 
 
-LabelCatalog = dict  # relation name -> tuple of labels
-
-
-def _label_catalog(schema_or_catalog) -> LabelCatalog:
-    if isinstance(schema_or_catalog, Schema):
-        return {rel.name: rel.labels for rel in schema_or_catalog.relations.values()}
-    return dict(schema_or_catalog)
-
-
-def _labels_of(e: ast.Expression, catalog: LabelCatalog) -> tuple[str, ...]:
-    sigs = {name: RelSig(labels, ("o",) * len(labels)) for name, labels in catalog.items()}
-    return _labels(e, sigs)
-
-
 def _not_null(term: ast.Term) -> ast.Condition:
     return ast.Not(ast.IsNull(term))
 
@@ -75,7 +64,11 @@ class _Translator:
     name = "base"
 
     def __init__(self, schema_or_catalog):
-        self.catalog = _label_catalog(schema_or_catalog)
+        # relation name -> tuple of labels
+        if isinstance(schema_or_catalog, Schema):
+            self.catalog = {rel.name: rel.labels for rel in schema_or_catalog.relations.values()}
+        else:
+            self.catalog = dict(schema_or_catalog)
         self.trace: list[tuple[str, str]] = []
         self._fresh = 0
 
@@ -99,7 +92,7 @@ class _Translator:
         """Translate a condition subquery; rename its output labels when they
         collide with names the surrounding condition must keep visible."""
         out = self.expr(e, path)
-        labels = _labels_of(out, self.catalog)
+        labels = _labels(out, self.catalog)
         if not (set(labels) & avoid):
             return out, labels
         fresh = tuple(self._fresh_name("c") for _ in labels)
@@ -136,7 +129,7 @@ class _Translator:
         if isinstance(e, ast.Mu):
             seed = self.expr(e.seed, path + "/seed")
             saved = self.catalog.get(e.rel)
-            self.catalog[e.rel] = _labels_of(seed, self.catalog)
+            self.catalog[e.rel] = _labels(seed, self.catalog)
             try:
                 step = self.expr(e.step, path + "/step")
             finally:
@@ -157,34 +150,77 @@ class _Translator:
 
 
 class _TwoValuedSourceTranslator(_Translator):
-    """Composite-condition rules shared by every translator whose source
-    semantics is two-valued (conflating, syntactic, grounded)."""
+    """The rules shared by every translator whose source semantics is two-
+    or three-valued: each condition gets a true image and a false image.
+
+    A direction supplies `compare`, the image of one atomic comparison, and
+    sets the flags below where its rules deviate from the shared ones.
+    """
+
+    # the false image of TRUE/FALSE is `not c` rather than the opposite constant
+    negate_constants = False
+    # the true image of membership and quantified comparisons goes through
+    # selection emptiness instead of keeping their shape
+    via_emptiness = False
 
     def cond_true(self, c, path):
-        if isinstance(c, ast.And):
-            return ast.And(self.cond_true(c.left, path + ".l"), self.cond_true(c.right, path + ".r"))
-        if isinstance(c, ast.Or):
-            return ast.Or(self.cond_true(c.left, path + ".l"), self.cond_true(c.right, path + ".r"))
-        if isinstance(c, ast.Not):
-            self._note(path, "true-of-negation")
-            return self.cond_false(c.cond, path + ".n")
-        return self.atom_true(c, path)
+        return self.image(c, False, path)
 
     def cond_false(self, c, path):
-        if isinstance(c, ast.And):
-            return ast.Or(self.cond_false(c.left, path + ".l"), self.cond_false(c.right, path + ".r"))
-        if isinstance(c, ast.Or):
-            return ast.And(self.cond_false(c.left, path + ".l"), self.cond_false(c.right, path + ".r"))
+        return self.image(c, True, path)
+
+    def image(self, c: ast.Condition, negate: bool, path: str) -> ast.Condition:
+        if isinstance(c, (ast.And, ast.Or)):
+            conn = ast.And if isinstance(c, ast.And) != negate else ast.Or
+            return conn(self.image(c.left, negate, path + ".l"), self.image(c.right, negate, path + ".r"))
         if isinstance(c, ast.Not):
-            self._note(path, "false-of-negation")
-            return self.cond_true(c.cond, path + ".n")
-        return self.atom_false(c, path)
+            self._note(path, "false-of-negation" if negate else "true-of-negation")
+            return self.image(c.cond, not negate, path + ".n")
+        if isinstance(c, (ast.CTrue, ast.CFalse, ast.IsNull)):
+            if not negate:
+                return c
+            if isinstance(c, ast.IsNull) or self.negate_constants:
+                return ast.Not(c)
+            return ast.CFalse() if isinstance(c, ast.CTrue) else ast.CTrue()
+        if isinstance(c, ast.Compare):
+            if len(c.lhs) > 1:
+                return self.image(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), negate, path)
+            return self.compare(c, negate, path)
+        if isinstance(c, ast.Empty) or (
+            isinstance(c, (ast.In, ast.Quant)) and not (negate or self.via_emptiness)
+        ):
+            kept = dataclasses.replace(c, query=self.expr(c.query, path + "/q"))
+            return ast.Not(kept) if negate else kept
+        if isinstance(c, ast.In):
+            return self.image(ast.Quant(c.items, "=", "any", c.query), negate, path)
+        if isinstance(c, ast.Quant):
+            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
+            cmp_ = ast.Compare(c.items, c.op, _cols(labels))
+            return self.quantified(c.quant, cmp_, query, negate, path)
+        raise NullvlError(f"not a condition: {c!r}")
 
-    def atom_true(self, c, path):
+    def compare(self, c: ast.Compare, negate: bool, path: str) -> ast.Condition:
         raise NotImplementedError
 
-    def atom_false(self, c, path):
-        raise NotImplementedError
+    def quantified(self, quant, cmp_, query, negate, path) -> ast.Condition:
+        """The image of `cmp_` quantified (`any` or `all`) over the records
+        of the translated subquery `query`."""
+        if not negate:
+            theta = self.cond_true(cmp_, path + ".cmp")
+            if quant == "any":
+                return ast.Not(ast.Empty(ast.Selection(theta, query)))
+            return ast.Empty(ast.Selection(ast.Not(theta), query))
+        theta = self.cond_false(cmp_, path + ".cmp")
+        if quant == "any":
+            self._note(path, "any-false-emptiness")
+            return ast.Empty(ast.Selection(ast.Not(theta), query))
+        self._note(path, "all-false-witness")
+        return ast.Not(ast.Empty(ast.Selection(theta, query)))
+
+
+def _not_null_guarded(c: ast.Compare, negate: bool) -> ast.Condition:
+    core: ast.Condition = ast.Not(c) if negate else c
+    return ast.and_all([_not_null(c.lhs[0]), _not_null(c.rhs[0]), core])
 
 
 class _From2VL(_TwoValuedSourceTranslator):
@@ -192,56 +228,23 @@ class _From2VL(_TwoValuedSourceTranslator):
 
     name = "2vl-to-3vl"
 
-    def atom_true(self, c, path):
-        if isinstance(c, (ast.CTrue, ast.CFalse, ast.IsNull)):
+    def compare(self, c, negate, path):
+        if not negate:
+            self._note(path, "compare-kept")
             return c
-        if isinstance(c, ast.Compare):
-            if len(c.lhs) == 1:
-                self._note(path, "compare-kept")
-                return c
-            return self.cond_true(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), path)
-        if isinstance(c, ast.In):
-            return ast.In(c.items, self.expr(c.query, path + "/q"))
-        if isinstance(c, ast.Empty):
-            return ast.Empty(self.expr(c.query, path + "/q"))
-        if isinstance(c, ast.Quant):
-            return ast.Quant(c.items, c.op, c.quant, self.expr(c.query, path + "/q"))
-        raise NullvlError(f"not a condition: {c!r}")
+        self._note(path, "compare-null-guarded")
+        return ast.or_all([ast.IsNull(c.lhs[0]), ast.IsNull(c.rhs[0]), ast.Not(c)])
 
-    def atom_false(self, c, path):
-        if isinstance(c, ast.CTrue):
-            return ast.CFalse()
-        if isinstance(c, ast.CFalse):
-            return ast.CTrue()
-        if isinstance(c, ast.IsNull):
-            return ast.Not(c)
-        if isinstance(c, ast.Compare):
-            if len(c.lhs) == 1:
-                self._note(path, "compare-null-guarded")
-                l, r = c.lhs[0], c.rhs[0]
-                return ast.or_all([ast.IsNull(l), ast.IsNull(r), ast.Not(c)])
-            return self.cond_false(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), path)
-        if isinstance(c, ast.In):
-            # keep the membership shape, filtering null records out of the
-            # subquery so the negated membership cannot come out unknown
-            self._note(path, "in-null-filtered")
-            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            null_free = ast.and_all([_not_null(ast.NameRef(n)) for n in labels])
-            kept = ast.Not(ast.In(c.items, ast.Selection(null_free, query)))
-            return ast.or_all([ast.IsNull(t) for t in c.items] + [kept])
-        if isinstance(c, ast.Empty):
-            return ast.Not(ast.Empty(self.expr(c.query, path + "/q")))
-        if isinstance(c, ast.Quant):
-            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            theta = self.cond_false(
-                ast.Compare(c.items, c.op, _cols(labels)), path + ".cmp"
-            )
-            if c.quant == "any":
-                self._note(path, "any-false-emptiness")
-                return ast.Empty(ast.Selection(ast.Not(theta), query))
-            self._note(path, "all-false-witness")
-            return ast.Not(ast.Empty(ast.Selection(theta, query)))
-        raise NullvlError(f"not a condition: {c!r}")
+    def image(self, c, negate, path):
+        if not (negate and isinstance(c, ast.In)):
+            return super().image(c, negate, path)
+        # keep the membership shape, filtering null records out of the
+        # subquery so the negated membership cannot come out unknown
+        self._note(path, "in-null-filtered")
+        query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
+        null_free = ast.and_all([_not_null(ast.NameRef(n)) for n in labels])
+        kept = ast.Not(ast.In(c.items, ast.Selection(null_free, query)))
+        return ast.or_all([ast.IsNull(t) for t in c.items] + [kept])
 
 
 class _FromGrounded(_TwoValuedSourceTranslator):
@@ -253,102 +256,38 @@ class _FromGrounded(_TwoValuedSourceTranslator):
     """
 
     name = "grounded-to-3vl"
+    via_emptiness = True
 
     def __init__(self, schema_or_catalog, grounding: Grounding):
         super().__init__(schema_or_catalog)
         self.grounding = grounding
 
-    def _compare(self, c: ast.Compare, negate: bool, path: str) -> ast.Condition:
-        if len(c.lhs) > 1:
-            expanded = ast.expand_tuple_comparison(c.lhs, c.op, c.rhs)
-            return self.cond_false(expanded, path) if negate else self.cond_true(expanded, path)
+    def compare(self, c, negate, path):
         self._note(path, "compare-pattern-cases")
         return grounded_comparison_condition(
             self.grounding, c.op, c.lhs[0], c.rhs[0], negate
         )
 
-    def atom_true(self, c, path):
-        if isinstance(c, (ast.CTrue, ast.CFalse, ast.IsNull)):
-            return c
-        if isinstance(c, ast.Compare):
-            return self._compare(c, False, path)
-        if isinstance(c, ast.In):
-            return self.atom_true(ast.Quant(c.items, "=", "any", c.query), path)
-        if isinstance(c, ast.Empty):
-            return ast.Empty(self.expr(c.query, path + "/q"))
-        if isinstance(c, ast.Quant):
-            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            theta = self.cond_true(ast.Compare(c.items, c.op, _cols(labels)), path + ".cmp")
-            if c.quant == "any":
-                return ast.Not(ast.Empty(ast.Selection(theta, query)))
-            return ast.Empty(ast.Selection(ast.Not(theta), query))
-        raise NullvlError(f"not a condition: {c!r}")
-
-    def atom_false(self, c, path):
-        if isinstance(c, ast.CTrue):
-            return ast.CFalse()
-        if isinstance(c, ast.CFalse):
-            return ast.CTrue()
-        if isinstance(c, ast.IsNull):
-            return ast.Not(c)
-        if isinstance(c, ast.Compare):
-            return self._compare(c, True, path)
-        if isinstance(c, ast.In):
-            return self.atom_false(ast.Quant(c.items, "=", "any", c.query), path)
-        if isinstance(c, ast.Empty):
-            return ast.Not(ast.Empty(self.expr(c.query, path + "/q")))
-        if isinstance(c, ast.Quant):
-            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            theta = self.cond_true(ast.Compare(c.items, c.op, _cols(labels)), path + ".cmp")
-            if c.quant == "any":
-                return ast.Empty(ast.Selection(theta, query))
-            return ast.Not(ast.Empty(ast.Selection(ast.Not(theta), query)))
-        raise NullvlError(f"not a condition: {c!r}")
+    def quantified(self, quant, cmp_, query, negate, path):
+        # the source is two-valued, so the false image negates the true one
+        true_image = super().quantified(quant, cmp_, query, False, path)
+        if not negate:
+            return true_image
+        return true_image.cond if isinstance(true_image, ast.Not) else ast.Not(true_image)
 
 
 class _From3VL(_TwoValuedSourceTranslator):
     """Three-valued conditions into conflating two-valued equivalents."""
 
     name = "3vl-to-2vl"
+    negate_constants = True
 
-    def atom_true(self, c, path):
-        if isinstance(c, (ast.CTrue, ast.CFalse, ast.IsNull)):
+    def compare(self, c, negate, path):
+        if not negate:
+            self._note(path, "compare-kept")
             return c
-        if isinstance(c, ast.Compare):
-            if len(c.lhs) == 1:
-                self._note(path, "compare-kept")
-                return c
-            return self.cond_true(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), path)
-        if isinstance(c, ast.In):
-            return ast.In(c.items, self.expr(c.query, path + "/q"))
-        if isinstance(c, ast.Empty):
-            return ast.Empty(self.expr(c.query, path + "/q"))
-        if isinstance(c, ast.Quant):
-            return ast.Quant(c.items, c.op, c.quant, self.expr(c.query, path + "/q"))
-        raise NullvlError(f"not a condition: {c!r}")
-
-    def atom_false(self, c, path):
-        if isinstance(c, (ast.CTrue, ast.CFalse, ast.IsNull)):
-            return ast.Not(c)
-        if isinstance(c, ast.Compare):
-            if len(c.lhs) == 1:
-                self._note(path, "compare-not-null-guarded")
-                l, r = c.lhs[0], c.rhs[0]
-                return ast.and_all([_not_null(l), _not_null(r), ast.Not(c)])
-            return self.cond_false(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), path)
-        if isinstance(c, ast.In):
-            return self.atom_false(ast.Quant(c.items, "=", "any", c.query), path)
-        if isinstance(c, ast.Empty):
-            return ast.Not(ast.Empty(self.expr(c.query, path + "/q")))
-        if isinstance(c, ast.Quant):
-            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            theta = self.cond_false(ast.Compare(c.items, c.op, _cols(labels)), path + ".cmp")
-            if c.quant == "any":
-                self._note(path, "any-false-emptiness")
-                return ast.Empty(ast.Selection(ast.Not(theta), query))
-            self._note(path, "all-false-witness")
-            return ast.Not(ast.Empty(ast.Selection(theta, query)))
-        raise NullvlError(f"not a condition: {c!r}")
+        self._note(path, "compare-not-null-guarded")
+        return _not_null_guarded(c, negate)
 
 
 class _From3VLToGrounded(_From3VL):
@@ -363,43 +302,11 @@ class _From3VLToGrounded(_From3VL):
     """
 
     name = "3vl-to-grounded"
+    via_emptiness = True
 
-    def _guarded(self, c: ast.Compare, negate: bool) -> ast.Condition:
-        l, r = c.lhs[0], c.rhs[0]
-        core: ast.Condition = ast.Not(c) if negate else c
-        return ast.and_all([_not_null(l), _not_null(r), core])
-
-    def atom_true(self, c, path):
-        if isinstance(c, ast.Compare):
-            if len(c.lhs) > 1:
-                return self.cond_true(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), path)
-            self._note(path, "compare-not-null-guarded")
-            return self._guarded(c, negate=False)
-        if isinstance(c, ast.In):
-            return self.atom_true(ast.Quant(c.items, "=", "any", c.query), path)
-        if isinstance(c, ast.Quant):
-            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            theta = self.cond_true(ast.Compare(c.items, c.op, _cols(labels)), path + ".cmp")
-            if c.quant == "any":
-                return ast.Not(ast.Empty(ast.Selection(theta, query)))
-            return ast.Empty(ast.Selection(ast.Not(theta), query))
-        return super().atom_true(c, path)
-
-    def atom_false(self, c, path):
-        if isinstance(c, ast.Compare):
-            if len(c.lhs) > 1:
-                return self.cond_false(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), path)
-            self._note(path, "compare-not-null-guarded")
-            return self._guarded(c, negate=True)
-        if isinstance(c, ast.In):
-            return self.atom_false(ast.Quant(c.items, "=", "any", c.query), path)
-        if isinstance(c, ast.Quant):
-            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            theta = self.cond_false(ast.Compare(c.items, c.op, _cols(labels)), path + ".cmp")
-            if c.quant == "any":
-                return ast.Empty(ast.Selection(ast.Not(theta), query))
-            return ast.Not(ast.Empty(ast.Selection(theta, query)))
-        return super().atom_false(c, path)
+    def compare(self, c, negate, path):
+        self._note(path, "compare-not-null-guarded")
+        return _not_null_guarded(c, negate)
 
 
 class _FromMVL(_Translator):
@@ -578,6 +485,52 @@ def tr_mvl_to_3vl(
     expr: ast.Expression, schema_or_catalog, kernel: LogicKernel
 ) -> TranslationResult:
     return _FromMVL(schema_or_catalog, kernel).run(expr)
+
+
+@dataclass(frozen=True)
+class Direction:
+    """A translation direction and the kernels its capture equation uses.
+
+    `param` names what the entry is parameterized by ("grounding" or
+    "kernel"); `translate(expr, schema, param)`, `source(param)` and
+    `target(param)` receive its value.  A translation whose output holds for
+    every value of the parameter (`translation_uses_param` false) gets None.
+    """
+
+    translate: Callable[[ast.Expression, object, object], TranslationResult]
+    source: Callable[[object], LogicKernel]
+    target: Callable[[object], LogicKernel]
+    param: Optional[str] = None
+    translation_uses_param: bool = True
+
+
+# the lambdas look the functions up at call time, so rebinding a module
+# global (as a tracer does) reaches every caller of the registry
+DIRECTIONS: dict[str, Direction] = {
+    "2to3": Direction(
+        lambda e, s, _: tr_to_3vl(e, s), lambda _: kernel_2vl(), lambda _: kernel_3vl()
+    ),
+    "3to2": Direction(
+        lambda e, s, _: tr_from_3vl(e, s), lambda _: kernel_3vl(), lambda _: kernel_2vl()
+    ),
+    "gr-to-3": Direction(
+        lambda e, s, g: tr_grounded_to_3vl(e, s, g),
+        lambda g: kernel_grounded(g),
+        lambda _: kernel_3vl(),
+        param="grounding",
+    ),
+    "3-to-gr": Direction(
+        lambda e, s, _: tr_3vl_to_grounded(e, s),
+        lambda _: kernel_3vl(),
+        lambda g: kernel_grounded(g),
+        param="grounding",
+        translation_uses_param=False,
+    ),
+    "mvl-to-3": Direction(
+        lambda e, s, k: tr_mvl_to_3vl(e, s, k), lambda k: k, lambda _: kernel_3vl(),
+        param="kernel",
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -302,19 +302,19 @@ def labels(expr: ast.Expression, schema_or_catalog) -> tuple[str, ...]:
     term names, products concatenate, set operations take the left side.
     Rejects duplicate names; run `typecheck` first to auto-rename.
     """
-    catalog = (
-        catalog_from_schema(schema_or_catalog)
-        if isinstance(schema_or_catalog, Schema)
-        else dict(schema_or_catalog)
-    )
+    if isinstance(schema_or_catalog, Schema):
+        catalog = {rel.name: rel.labels for rel in schema_or_catalog.relations.values()}
+    else:
+        catalog = {name: sig.labels for name, sig in schema_or_catalog.items()}
     return _labels(expr, catalog)
 
 
-def _labels(e: ast.Expression, catalog: dict[str, RelSig]) -> tuple[str, ...]:
+def _labels(e: ast.Expression, catalog: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """`labels` over a catalog mapping each relation name to its labels."""
     if isinstance(e, ast.BaseRelation):
         if e.name not in catalog:
             raise TypeCheckError(f"unknown relation {e.name!r}")
-        return catalog[e.name].labels
+        return catalog[e.name]
     if isinstance(e, ast.Projection):
         out = tuple(ast.proj_item_name(i) for i in e.items)
         _require_distinct(out, "projection")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import SchemaError
+from .errors import NullvlError, SchemaError
 
 NULL = None
 Value = Optional[Union[Fraction, str]]
@@ -23,13 +23,6 @@ ORD = "o"
 
 def is_null(v: Value) -> bool:
     return v is None
-
-
-def value_type(v: Value) -> Optional[str]:
-    """Type letter of a non-null value; None for NULL (member of both types)."""
-    if v is None:
-        return None
-    return NUM if isinstance(v, Fraction) else ORD
 
 
 def parse_number(text: str) -> Fraction:
@@ -308,6 +301,8 @@ def schema_to_json(schema: Schema) -> dict:
 
 def database_from_json(obj: Mapping) -> Database:
     """Load and validate a {"schema": ..., "data": ...} document."""
+    if not isinstance(obj, Mapping) or "schema" not in obj:
+        raise SchemaError('a database document is an object with a "schema" key')
     schema = schema_from_json(obj["schema"])
     tables: dict[str, Bag] = {}
     data = obj.get("data", {})
@@ -342,9 +337,17 @@ def database_to_json(db: Database) -> dict:
     return {"schema": schema_to_json(db.schema), "data": data}
 
 
-def load_database(path: str) -> Database:
+def read_json(path: str):
+    """Parse a JSON file; malformed text is a NullvlError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return database_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise NullvlError(f"{path}: malformed JSON: {exc}") from None
+
+
+def load_database(path: str) -> Database:
+    return database_from_json(read_json(path))
 
 
 def bag_to_json(bag: Bag, labels: tuple[str, ...]) -> dict:

@@ -1,10 +1,11 @@
 import random
 
-from nullvl import analyze, ast
+from nullvl import analyze, ast, harness
 from nullvl.ast import col, num
 from nullvl.errors import RecursionLimitError
 from nullvl.evaluator import evaluate
 from nullvl.fuzz import ExpressionGenerator, FuzzConfig, default_schema, gen_database
+from nullvl.parser import parse_expression
 from nullvl.typecheck import typecheck
 from nullvl.values import NUM, ORD, Column, Relation, Schema
 
@@ -194,3 +195,39 @@ def test_nullable_applies_to_translated_expressions():
     schema = rs_schema(nullable=True)
     translated = translate.tr_to_3vl(q1(), schema).output
     assert analyze.nullable(translated, schema) == ("R.A",)
+
+
+# counterexamples the coincidence family once found: (seed, cases, expression)
+COINCIDENCE_REGRESSIONS = [
+    # `mod` by a zero column value is NULL inside a negated comparison
+    (145, 20, "(intersect-all (project ((as p3 (col e)) (as p4 (fn neg (col e)))) "
+              "(product (base T) (project ((as r1 (col e)) (as r2 (col g))) (base T)))) "
+              "(project ((as u7 (col e)) (as u8 (col e))) (select (not (cmp > "
+              "(tuple (fn mod (num 2) (col e)) (num 1)) (tuple (num 9) (fn neg (num 3))))) "
+              "(except-all (base T) (project ((as u5 (num 9)) (as u6 (null))) (base S))))))"),
+    (169, 20, "(select (not (cmp > (tuple (col g1) (fn mod (col b) (num -1))) "
+              "(tuple (fn mod (col k) (col b)) (fn mult (fn neg (num 7)) (col k))))) "
+              "(group (k b) ((as g1 (min k))) (distinct (base R))))"),
+    # the NOT IN subquery projects the nullable outer name p1
+    (303021, 5, "(select (not (in (num -2) (project ((as q5 (col p4))) "
+                "(project ((as p4 (col p1))) (base S))))) "
+                "(project ((as p1 (fn neg (null))) (as p2 (col d)) (as p3 (num 8))) "
+                "(distinct (base S))))"),
+]
+
+
+def test_certificate_rejects_null_sources_under_negation():
+    schema = default_schema()
+    rules = []
+    for _, _, text in COINCIDENCE_REGRESSIONS:
+        expr = typecheck(parse_expression(text), schema).expr
+        report = analyze.coincidence_certificate(expr, schema)
+        assert not report.certified, text
+        rules.append({v.rule for s in report.selections for v in s.violations})
+    assert rules == [{"nullable-comparison"}, {"nullable-comparison"}, {"nullable-subquery"}]
+
+
+def test_coincidence_family_passes_its_former_counterexamples():
+    for seed, cases, _ in COINCIDENCE_REGRESSIONS:
+        summary = harness.run_differential("coincidence", FuzzConfig(seed=seed, cases=cases))
+        assert summary.failed == 0, seed

@@ -111,3 +111,43 @@ def test_translate_trace_emission(tmp_path, capsys):
     trace = json.loads(captured.err)
     assert trace["size_ratio"] > 1
     assert any(entry["rule"] == "in-null-filtered" for entry in trace["trace"])
+
+
+def test_translate_3vl_to_grounded_needs_no_grounding(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    assert main(["translate", "--direction", "3-to-gr", "--schema", db, expr]) == 0
+    out = capsys.readouterr().out
+    assert "(not (isnull (col R.A)))" in out and "(empty" in out
+
+
+def test_every_capture_family_direction_is_a_translate_choice():
+    from nullvl import harness
+    from nullvl.cli import build_parser
+
+    parser = build_parser()
+    for direction, _, _ in harness.CAPTURE_FAMILIES.values():
+        args = parser.parse_args(["translate", "--direction", direction, "q.ra"])
+        assert args.direction == direction
+
+
+def test_bad_json_inputs_exit_two(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    broken = _write(tmp_path, "broken.json", '{"schema": {')
+    no_schema = _write(tmp_path, "noschema.json", {"data": {}})
+    runs = [
+        ["eval", expr, broken],
+        ["eval", expr, no_schema],
+        ["translate", "--direction", "2to3", "--schema", no_schema, expr],
+        ["analyze", expr, broken],
+        ["eval", "--semantics", f"mvl:{broken}", expr, db],
+        ["eval", "--semantics", f"grounded:{broken}", expr, db],
+        ["translate", "--direction", "gr-to-3", "--grounding", broken, expr],
+        ["translate", "--direction", "mvl-to-3", "--kernel", broken, expr],
+        ["replay", broken],
+    ]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, argv

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -312,3 +313,37 @@ def test_translations_touch_only_negations_and_tuple_comparisons():
             elif out != expr:
                 changed += 1
     assert unchanged > 40 and changed > 40
+
+
+# SHA-256 over the rendered outputs of 200 seeded fuzz expressions, one line
+# each; recorded before the two-valued-source translators shared their rules
+PINNED_OUTPUT_DIGESTS = {
+    "2to3": "9d8f185c4b587f55318fc09818dd281110d81cdbd1e63ecd5427ea8b6ae19ac7",
+    "3to2": "ba6b787dbbd81822436103d363f9ff9a6b3de17d610b958b1dded6daba0d62c9",
+    "3-to-gr": "3b3c2470e56b7a0b4883e11744432b13aa1108a9ceb528ac78e297206e707a46",
+    "gr-to-3.empty": "78324ecf461cdcef2de5a4875abd5b33640681c227aa8cebb585d7a92f828599",
+    "gr-to-3.syntactic": "f4d4e041bc2a73f3813b46373cce86a4893a0c2e711c2dc8dd519df8bf371856",
+    "gr-to-3.leq-sign": "51853737ec6d91cef3e012e3cbd7d46a466871d6b513983977d86d0758db4080",
+}
+
+
+def test_two_valued_source_outputs_match_pinned_digests():
+    from nullvl.fuzz import gen_expression
+    from nullvl.logic import empty_grounding
+
+    schema = default_schema()
+    runs = {
+        "2to3": lambda e: translate.tr_to_3vl(e, schema),
+        "3to2": lambda e: translate.tr_from_3vl(e, schema),
+        "3-to-gr": lambda e: translate.tr_3vl_to_grounded(e, schema),
+    }
+    for name, g in (("empty", empty_grounding()), ("syntactic", syntactic_equality_grounding()),
+                    ("leq-sign", nonnegative_leq_grounding())):
+        runs[f"gr-to-3.{name}"] = lambda e, g=g: translate.tr_grounded_to_3vl(e, schema, g)
+    digests = {name: hashlib.sha256() for name in runs}
+    for i in range(200):
+        cfg = FuzzConfig(seed=i, max_depth=4)
+        expr = typecheck(gen_expression(schema, cfg, random.Random(i)), schema).expr
+        for name, run in runs.items():
+            digests[name].update(ast.render_expression(run(expr).output).encode() + b"\n")
+    assert {name: d.hexdigest() for name, d in digests.items()} == PINNED_OUTPUT_DIGESTS

@@ -4,16 +4,32 @@ Everything is parameterized by a LogicKernel: the same walker implements the
 three-valued semantics, the conflating two-valued one, syntactic equality,
 groundings and arbitrary finite many-valued logics.  Selections keep exactly
 the records whose condition comes out as the kernel's designated true value.
+
+With ``EvalConfig.plan`` on (the default) the walker follows four rules, none
+of which changes a result:
+
+1. Facts about a node (labels, hoistable subqueries, join keys) are derived
+   once per `evaluate` call and kept in a dict keyed by node identity.
+2. A condition subquery whose free names miss the labels of the selection's
+   source is evaluated at most once per selection, on first use.
+3. A selection over a product with `=` conjuncts across its two sides runs as
+   a hash join, and single-item IN / ANY-`=` looks the item up in a value
+   count index of the subquery's bag, when the kernel allows it (`_Run`).
+4. Quantifiers fold once per distinct record through `fold_counted`.
+
+With ``plan=False`` it is the plain tree-walker, the reference the planned
+evaluation is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import ast
 from .errors import EvalError, RecursionLimitError
 from .funcs import apply_aggregate, apply_function
-from .logic import AND, OR, LogicKernel, TruthValue, kernel_3vl
+from .logic import AND, OR, LogicKernel, TruthValue, fold_counted, kernel_3vl
 from .typecheck import _labels
 from .values import Bag, Database, Value, is_null
 
@@ -24,6 +40,7 @@ Env = Mapping[str, Value]
 class EvalConfig:
     kernel: LogicKernel = field(default_factory=kernel_3vl)
     recursion_cap: int = 10_000
+    plan: bool = True  # False: the plain tree-walker
 
     def __post_init__(self):
         if self.recursion_cap < 1:
@@ -32,6 +49,54 @@ class EvalConfig:
 
 # runtime catalog: relation name -> (labels, bag)
 Rt = dict
+
+_PENDING = object()  # a hoisted subquery its selection has not needed yet
+_NULLS_1, _NULLS_2, _NULLS_12 = frozenset({1}), frozenset({2}), frozenset({1, 2})
+
+
+class _Run:
+    """The state of one `evaluate` call.
+
+    ``facts`` maps node identities to what `_facts` derived for them (None
+    runs the plain tree-walker); ``hoisted`` holds the hoisted subqueries of
+    the selection whose condition is being evaluated, by identity of their
+    In / Quant / Empty node.
+    """
+
+    def __init__(self, cfg: EvalConfig):
+        self.cfg = cfg
+        self.kernel = cfg.kernel
+        self.facts: Optional[dict] = {} if cfg.plan else None
+        self.hoisted: dict = {}
+        self.mu_labels: dict = {}
+
+    @cached_property
+    def members(self) -> bool:
+        """Whether a one-column bag can answer `=` through a count index:
+        every null pattern gives a constant."""
+        return all(v is not None for v in self.kernel.null_equality.values())
+
+    @cached_property
+    def join_nulls(self) -> Optional[bool]:
+        """None if selections over products may not hash-join, otherwise
+        whether NULL keys match.  A hash join tests only pairs with equal
+        keys; the others must be false for certain: no null pattern with a
+        NULL on one side is true, and a conjunction is true only when both
+        operands are."""
+        kernel, eq = self.kernel, self.kernel.null_equality
+        true = kernel.true
+        if not self.members or true in (eq[_NULLS_1], eq[_NULLS_2]):
+            return None
+        if any(v == true and pair != (true, true) for pair, v in kernel.and_table.items()):
+            return None
+        return eq[_NULLS_12] == true
+
+    def within(self, hoisted: tuple) -> "_Run":
+        """The same call, seen from a selection with these hoisted subqueries."""
+        run = object.__new__(_Run)
+        run.__dict__.update(self.__dict__)
+        run.hoisted = dict.fromkeys(hoisted, _PENDING)
+        return run
 
 
 def eval_term(term: ast.Term, env: Env) -> Value:
@@ -74,8 +139,8 @@ def _compare_value_tuples(kernel: LogicKernel, lvals, op: str, rvals) -> TruthVa
     return kernel.fold(OR, disjuncts)
 
 
-def eval_condition_rt(cond: ast.Condition, rt: Rt, env: Env, cfg: EvalConfig) -> TruthValue:
-    kernel = cfg.kernel
+def eval_condition_rt(cond: ast.Condition, rt: Rt, env: Env, run: _Run) -> TruthValue:
+    kernel = run.kernel
     if isinstance(cond, ast.CTrue):
         return kernel.true
     if isinstance(cond, ast.CFalse):
@@ -86,15 +151,18 @@ def eval_condition_rt(cond: ast.Condition, rt: Rt, env: Env, cfg: EvalConfig) ->
         lvals = [eval_term(t, env) for t in cond.lhs]
         rvals = [eval_term(t, env) for t in cond.rhs]
         return _compare_value_tuples(kernel, lvals, cond.op, rvals)
+    if run.facts is not None and isinstance(cond, (ast.In, ast.Quant)):
+        return _eval_quantified(cond, rt, env, run)
     if isinstance(cond, ast.In):
         return eval_condition_rt(
-            ast.Quant(cond.items, "=", "any", cond.query), rt, env, cfg
+            ast.Quant(cond.items, "=", "any", cond.query), rt, env, run
         )
     if isinstance(cond, ast.Empty):
-        bag = eval_rt(cond.query, rt, env, cfg)
-        return kernel.true if bag.is_empty() else kernel.false
+        return _subquery(
+            cond, rt, env, run, lambda bag: kernel.true if bag.is_empty() else kernel.false
+        )
     if isinstance(cond, ast.Quant):
-        bag = eval_rt(cond.query, rt, env, cfg)
+        bag = eval_rt(cond.query, rt, env, run)
         items = [eval_term(t, env) for t in cond.items]
         conn = OR if cond.quant == "any" else AND
         return kernel.fold(
@@ -106,27 +174,92 @@ def eval_condition_rt(cond: ast.Condition, rt: Rt, env: Env, cfg: EvalConfig) ->
         )
     if isinstance(cond, ast.And):
         return kernel.conj(
-            eval_condition_rt(cond.left, rt, env, cfg),
-            eval_condition_rt(cond.right, rt, env, cfg),
+            eval_condition_rt(cond.left, rt, env, run),
+            eval_condition_rt(cond.right, rt, env, run),
         )
     if isinstance(cond, ast.Or):
         return kernel.disj(
-            eval_condition_rt(cond.left, rt, env, cfg),
-            eval_condition_rt(cond.right, rt, env, cfg),
+            eval_condition_rt(cond.left, rt, env, run),
+            eval_condition_rt(cond.right, rt, env, run),
         )
     if isinstance(cond, ast.Not):
-        return kernel.neg(eval_condition_rt(cond.cond, rt, env, cfg))
+        return kernel.neg(eval_condition_rt(cond.cond, rt, env, run))
     raise EvalError(f"not a condition: {cond!r}")
+
+
+def _subquery(cond, rt: Rt, env: Env, run: _Run, prepare):
+    """``prepare`` applied to the bag of the condition's subquery: once per
+    selection when the selection hoisted it, on every call otherwise."""
+    hoisted = run.hoisted.get(id(cond))
+    if hoisted is not None and hoisted is not _PENDING:
+        return hoisted
+    value = prepare(eval_rt(cond.query, rt, env, run))
+    if hoisted is _PENDING:
+        run.hoisted[id(cond)] = value
+    return value
+
+
+def _same(bag: Bag) -> Bag:
+    return bag
+
+
+class _Members:
+    """A one-column bag as counts: per non-null value, and of NULLs."""
+
+    def __init__(self, bag: Bag):
+        self.counts: dict = {}
+        self.nulls = 0
+        for (v,), k in bag.items():
+            if v is None:
+                self.nulls = k
+            else:
+                self.counts[v] = k
+        self.non_null = sum(self.counts.values())
+
+    def equalities(self, kernel: LogicKernel, x: Value) -> list:
+        """(truth value, multiplicity) of `x = v` over the bag's records v."""
+        eq = kernel.null_equality
+        if x is None:
+            return [(eq[_NULLS_1], self.non_null), (eq[_NULLS_12], self.nulls)]
+        hits = self.counts.get(x, 0)
+        return [
+            (kernel.true, hits), (kernel.false, self.non_null - hits), (eq[_NULLS_2], self.nulls)
+        ]
+
+
+def _eval_quantified(cond: ast.In | ast.Quant, rt: Rt, env: Env, run: _Run) -> TruthValue:
+    """IN and ANY/ALL, folded once per distinct record of the subquery."""
+    kernel = run.kernel
+    if isinstance(cond, ast.In):
+        op, conn = "=", OR
+    else:
+        op, conn = cond.op, OR if cond.quant == "any" else AND
+    indexed = op == "=" and conn == OR and len(cond.items) == 1 and run.members
+    source = _subquery(cond, rt, env, run, _Members if indexed else _same)
+    items = [eval_term(t, env) for t in cond.items]
+    if isinstance(source, _Members):
+        pairs = source.equalities(kernel, items[0])
+    else:
+        pairs = [
+            (_compare_value_tuples(kernel, items, op, record), k)
+            for record, k in source.items()
+        ]
+    counts: dict = {}
+    for value, k in pairs:
+        if k:
+            counts[value] = counts.get(value, 0) + k
+    if not counts:
+        return kernel.false if conn == OR else kernel.true
+    return fold_counted(kernel, conn, counts)
 
 
 def _bind(env: Env, labels: tuple[str, ...], record) -> dict:
     merged = dict(env)
-    for name, value in zip(labels, record):
-        merged[name] = value
+    merged.update(zip(labels, record))
     return merged
 
 
-def eval_rt(e: ast.Expression, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
+def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
     if isinstance(e, ast.BaseRelation):
         try:
             return rt[e.name][1]
@@ -134,8 +267,8 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
             raise EvalError(f"unknown relation {e.name!r} at runtime")
 
     if isinstance(e, ast.Projection):
-        src_labels = _labels(e.source, {n: l for n, (l, _) in rt.items()})
-        src = eval_rt(e.source, rt, env, cfg)
+        src_labels = _facts(e, rt, run, _projection_facts)
+        src = eval_rt(e.source, rt, env, run)
         counts: dict = {}
         for record, k in src.items():
             row_env = _bind(env, src_labels, record)
@@ -144,18 +277,11 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
         return Bag.from_counts(counts)
 
     if isinstance(e, ast.Selection):
-        src_labels = _labels(e.source, {n: l for n, (l, _) in rt.items()})
-        src = eval_rt(e.source, rt, env, cfg)
-        counts: dict = {}
-        for record, k in src.items():
-            row_env = _bind(env, src_labels, record)
-            if eval_condition_rt(e.cond, rt, row_env, cfg) == cfg.kernel.true:
-                counts[record] = counts.get(record, 0) + k
-        return Bag.from_counts(counts)
+        return _eval_selection(e, rt, env, run)
 
     if isinstance(e, ast.Product):
-        left = eval_rt(e.left, rt, env, cfg)
-        right = eval_rt(e.right, rt, env, cfg)
+        left = eval_rt(e.left, rt, env, run)
+        right = eval_rt(e.right, rt, env, run)
         counts: dict = {}
         for lrec, lk in left.items():
             for rrec, rk in right.items():
@@ -164,8 +290,8 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
         return Bag.from_counts(counts)
 
     if isinstance(e, ast.SetOp):
-        left = eval_rt(e.left, rt, env, cfg)
-        right = eval_rt(e.right, rt, env, cfg)
+        left = eval_rt(e.left, rt, env, run)
+        right = eval_rt(e.right, rt, env, run)
         if e.op == "union":
             return left.union(right)
         if e.op == "intersect":
@@ -173,22 +299,155 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
         return left.difference(right)
 
     if isinstance(e, ast.Distinct):
-        return eval_rt(e.source, rt, env, cfg).distinct()
+        return eval_rt(e.source, rt, env, run).distinct()
 
     if isinstance(e, ast.Group):
-        return _eval_group(e, rt, env, cfg)
+        return _eval_group(e, rt, env, run)
 
     if isinstance(e, ast.Mu):
-        return _eval_mu(e, rt, env, cfg)
+        return _eval_mu(e, rt, env, run)
 
     raise EvalError(f"not an expression: {e!r}")
 
 
-def _eval_group(e: ast.Group, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
-    src_labels = _labels(e.source, {n: l for n, (l, _) in rt.items()})
-    src = eval_rt(e.source, rt, env, cfg)
+def _catalog(rt: Rt) -> dict:
+    return {n: l for n, (l, _) in rt.items()}
+
+
+def _facts(e, rt: Rt, run: _Run, derive):
+    """``derive(e, catalog)``: once per node and call when planning, on
+    every visit in the plain tree-walker."""
+    if run.facts is None:
+        return derive(e, _catalog(rt))
+    facts = run.facts.get(id(e))
+    if facts is None:
+        facts = run.facts[id(e)] = derive(e, _catalog(rt))
+    return facts
+
+
+def _projection_facts(e: ast.Projection, catalog) -> tuple[str, ...]:
+    return _labels(e.source, catalog)
+
+
+def _selection_facts(e: ast.Selection, catalog):
+    """Source labels, the subquery conditions to hoist and the join keys."""
+    labels = _labels(e.source, catalog)
+    bound = set(labels)
+    hoisted = tuple(
+        id(c) for c in _subquery_conditions(e.cond)
+        if not _free_names(c.query, catalog) & bound
+    )
+    return labels, hoisted, _join_keys(e, catalog, labels)
+
+
+def _subquery_conditions(cond: ast.Condition) -> list:
+    if isinstance(cond, (ast.In, ast.Quant, ast.Empty)):
+        return [cond]
+    return [c for sub in ast.condition_children(cond) for c in _subquery_conditions(sub)]
+
+
+def _free_names(e: ast.Expression, catalog) -> set:
+    """The names an expression reads from its environment."""
+    if isinstance(e, ast.Mu):
+        inner = dict(catalog)
+        inner[e.rel] = _labels(e.seed, catalog)
+        return _free_names(e.seed, catalog) | _free_names(e.step, inner)
+    out: set = set()
+    for sub in ast.child_expressions(e):
+        out |= _free_names(sub, catalog)
+    if isinstance(e, ast.Projection):
+        names = set().union(*(ast.term_names(item.term) for item in e.items))
+    elif isinstance(e, ast.Selection):
+        names = _condition_free_names(e.cond, catalog)
+    else:
+        return out
+    return out | (names - set(_labels(e.source, catalog)))
+
+
+def _condition_free_names(c: ast.Condition, catalog) -> set:
+    out: set = set()
+    for t in ast.condition_terms(c):
+        out |= ast.term_names(t)
+    for q in ast.condition_subqueries(c):
+        out |= _free_names(q, catalog)
+    for sub in ast.condition_children(c):
+        out |= _condition_free_names(sub, catalog)
+    return out
+
+
+def _join_keys(e: ast.Selection, catalog, labels: tuple[str, ...]):
+    """For a selection over a product: the (left, right) column positions of
+    the `=` conjuncts that compare a left column with a right one."""
+    if not isinstance(e.source, ast.Product):
+        return None
+    width = len(_labels(e.source.left, catalog))
+    where = {name: i for i, name in enumerate(labels)}
+    pairs = []
+    for c in _conjuncts(e.cond):
+        if not (isinstance(c, ast.Compare) and c.op == "="):
+            continue
+        for a, b in zip(c.lhs, c.rhs):
+            if isinstance(a, ast.NameRef) and isinstance(b, ast.NameRef):
+                i, j = sorted((where.get(a.name, -1), where.get(b.name, -1)))
+                if 0 <= i < width <= j:
+                    pairs.append((i, j - width))
+    if not pairs:
+        return None
+    return tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
+
+
+def _conjuncts(c: ast.Condition) -> list:
+    if isinstance(c, ast.And):
+        return _conjuncts(c.left) + _conjuncts(c.right)
+    return [c]
+
+
+def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
+    if run.facts is None:
+        labels, hoisted, keys = _labels(e.source, _catalog(rt)), (), None
+    else:
+        labels, hoisted, keys = _facts(e, rt, run, _selection_facts)
+    if keys is not None and run.join_nulls is not None:
+        rows = _join_candidates(e.source, keys, rt, env, run)
+    else:
+        rows = eval_rt(e.source, rt, env, run).items()
+    if hoisted or run.hoisted:
+        run = run.within(hoisted)
+    true = run.kernel.true
+    counts: dict = {}
+    for record, k in rows:
+        if eval_condition_rt(e.cond, rt, _bind(env, labels, record), run) == true:
+            counts[record] = counts.get(record, 0) + k
+    return Bag.from_counts(counts)
+
+
+def _join_candidates(product: ast.Product, keys, rt: Rt, env: Env, run: _Run):
+    """The records of the product whose key columns are equal, with their
+    multiplicities; NULL keys match only when the kernel makes NULL = NULL
+    true."""
+    left = eval_rt(product.left, rt, env, run)
+    right = eval_rt(product.right, rt, env, run)
+    lpos, rpos = keys
+    index: dict = {}
+    for rrec, rk in right.items():
+        key = tuple(rrec[i] for i in rpos)
+        if run.join_nulls or None not in key:
+            index.setdefault(key, []).append((rrec, rk))
+    for lrec, lk in left.items():
+        for rrec, rk in index.get(tuple(lrec[i] for i in lpos), ()):
+            yield lrec + rrec, lk * rk
+
+
+def _group_facts(e: ast.Group, catalog):
+    src_labels = _labels(e.source, catalog)
     key_pos = [src_labels.index(n) for n in e.names]
     agg_pos = [src_labels.index(a.column) if a.column is not None else None for a in e.aggs]
+    return key_pos, agg_pos
+
+
+def _eval_group(e: ast.Group, rt: Rt, env: Env, run: _Run) -> Bag:
+    key_pos, agg_pos = _facts(e, rt, run, _group_facts)
+    src = eval_rt(e.source, rt, env, run)
 
     # groups form under syntactic equality: one group per distinct key,
     # NULL grouping with NULL
@@ -216,11 +475,20 @@ def _eval_group(e: ast.Group, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
     return Bag.from_counts(out)
 
 
-def _eval_mu(e: ast.Mu, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
-    seed = eval_rt(e.seed, rt, env, cfg)
+def _mu_facts(e: ast.Mu, catalog) -> tuple[str, ...]:
+    return _labels(e.seed, catalog)
+
+
+def _eval_mu(e: ast.Mu, rt: Rt, env: Env, run: _Run) -> Bag:
+    seed = eval_rt(e.seed, rt, env, run)
     if e.distinct:
         seed = seed.distinct()
-    seed_labels = _labels(e.seed, {n: l for n, (l, _) in rt.items()})
+    seed_labels = _facts(e, rt, run, _mu_facts)
+    if run.facts is not None and run.mu_labels.setdefault(e.rel, seed_labels) != seed_labels:
+        # the name was bound to other labels earlier in this call, so facts
+        # derived under that binding may be stale
+        run.facts.clear()
+        run.mu_labels[e.rel] = seed_labels
     result = seed
     frontier = seed
     iterations = 0
@@ -228,14 +496,14 @@ def _eval_mu(e: ast.Mu, rt: Rt, env: Env, cfg: EvalConfig) -> Bag:
         if frontier.is_empty():
             return result
         iterations += 1
-        if iterations > cfg.recursion_cap:
+        if iterations > run.cfg.recursion_cap:
             raise RecursionLimitError(
-                f"fixpoint over {e.rel!r} exceeded {cfg.recursion_cap} iterations; "
+                f"fixpoint over {e.rel!r} exceeded {run.cfg.recursion_cap} iterations; "
                 "the query may not terminate"
             )
         extended = dict(rt)
         extended[e.rel] = (seed_labels, frontier)
-        step = eval_rt(e.step, extended, env, cfg)
+        step = eval_rt(e.step, extended, env, run)
         if e.distinct:
             step = step.distinct().difference(result)
         result = result.union(step)
@@ -260,7 +528,7 @@ def evaluate(
     The environment supplies parameter values for correlated fragments; the
     top-level call uses the empty environment.
     """
-    return eval_rt(e, _db_rt(db), dict(env or {}), cfg or EvalConfig())
+    return eval_rt(e, _db_rt(db), dict(env or {}), _Run(cfg or EvalConfig()))
 
 
 def eval_condition(
@@ -269,7 +537,7 @@ def eval_condition(
     env: Optional[Env] = None,
     cfg: Optional[EvalConfig] = None,
 ) -> TruthValue:
-    return eval_condition_rt(cond, _db_rt(db), dict(env or {}), cfg or EvalConfig())
+    return eval_condition_rt(cond, _db_rt(db), dict(env or {}), _Run(cfg or EvalConfig()))
 
 
 def eval_group(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import analyze, ast, fuzz, translate
-from .errors import NullvlError, RecursionLimitError, SqlEmitError
+from .errors import KernelError, NullvlError, RecursionLimitError, SqlEmitError
 from .evaluator import EvalConfig, eval_condition, evaluate
 from .logic import (
     LogicKernel,
@@ -29,7 +29,9 @@ from .logic import (
 )
 from .parser import parse_condition, parse_expression
 from .typecheck import typecheck
-from .values import Bag, Database, bag_to_json, database_from_json, database_to_json, Schema
+from .values import (
+    Bag, Database, Schema, bag_to_json, database_from_json, database_to_json, required,
+)
 
 _GROUNDINGS = {
     "empty": empty_grounding,
@@ -45,9 +47,17 @@ _KERNELS = {
 }
 
 
+def _grounding_by_name(name: str):
+    if name not in _GROUNDINGS:
+        raise KernelError(f"unknown grounding {name!r}; choose from {', '.join(_GROUNDINGS)}")
+    return _GROUNDINGS[name]()
+
+
 def kernel_by_name(name: str) -> LogicKernel:
     if name.startswith("grounded:"):
-        return kernel_grounded(_GROUNDINGS[name.split(":", 1)[1]]())
+        return kernel_grounded(_grounding_by_name(name.split(":", 1)[1]))
+    if name not in _KERNELS:
+        raise KernelError(f"unknown kernel {name!r}; choose from {', '.join(_KERNELS)}")
     return _KERNELS[name]()
 
 
@@ -97,26 +107,30 @@ def _bags_equal_detail(left: Bag, right: Bag, labels) -> str:
 # Case checkers (pure functions of a self-contained case dict)
 
 
+def _field(case: dict, key: str):
+    return required(case, key, "bundle")
+
+
 def _load_case_db(case: dict) -> Database:
-    return database_from_json(case["db"])
+    return database_from_json(_field(case, "db"))
 
 
 def _checked_expr(case: dict, db: Database):
-    expr = parse_expression(case["expression"])
+    expr = parse_expression(_field(case, "expression"))
     return typecheck(expr, db.schema).expr
 
 
 def _check_capture_case(case: dict) -> CaseOutcome:
     db = _load_case_db(case)
     expr = _checked_expr(case, db)
-    direction = translate.DIRECTIONS.get(case["direction"])
+    direction = translate.DIRECTIONS.get(_field(case, "direction"))
     if direction is None:
         raise NullvlError(f"unknown direction {case['direction']!r}")
     param = None
     if direction.param == "grounding":
-        param = _GROUNDINGS[case["grounding"]]()
+        param = _grounding_by_name(_field(case, "grounding"))
     elif direction.param == "kernel":
-        param = kernel_by_name(case["kernel"])
+        param = kernel_by_name(_field(case, "kernel"))
     tr = direction.translate(expr, db.schema, param)
     verdict = translate.check_capture(
         expr, db, EvalConfig(kernel=direction.source(param)),
@@ -149,16 +163,16 @@ def _check_prop41_case(case: dict) -> CaseOutcome:
     db = _load_case_db(case)
     cfg = EvalConfig(kernel=kernel_2vl())
     try:
-        for chk in case["checks"]:
-            kind = chk["kind"]
+        for chk in _field(case, "checks"):
+            kind = required(chk, "kind", "check")
             if kind == "bags-equal":
-                left = evaluate(_typed(chk["left"], db), db, cfg=cfg)
-                right = evaluate(_typed(chk["right"], db), db, cfg=cfg)
+                left = evaluate(_typed(required(chk, "left", kind), db), db, cfg=cfg)
+                right = evaluate(_typed(required(chk, "right", kind), db), db, cfg=cfg)
                 if left != right:
                     return CaseOutcome("fail", f"{kind}: bags differ")
             elif kind in ("cond-false-iff-empty", "cond-true-iff-empty"):
-                value = eval_condition(parse_condition(chk["cond"]), db, cfg=cfg)
-                bag = evaluate(_typed(chk["expr"], db), db, cfg=cfg)
+                value = eval_condition(parse_condition(required(chk, "cond", kind)), db, cfg=cfg)
+                bag = evaluate(_typed(required(chk, "expr", kind), db), db, cfg=cfg)
                 wanted = "f" if kind == "cond-false-iff-empty" else "t"
                 if (value == wanted) != bag.is_empty():
                     return CaseOutcome(
@@ -233,6 +247,31 @@ def _check_roundtrip_case(case: dict) -> CaseOutcome:
     return CaseOutcome("fail", f"round-trip changed the result; sql: {sql}")
 
 
+# the kernels a plan-equivalence case draws from, one per case
+PLAN_KERNELS = ("3vl", "2vl", "2vl-syn", "grounded:leq-sign", "4vl")
+
+
+def _check_plan_case(case: dict) -> CaseOutcome:
+    """The planned evaluator against the plain tree-walker."""
+    db = _load_case_db(case)
+    expr = _checked_expr(case, db)
+    kernel = kernel_by_name(_field(case, "kernel"))
+    try:
+        reference = evaluate(expr, db, cfg=EvalConfig(kernel=kernel, plan=False))
+    except RecursionLimitError as exc:
+        # the planned run does a subset of the reference's work, so it may
+        # finish where the reference hits the cap; there is nothing to compare
+        return CaseOutcome("skip", str(exc))
+    try:
+        planned = evaluate(expr, db, cfg=EvalConfig(kernel=kernel, plan=True))
+    except RecursionLimitError as exc:
+        return CaseOutcome("fail", f"planned evaluation only: {exc}")
+    if planned == reference:
+        return CaseOutcome("pass")
+    labels = typecheck(parse_expression(case["expression"]), db.schema).sig.labels
+    return CaseOutcome("fail", _bags_equal_detail(planned, reference, labels))
+
+
 # capture family -> (direction, grounding or kernel name, expression depth cap)
 CAPTURE_FAMILIES = {
     "capture-2vl-to-3vl": ("2to3", None, None),
@@ -251,6 +290,7 @@ _CHECKERS: dict[str, Callable[[dict], CaseOutcome]] = {
     "coincidence": _check_coincidence_case,
     "nullable-soundness": _check_nullable_case,
     "sql-roundtrip": _check_roundtrip_case,
+    "plan-equivalence": _check_plan_case,
 }
 
 
@@ -290,9 +330,44 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
         return _base_case(schema, nf_cfg, rng, family)
     if family in ("coincidence", "nullable-soundness", "sql-roundtrip"):
         return _base_case(schema, cfg, rng, family)
+    if family == "plan-equivalence":
+        if rng.random() < 0.5:
+            case = _base_case(schema, cfg, rng, family)
+        else:
+            case = _join_case(schema, cfg, rng)
+        case["kernel"] = rng.choice(PLAN_KERNELS)
+        return case
     if family == "prop-4.1":
         return _gen_prop41_case(schema, cfg, rng)
     raise NullvlError(f"unknown family {family!r}")
+
+
+def _join_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
+    """sigma(l = r and theta)(L x R) over two drawn expressions: the shape a
+    hash join serves, which the expression generator seldom draws."""
+    gen = fuzz.ExpressionGenerator(schema, cfg, rng)
+    left, lsig = gen.expr(rng.randint(1, cfg.max_depth - 1), {})
+    right, rsig = gen.expr(rng.randint(1, cfg.max_depth - 1), {})
+    renamed = tuple(gen.fresh("j") for _ in rsig.labels)
+    right = ast.Projection(
+        tuple(ast.ProjItem(ast.NameRef(old), new) for old, new in zip(rsig.labels, renamed)),
+        right,
+    )
+    scope = dict(zip(lsig.labels + renamed, lsig.types + rsig.types))
+    pairs = [
+        (a, b) for a, at in zip(lsig.labels, lsig.types)
+        for b, bt in zip(renamed, rsig.types) if at == bt
+    ]
+    conds = [gen.condition(cfg.max_depth - 1, scope)] if rng.random() < 0.5 else []
+    for a, b in rng.sample(pairs, min(len(pairs), rng.randint(1, 2))):
+        conds.insert(rng.randint(0, len(conds)), ast.Compare((ast.NameRef(a),), "=", (ast.NameRef(b),)))
+    expr = ast.Selection(ast.and_all(conds), ast.Product(left, right))
+    expr = typecheck(expr, schema).expr
+    return {
+        "family": "plan-equivalence",
+        "expression": ast.render_expression(expr),
+        "db": _db_json(fuzz.gen_database(schema, cfg, rng)),
+    }
 
 
 def _gen_prop41_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
@@ -419,7 +494,7 @@ def run_differential(
 
 def replay(bundle: dict) -> CaseOutcome:
     """Re-run a counterexample bundle; deterministic, no randomness involved."""
-    family = bundle.get("family")
-    if family not in _CHECKERS:
+    family = required(bundle, "family", "bundle")
+    if not isinstance(family, str) or family not in _CHECKERS:
         raise NullvlError(f"bundle names unknown family {family!r}")
     return _CHECKERS[family](bundle)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from . import ast
 from .errors import KernelError
 from .funcs import apply_function
-from .values import NUM, Value, is_null, read_json
+from .values import NUM, Value, is_null, read_json, required
 
 TruthValue = str
 
@@ -48,6 +48,13 @@ def standard_compare(op: str, a, b) -> bool:
 
 TemplateFn = Callable[[ast.Term, ast.Term], ast.Condition]
 
+# the null patterns of a comparison: which argument positions are NULL
+_PATTERNS = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
+
+
+def _constant_nulls(value: TruthValue) -> dict:
+    return {p: value for p in _PATTERNS}
+
 
 class LogicKernel:
     """A validated finite logic with comparison semantics."""
@@ -63,6 +70,7 @@ class LogicKernel:
         not_table: Mapping[TruthValue, TruthValue],
         compare: Callable[[str, Value, Value], TruthValue],
         expressibility: Optional[Mapping[tuple[str, TruthValue], TemplateFn]] = None,
+        null_equality: Optional[Mapping[frozenset, Optional[TruthValue]]] = None,
     ):
         self.name = name
         self.values = tuple(values)
@@ -73,6 +81,11 @@ class LogicKernel:
         self.not_table = dict(not_table)
         self.compare = compare
         self.expressibility = dict(expressibility or {})
+        # the value of `=` for each null pattern when it is a constant, None
+        # when it depends on the values (or is not known): what the
+        # evaluator's hash join and hash membership rely on
+        null_equality = null_equality or {}
+        self.null_equality = {p: null_equality.get(p) for p in _PATTERNS}
         self._periods: dict[tuple[TruthValue, str], tuple[int, int]] = {}
         validate_kernel(self)
 
@@ -232,7 +245,9 @@ def kernel_3vl() -> LogicKernel:
         expr[(op, "t")] = lambda a, b, op=op: _cmp(a, op, b)
         expr[(op, "f")] = lambda a, b, op=op: ast.Not(_cmp(a, op, b))
         expr[(op, "u")] = lambda a, b: ast.Or(ast.IsNull(a), ast.IsNull(b))
-    return LogicKernel("3vl", ("t", "f", "u"), "t", "f", and_t, or_t, not_t, compare, expr)
+    return LogicKernel(
+        "3vl", ("t", "f", "u"), "t", "f", and_t, or_t, not_t, compare, expr, _constant_nulls("u")
+    )
 
 
 def kernel_2vl() -> LogicKernel:
@@ -247,7 +262,9 @@ def kernel_2vl() -> LogicKernel:
     expr: dict[tuple[str, str], TemplateFn] = {}
     for op in ast.COMPARISONS:
         expr.update({(op, v): fn for v, fn in _templates_2vl(op).items()})
-    return LogicKernel("2vl", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr)
+    return LogicKernel(
+        "2vl", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr, _constant_nulls("f")
+    )
 
 
 def kernel_2vl_syntactic() -> LogicKernel:
@@ -276,8 +293,9 @@ def kernel_2vl_syntactic() -> LogicKernel:
     expr[("!=", "f")] = lambda a, b: ast.or_all(
         [ast.IsNull(a), ast.IsNull(b), ast.Not(_cmp(a, "!=", b))]
     )
+    nulls = {**_constant_nulls("f"), frozenset({1, 2}): "t"}
     return LogicKernel(
-        "2vl-syn", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr
+        "2vl-syn", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr, nulls
     )
 
 
@@ -328,7 +346,8 @@ def kernel_4vl_example() -> LogicKernel:
         expr[(op, "s")] = lambda a, b: ast.Or(ast.IsNull(a), ast.IsNull(b))
         expr[(op, "u")] = lambda a, b: ast.CFalse()
     return LogicKernel(
-        "4vl", ("t", "f", "u", "s"), "t", "f", dict(_4VL_AND), dict(_4VL_OR), not_t, compare, expr
+        "4vl", ("t", "f", "u", "s"), "t", "f", dict(_4VL_AND), dict(_4VL_OR), not_t, compare,
+        expr, _constant_nulls("s"),
     )
 
 
@@ -342,22 +361,23 @@ def make_mvl_kernel(
     not_table,
     compare,
     expressibility=None,
+    null_equality=None,
 ) -> LogicKernel:
     """Build and validate a custom many-valued kernel.
 
     Raises KernelError naming the broken law and a witnessing tuple when the
     tables are not associative/commutative or not Boolean on {t, f}.
+    ``null_equality`` states the value of ``=`` per null pattern where it
+    does not depend on the values; it is not checked against ``compare``.
     """
     return LogicKernel(
-        name, values, true, false, and_table, or_table, not_table, compare, expressibility
+        name, values, true, false, and_table, or_table, not_table, compare, expressibility,
+        null_equality,
     )
 
 
 # ---------------------------------------------------------------------------
 # Groundings
-
-
-_PATTERNS = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
 
 
 class Grounding:
@@ -547,8 +567,13 @@ def kernel_grounded(grounding: Grounding) -> LogicKernel:
     for op in ast.COMPARISONS:
         expr[(op, "t")] = _grounded_template(grounding, op, negate=False)
         expr[(op, "f")] = _grounded_template(grounding, op, negate=True)
+    # read off the `=` templates: a missing one is false, a constant one is
+    # its value, any other may depend on the non-null argument
+    constants = {None: "f", ast.CTrue(): "t", ast.CFalse(): "f"}
+    nulls = {p: constants.get(grounding.template("=", p)) for p in _PATTERNS}
     return LogicKernel(
-        f"grounded:{grounding.name}", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr
+        f"grounded:{grounding.name}", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr,
+        nulls,
     )
 
 
@@ -632,18 +657,14 @@ def fold_counted(kernel: LogicKernel, conn: str, counts: Mapping[TruthValue, int
     total = sum(counts.values())
     if total <= 0:
         raise KernelError("fold over an empty multiset")
-    table = kernel.table(conn)
-    acc: Optional[TruthValue] = None
+    reduced = []
     for value in kernel.values:
         n = counts.get(value, 0)
         if n < 0:
             raise KernelError("negative multiplicity")
         lead, period = kernel.periodicity(value, conn)
-        n = reduce_count(n, lead, period)
-        for _ in range(n):
-            acc = value if acc is None else table[(acc, value)]
-    assert acc is not None
-    return acc
+        reduced.extend([value] * reduce_count(n, lead, period))
+    return kernel.fold(conn, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +684,14 @@ def _table_from_rows(values, rows, what) -> dict:
 def kernel_from_json(obj: Mapping) -> LogicKernel:
     from .parser import parse_condition
 
-    values = tuple(obj["values"])
-    true, false = obj["true"], obj["false"]
-    and_t = _table_from_rows(values, obj["and"], "and")
-    or_t = _table_from_rows(values, obj["or"], "or")
-    nots = obj["not"]
+    def field(key):
+        return required(obj, key, "kernel", KernelError)
+
+    values = tuple(field("values"))
+    true, false = field("true"), field("false")
+    and_t = _table_from_rows(values, field("and"), "and")
+    or_t = _table_from_rows(values, field("or"), "or")
+    nots = field("not")
     if len(nots) != len(values):
         raise KernelError("not: one entry per value required")
     not_t = {values[i]: nots[i] for i in range(len(values))}
@@ -708,7 +732,8 @@ def kernel_from_json(obj: Mapping) -> LogicKernel:
             lambda a, b, template=template: substitute_holes(template, (a, b))
         )
     name = obj.get("name", "custom-mvl")
-    return make_mvl_kernel(name, values, true, false, and_t, or_t, not_t, compare, expr)
+    nulls = {p: null_cmp[("=", p)] for p in _PATTERNS}
+    return make_mvl_kernel(name, values, true, false, and_t, or_t, not_t, compare, expr, nulls)
 
 
 def load_kernel(path: str) -> LogicKernel:
@@ -718,6 +743,8 @@ def load_kernel(path: str) -> LogicKernel:
 def grounding_from_json(obj: Mapping) -> Grounding:
     from .parser import parse_condition
 
+    if not isinstance(obj, Mapping):
+        raise KernelError("a grounding must be a JSON object")
     templates = {}
     for op, by_pattern in obj.get("templates", {}).items():
         for pattern_text, text in by_pattern.items():

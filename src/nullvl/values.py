@@ -265,14 +265,26 @@ def dump_cell(v: Value):
     return v
 
 
+def required(obj, key: str, what: str, error=SchemaError):
+    """``obj[key]`` of a JSON object, or ``error`` naming the missing field
+    (or saying that ``obj`` is no object)."""
+    if not isinstance(obj, Mapping):
+        raise error(f"{what} must be a JSON object")
+    if key not in obj:
+        raise error(f'{what}: missing required field "{key}"')
+    return obj[key]
+
+
 def schema_from_json(obj: Mapping) -> Schema:
+    if not isinstance(obj, Mapping):
+        raise SchemaError("a schema must be a JSON object")
     relations = []
     for rel_name, rel_obj in obj.items():
         cols = []
-        for col in rel_obj["columns"]:
+        for col in required(rel_obj, "columns", f"relation {rel_name}"):
             cols.append(
                 Column(
-                    name=col["name"],
+                    name=required(col, "name", f"a column of relation {rel_name}"),
                     type=NUM if col.get("type", "ord") == "num" else ORD,
                     nullable=bool(col.get("nullable", True)),
                     key=bool(col.get("key", False)),

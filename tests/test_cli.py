@@ -151,3 +151,42 @@ def test_bad_json_inputs_exit_two(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, argv
+
+
+KERNEL_2VL = {
+    "values": ["t", "f"],
+    "true": "t",
+    "false": "f",
+    "and": [["t", "f"], ["f", "f"]],
+    "or": [["t", "t"], ["t", "f"]],
+    "not": ["f", "t"],
+    "null_comparison": {
+        op: {"1": "f", "2": "f", "12": "f"} for op in ("=", "!=", "<", ">", "<=", ">=")
+    },
+}
+
+
+def test_json_missing_required_fields_exit_two(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    runs = [
+        (["eval", expr, _write(tmp_path, "nocols.json", {"schema": {"R": {"cols": []}}})],
+         '"columns"'),
+        (["eval", expr, _write(tmp_path, "noname.json", {"schema": {"R": {"columns": [{}]}}})],
+         '"name"'),
+    ]
+    for key in ("values", "true", "false", "and", "or", "not"):
+        kernel = {k: v for k, v in KERNEL_2VL.items() if k != key}
+        kpath = _write(tmp_path, f"kernel-no-{key}.json", kernel)
+        runs.append((["eval", "--semantics", f"mvl:{kpath}", expr, db], f'"{key}"'))
+    bundle = {"family": "coincidence", "expression": Q1_EXPR, "db": DB}
+    for key in ("db", "family"):
+        partial = {k: v for k, v in bundle.items() if k != key}
+        runs.append((["replay", _write(tmp_path, f"bundle-no-{key}.json", partial)], f'"{key}"'))
+    runs.append((["replay", _write(tmp_path, "bundle-list.json", [])], "JSON object"))
+    unknown = dict(bundle, family="plan-equivalence", kernel="5vl")
+    runs.append((["replay", _write(tmp_path, "bundle-kernel.json", unknown)], "5vl"))
+    for argv, field in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err, (argv, err)

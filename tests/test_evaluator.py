@@ -325,3 +325,223 @@ def test_selection_never_invents_records(cfg3, cfg2):
                 continue
             for record, k in kept.items():
                 assert base.multiplicity(record) >= k
+
+
+# -- the planned evaluator against the plain tree-walker ----------------------
+
+from nullvl import evaluator  # noqa: E402
+from nullvl.harness import kernel_by_name  # noqa: E402
+from nullvl.logic import Grounding  # noqa: E402
+from nullvl.parser import parse_expression  # noqa: E402
+from nullvl.translate import tr_to_3vl  # noqa: E402
+
+from sample_queries import customer_orders_schema, q1_translated, q5, q5_translated  # noqa: E402
+
+PLAN_KERNELS = ("3vl", "2vl", "2vl-syn", "grounded:leq-sign", "4vl")
+
+REACH = (
+    "(mu W union (project ((as W.s (col E.src)) (as W.d (col E.dst))) (base E)) "
+    "(project ((col W.s) (col E.dst)) (select (cmp = (col W.d) (col E.src)) "
+    "(product (base W) (base E)))))"
+)
+
+
+def _plan_and_reference(expr, db, kernel):
+    planned = evaluate(expr, db, cfg=EvalConfig(kernel=kernel))
+    reference = evaluate(expr, db, cfg=EvalConfig(kernel=kernel, plan=False))
+    return planned, reference
+
+
+def _cell(rng, values, null_share=0.2):
+    return None if rng.random() < null_share else rng.choice(values)
+
+
+def _rs_db_with_nulls(seed: int, rows: int = 25) -> Database:
+    rng = random.Random(seed)
+    values = range(12)
+    return rs_db(
+        [_cell(rng, values) for _ in range(rows)], [_cell(rng, values) for _ in range(rows)]
+    )
+
+
+def _customer_db(seed: int, customers: int = 20) -> Database:
+    rng = random.Random(seed)
+    cust = [
+        row(i, _cell(rng, range(3)), _cell(rng, range(-3, 8))) for i in range(customers)
+    ]
+    orders = [row(_cell(rng, range(customers + 5))) for _ in range(customers)]
+    schema = customer_orders_schema(orders_not_null=False)
+    return Database(schema, {"customer": Bag(cust), "orders": Bag(orders)})
+
+
+def _edge_db(seed: int, edges: int = 18) -> Database:
+    rng = random.Random(seed)
+    schema = Schema([Relation("E", (Column("E.src", NUM), Column("E.dst", NUM)))])
+    rows = [row(_cell(rng, range(8), 0.1), _cell(rng, range(8), 0.1)) for _ in range(edges)]
+    return Database(schema, {"E": Bag(rows)})
+
+
+@pytest.mark.parametrize("kname", PLAN_KERNELS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plan_matches_tree_walker_on_sample_queries(kname, seed):
+    kernel = kernel_by_name(kname)
+    rs = _rs_db_with_nulls(seed)
+    cases = [(q(), rs) for q in (q1, q2, q3, q4, q1_translated)]
+    cases.append((tr_to_3vl(q1(), rs.schema).output, rs))
+    co = _customer_db(seed)
+    cases += [(q5(), co), (q5_translated(), co)]
+    edges = _edge_db(seed)
+    cases.append((typecheck(parse_expression(REACH), edges.schema).expr, edges))
+    for expr, db in cases:
+        planned, reference = _plan_and_reference(expr, db, kernel)
+        assert planned == reference, (kname, ast.render_expression(expr))
+
+
+def _hoisted_in(cond, db, kernel):
+    """The condition answered from its hoisted bag, as a selection does."""
+    run = evaluator._Run(EvalConfig(kernel=kernel)).within((id(cond),))
+    rt = evaluator._db_rt(db)
+    value = evaluator.eval_condition_rt(cond, rt, {}, run)
+    assert isinstance(run.hoisted[id(cond)], evaluator._Members)
+    return value
+
+
+def test_hash_membership_folds_null_counts_under_4vl(cfg4):
+    cond = ast.In((num(7),), ast.BaseRelation("S"))
+    one_null, two_nulls = rs_db([], [1, None]), rs_db([], [1, None, None])
+    # no match: OR over f and one s is s, over f and two s is OR(s, s) = u
+    assert _hoisted_in(cond, one_null, cfg4.kernel) == "s"
+    assert _hoisted_in(cond, two_nulls, cfg4.kernel) == "u"
+    for db, want in ((one_null, "s"), (two_nulls, "u")):
+        assert eval_condition(cond, db, cfg=cfg4) == want
+        reference = EvalConfig(kernel=cfg4.kernel, plan=False)
+        assert eval_condition(cond, db, cfg=reference) == want
+    assert _hoisted_in(cond, rs_db([], [7, None, None]), cfg4.kernel) == "t"
+
+
+def _self_join():
+    left = ast.Projection((ast.ProjItem(col("R.A"), "X.A"),), ast.BaseRelation("R"))
+    right = ast.Projection((ast.ProjItem(col("R.A"), "Y.A"),), ast.BaseRelation("R"))
+    return ast.Selection(
+        ast.Compare((col("X.A"),), "=", (col("Y.A"),)), ast.Product(left, right)
+    )
+
+
+def _count_condition_evals(monkeypatch, expr, db, kernel) -> tuple:
+    calls = []
+    real = evaluator.eval_condition_rt
+
+    def counting(cond, *args):
+        calls.append(cond)
+        return real(cond, *args)
+
+    monkeypatch.setattr(evaluator, "eval_condition_rt", counting)
+    out = evaluate(expr, db, cfg=EvalConfig(kernel=kernel))
+    return out, len(calls)
+
+
+def test_syntactic_equality_joins_null_keys(cfg_syn, monkeypatch):
+    db = rs_db([1, 2, None, None], [])
+    planned, reference = _plan_and_reference(_self_join(), db, cfg_syn.kernel)
+    assert planned == reference
+    assert planned.multiplicity(row(None, None)) == 4
+    # distinct records 1, 2 and NULL each pair with themselves only
+    out, calls = _count_condition_evals(monkeypatch, _self_join(), db, cfg_syn.kernel)
+    assert out == reference and calls == 3
+
+
+def test_value_dependent_grounding_falls_back_to_nested_loop(monkeypatch):
+    grounding = Grounding(
+        "eq-sign", {("=", frozenset({1})): ast.Compare((ast.ArgHole(2),), ">=", (num(0),))}
+    )
+    kernel = kernel_grounded(grounding)
+    assert kernel.null_equality[frozenset({1})] is None
+    db = rs_db([-1, 0, 3, None], [])
+    planned, reference = _plan_and_reference(_self_join(), db, kernel)
+    assert planned == reference
+    # NULL = x holds for x >= 0, a pair no hash on the key would find
+    assert planned.multiplicity(row(None, 3)) == 1
+    _, calls = _count_condition_evals(monkeypatch, _self_join(), db, kernel)
+    assert calls == 16
+
+
+def test_uncorrelated_aggregate_subquery_runs_once(cfg3, monkeypatch):
+    expr = q5()
+    agg_subquery = expr.source.cond.query
+    db = _customer_db(3, customers=40)
+    reference = evaluate(expr, db, cfg=EvalConfig(kernel=cfg3.kernel, plan=False))
+    runs = []
+    real = evaluator.eval_rt
+
+    def counting(e, *args):
+        if e is agg_subquery:
+            runs.append(e)
+        return real(e, *args)
+
+    monkeypatch.setattr(evaluator, "eval_rt", counting)
+    assert evaluate(expr, db, cfg=cfg3) == reference
+    assert len(runs) == 1
+
+
+def test_self_join_tests_only_matching_pairs(cfg3, monkeypatch):
+    # 400 distinct values and a NULL: 401 x 401 pairs, 400 of them matching
+    db = rs_db(list(range(400)) + [None] * 3, [])
+    out, calls = _count_condition_evals(monkeypatch, q3(), db, cfg3.kernel)
+    assert calls == 400
+    assert out == Bag([row(v) for v in range(400)])
+
+
+def test_join_keys_span_both_sides(cfg3):
+    # only X.A = Y.C crosses the product; X.A = X.B is tested per candidate
+    schema = Schema(
+        [
+            Relation("T", (Column("X.A", NUM), Column("X.B", NUM))),
+            Relation("U", (Column("Y.C", NUM), Column("Y.D", NUM))),
+        ]
+    )
+    db = Database(
+        schema,
+        {
+            "T": bag((1, 1), (2, 3), (None, None), (3, 3)),
+            "U": bag((1, 5), (2, 2), (3, 0), (3, 0), (None, None)),
+        },
+    )
+    cond = ast.and_all(
+        [
+            ast.Compare((col("X.A"),), "=", (col("X.B"),)),
+            ast.Compare((col("Y.C"),), "=", (col("X.A"),)),
+        ]
+    )
+    expr = ast.Selection(cond, ast.Product(ast.BaseRelation("T"), ast.BaseRelation("U")))
+    for kernel in (cfg3.kernel, kernel_2vl_syntactic()):
+        planned, reference = _plan_and_reference(expr, db, kernel)
+        assert planned == reference
+    assert planned == bag((1, 1, 1, 5), (3, 3, 3, 0), (3, 3, 3, 0), (None, None, None, None))
+
+
+def test_shared_step_under_two_bindings_of_one_mu_name(cfg3):
+    # sibling fixpoints may reuse a name with other labels; a step object
+    # shared between them is read under each binding in turn
+    step = ast.Projection(
+        (
+            ast.ProjItem(ast.FnApply("add", (col("a"), num(1))), "a"),
+            ast.ProjItem(col("b"), "b"),
+        ),
+        ast.Selection(ast.Compare((col("a"),), "<", (num(4),)), ast.BaseRelation("W")),
+    )
+
+    def seed(first, second):
+        return ast.Projection(
+            (
+                ast.ProjItem(col("R.A"), first),
+                ast.ProjItem(ast.FnApply("add", (col("R.A"), num(1))), second),
+            ),
+            ast.BaseRelation("R"),
+        )
+
+    expr = ast.SetOp(
+        "union", ast.Mu("W", True, seed("a", "b"), step), ast.Mu("W", True, seed("b", "a"), step)
+    )
+    db = rs_db([0, 1], [])
+    planned, reference = _plan_and_reference(expr, db, cfg3.kernel)
+    assert planned == reference

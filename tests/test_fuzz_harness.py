@@ -125,3 +125,17 @@ def test_depth_one_generates_a_base_relation():
     for i in range(10):
         gen = fuzz.ExpressionGenerator(schema, fuzz.FuzzConfig(seed=i, max_depth=1))
         assert isinstance(gen.expression(), ast.BaseRelation)
+
+
+def test_plan_equivalence_covers_every_kernel():
+    schema = fuzz.default_schema()
+    kernels = set()
+    for seed in range(8):
+        cfg = fuzz.FuzzConfig(seed=seed, cases=5)
+        summary = harness.run_differential("plan-equivalence", cfg)
+        assert summary.failed == 0, summary.bundles[:1]
+        assert summary.passed + summary.skipped == summary.cases == 5
+        for index in range(cfg.cases):
+            case = harness._gen_case("plan-equivalence", schema, cfg, fuzz.case_rng(seed, index))
+            kernels.add(case["kernel"])
+    assert kernels == set(harness.PLAN_KERNELS)

@@ -464,11 +464,7 @@ def _eval_group(e: ast.Group, rt: Rt, env: Env, run: _Run) -> Bag:
             if agg.fn == "count_star":
                 agg_values.append(apply_aggregate("count_star", [], total))
                 continue
-            cells = []
-            for record, k in rows:
-                v = record[pos]
-                if not is_null(v):
-                    cells.extend([v] * k)
+            cells = [(record[pos], k) for record, k in rows if record[pos] is not None]
             agg_values.append(apply_aggregate(agg.fn, cells, total))
         rec = key + tuple(agg_values)
         out[rec] = out.get(rec, 0) + 1

@@ -33,25 +33,30 @@ def apply_function(fn: str, args: list) -> Optional[Fraction]:
     raise EvalError(f"unknown function {fn!r}")
 
 
-def apply_aggregate(fn: str, values: list, total_count: int) -> Optional[Fraction]:
+def apply_aggregate(fn: str, cells: list, total_count: int) -> Optional[Fraction]:
     """Apply an aggregate to the null-stripped column values of one group.
 
-    ``values`` lists non-null cells with multiplicity; ``total_count`` is the
-    group size including records whose cell is NULL (used by count_star).
-    count over an empty column is 0; the other aggregates yield NULL.
+    ``cells`` lists ``(value, multiplicity)`` pairs of non-null cells;
+    ``total_count`` is the group size including records whose cell is NULL
+    (used by count_star).  count over an empty column is 0; the other
+    aggregates yield NULL.
     """
     if fn == "count_star":
         return Fraction(total_count)
     if fn == "count":
-        return Fraction(len(values))
-    if not values:
+        return Fraction(sum(k for _, k in cells))
+    if not cells:
         return None
     if fn == "sum":
-        return sum(values, Fraction(0))
+        return _counted_sum(cells)
     if fn == "avg":
-        return sum(values, Fraction(0)) / Fraction(len(values))
+        return _counted_sum(cells) / sum(k for _, k in cells)
     if fn == "min":
-        return min(values)
+        return min(v for v, _ in cells)
     if fn == "max":
-        return max(values)
+        return max(v for v, _ in cells)
     raise EvalError(f"unknown aggregate {fn!r}")
+
+
+def _counted_sum(cells: list) -> Fraction:
+    return sum((v if k == 1 else v * k for v, k in cells), Fraction(0))

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from . import ast
 from .errors import KernelError
 from .funcs import apply_function
-from .values import NUM, Value, is_null, read_json, required
+from .values import NUM, Value, is_null, json_array, read_json, required
 
 TruthValue = str
 
@@ -671,9 +671,25 @@ def fold_counted(kernel: LogicKernel, conn: str, counts: Mapping[TruthValue, int
 # JSON definition files
 
 
+def _json_object(obj, what: str) -> Mapping:
+    if not isinstance(obj, Mapping):
+        raise KernelError(f"{what} must be a JSON object")
+    return obj
+
+
+def _pattern_from_json(text: str, what: str) -> frozenset:
+    """A null-pattern key: the null argument positions, "1", "2" or "12"."""
+    if not text or text.strip("12"):
+        raise KernelError(f'{what}: bad null pattern {text!r}; use "1", "2" or "12"')
+    return frozenset(int(ch) for ch in text)
+
+
 def _table_from_rows(values, rows, what) -> dict:
-    if len(rows) != len(values) or any(len(r) != len(values) for r in rows):
-        raise KernelError(f"{what}: table must be {len(values)}x{len(values)}, row-major")
+    n = len(values)
+    if not isinstance(rows, (list, tuple)) or len(rows) != n or any(
+        not isinstance(r, (list, tuple)) or len(r) != n for r in rows
+    ):
+        raise KernelError(f"{what}: table must be {n}x{n}, row-major")
     return {
         (values[i], values[j]): rows[i][j]
         for i in range(len(values))
@@ -687,23 +703,25 @@ def kernel_from_json(obj: Mapping) -> LogicKernel:
     def field(key):
         return required(obj, key, "kernel", KernelError)
 
-    values = tuple(field("values"))
+    values = tuple(json_array(field("values"), 'kernel: "values"', KernelError))
+    if not all(isinstance(v, str) for v in values):
+        raise KernelError('kernel: "values" must be an array of strings')
     true, false = field("true"), field("false")
     and_t = _table_from_rows(values, field("and"), "and")
     or_t = _table_from_rows(values, field("or"), "or")
-    nots = field("not")
+    nots = json_array(field("not"), 'kernel: "not"', KernelError)
     if len(nots) != len(values):
         raise KernelError("not: one entry per value required")
     not_t = {values[i]: nots[i] for i in range(len(values))}
 
     null_cmp = {}
-    for op, by_pattern in obj.get("null_comparison", {}).items():
+    null_table = _json_object(obj.get("null_comparison", {}), 'kernel: "null_comparison"')
+    for op, by_pattern in null_table.items():
         if op not in ast.COMPARISONS:
             raise KernelError(f"null_comparison: unknown comparison {op!r}")
+        by_pattern = _json_object(by_pattern, f"null_comparison {op!r}")
         for pattern_text, value in by_pattern.items():
-            pattern = frozenset(int(ch) for ch in pattern_text)
-            if pattern not in _PATTERNS:
-                raise KernelError(f"null_comparison: bad pattern {pattern_text!r}")
+            pattern = _pattern_from_json(pattern_text, "null_comparison")
             if value not in values:
                 raise KernelError(f"null_comparison: unknown value {value!r}")
             null_cmp[(op, pattern)] = value
@@ -722,10 +740,13 @@ def kernel_from_json(obj: Mapping) -> LogicKernel:
         return null_cmp[(op, pattern)]
 
     expr: dict[tuple[str, str], TemplateFn] = {}
-    for key, text in obj.get("expressibility", {}).items():
+    expressibility = _json_object(obj.get("expressibility", {}), 'kernel: "expressibility"')
+    for key, text in expressibility.items():
         op, _, value = key.partition("|")
         if op not in ast.COMPARISONS or value not in values:
             raise KernelError(f"expressibility: bad key {key!r}")
+        if not isinstance(text, str):
+            raise KernelError(f"expressibility {key}: the template must be a string")
         template = parse_condition(text)
         _collect_holes(template, f"expressibility {key}")
         expr[(op, value)] = (
@@ -746,9 +767,12 @@ def grounding_from_json(obj: Mapping) -> Grounding:
     if not isinstance(obj, Mapping):
         raise KernelError("a grounding must be a JSON object")
     templates = {}
-    for op, by_pattern in obj.get("templates", {}).items():
-        for pattern_text, text in by_pattern.items():
-            pattern = frozenset(int(ch) for ch in pattern_text)
+    for op, by_pattern in _json_object(obj.get("templates", {}), 'grounding: "templates"').items():
+        where = f"templates {op!r}"
+        for pattern_text, text in _json_object(by_pattern, where).items():
+            pattern = _pattern_from_json(pattern_text, where)
+            if not isinstance(text, str):
+                raise KernelError(f"{where} {pattern_text!r}: the template must be a string")
             templates[(op, pattern)] = parse_condition(text)
     return Grounding(obj.get("name", "custom"), templates)
 

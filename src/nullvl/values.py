@@ -79,7 +79,9 @@ class Bag:
     @classmethod
     def from_counts(cls, counts: Mapping[Record, int]) -> "Bag":
         bag = cls()
-        bag._counts = {r: k for r, k in counts.items() if k > 0}
+        bag._counts = dict(counts)  # copying a dict reuses its stored hashes
+        if bag._counts and min(bag._counts.values()) <= 0:
+            bag._counts = {r: k for r, k in bag._counts.items() if k > 0}
         return bag
 
     def counts(self) -> dict[Record, int]:
@@ -250,7 +252,10 @@ def parse_cell(raw, col_type: str) -> Value:
         if isinstance(raw, int):
             return Fraction(raw)
         if isinstance(raw, str):
-            return parse_number(raw)
+            try:
+                return parse_number(raw)
+            except ValueError as exc:
+                raise SchemaError(str(exc)) from None
         raise SchemaError(f"bad numeric cell {raw!r}")
     if isinstance(raw, str):
         return raw
@@ -275,21 +280,38 @@ def required(obj, key: str, what: str, error=SchemaError):
     return obj[key]
 
 
+_ARRAYS = (list, tuple)
+
+
+def json_array(obj, what: str, error=SchemaError):
+    """``obj`` if it is a JSON array (a list or tuple), else ``error``."""
+    if type(obj) not in _ARRAYS:
+        raise error(f"{what} must be a JSON array")
+    return obj
+
+
 def schema_from_json(obj: Mapping) -> Schema:
     if not isinstance(obj, Mapping):
         raise SchemaError("a schema must be a JSON object")
     relations = []
     for rel_name, rel_obj in obj.items():
         cols = []
-        for col in required(rel_obj, "columns", f"relation {rel_name}"):
-            cols.append(
-                Column(
-                    name=required(col, "name", f"a column of relation {rel_name}"),
-                    type=NUM if col.get("type", "ord") == "num" else ORD,
-                    nullable=bool(col.get("nullable", True)),
-                    key=bool(col.get("key", False)),
+        columns = required(rel_obj, "columns", f"relation {rel_name}")
+        for col in json_array(columns, f'relation {rel_name}: "columns"'):
+            name = required(col, "name", f"a column of relation {rel_name}")
+            type_name = col.get("type", "ord")
+            nullable, key = col.get("nullable", True), col.get("key", False)
+            if not isinstance(name, str):
+                raise SchemaError(f'relation {rel_name}: column "name" {name!r} is no string')
+            if type_name not in ("num", "ord"):
+                raise SchemaError(
+                    f'relation {rel_name}, column {name!r}: "type" must be "num" or "ord"'
                 )
-            )
+            if not isinstance(nullable, bool) or not isinstance(key, bool):
+                raise SchemaError(
+                    f'relation {rel_name}, column {name!r}: "nullable" and "key" are booleans'
+                )
+            cols.append(Column(name, NUM if type_name == "num" else ORD, nullable, key))
         relations.append(Relation(rel_name, tuple(cols)))
     return Schema(relations)
 
@@ -312,30 +334,93 @@ def schema_to_json(schema: Schema) -> dict:
 
 
 def database_from_json(obj: Mapping) -> Database:
-    """Load and validate a {"schema": ..., "data": ...} document."""
+    """Load and validate a {"schema": ..., "data": ...} document.
+
+    Work follows distinct records: identical rows are counted first, each
+    distinct row is parsed and validated once, and equal cells are parsed
+    once per call.  Rows are visited in order of first occurrence, so the
+    first faulty row in the file is the one reported.
+    """
     if not isinstance(obj, Mapping) or "schema" not in obj:
         raise SchemaError('a database document is an object with a "schema" key')
     schema = schema_from_json(obj["schema"])
-    tables: dict[str, Bag] = {}
     data = obj.get("data", {})
+    if not isinstance(data, Mapping):
+        raise SchemaError('a database document: "data" must be a JSON object')
     for rel_name in data:
         if rel_name not in schema:
             raise SchemaError(f"data for undeclared relation {rel_name}")
-    for rel in schema.relations.values():
-        rows = data.get(rel.name, [])
-        records = []
-        for row in rows:
-            if len(row) != len(rel.columns):
-                raise SchemaError(
-                    f"{rel.name}: row of arity {len(row)}, expected {len(rel.columns)}"
-                )
-            record = tuple(parse_cell(raw, col.type) for raw, col in zip(row, rel.columns))
-            for v, col in zip(record, rel.columns):
-                if v is None and not col.nullable:
-                    raise SchemaError(f"{rel.name}.{col.name}: NULL in non-nullable column")
-            records.append(record)
-        tables[rel.name] = Bag(records)
+    memo: dict = {}  # (column type, JSON type, raw cell) -> value
+    tables = {
+        rel.name: _table_from_rows(rel, data.get(rel.name, []), memo)
+        for rel in schema.relations.values()
+    }
     return Database(schema, tables)
+
+
+class _Unkeyed:
+    """A row that cannot be a dict key (not an array, or holding an array or
+    object).  Each one counts apart, so it is rejected at its own place."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        self.row = row
+
+
+_NEW = object()  # a cell the memo has not seen
+
+
+def _table_from_rows(rel: Relation, rows, memo: dict) -> Bag:
+    json_array(rows, f'relation {rel.name}: "data"')
+    # a row keys on its cells and on their JSON types, since 1 == 1.0 == True
+    counts: dict = {}
+    for row in rows:
+        try:
+            key = (*row, *map(type, row)) if type(row) in _ARRAYS else _Unkeyed(row)
+            counts[key] = counts.get(key, 0) + 1
+        except TypeError:
+            counts[_Unkeyed(row)] = 1
+
+    columns = rel.columns
+    arity = len(columns)
+    types = [col.type for col in columns]
+    not_null = [i for i, col in enumerate(columns) if not col.nullable]
+    records: dict[Record, int] = {}
+    for key, k in counts.items():
+        if type(key) is not _Unkeyed:
+            row, n = key, len(key) // 2  # the cells, then their types
+        elif type(key.row) in _ARRAYS:
+            row, n = key.row, len(key.row)
+        else:
+            raise SchemaError(f'relation {rel.name}: "data" row {key.row!r} must be a JSON array')
+        if n != arity:
+            raise SchemaError(f"{rel.name}: row of arity {n}, expected {arity}")
+        record = []
+        for raw, col_type in zip(row, types):
+            cell = (col_type, type(raw), raw)
+            try:
+                v = memo.get(cell, _NEW)
+            except TypeError:  # an array or object, which parse_cell rejects
+                v = _NEW
+            if v is _NEW:
+                try:
+                    v = memo[cell] = parse_cell(raw, col_type)
+                except SchemaError as exc:
+                    col = columns[len(record)]
+                    raise SchemaError(f"relation {rel.name}, column {col.name}: {exc}") from None
+            record.append(v)
+        record = tuple(record)
+        for i in not_null:
+            if record[i] is None:
+                raise SchemaError(f"{rel.name}.{columns[i].name}: NULL in non-nullable column")
+        # spellings of one value ("1", 1, "2/2") merge here; setdefault
+        # hashes a new record once
+        size = len(records)
+        known = records.setdefault(record, k)
+        if len(records) == size:
+            records[record] = known + k
+    return Bag.from_counts(records)
 
 
 def database_to_json(db: Database) -> dict:

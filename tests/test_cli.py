@@ -190,3 +190,49 @@ def test_json_missing_required_fields_exit_two(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "Traceback" not in err, (argv, err)
+
+
+def test_json_fields_of_the_wrong_type_exit_two(tmp_path, capsys):
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    db = _write(tmp_path, "db.json", DB)
+    schema = DB["schema"]
+    databases = [
+        ({"schema": {"R": {"columns": 5}}}, ["relation R", '"columns"']),
+        ({"schema": {"R": {"columns": [{"name": "a", "type": "numeric"}]}}},
+         ["relation R", "'a'", '"type"']),
+        ({"schema": {"R": {"columns": [{"name": "a", "nullable": "false"}]}}},
+         ["relation R", "'a'", '"nullable"']),
+        ({"schema": {"R": {"columns": [{"name": ["a"]}]}}}, ["relation R", '"name"']),
+        ({"schema": schema, "data": ["R"]}, ['"data"']),
+        ({"schema": schema, "data": {"R": 5}}, ["relation R", '"data"']),
+        ({"schema": schema, "data": {"R": [5]}}, ["relation R", '"data"']),
+        ({"schema": schema, "data": {"R": ["5"]}}, ["relation R", '"data"']),
+        ({"schema": schema, "data": {"R": [["1"], ["abc"]]}}, ["relation R", "R.A", "'abc'"]),
+        ({"schema": schema, "data": {"R": [["1/0"]]}}, ["relation R", "R.A", "'1/0'"]),
+    ]
+    runs = [
+        (["eval", expr, _write(tmp_path, f"db-{i}.json", doc)], fields)
+        for i, (doc, fields) in enumerate(databases)
+    ]
+    kernels = [
+        (dict(KERNEL_2VL, values=5), '"values"'),
+        (dict(KERNEL_2VL, **{"not": "ft"}), '"not"'),
+        (dict(KERNEL_2VL, null_comparison=["="]), '"null_comparison"'),
+    ]
+    for i, (kernel, field) in enumerate(kernels):
+        kpath = _write(tmp_path, f"kernel-{i}.json", kernel)
+        runs.append((["eval", "--semantics", f"mvl:{kpath}", expr, db], [field]))
+    groundings = [
+        ({"templates": []}, ['"templates"']),
+        ({"templates": {"=": {"x": "(true)"}}}, ["templates", "'x'"]),
+    ]
+    for i, (grounding, fields) in enumerate(groundings):
+        gpath = _write(tmp_path, f"grounding-{i}.json", grounding)
+        runs.append((["eval", "--semantics", f"grounded:{gpath}", expr, db], fields))
+        translate = ["translate", "--direction", "gr-to-3", "--grounding", gpath, "--schema", db]
+        runs.append((translate + [expr], fields))
+    for argv, fields in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, (argv, err)
+        assert all(f in err for f in fields), (argv, err)

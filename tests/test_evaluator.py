@@ -5,6 +5,7 @@ import pytest
 
 from nullvl import ast
 from nullvl.ast import col, num
+from nullvl import evaluator
 from nullvl.errors import RecursionLimitError
 from nullvl.evaluator import (
     EvalConfig,
@@ -13,6 +14,7 @@ from nullvl.evaluator import (
     eval_term,
     evaluate,
 )
+from nullvl.funcs import apply_aggregate
 from nullvl.fuzz import ExpressionGenerator, FuzzConfig, default_schema, gen_database
 from nullvl.logic import AND, OR, kernel_2vl, kernel_2vl_syntactic, kernel_3vl, kernel_grounded, empty_grounding
 from nullvl.typecheck import typecheck
@@ -135,6 +137,74 @@ def test_avg_is_exact(cfg3):
     db = Database(grouped_schema(), {"G": bag(("a", 1), ("a", 2))})
     g = ast.Group((), (ast.AggItem("avg", "B", "v"),), ast.BaseRelation("G"))
     assert evaluate(g, db, cfg=cfg3) == Bag([row(Fraction(3, 2))])
+
+
+AGGREGATES = ("count_star", "count", "sum", "avg", "min", "max")
+
+
+def _expanding_aggregate(fn, group):
+    """The aggregate over ``group``'s (value, multiplicity) pairs, computed
+    on the cells expanded one per occurrence."""
+    cells = [v for v, k in group for _ in range(k) if v is not None]
+    if fn == "count_star":
+        return Fraction(sum(k for _, k in group))
+    if fn == "count":
+        return Fraction(len(cells))
+    if not cells:
+        return None
+    total = sum(cells, Fraction(0))
+    return {"sum": total, "avg": total / len(cells), "min": min(cells), "max": max(cells)}[fn]
+
+
+@pytest.mark.parametrize("plan", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_counted_aggregates_match_expanded_cells(plan, seed):
+    rng = random.Random(seed)
+    pool = [Fraction(n, d) for n in (-7, -1, 0, 2, 5, 13) for d in (1, 3, 4)]
+    groups = {}
+    for g in range(8):
+        size = rng.randint(1, 5)
+        if g % 4 == 0:  # all NULL
+            cells = [None]
+        else:
+            cells = rng.sample(pool, size) + ([None] if rng.random() < 0.5 else [])
+        groups[f"g{g}"] = [(v, rng.choice([1, 1, 2, rng.randint(1, 1000)])) for v in cells]
+    table = Bag([(row(name, v), k) for name, group in groups.items() for v, k in group])
+    db = Database(grouped_schema(), {"G": table})
+    aggs = tuple(
+        ast.AggItem(fn, None if fn == "count_star" else "B", fn) for fn in AGGREGATES
+    )
+    cfg = EvalConfig(kernel=kernel_3vl(), plan=plan)
+    expected = Bag(
+        row(name, *(_expanding_aggregate(fn, group) for fn in AGGREGATES))
+        for name, group in groups.items()
+    )
+    assert evaluate(ast.Group(("A",), aggs, ast.BaseRelation("G")), db, cfg=cfg) == expected
+    everything = [pair for group in groups.values() for pair in group]
+    expected = Bag([row(*(_expanding_aggregate(fn, everything) for fn in AGGREGATES))])
+    assert evaluate(ast.Group((), aggs, ast.BaseRelation("G")), db, cfg=cfg) == expected
+    for fn in AGGREGATES:
+        assert apply_aggregate(fn, [], 0) == _expanding_aggregate(fn, [])
+
+
+@pytest.mark.parametrize("plan", [True, False])
+def test_aggregates_receive_one_entry_per_distinct_value(plan, monkeypatch):
+    db = Database(grouped_schema(), {"G": Bag([
+        (row("a", 1), 50), (row("a", 2), 30), (row("a", None), 5), (row("b", 3), 700),
+    ])})
+    sizes = []
+    real = evaluator.apply_aggregate
+
+    def recording(fn, cells, total_count):
+        sizes.append((fn, len(cells)))
+        return real(fn, cells, total_count)
+
+    monkeypatch.setattr(evaluator, "apply_aggregate", recording)
+    aggs = tuple(ast.AggItem(fn, "B", fn) for fn in AGGREGATES if fn != "count_star")
+    out = evaluate(ast.Group(("A",), aggs, ast.BaseRelation("G")), db,
+                   cfg=EvalConfig(kernel=kernel_3vl(), plan=plan))
+    assert out == bag(("a", 80, 110, Fraction(11, 8), 1, 2), ("b", 700, 2100, 3, 3, 3))
+    assert sorted(n for _, n in sizes) == [1] * 5 + [2] * 5
 
 
 def _mu_counter(distinct: bool, bound: int) -> ast.Mu:
@@ -329,7 +399,6 @@ def test_selection_never_invents_records(cfg3, cfg2):
 
 # -- the planned evaluator against the plain tree-walker ----------------------
 
-from nullvl import evaluator  # noqa: E402
 from nullvl.harness import kernel_by_name  # noqa: E402
 from nullvl.logic import Grounding  # noqa: E402
 from nullvl.parser import parse_expression  # noqa: E402

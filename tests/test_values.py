@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from nullvl import fuzz, values
 from nullvl.errors import SchemaError
 from nullvl.values import (
     Bag,
@@ -104,3 +106,97 @@ def test_null_free_predicate():
     schema = Schema([Relation("R", (Column("a", "n"),))])
     assert Database(schema, {"R": bag(1, 2)}).is_null_free()
     assert not Database(schema, {"R": bag(1, None)}).is_null_free()
+
+
+# -- count-first loading -------------------------------------------------------
+
+NUM_COL = {"schema": {"R": {"columns": [{"name": "a", "type": "num"}]}}}
+
+
+def _load(rows, doc=NUM_COL):
+    return database_from_json(dict(doc, data={"R": rows})).table("R")
+
+
+def test_equal_rows_merge_whatever_their_spelling():
+    rows = [[1], ["1/2"], ["1"], [None], ["2/2"], ["2/4"], ["1.0"], [None]]
+    assert _load(rows).counts() == {
+        row(1): 4, row(Fraction(1, 2)): 2, row(None): 2,
+    }
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        ([[1], [1], [True]], "boolean cell True"),
+        ([[1], [1.0]], "bad numeric cell 1.0"),
+        ([[0], [0], [False]], "boolean cell False"),
+        ([["1"], [1.5]], "bad numeric cell 1.5"),
+    ],
+)
+def test_equal_python_values_of_other_json_types_are_still_rejected(rows, bad):
+    # 1 == 1.0 == True in Python, so a row count keyed on the cells alone
+    # would fold the later rows into the valid first one
+    with pytest.raises(SchemaError, match=bad):
+        _load(rows)
+
+
+def test_null_in_a_non_nullable_column_is_caught_in_a_repeated_row():
+    doc = {"schema": {"R": {"columns": [
+        {"name": "a", "type": "num", "nullable": False},
+        {"name": "b", "type": "ord"},
+    ]}}}
+    with pytest.raises(SchemaError, match="R.a: NULL in non-nullable column"):
+        _load([["1", "x"], ["1", "x"], [None, "x"], [None, "x"]], doc)
+
+
+def test_the_first_faulty_row_in_file_order_is_reported():
+    with pytest.raises(SchemaError, match="row of arity 2, expected 1"):
+        _load([["1"], ["1"], ["1", "2"], ["1", "2", "3"], ["1", "2"]])
+    doc = {"schema": {"R": {"columns": [{"name": "a", "type": "num", "nullable": False}]}}}
+    # a cell fault, a NULL and two unkeyable rows, each first in its turn
+    with pytest.raises(SchemaError, match="bad numeric cell"):
+        _load([["1"], [[1]], [None], "5"], doc)
+    with pytest.raises(SchemaError, match="NULL in non-nullable"):
+        _load([["1"], [None], [[1]], "5"], doc)
+    with pytest.raises(SchemaError, match="row '5' must be a JSON array"):
+        _load([["1"], "5", [None], [[1]]], doc)
+
+
+def test_duplicated_and_shuffled_rows_load_with_doubled_counts():
+    schema = fuzz.default_schema()
+    rng = random.Random(4)
+    for seed in range(200):
+        db = fuzz.gen_database(schema, fuzz.FuzzConfig(seed=seed, rows_per_relation=8))
+        doc = database_to_json(db)
+        for rows in doc["data"].values():
+            rows.extend([list(r) for r in rows])
+            rng.shuffle(rows)
+        again = database_from_json(json.loads(json.dumps(doc)))
+        for name, table in db.tables.items():
+            assert again.table(name).counts() == {r: 2 * k for r, k in table.items()}, seed
+
+
+def test_loading_parses_each_distinct_cell_once(monkeypatch):
+    rng = random.Random(7)
+    pool = [str(v) for v in range(13)] + [None]
+    doc = {"schema": {"R": {"columns": [
+        {"name": "a", "type": "num"},
+        {"name": "b", "type": "num"},
+        {"name": "c", "type": "ord"},
+    ]}}}
+    rows = [[rng.choice(pool), rng.choice(pool), rng.choice(pool)] for _ in range(1500)]
+    calls = []
+    real = values.parse_cell
+
+    def counting(raw, col_type):
+        calls.append((col_type, raw))
+        return real(raw, col_type)
+
+    monkeypatch.setattr(values, "parse_cell", counting)
+    table = _load(rows, doc)
+    # the numeric columns share one memo entry per spelling
+    assert len(calls) == len(set(calls)) <= 2 * len(pool)
+    expected = Bag(
+        tuple(real(raw, t) for raw, t in zip(r, ("n", "n", "o"))) for r in rows
+    )
+    assert table == expected

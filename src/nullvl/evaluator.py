@@ -8,13 +8,24 @@ the records whose condition comes out as the kernel's designated true value.
 With ``EvalConfig.plan`` on (the default) the walker follows four rules, none
 of which changes a result:
 
-1. Facts about a node (labels, hoistable subqueries, join keys) are derived
-   once per `evaluate` call and kept in a dict keyed by node identity.
+1. Facts about a node (labels, hoistable subqueries, join and probe keys)
+   are derived once per `evaluate` call and kept in a dict keyed by node
+   identity.
 2. A condition subquery whose free names miss the labels of the selection's
    source is evaluated at most once per selection, on first use.
-3. A selection over a product with `=` conjuncts across its two sides runs as
-   a hash join, and single-item IN / ANY-`=` looks the item up in a value
-   count index of the subquery's bag, when the kernel allows it (`_Run`).
+3. Equality lookups go through hash indexes when the kernel allows it
+   (`_Run.join_nulls`), and the full condition is still tested on every
+   candidate:
+   - a selection over a product with `=` conjuncts across its two sides
+     hashes the right side and probes it with each left record;
+   - a selection over a base relation with `=` conjuncts between its
+     columns and terms that read none of them (q2's correlated
+     `σ(R.A = S.A)(S)`) hashes the relation's bag once and probes it with
+     the values of those terms on every call.  The index lives for the
+     `evaluate` call and is rebuilt when the name is bound to another bag,
+     as a fixpoint relation is on every iteration;
+   - single-item IN / ANY-`=` looks the item up in a value count index of
+     the subquery's bag.
 4. Quantifiers fold once per distinct record through `fold_counted`.
 
 With ``plan=False`` it is the plain tree-walker, the reference the planned
@@ -60,7 +71,8 @@ class _Run:
     ``facts`` maps node identities to what `_facts` derived for them (None
     runs the plain tree-walker); ``hoisted`` holds the hoisted subqueries of
     the selection whose condition is being evaluated, by identity of their
-    In / Quant / Empty node.
+    In / Quant / Empty node; ``indexes`` holds the probe index of each
+    selection over a base relation, with the bag it was built from.
     """
 
     def __init__(self, cfg: EvalConfig):
@@ -68,6 +80,7 @@ class _Run:
         self.kernel = cfg.kernel
         self.facts: Optional[dict] = {} if cfg.plan else None
         self.hoisted: dict = {}
+        self.indexes: dict = {}
         self.mu_labels: dict = {}
 
     @cached_property
@@ -78,11 +91,11 @@ class _Run:
 
     @cached_property
     def join_nulls(self) -> Optional[bool]:
-        """None if selections over products may not hash-join, otherwise
-        whether NULL keys match.  A hash join tests only pairs with equal
-        keys; the others must be false for certain: no null pattern with a
-        NULL on one side is true, and a conjunction is true only when both
-        operands are."""
+        """None if selections may not go through a hash index on their `=`
+        conjuncts, otherwise whether NULL keys match.  An index yields only
+        records with equal keys; the others must be false for certain: no
+        null pattern with a NULL on one side is true, and a conjunction is
+        true only when both operands are."""
         kernel, eq = self.kernel, self.kernel.null_equality
         true = kernel.true
         if not self.members or true in (eq[_NULLS_1], eq[_NULLS_2]):
@@ -330,14 +343,15 @@ def _projection_facts(e: ast.Projection, catalog) -> tuple[str, ...]:
 
 
 def _selection_facts(e: ast.Selection, catalog):
-    """Source labels, the subquery conditions to hoist and the join keys."""
+    """Source labels, the subquery conditions to hoist, the join keys and the
+    probe keys."""
     labels = _labels(e.source, catalog)
     bound = set(labels)
     hoisted = tuple(
         id(c) for c in _subquery_conditions(e.cond)
         if not _free_names(c.query, catalog) & bound
     )
-    return labels, hoisted, _join_keys(e, catalog, labels)
+    return labels, hoisted, _join_keys(e, catalog, labels), _probe_keys(e, labels)
 
 
 def _subquery_conditions(cond: ast.Condition) -> list:
@@ -375,6 +389,14 @@ def _condition_free_names(c: ast.Condition, catalog) -> set:
     return out
 
 
+def _equalities(cond: ast.Condition) -> list:
+    """The (lhs, rhs) term pairs of the `=` conjuncts of a condition."""
+    return [
+        pair for c in _conjuncts(cond) if isinstance(c, ast.Compare) and c.op == "="
+        for pair in zip(c.lhs, c.rhs)
+    ]
+
+
 def _join_keys(e: ast.Selection, catalog, labels: tuple[str, ...]):
     """For a selection over a product: the (left, right) column positions of
     the `=` conjuncts that compare a left column with a right one."""
@@ -383,17 +405,34 @@ def _join_keys(e: ast.Selection, catalog, labels: tuple[str, ...]):
     width = len(_labels(e.source.left, catalog))
     where = {name: i for i, name in enumerate(labels)}
     pairs = []
-    for c in _conjuncts(e.cond):
-        if not (isinstance(c, ast.Compare) and c.op == "="):
-            continue
-        for a, b in zip(c.lhs, c.rhs):
-            if isinstance(a, ast.NameRef) and isinstance(b, ast.NameRef):
-                i, j = sorted((where.get(a.name, -1), where.get(b.name, -1)))
-                if 0 <= i < width <= j:
-                    pairs.append((i, j - width))
+    for a, b in _equalities(e.cond):
+        if isinstance(a, ast.NameRef) and isinstance(b, ast.NameRef):
+            i, j = sorted((where.get(a.name, -1), where.get(b.name, -1)))
+            if 0 <= i < width <= j:
+                pairs.append((i, j - width))
     if not pairs:
         return None
     return tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
+
+
+def _probe_keys(e: ast.Selection, labels: tuple[str, ...]):
+    """For a selection over a base relation: the terms that read none of its
+    columns and the column positions they are compared with in `=` conjuncts
+    (q2's `R.A = S.A` gives R.A and the position of S.A)."""
+    if not isinstance(e.source, ast.BaseRelation):
+        return None
+    where = {name: i for i, name in enumerate(labels)}
+    bound = set(labels)
+    terms, positions = [], []
+    for pair in _equalities(e.cond):
+        for a, b in (pair, pair[::-1]):
+            if isinstance(a, ast.NameRef) and a.name in where and not ast.term_names(b) & bound:
+                terms.append(b)
+                positions.append(where[a.name])
+                break
+    if not terms:
+        return None
+    return tuple(terms), tuple(positions)
 
 
 def _conjuncts(c: ast.Condition) -> list:
@@ -404,11 +443,14 @@ def _conjuncts(c: ast.Condition) -> list:
 
 def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
     if run.facts is None:
-        labels, hoisted, keys = _labels(e.source, _catalog(rt)), (), None
+        labels, hoisted, join, probe = _labels(e.source, _catalog(rt)), (), None, None
     else:
-        labels, hoisted, keys = _facts(e, rt, run, _selection_facts)
-    if keys is not None and run.join_nulls is not None:
-        rows = _join_candidates(e.source, keys, rt, env, run)
+        labels, hoisted, join, probe = _facts(e, rt, run, _selection_facts)
+    nulls = run.join_nulls
+    if join is not None and nulls is not None:
+        rows = _join_candidates(e.source, join, rt, env, run)
+    elif probe is not None and nulls is not None:
+        rows = _probe_candidates(e, probe, rt, env, run)
     else:
         rows = eval_rt(e.source, rt, env, run).items()
     if hoisted or run.hoisted:
@@ -421,18 +463,35 @@ def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
     return Bag.from_counts(counts)
 
 
+def _key_index(bag: Bag, positions: tuple[int, ...], nulls: bool) -> dict:
+    """The records of a bag with their multiplicities, by their values at
+    ``positions``; records with a NULL there are left out unless NULL keys
+    match (the kernel makes NULL = NULL true)."""
+    index: dict = {}
+    for record, k in bag.items():
+        key = tuple(record[i] for i in positions)
+        if nulls or None not in key:
+            index.setdefault(key, []).append((record, k))
+    return index
+
+
+def _probe_candidates(e: ast.Selection, probe, rt: Rt, env: Env, run: _Run):
+    """The records of the selection's base relation whose key columns equal
+    the probe terms, through an index kept until the name's bag changes."""
+    terms, positions = probe
+    bag = eval_rt(e.source, rt, env, run)
+    built = run.indexes.get(id(e))
+    if built is None or built[0] is not bag:
+        built = run.indexes[id(e)] = bag, _key_index(bag, positions, run.join_nulls)
+    return built[1].get(tuple(eval_term(t, env) for t in terms), ())
+
+
 def _join_candidates(product: ast.Product, keys, rt: Rt, env: Env, run: _Run):
     """The records of the product whose key columns are equal, with their
-    multiplicities; NULL keys match only when the kernel makes NULL = NULL
-    true."""
+    multiplicities: the right side's index probed with each left record."""
     left = eval_rt(product.left, rt, env, run)
-    right = eval_rt(product.right, rt, env, run)
     lpos, rpos = keys
-    index: dict = {}
-    for rrec, rk in right.items():
-        key = tuple(rrec[i] for i in rpos)
-        if run.join_nulls or None not in key:
-            index.setdefault(key, []).append((rrec, rk))
+    index = _key_index(eval_rt(product.right, rt, env, run), rpos, run.join_nulls)
     for lrec, lk in left.items():
         for rrec, rk in index.get(tuple(lrec[i] for i in lpos), ()):
             yield lrec + rrec, lk * rk

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -30,7 +30,7 @@ from .logic import (
 from .parser import parse_condition, parse_expression
 from .typecheck import typecheck
 from .values import (
-    Bag, Database, Schema, bag_to_json, database_from_json, database_to_json, required,
+    NUM, Bag, Database, Schema, bag_to_json, database_from_json, database_to_json, required,
 )
 
 _GROUNDINGS = {
@@ -331,10 +331,13 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
     if family in ("coincidence", "nullable-soundness", "sql-roundtrip"):
         return _base_case(schema, cfg, rng, family)
     if family == "plan-equivalence":
-        if rng.random() < 0.5:
+        roll = rng.random()
+        if roll < 1 / 3:
             case = _base_case(schema, cfg, rng, family)
-        else:
+        elif roll < 2 / 3:
             case = _join_case(schema, cfg, rng)
+        else:
+            case = _correlated_case(schema, cfg, rng)
         case["kernel"] = rng.choice(PLAN_KERNELS)
         return case
     if family == "prop-4.1":
@@ -342,32 +345,74 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
     raise NullvlError(f"unknown family {family!r}")
 
 
-def _join_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
-    """sigma(l = r and theta)(L x R) over two drawn expressions: the shape a
-    hash join serves, which the expression generator seldom draws."""
-    gen = fuzz.ExpressionGenerator(schema, cfg, rng)
-    left, lsig = gen.expr(rng.randint(1, cfg.max_depth - 1), {})
-    right, rsig = gen.expr(rng.randint(1, cfg.max_depth - 1), {})
-    renamed = tuple(gen.fresh("j") for _ in rsig.labels)
-    right = ast.Projection(
-        tuple(ast.ProjItem(ast.NameRef(old), new) for old, new in zip(rsig.labels, renamed)),
-        right,
+def _renamed(gen: fuzz.ExpressionGenerator, expr: ast.Expression, sig):
+    """An expression with its columns renamed apart, and its signature."""
+    renamed = tuple(gen.fresh("j") for _ in sig.labels)
+    expr = ast.Projection(
+        tuple(ast.ProjItem(ast.NameRef(old), new) for old, new in zip(sig.labels, renamed)),
+        expr,
     )
-    scope = dict(zip(lsig.labels + renamed, lsig.types + rsig.types))
+    return expr, replace(sig, labels=renamed)
+
+
+def _equated(gen: fuzz.ExpressionGenerator, cfg: fuzz.FuzzConfig, rng, lsig, rsig) -> ast.Condition:
+    """One or two `=` between same-typed columns of two signatures with
+    disjoint labels, and a drawn condition over both half of the time."""
+    scope = dict(zip(lsig.labels + rsig.labels, lsig.types + rsig.types))
     pairs = [
         (a, b) for a, at in zip(lsig.labels, lsig.types)
-        for b, bt in zip(renamed, rsig.types) if at == bt
+        for b, bt in zip(rsig.labels, rsig.types) if at == bt
     ]
     conds = [gen.condition(cfg.max_depth - 1, scope)] if rng.random() < 0.5 else []
     for a, b in rng.sample(pairs, min(len(pairs), rng.randint(1, 2))):
         conds.insert(rng.randint(0, len(conds)), ast.Compare((ast.NameRef(a),), "=", (ast.NameRef(b),)))
-    expr = ast.Selection(ast.and_all(conds), ast.Product(left, right))
-    expr = typecheck(expr, schema).expr
+    return ast.and_all(conds)
+
+
+def _plan_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, expr: ast.Expression) -> dict:
     return {
         "family": "plan-equivalence",
-        "expression": ast.render_expression(expr),
+        "expression": ast.render_expression(typecheck(expr, schema).expr),
         "db": _db_json(fuzz.gen_database(schema, cfg, rng)),
     }
+
+
+def _join_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
+    """sigma(l = r and theta)(L x R) over two drawn expressions: the shape a
+    hash join serves, which the expression generator seldom draws."""
+    gen = fuzz.ExpressionGenerator(schema, cfg, rng)
+    top = max(1, cfg.max_depth - 1)
+    left, lsig = gen.expr(rng.randint(1, top), {})
+    right, rsig = _renamed(gen, *gen.expr(rng.randint(1, top), {}))
+    cond = _equated(gen, cfg, rng, lsig, rsig)
+    return _plan_case(schema, cfg, rng, ast.Selection(cond, ast.Product(left, right)))
+
+
+def _correlated_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
+    """sigma(C)(L) where C is empty / in / any over pi(sigma(l = s and
+    theta)(S)), L is a drawn expression, S a base relation and l a column of
+    L: the correlated lookup a probe index serves, which the expression
+    generator seldom draws."""
+    gen = fuzz.ExpressionGenerator(schema, cfg, rng)
+    outer, osig = _renamed(gen, *gen.expr(rng.randint(1, max(1, cfg.max_depth - 1)), {}))
+    rel = rng.choice(list(schema.relations.values()))
+    pick = rng.randrange(len(rel.labels))
+    query = ast.Projection(
+        (ast.ProjItem(ast.NameRef(rel.labels[pick]), gen.fresh("q")),),
+        ast.Selection(_equated(gen, cfg, rng, osig, rel), ast.BaseRelation(rel.name)),
+    )
+    item = (gen.term(rel.types[pick], dict(zip(osig.labels, osig.types))),)
+    kind = rng.choice(("empty", "in", "any"))
+    if kind == "empty":
+        cond = ast.Empty(query)
+    elif kind == "in":
+        cond = ast.In(item, query)
+    else:
+        ops = ast.COMPARISONS if rel.types[pick] == NUM else ("=", "!=")
+        cond = ast.Quant(item, rng.choice(ops), "any", query)
+    if rng.random() < 0.5:
+        cond = ast.Not(cond)
+    return _plan_case(schema, cfg, rng, ast.Selection(cond, outer))
 
 
 def _gen_prop41_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import NullvlError, SchemaError
@@ -371,16 +372,23 @@ class _Unkeyed:
 _NEW = object()  # a cell the memo has not seen
 
 
+# the cell types parse_cell accepts; bool and float cells, which may equal
+# int ones (True == 1 == 1.0), it rejects
+_PLAIN_CELLS = frozenset({int, str, type(None)})
+
+
 def _table_from_rows(rel: Relation, rows, memo: dict) -> Bag:
     json_array(rows, f'relation {rel.name}: "data"')
-    # a row keys on its cells and on their JSON types, since 1 == 1.0 == True
+    # equal rows count under one key when every cell is of a plain type;
+    # otherwise each row counts apart, so a faulty one is reported in place
+    try:
+        plain = set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS
+    except TypeError:  # a row that cannot be iterated, rejected in its turn below
+        plain = False
     counts: dict = {}
     for row in rows:
-        try:
-            key = (*row, *map(type, row)) if type(row) in _ARRAYS else _Unkeyed(row)
-            counts[key] = counts.get(key, 0) + 1
-        except TypeError:
-            counts[_Unkeyed(row)] = 1
+        key = tuple(row) if plain and type(row) in _ARRAYS else _Unkeyed(row)
+        counts[key] = counts.get(key, 0) + 1
 
     columns = rel.columns
     arity = len(columns)
@@ -389,7 +397,7 @@ def _table_from_rows(rel: Relation, rows, memo: dict) -> Bag:
     records: dict[Record, int] = {}
     for key, k in counts.items():
         if type(key) is not _Unkeyed:
-            row, n = key, len(key) // 2  # the cells, then their types
+            row, n = key, len(key)
         elif type(key.row) in _ARRAYS:
             row, n = key.row, len(key.row)
         else:

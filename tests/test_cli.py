@@ -236,3 +236,39 @@ def test_json_fields_of_the_wrong_type_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, (argv, err)
         assert all(f in err for f in fields), (argv, err)
+
+
+def test_one_parser_serves_a_sequence_of_commands(tmp_path, capsys, monkeypatch):
+    from nullvl import cli
+
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    runs = [
+        ["eval", "--semantics", "2vl", expr, db],
+        ["translate", "--direction", "2to3", "--schema", db, expr],
+        ["eval", "--semantics"],
+        ["fuzz", "--family", "plan-equivalence", "--cases", "3"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse ends a usage error this way
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    shared = [run(argv) for argv in runs]
+    assert len(builds) == 1
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    cli._parser.cache_clear()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert shared[2][2].startswith("usage: nullvl eval")

@@ -509,6 +509,18 @@ def _count_condition_evals(monkeypatch, expr, db, kernel) -> tuple:
     return out, len(calls)
 
 
+def _count_index_builds(monkeypatch) -> list:
+    builds = []
+    real = evaluator._key_index
+
+    def counting(bag, positions, nulls):
+        builds.append(positions)
+        return real(bag, positions, nulls)
+
+    monkeypatch.setattr(evaluator, "_key_index", counting)
+    return builds
+
+
 def test_syntactic_equality_joins_null_keys(cfg_syn, monkeypatch):
     db = rs_db([1, 2, None, None], [])
     planned, reference = _plan_and_reference(_self_join(), db, cfg_syn.kernel)
@@ -532,6 +544,14 @@ def test_value_dependent_grounding_falls_back_to_nested_loop(monkeypatch):
     assert planned.multiplicity(row(None, 3)) == 1
     _, calls = _count_condition_evals(monkeypatch, _self_join(), db, kernel)
     assert calls == 16
+    # the same holds for the correlated selection of q2: the outer NULL
+    # meets S.A = 3, so q2 runs as a nested loop without an index
+    db = rs_db([-1, 3, None], [-2, 3, None])
+    planned, reference = _plan_and_reference(q2(), db, kernel)
+    assert planned == reference == bag(-1)
+    builds = _count_index_builds(monkeypatch)
+    _, calls = _count_condition_evals(monkeypatch, q2(), db, kernel)
+    assert calls == 3 + 3 * 3 and builds == []
 
 
 def test_uncorrelated_aggregate_subquery_runs_once(cfg3, monkeypatch):
@@ -614,3 +634,136 @@ def test_shared_step_under_two_bindings_of_one_mu_name(cfg3):
     db = rs_db([0, 1], [])
     planned, reference = _plan_and_reference(expr, db, cfg3.kernel)
     assert planned == reference
+
+
+# -- correlated `=` selections probed through an index -------------------------
+
+
+def test_q2_tests_only_the_outer_rows_and_their_matches(cfg3, monkeypatch):
+    # R: 400 values and a NULL; S: the even ones and a NULL.  The plain
+    # tree-walker makes 401 + 401 x 201 condition calls
+    db = rs_db(list(range(400)) + [None], list(range(0, 400, 2)) + [None])
+    out, calls = _count_condition_evals(monkeypatch, q2(), db, cfg3.kernel)
+    assert calls <= 401 + 200
+    assert out == Bag([row(v) for v in range(1, 400, 2)] + [row(None)])
+
+
+def test_q2_null_outer_key_matches_null_rows_under_syntactic_equality(cfg_syn, monkeypatch):
+    db = rs_db([1, 2, None, None], [2, None, None, 5])
+    planned, reference = _plan_and_reference(q2(), db, cfg_syn.kernel)
+    assert planned == reference == bag(1)
+    # three distinct outer records; 2 finds S's 2 and NULL finds S's NULL
+    # record (two copies), 1 finds nothing
+    out, calls = _count_condition_evals(monkeypatch, q2(), db, cfg_syn.kernel)
+    assert out == reference and calls == 3 + 1 + 1
+
+
+def test_correlated_membership_keeps_exact_bags_under_4vl(cfg4):
+    s_a = ast.Selection(ast.Compare((col("S.A"),), "=", (col("R.A"),)), ast.BaseRelation("S"))
+    shapes = [
+        q2(),
+        ast.Selection(ast.In((col("R.A"),), s_a), ast.BaseRelation("R")),
+        ast.Selection(ast.Not(ast.Quant((num(3),), "<", "any", s_a)), ast.BaseRelation("R")),
+    ]
+    db = rs_db([1, 1, 3, None, None, 4], [1, None, 3, 3, None])
+    for expr in shapes:
+        planned, reference = _plan_and_reference(expr, db, cfg4.kernel)
+        assert planned == reference, ast.render_expression(expr)
+    assert evaluate(q2(), db, cfg=cfg4) == bag(None, None, 4)
+    for seed in range(4):
+        rs = _rs_db_with_nulls(seed)
+        for expr in shapes:
+            planned, reference = _plan_and_reference(expr, rs, cfg4.kernel)
+            assert planned == reference
+
+
+def test_correlated_source_that_reads_the_outer_row_is_not_indexed(cfg3, monkeypatch):
+    # the inner selection's source keeps S rows at or above R.A, so it
+    # differs from one outer row to the next; only selections over a base
+    # relation probe an index
+    above = ast.Selection(ast.Compare((col("S.A"),), ">=", (col("R.A"),)), ast.BaseRelation("S"))
+    inner = ast.Selection(ast.Compare((col("R.A"),), "=", (col("S.A"),)), above)
+    expr = ast.Selection(ast.Empty(inner), ast.BaseRelation("R"))
+    db = rs_db([1, 2, 3, None], [2, 3, 3, None])
+    planned, reference = _plan_and_reference(expr, db, cfg3.kernel)
+    assert planned == reference == bag(1, None)
+    builds = _count_index_builds(monkeypatch)
+    assert evaluate(expr, db, cfg=cfg3) == reference
+    assert builds == []
+    assert evaluate(q2(), db, cfg=cfg3) == reference
+    assert builds == [(0,)]
+
+
+def _chain_db(n: int) -> Database:
+    schema = Schema([Relation("E", (Column("E.src", NUM), Column("E.dst", NUM)))])
+    return Database(schema, {"E": Bag([row(i, i + 1) for i in range(n)])})
+
+
+def test_correlated_selection_over_the_fixpoint_relation_is_reindexed(cfg3, monkeypatch):
+    # nodes reachable from 0: an edge extends the frontier when some
+    # frontier node equals its source; a stale index of the first frontier
+    # would stop at node 2
+    reach = parse_expression(
+        "(mu W union (project ((as W.n (col E.dst))) (select (cmp = (col E.src) (num 0)) (base E))) "
+        "(project ((as W.n (col E.dst))) "
+        "(select (not (empty (select (cmp = (col W.n) (col E.src)) (base W)))) (base E))))"
+    )
+    db = _chain_db(6)
+    expr = typecheck(reach, db.schema).expr
+    builds = _count_index_builds(monkeypatch)
+    planned, reference = _plan_and_reference(expr, db, cfg3.kernel)
+    assert planned == reference == bag(1, 2, 3, 4, 5, 6)
+    assert len(builds) == 1 + 6  # the seed's selection of E, then one per iteration
+
+
+def test_fixpoint_inside_a_condition_gets_no_stale_index(cfg3):
+    # per outer row a, W counts (a, 0) up to (a, 3) when a is in S; an index
+    # of W kept from the seed, or from an earlier outer row, would stop at
+    # (a, 1)
+    counter = parse_expression(
+        "(select (not (empty (select (cmp = (col W.n) (num 3)) "
+        "(mu W union (project ((as W.k (col S.A)) (as W.n (num 0))) (base S)) "
+        "(project ((col W.k) (as W.n (fn add (col W.n) (num 1)))) "
+        "(select (and (cmp = (col W.k) (col R.A)) (cmp < (col W.n) (num 3))) (base W))))))) "
+        "(base R))"
+    )
+    db = rs_db([1, 2, 3, None], [2, 3, None, 7])
+    expr = typecheck(counter, db.schema).expr
+    for kernel in (cfg3.kernel, kernel_2vl_syntactic()):
+        planned, reference = _plan_and_reference(expr, db, kernel)
+        assert planned == reference
+    assert planned == bag(2, 3, None)
+
+
+def test_q2_nested_inside_another_not_exists(monkeypatch):
+    # T rows with no R row of equal value that q2 keeps
+    schema = Schema(
+        [
+            Relation("R", (Column("R.A", NUM),)),
+            Relation("S", (Column("S.A", NUM),)),
+            Relation("T", (Column("T.A", NUM),)),
+        ]
+    )
+    nested = parse_expression(
+        "(select (empty (select (and (cmp = (col R.A) (col T.A)) "
+        "(empty (select (cmp = (col R.A) (col S.A)) (base S)))) (base R))) (base T))"
+    )
+    expr = typecheck(nested, schema).expr
+    rng = random.Random(5)
+    for kname in PLAN_KERNELS:
+        for _ in range(3):
+            db = Database(
+                schema,
+                {
+                    name: Bag([row(_cell(rng, range(8))) for _ in range(12)])
+                    for name in ("R", "S", "T")
+                },
+            )
+            planned, reference = _plan_and_reference(expr, db, kernel_by_name(kname))
+            assert planned == reference, kname
+    db = Database(schema, {"R": bag(1, 2, None), "S": bag(2, None), "T": bag(1, 2, 3, None)})
+    assert evaluate(expr, db, cfg=EvalConfig(kernel=kernel_3vl())) == bag(2, 3, None)
+    # R and S are indexed once each for the whole call
+    builds = _count_index_builds(monkeypatch)
+    evaluate(expr, db, cfg=EvalConfig(kernel=kernel_3vl()))
+    assert builds == [(0,), (0,)]

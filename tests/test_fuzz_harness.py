@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nullvl import ast, fuzz, harness
+from nullvl import ast, evaluator, fuzz, harness
 from nullvl.typecheck import typecheck
 from nullvl.values import database_to_json
 
@@ -139,3 +139,30 @@ def test_plan_equivalence_covers_every_kernel():
             case = harness._gen_case("plan-equivalence", schema, cfg, fuzz.case_rng(seed, index))
             kernels.add(case["kernel"])
     assert kernels == set(harness.PLAN_KERNELS)
+
+
+def test_plan_equivalence_probes_correlated_selections_under_every_kernel(monkeypatch):
+    # 64 seeds x 20 cases; no kernel in PLAN_KERNELS makes `=` value-dependent
+    probed, kernel = set(), [None]
+    real_probe, real_check = evaluator._probe_candidates, harness._CHECKERS["plan-equivalence"]
+
+    def probe(e, keys, *args):
+        if any(ast.term_names(t) for t in keys[0]):  # a correlated probe
+            probed.add(kernel[0])
+        return real_probe(e, keys, *args)
+
+    def check(case):
+        kernel[0] = case["kernel"]
+        return real_check(case)
+
+    monkeypatch.setattr(evaluator, "_probe_candidates", probe)
+    monkeypatch.setitem(harness._CHECKERS, "plan-equivalence", check)
+    for seed in range(64):
+        summary = harness.run_differential("plan-equivalence", fuzz.FuzzConfig(seed=seed, cases=20))
+        assert summary.failed == 0, summary.bundles[:1]
+    assert probed == set(harness.PLAN_KERNELS)
+
+
+def test_plan_equivalence_runs_at_depth_one():
+    summary = harness.run_differential("plan-equivalence", fuzz.FuzzConfig(seed=3, max_depth=1, cases=20))
+    assert summary.failed == 0 and summary.cases == 20

@@ -200,3 +200,27 @@ def test_loading_parses_each_distinct_cell_once(monkeypatch):
         tuple(real(raw, t) for raw, t in zip(r, ("n", "n", "o"))) for r in rows
     )
     assert table == expected
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        ([[1], [Fraction(1)]], "bad numeric cell Fraction"),
+        ([[1], 5], "row 5 must be a JSON array"),
+        ([["1"], "1"], "row '1' must be a JSON array"),
+        ([[1], [(1,)]], r"bad numeric cell \(1,\)"),
+        ([[1], [[1]]], r"bad numeric cell \[1\]"),
+    ],
+)
+def test_rows_outside_plain_cells_count_apart(rows, bad):
+    # rows count under one key only when every cell is an int, a string or
+    # a NULL; anything else is parsed row by row and rejected in place
+    with pytest.raises(SchemaError, match=bad):
+        _load(rows)
+
+
+def test_keyed_and_row_by_row_counting_agree(monkeypatch):
+    rows = [[1], ["1"], [None], [2], [1], ["2/2"], [None]]
+    plain = _load(rows).counts()
+    monkeypatch.setattr(values, "_PLAIN_CELLS", frozenset())
+    assert _load(rows).counts() == plain == {row(1): 4, row(2): 1, row(None): 2}

@@ -6,7 +6,9 @@ possibly-null comparison, and `coincidence_certificate` extends the check to
 every selection in an expression; certified expressions evaluate identically
 under the conflating two-valued semantics and the three-valued one.  The
 condition is sufficient, not necessary: uncertified expressions may still
-coincide.
+coincide.  Each typechecks its input once and reads labels and nullability
+from the `typecheck` notes, so a certificate costs time linear in the size of
+the expression.
 """
 from __future__ import annotations
 
@@ -14,106 +16,14 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import ast
-from .errors import TypeCheckError
-from .typecheck import _labels
+from .typecheck import Checked, typecheck
 from .values import Schema
 
-# analysis catalog: relation name -> (labels, frozenset of nullable labels)
-NullCatalog = dict
 
-
-def _null_catalog(schema_or_catalog) -> NullCatalog:
-    if isinstance(schema_or_catalog, Schema):
-        return {
-            rel.name: (rel.labels, frozenset(rel.nullable_labels))
-            for rel in schema_or_catalog.relations.values()
-        }
-    return dict(schema_or_catalog)
-
-
-def nullable(e: ast.Expression, schema_or_catalog) -> tuple[str, ...]:
-    """The subsequence of labels(e) that may carry NULL in some result.
-
-    Follows the structural rules: selections and duplicate elimination keep
-    their input's set, products concatenate, bag union lists a position
-    nullable on either side and intersection on both, difference takes the
-    left side, fixpoints take the union of both branches (iterated to a
-    fixed point), projections list terms that can evaluate to NULL, and
-    grouping keeps nullable grouping names and aggregates over nullable
-    columns.
-    """
-    return _nullable(e, _null_catalog(schema_or_catalog))
-
-
-def _label_map(cat: NullCatalog) -> dict:
-    """Relation name -> labels, the catalog `typecheck._labels` reads."""
-    return {name: labels for name, (labels, _) in cat.items()}
-
-
-def _nullable(e: ast.Expression, cat: NullCatalog, outer: frozenset = frozenset()) -> tuple[str, ...]:
-    """`nullable` under a catalog; `outer` lists the possibly-null names a
-    correlated subquery sees from the enclosing rows."""
-    if isinstance(e, ast.BaseRelation):
-        if e.name not in cat:
-            raise TypeCheckError(f"unknown relation {e.name!r}")
-        labels, nul = cat[e.name]
-        return tuple(n for n in labels if n in nul)
-    if isinstance(e, (ast.Selection, ast.Distinct)):
-        return _nullable(e.source, cat, outer)
-    if isinstance(e, ast.Product):
-        return _nullable(e.left, cat, outer) + _nullable(e.right, cat, outer)
-    if isinstance(e, ast.SetOp):
-        left_labels = _labels(e.left, _label_map(cat))
-        right_labels = _labels(e.right, _label_map(cat))
-        lnul = set(_nullable(e.left, cat, outer))
-        rnul = set(_nullable(e.right, cat, outer))
-        out = []
-        for a, b in zip(left_labels, right_labels):
-            if e.op == "union" and (a in lnul or b in rnul):
-                out.append(a)
-            elif e.op == "intersect" and (a in lnul and b in rnul):
-                out.append(a)
-            elif e.op == "except" and a in lnul:
-                out.append(a)
-        return tuple(out)
-    if isinstance(e, ast.Projection):
-        src_nul = set(_nullable(e.source, cat, outer))
-        if outer:  # enclosing rows' names, unless the source row shadows them
-            src_nul |= outer - set(_labels(e.source, _label_map(cat)))
-        out = []
-        for item in e.items:
-            if ast.term_can_yield_null(item.term, src_nul):
-                out.append(ast.proj_item_name(item))
-        return tuple(out)
-    if isinstance(e, ast.Group):
-        src_nul = set(_nullable(e.source, cat, outer))
-        out = [n for n in e.names if n in src_nul]
-        for agg in e.aggs:
-            if agg.column is not None and agg.column in src_nul:
-                out.append(ast.agg_name(agg))
-        return tuple(out)
-    if isinstance(e, ast.Mu):
-        return _nullable_mu(e, cat, outer)
-    raise TypeCheckError(f"not an expression: {e!r}")
-
-
-def _nullable_mu(e: ast.Mu, cat: NullCatalog, outer: frozenset) -> tuple[str, ...]:
-    seed_labels = _labels(e.seed, _label_map(cat))
-    current = frozenset(_nullable(e.seed, cat, outer))
-    # the iterated relation feeds itself; grow the set until stable
-    while True:
-        step_cat = dict(cat)
-        step_cat[e.rel] = (seed_labels, current)
-        step_labels = _labels(e.step, _label_map(step_cat))
-        step_nul = set(_nullable(e.step, step_cat, outer))
-        merged = set(current)
-        for a, b in zip(seed_labels, step_labels):
-            if b in step_nul:
-                merged.add(a)
-        merged = frozenset(merged)
-        if merged == current:
-            return tuple(n for n in seed_labels if n in current)
-        current = merged
+def nullable(e: ast.Expression, schema: Schema) -> tuple[str, ...]:
+    """The subsequence of labels(e) that may carry NULL in some result, by
+    the rules listed in `nullvl.typecheck`."""
+    return typecheck(e, schema).sig.nullable
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +61,7 @@ def _check_negated(
     theta: ast.Condition,
     path: str,
     effective_nullable: frozenset,
-    cat: NullCatalog,
+    checked: Checked,
 ) -> list[Violation]:
     violations = []
     for apath, atom in _atoms_under(theta, path):
@@ -165,7 +75,7 @@ def _check_negated(
         if literal:
             violations.append(Violation(apath, "null-literal", "NULL constant under negation"))
         if not isinstance(atom, ast.Compare):
-            sub_nul = _nullable(atom.query, cat, effective_nullable)
+            sub_nul = checked.of(atom.query).nullable
             if sub_nul:
                 violations.append(
                     Violation(
@@ -194,25 +104,28 @@ def _check_negated(
     return violations
 
 
-def null_free(
-    selection: ast.Selection,
-    schema_or_catalog,
-    param_nullable: frozenset = frozenset(),
-) -> tuple[bool, list[Violation]]:
-    """Check one selection's condition.
+def null_free(selection: ast.Selection, schema: Schema) -> tuple[bool, list[Violation]]:
+    """Check one selection's condition."""
+    checked = typecheck(selection, schema)
+    effective = _effective(checked.expr, frozenset(), checked)
+    violations = _violations(checked.expr, effective, checked)
+    return (not violations), violations
 
-    ``param_nullable`` lists the possibly-null names bound by enclosing
-    expressions; a correlated comparison under negation is just as unsafe as
-    a local one, so those names count too.
-    """
-    cat = _null_catalog(schema_or_catalog)
-    src_labels = _labels(selection.source, _label_map(cat))
-    src_nullable = frozenset(_nullable(selection.source, cat, param_nullable))
-    effective = (param_nullable - set(src_labels)) | src_nullable
+
+def _effective(selection: ast.Selection, outer: frozenset, checked: Checked) -> frozenset:
+    """The possibly-null names a selection's condition reads: those of its
+    source row, and those of the enclosing rows (``outer``) it does not
+    shadow.  A correlated comparison under negation is just as unsafe as a
+    local one."""
+    src = checked.of(selection.source)
+    return (outer - set(src.labels)) | set(src.nullable)
+
+
+def _violations(selection: ast.Selection, effective: frozenset, checked: Checked) -> list[Violation]:
     violations = []
     for path, theta in _negated_subconditions(selection.cond, "cond"):
-        violations.extend(_check_negated(theta, path, frozenset(effective), cat))
-    return (not violations), violations
+        violations.extend(_check_negated(theta, path, effective, checked))
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +182,15 @@ class NullabilityReport:
         return "\n".join(lines)
 
 
-def coincidence_certificate(e: ast.Expression, schema_or_catalog) -> NullabilityReport:
+def coincidence_certificate(e: ast.Expression, schema: Schema) -> NullabilityReport:
     """Certify that two- and three-valued evaluation coincide.
 
     Certified iff every selection anywhere in the expression, including
     those inside condition subqueries, passes the null-free check.
     """
-    cat = _null_catalog(schema_or_catalog)
-    report = NullabilityReport(True, _nullable(e, cat), [])
-    _walk_expr(e, "", frozenset(), cat, report)
+    checked = typecheck(e, schema)
+    report = NullabilityReport(True, checked.sig.nullable, [])
+    _walk_expr(checked.expr, "", frozenset(), checked, report)
     report.certified = all(s.null_free for s in report.selections)
     return report
 
@@ -285,53 +198,35 @@ def coincidence_certificate(e: ast.Expression, schema_or_catalog) -> Nullability
 def _walk_expr(
     e: ast.Expression,
     path: str,
-    param_nullable: frozenset,
-    cat: NullCatalog,
+    outer: frozenset,
+    checked: Checked,
     report: NullabilityReport,
 ):
-    report.subexpressions.append((path, _labels(e, _label_map(cat)), _nullable(e, cat, param_nullable)))
+    sig = checked.of(e)
+    report.subexpressions.append((path, sig.labels, sig.nullable))
     if isinstance(e, ast.Selection):
-        ok, violations = null_free(e, cat, param_nullable)
-        report.selections.append(SelectionReport(path, ok, violations))
-        src_labels = _labels(e.source, _label_map(cat))
-        effective = (param_nullable - set(src_labels)) | set(_nullable(e.source, cat, param_nullable))
-        _walk_cond(e.cond, path + "/cond", frozenset(effective), cat, report)
-        _walk_expr(e.source, path + "/src", param_nullable, cat, report)
-        return
-    if isinstance(e, ast.BaseRelation):
-        return
-    if isinstance(e, (ast.Projection, ast.Distinct, ast.Group)):
-        _walk_expr(e.source, path + "/src", param_nullable, cat, report)
-        return
+        effective = _effective(e, outer, checked)
+        violations = _violations(e, effective, checked)
+        report.selections.append(SelectionReport(path, not violations, violations))
+        _walk_cond(e.cond, path + "/cond", effective, checked, report)
     if isinstance(e, (ast.Product, ast.SetOp)):
-        _walk_expr(e.left, path + "/l", param_nullable, cat, report)
-        _walk_expr(e.right, path + "/r", param_nullable, cat, report)
-        return
-    if isinstance(e, ast.Mu):
-        _walk_expr(e.seed, path + "/seed", param_nullable, cat, report)
-        seed_labels = _labels(e.seed, _label_map(cat))
-        mu_nullable = frozenset(_nullable_mu(e, cat, param_nullable))
-        saved = cat.get(e.rel)
-        cat[e.rel] = (seed_labels, mu_nullable)
-        try:
-            _walk_expr(e.step, path + "/step", param_nullable, cat, report)
-        finally:
-            if saved is None:
-                del cat[e.rel]
-            else:
-                cat[e.rel] = saved
-        return
-    raise TypeCheckError(f"not an expression: {e!r}")
+        children = (("/l", e.left), ("/r", e.right))
+    elif isinstance(e, ast.Mu):
+        children = (("/seed", e.seed), ("/step", e.step))
+    else:
+        children = [("/src", sub) for sub in ast.child_expressions(e)]
+    for suffix, sub in children:
+        _walk_expr(sub, path + suffix, outer, checked, report)
 
 
 def _walk_cond(
     c: ast.Condition,
     path: str,
-    param_nullable: frozenset,
-    cat: NullCatalog,
+    outer: frozenset,
+    checked: Checked,
     report: NullabilityReport,
 ):
     for q in ast.condition_subqueries(c):
-        _walk_expr(q, path + "/q", param_nullable, cat, report)
+        _walk_expr(q, path + "/q", outer, checked, report)
     for i, sub in enumerate(ast.condition_children(c)):
-        _walk_cond(sub, f"{path}.{i}", param_nullable, cat, report)
+        _walk_cond(sub, f"{path}.{i}", outer, checked, report)

@@ -46,7 +46,7 @@ def _cmd_eval(args) -> int:
     checked = typecheck(expr, db.schema)
     kernel = _semantics_kernel(args.semantics)
     cfg = EvalConfig(kernel=kernel, recursion_cap=args.recursion_cap)
-    bag = evaluate(checked.expr, db, cfg=cfg)
+    bag = evaluate(checked, db, cfg=cfg)
     if args.canonical:
         print(bag.canonical_text())
     else:
@@ -75,9 +75,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     db = load_database(args.db)
-    expr = parse_expression(_read(args.expr))
-    expr = typecheck(expr, db.schema).expr
-    report = analyze.coincidence_certificate(expr, db.schema)
+    report = analyze.coincidence_certificate(parse_expression(_read(args.expr)), db.schema)
     if args.json:
         print(json.dumps(report.to_json(), indent=1))
     else:
@@ -205,6 +203,11 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # input nested more deeply than the parser's limit catches, such as
+        # a long flat `and` or SQL text
+        print("error: input nests too deeply to process", file=sys.stderr)
         return 2
 
 

@@ -8,8 +8,10 @@ the records whose condition comes out as the kernel's designated true value.
 With ``EvalConfig.plan`` on (the default) the walker follows four rules, none
 of which changes a result:
 
-1. Facts about a node (labels, hoistable subqueries, join and probe keys)
-   are derived once per `evaluate` call and kept in a dict keyed by node
+1. Each `evaluate` / `eval_condition` call typechecks its input once and
+   reads labels and free names from the `typecheck` notes.  The planner's
+   own facts about a selection (hoistable subqueries, join and probe keys)
+   are derived from those notes once per call, in a dict keyed by node
    identity.
 2. A condition subquery whose free names miss the labels of the selection's
    source is evaluated at most once per selection, on first use.
@@ -41,7 +43,7 @@ from . import ast
 from .errors import EvalError, RecursionLimitError
 from .funcs import apply_aggregate, apply_function
 from .logic import AND, OR, LogicKernel, TruthValue, fold_counted, kernel_3vl
-from .typecheck import _labels
+from .typecheck import Checked, RelSig, Typechecker, catalog_from_schema, typecheck
 from .values import Bag, Database, Value, is_null
 
 Env = Mapping[str, Value]
@@ -58,7 +60,7 @@ class EvalConfig:
             raise ValueError("recursion_cap must be at least 1")
 
 
-# runtime catalog: relation name -> (labels, bag)
+# runtime catalog: relation name -> bag
 Rt = dict
 
 _PENDING = object()  # a hoisted subquery its selection has not needed yet
@@ -68,20 +70,21 @@ _NULLS_1, _NULLS_2, _NULLS_12 = frozenset({1}), frozenset({2}), frozenset({1, 2}
 class _Run:
     """The state of one `evaluate` call.
 
-    ``facts`` maps node identities to what `_facts` derived for them (None
+    ``notes`` are the `typecheck` notes of the evaluated tree; ``facts`` maps
+    selection identities to what `_plan_selection` derived for them (None
     runs the plain tree-walker); ``hoisted`` holds the hoisted subqueries of
     the selection whose condition is being evaluated, by identity of their
     In / Quant / Empty node; ``indexes`` holds the probe index of each
     selection over a base relation, with the bag it was built from.
     """
 
-    def __init__(self, cfg: EvalConfig):
+    def __init__(self, cfg: EvalConfig, notes: Mapping[int, RelSig]):
         self.cfg = cfg
         self.kernel = cfg.kernel
+        self.notes = notes
         self.facts: Optional[dict] = {} if cfg.plan else None
         self.hoisted: dict = {}
         self.indexes: dict = {}
-        self.mu_labels: dict = {}
 
     @cached_property
     def members(self) -> bool:
@@ -275,12 +278,12 @@ def _bind(env: Env, labels: tuple[str, ...], record) -> dict:
 def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
     if isinstance(e, ast.BaseRelation):
         try:
-            return rt[e.name][1]
+            return rt[e.name]
         except KeyError:
             raise EvalError(f"unknown relation {e.name!r} at runtime")
 
     if isinstance(e, ast.Projection):
-        src_labels = _facts(e, rt, run, _projection_facts)
+        src_labels = run.notes[id(e.source)].labels
         src = eval_rt(e.source, rt, env, run)
         counts: dict = {}
         for record, k in src.items():
@@ -323,70 +326,20 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
     raise EvalError(f"not an expression: {e!r}")
 
 
-def _catalog(rt: Rt) -> dict:
-    return {n: l for n, (l, _) in rt.items()}
-
-
-def _facts(e, rt: Rt, run: _Run, derive):
-    """``derive(e, catalog)``: once per node and call when planning, on
-    every visit in the plain tree-walker."""
-    if run.facts is None:
-        return derive(e, _catalog(rt))
-    facts = run.facts.get(id(e))
-    if facts is None:
-        facts = run.facts[id(e)] = derive(e, _catalog(rt))
-    return facts
-
-
-def _projection_facts(e: ast.Projection, catalog) -> tuple[str, ...]:
-    return _labels(e.source, catalog)
-
-
-def _selection_facts(e: ast.Selection, catalog):
-    """Source labels, the subquery conditions to hoist, the join keys and the
-    probe keys."""
-    labels = _labels(e.source, catalog)
+def _plan_selection(e: ast.Selection, notes: Mapping[int, RelSig]):
+    """The subquery conditions to hoist, the join keys and the probe keys."""
+    labels = notes[id(e.source)].labels
     bound = set(labels)
     hoisted = tuple(
-        id(c) for c in _subquery_conditions(e.cond)
-        if not _free_names(c.query, catalog) & bound
+        id(c) for c in _subquery_conditions(e.cond) if not notes[id(c.query)].free & bound
     )
-    return labels, hoisted, _join_keys(e, catalog, labels), _probe_keys(e, labels)
+    return hoisted, _join_keys(e, notes, labels), _probe_keys(e, labels)
 
 
 def _subquery_conditions(cond: ast.Condition) -> list:
     if isinstance(cond, (ast.In, ast.Quant, ast.Empty)):
         return [cond]
     return [c for sub in ast.condition_children(cond) for c in _subquery_conditions(sub)]
-
-
-def _free_names(e: ast.Expression, catalog) -> set:
-    """The names an expression reads from its environment."""
-    if isinstance(e, ast.Mu):
-        inner = dict(catalog)
-        inner[e.rel] = _labels(e.seed, catalog)
-        return _free_names(e.seed, catalog) | _free_names(e.step, inner)
-    out: set = set()
-    for sub in ast.child_expressions(e):
-        out |= _free_names(sub, catalog)
-    if isinstance(e, ast.Projection):
-        names = set().union(*(ast.term_names(item.term) for item in e.items))
-    elif isinstance(e, ast.Selection):
-        names = _condition_free_names(e.cond, catalog)
-    else:
-        return out
-    return out | (names - set(_labels(e.source, catalog)))
-
-
-def _condition_free_names(c: ast.Condition, catalog) -> set:
-    out: set = set()
-    for t in ast.condition_terms(c):
-        out |= ast.term_names(t)
-    for q in ast.condition_subqueries(c):
-        out |= _free_names(q, catalog)
-    for sub in ast.condition_children(c):
-        out |= _condition_free_names(sub, catalog)
-    return out
 
 
 def _equalities(cond: ast.Condition) -> list:
@@ -397,12 +350,12 @@ def _equalities(cond: ast.Condition) -> list:
     ]
 
 
-def _join_keys(e: ast.Selection, catalog, labels: tuple[str, ...]):
+def _join_keys(e: ast.Selection, notes: Mapping[int, RelSig], labels: tuple[str, ...]):
     """For a selection over a product: the (left, right) column positions of
     the `=` conjuncts that compare a left column with a right one."""
     if not isinstance(e.source, ast.Product):
         return None
-    width = len(_labels(e.source.left, catalog))
+    width = notes[id(e.source.left)].arity
     where = {name: i for i, name in enumerate(labels)}
     pairs = []
     for a, b in _equalities(e.cond):
@@ -442,10 +395,14 @@ def _conjuncts(c: ast.Condition) -> list:
 
 
 def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
+    labels = run.notes[id(e.source)].labels
     if run.facts is None:
-        labels, hoisted, join, probe = _labels(e.source, _catalog(rt)), (), None, None
+        hoisted, join, probe = (), None, None
     else:
-        labels, hoisted, join, probe = _facts(e, rt, run, _selection_facts)
+        facts = run.facts.get(id(e))
+        if facts is None:
+            facts = run.facts[id(e)] = _plan_selection(e, run.notes)
+        hoisted, join, probe = facts
     nulls = run.join_nulls
     if join is not None and nulls is not None:
         rows = _join_candidates(e.source, join, rt, env, run)
@@ -497,15 +454,10 @@ def _join_candidates(product: ast.Product, keys, rt: Rt, env: Env, run: _Run):
             yield lrec + rrec, lk * rk
 
 
-def _group_facts(e: ast.Group, catalog):
-    src_labels = _labels(e.source, catalog)
+def _eval_group(e: ast.Group, rt: Rt, env: Env, run: _Run) -> Bag:
+    src_labels = run.notes[id(e.source)].labels
     key_pos = [src_labels.index(n) for n in e.names]
     agg_pos = [src_labels.index(a.column) if a.column is not None else None for a in e.aggs]
-    return key_pos, agg_pos
-
-
-def _eval_group(e: ast.Group, rt: Rt, env: Env, run: _Run) -> Bag:
-    key_pos, agg_pos = _facts(e, rt, run, _group_facts)
     src = eval_rt(e.source, rt, env, run)
 
     # groups form under syntactic equality: one group per distinct key,
@@ -530,20 +482,10 @@ def _eval_group(e: ast.Group, rt: Rt, env: Env, run: _Run) -> Bag:
     return Bag.from_counts(out)
 
 
-def _mu_facts(e: ast.Mu, catalog) -> tuple[str, ...]:
-    return _labels(e.seed, catalog)
-
-
 def _eval_mu(e: ast.Mu, rt: Rt, env: Env, run: _Run) -> Bag:
     seed = eval_rt(e.seed, rt, env, run)
     if e.distinct:
         seed = seed.distinct()
-    seed_labels = _facts(e, rt, run, _mu_facts)
-    if run.facts is not None and run.mu_labels.setdefault(e.rel, seed_labels) != seed_labels:
-        # the name was bound to other labels earlier in this call, so facts
-        # derived under that binding may be stale
-        run.facts.clear()
-        run.mu_labels[e.rel] = seed_labels
     result = seed
     frontier = seed
     iterations = 0
@@ -557,7 +499,7 @@ def _eval_mu(e: ast.Mu, rt: Rt, env: Env, run: _Run) -> Bag:
                 "the query may not terminate"
             )
         extended = dict(rt)
-        extended[e.rel] = (seed_labels, frontier)
+        extended[e.rel] = frontier
         step = eval_rt(e.step, extended, env, run)
         if e.distinct:
             step = step.distinct().difference(result)
@@ -566,33 +508,21 @@ def _eval_mu(e: ast.Mu, rt: Rt, env: Env, run: _Run) -> Bag:
 
 
 def _db_rt(db: Database) -> Rt:
-    rt: Rt = {}
-    for rel in db.schema.relations.values():
-        rt[rel.name] = (rel.labels, db.tables.get(rel.name, Bag()))
-    return rt
+    return {rel.name: db.tables.get(rel.name, Bag()) for rel in db.schema.relations.values()}
 
 
-def evaluate(
-    e: ast.Expression,
-    db: Database,
-    env: Optional[Env] = None,
-    cfg: Optional[EvalConfig] = None,
-) -> Bag:
-    """Evaluate a typechecked expression on a database.
-
-    The environment supplies parameter values for correlated fragments; the
-    top-level call uses the empty environment.
-    """
-    return eval_rt(e, _db_rt(db), dict(env or {}), _Run(cfg or EvalConfig()))
+def evaluate(e: ast.Expression | Checked, db: Database, cfg: Optional[EvalConfig] = None) -> Bag:
+    """Evaluate an expression on a database.  It is typechecked first,
+    unless it is the `Checked` that `typecheck` returned for this schema."""
+    checked = e if isinstance(e, Checked) else typecheck(e, db.schema)
+    return eval_rt(checked.expr, _db_rt(db), {}, _Run(cfg or EvalConfig(), checked.notes))
 
 
-def eval_condition(
-    cond: ast.Condition,
-    db: Database,
-    env: Optional[Env] = None,
-    cfg: Optional[EvalConfig] = None,
-) -> TruthValue:
-    return eval_condition_rt(cond, _db_rt(db), dict(env or {}), _Run(cfg or EvalConfig()))
+def eval_condition(cond: ast.Condition, db: Database, cfg: Optional[EvalConfig] = None) -> TruthValue:
+    """Evaluate a condition that reads no row; it is typechecked first."""
+    checker = Typechecker(catalog_from_schema(db.schema))
+    cond, _ = checker.check_cond(cond, {})
+    return eval_condition_rt(cond, _db_rt(db), {}, _Run(cfg or EvalConfig(), checker.notes))
 
 
 def eval_group(
@@ -600,11 +530,10 @@ def eval_group(
     aggs: tuple[ast.AggItem, ...],
     source: ast.Expression,
     db: Database,
-    env: Optional[Env] = None,
     cfg: Optional[EvalConfig] = None,
 ) -> Bag:
     """Group the source rows and aggregate; one record per group."""
-    return evaluate(ast.Group(tuple(names), tuple(aggs), source), db, env, cfg)
+    return evaluate(ast.Group(tuple(names), tuple(aggs), source), db, cfg)
 
 
 def eval_mu(
@@ -613,8 +542,7 @@ def eval_mu(
     seed: ast.Expression,
     step: ast.Expression,
     db: Database,
-    env: Optional[Env] = None,
     cfg: Optional[EvalConfig] = None,
 ) -> Bag:
     """Run the fixpoint iteration for a fresh relation name."""
-    return evaluate(ast.Mu(rel, distinct, seed, step), db, env, cfg)
+    return evaluate(ast.Mu(rel, distinct, seed, step), db, cfg)

@@ -7,6 +7,7 @@ same verdict; cap-exceeded fixpoints are skipped, never failed.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,7 @@ from .logic import (
     syntactic_equality_grounding,
 )
 from .parser import parse_condition, parse_expression
-from .typecheck import typecheck
+from .typecheck import Checked, typecheck
 from .values import (
     NUM, Bag, Database, Schema, bag_to_json, database_from_json, database_to_json, required,
 )
@@ -53,7 +54,10 @@ def _grounding_by_name(name: str):
     return _GROUNDINGS[name]()
 
 
+@functools.cache
 def kernel_by_name(name: str) -> LogicKernel:
+    """A built-in kernel, built once per process; kernels are not changed
+    after construction."""
     if name.startswith("grounded:"):
         return kernel_grounded(_grounding_by_name(name.split(":", 1)[1]))
     if name not in _KERNELS:
@@ -115,14 +119,14 @@ def _load_case_db(case: dict) -> Database:
     return database_from_json(_field(case, "db"))
 
 
-def _checked_expr(case: dict, db: Database):
-    expr = parse_expression(_field(case, "expression"))
-    return typecheck(expr, db.schema).expr
+def _checked_expr(case: dict, db: Database) -> Checked:
+    return typecheck(parse_expression(_field(case, "expression")), db.schema)
 
 
 def _check_capture_case(case: dict) -> CaseOutcome:
     db = _load_case_db(case)
-    expr = _checked_expr(case, db)
+    checked = _checked_expr(case, db)
+    expr = checked.expr
     direction = translate.DIRECTIONS.get(_field(case, "direction"))
     if direction is None:
         raise NullvlError(f"unknown direction {case['direction']!r}")
@@ -140,18 +144,17 @@ def _check_capture_case(case: dict) -> CaseOutcome:
         return CaseOutcome("skip", verdict.detail)
     if verdict.equal:
         return CaseOutcome("pass", size_ratio=tr.size_ratio)
-    labels = typecheck(parse_expression(case["expression"]), db.schema).sig.labels
-    return CaseOutcome("fail", _bags_equal_detail(verdict.left, verdict.right, labels))
+    return CaseOutcome("fail", _bags_equal_detail(verdict.left, verdict.right, checked.sig.labels))
 
 
 def _check_invariance_case(case: dict) -> CaseOutcome:
     db = _load_case_db(case)
-    expr = _checked_expr(case, db)
+    checked = _checked_expr(case, db)
     kernels = [kernel_3vl(), kernel_2vl(), kernel_2vl_syntactic(), kernel_grounded(empty_grounding())]
     outs = []
     try:
         for k in kernels:
-            outs.append(evaluate(expr, db, cfg=EvalConfig(kernel=k)))
+            outs.append(evaluate(checked, db, cfg=EvalConfig(kernel=k)))
     except RecursionLimitError as exc:
         return CaseOutcome("skip", str(exc))
     if all(o == outs[0] for o in outs):
@@ -185,17 +188,17 @@ def _check_prop41_case(case: dict) -> CaseOutcome:
     return CaseOutcome("pass")
 
 
-def _typed(text: str, db: Database):
-    return typecheck(parse_expression(text), db.schema).expr
+def _typed(text: str, db: Database) -> Checked:
+    return typecheck(parse_expression(text), db.schema)
 
 
 def _check_coincidence_case(case: dict) -> CaseOutcome:
     db = _load_case_db(case)
-    expr = _checked_expr(case, db)
-    report = analyze.coincidence_certificate(expr, db.schema)
+    checked = _checked_expr(case, db)
+    report = analyze.coincidence_certificate(checked.expr, db.schema)
     try:
-        two = evaluate(expr, db, cfg=EvalConfig(kernel=kernel_2vl()))
-        three = evaluate(expr, db, cfg=EvalConfig(kernel=kernel_3vl()))
+        two = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_2vl()))
+        three = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_3vl()))
     except RecursionLimitError as exc:
         return CaseOutcome("skip", str(exc))
     if report.certified:
@@ -208,12 +211,12 @@ def _check_coincidence_case(case: dict) -> CaseOutcome:
 
 def _check_nullable_case(case: dict) -> CaseOutcome:
     db = _load_case_db(case)
-    expr = _checked_expr(case, db)
-    labels = typecheck(parse_expression(case["expression"]), db.schema).sig.labels
-    nul = set(analyze.nullable(expr, db.schema))
+    checked = _checked_expr(case, db)
+    labels = checked.sig.labels
+    nul = set(analyze.nullable(checked.expr, db.schema))
     for kname in ("2vl", "3vl"):
         try:
-            out = evaluate(expr, db, cfg=EvalConfig(kernel=kernel_by_name(kname)))
+            out = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_by_name(kname)))
         except RecursionLimitError as exc:
             return CaseOutcome("skip", str(exc))
         for record in out.records():
@@ -229,16 +232,16 @@ def _check_roundtrip_case(case: dict) -> CaseOutcome:
     from . import sqlfront
 
     db = _load_case_db(case)
-    expr = _checked_expr(case, db)
+    checked = _checked_expr(case, db)
     try:
-        sql = sqlfront.emit_sql(expr)
+        sql = sqlfront.emit_sql(checked.expr)
     except SqlEmitError as exc:
         return CaseOutcome("skip", str(exc))
     lowered = sqlfront.lower_to_algebra(sqlfront.parse_sql(sql), db.schema)
-    lowered = typecheck(lowered, db.schema).expr
+    lowered = typecheck(lowered, db.schema)
     cfg = EvalConfig(kernel=kernel_3vl())
     try:
-        a = evaluate(expr, db, cfg=cfg)
+        a = evaluate(checked, db, cfg=cfg)
         b = evaluate(lowered, db, cfg=cfg)
     except RecursionLimitError as exc:
         return CaseOutcome("skip", str(exc))
@@ -254,22 +257,21 @@ PLAN_KERNELS = ("3vl", "2vl", "2vl-syn", "grounded:leq-sign", "4vl")
 def _check_plan_case(case: dict) -> CaseOutcome:
     """The planned evaluator against the plain tree-walker."""
     db = _load_case_db(case)
-    expr = _checked_expr(case, db)
+    checked = _checked_expr(case, db)
     kernel = kernel_by_name(_field(case, "kernel"))
     try:
-        reference = evaluate(expr, db, cfg=EvalConfig(kernel=kernel, plan=False))
+        reference = evaluate(checked, db, cfg=EvalConfig(kernel=kernel, plan=False))
     except RecursionLimitError as exc:
         # the planned run does a subset of the reference's work, so it may
         # finish where the reference hits the cap; there is nothing to compare
         return CaseOutcome("skip", str(exc))
     try:
-        planned = evaluate(expr, db, cfg=EvalConfig(kernel=kernel, plan=True))
+        planned = evaluate(checked, db, cfg=EvalConfig(kernel=kernel, plan=True))
     except RecursionLimitError as exc:
         return CaseOutcome("fail", f"planned evaluation only: {exc}")
     if planned == reference:
         return CaseOutcome("pass")
-    labels = typecheck(parse_expression(case["expression"]), db.schema).sig.labels
-    return CaseOutcome("fail", _bags_equal_detail(planned, reference, labels))
+    return CaseOutcome("fail", _bags_equal_detail(planned, reference, checked.sig.labels))
 
 
 # capture family -> (direction, grounding or kernel name, expression depth cap)
@@ -501,8 +503,7 @@ def run_differential(
         case = _gen_case(family, schema, cfg, rng)
         if needs_certified:
             db = database_from_json(case["db"])
-            expr = typecheck(parse_expression(case["expression"]), db.schema).expr
-            if not analyze.coincidence_certificate(expr, db.schema).certified:
+            if not analyze.coincidence_certificate(_checked_expr(case, db).expr, db.schema).certified:
                 notes["uncertified-generated"] = notes.get("uncertified-generated", 0) + 1
                 continue
         produced += 1

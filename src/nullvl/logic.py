@@ -12,6 +12,7 @@ fold connectives over counted multisets.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional
@@ -230,6 +231,11 @@ def _templates_2vl(op: str):
     }
 
 
+# The built-in kernels are built once per process: nothing changes a
+# LogicKernel after construction (its periodicity memo only fills in).
+
+
+@functools.cache
 def kernel_3vl() -> LogicKernel:
     """Three truth values with the standard truth tables; a comparison with a
     null argument is unknown, isnull is always two-valued."""
@@ -250,6 +256,7 @@ def kernel_3vl() -> LogicKernel:
     )
 
 
+@functools.cache
 def kernel_2vl() -> LogicKernel:
     """Two truth values; any comparison with a null argument is false."""
     and_t, or_t, not_t = _bool_tables("t", "f")
@@ -267,6 +274,7 @@ def kernel_2vl() -> LogicKernel:
     )
 
 
+@functools.cache
 def kernel_2vl_syntactic() -> LogicKernel:
     """Like the conflating two-valued kernel except NULL = NULL is true and,
     by negation, NULL != NULL is false."""
@@ -324,6 +332,7 @@ for _a in ("t", "f", "u", "s"):
             _4VL_OR[(_a, _b)] = "u"
 
 
+@functools.cache
 def kernel_4vl_example() -> LogicKernel:
     """Four values: t, f, u and s ("sometimes holds").  Comparisons with a
     null argument yield s; conjoining or disjoining two s values cannot be

@@ -21,6 +21,12 @@ _COND_KEYWORDS = {"true", "false", "and", "or", "not", "isnull", "cmp", "in", "e
 _TERM_KEYWORDS = {"col", "num", "ord", "null", "fn", "arg"}
 _AGG_KEYWORDS = {"count", "count-star", "sum", "avg", "min", "max"}
 
+# The deepest parenthesis nesting a text may have.  Every command handles a
+# nest of `not` or `distinct` this deep within the interpreter's default
+# recursion limit, with room to spare; translations of the deepest generated
+# and/or/not chains nest 37 deep.
+MAX_NESTING = 200
+
 _OPS = set(ast.COMPARISONS) | {"eq", "ne", "lt", "gt", "le", "ge"}
 _OP_ALIASES = {"eq": "=", "ne": "!=", "lt": "<", "gt": ">", "le": "<=", "ge": ">="}
 
@@ -110,12 +116,16 @@ class _Reader:
         col = len(self.text) - (self.text.rfind("\n") + 1) + 1
         return ExprParseError("unexpected end of input", off, line, col)
 
-    def read(self) -> _SExpr:
+    def read(self, depth: int = 1) -> _SExpr:
         if self.pos >= len(self.toks):
             raise self._eof_error()
         tok = self.toks[self.pos]
         self.pos += 1
         if tok.kind == "(":
+            if depth > MAX_NESTING:
+                raise ExprParseError(
+                    f"nesting deeper than {MAX_NESTING} parentheses", tok.offset + 1, tok.line, tok.col
+                )
             items: list = []
             while True:
                 if self.pos >= len(self.toks):
@@ -123,7 +133,7 @@ class _Reader:
                 if self.toks[self.pos].kind == ")":
                     self.pos += 1
                     return _Form(items, tok)
-                items.append(self.read())
+                items.append(self.read(depth + 1))
         if tok.kind == ")":
             raise ExprParseError("unexpected ')'", tok.offset + 1, tok.line, tok.col)
         return tok

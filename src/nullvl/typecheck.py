@@ -1,4 +1,4 @@
-"""Output labels, type words and static validation of expressions.
+"""Output labels, type words, nullability and static validation of expressions.
 
 `typecheck` walks an expression against a schema, confirms comparison and
 aggregate typing, checks set-operation type words and fixpoint well-formedness,
@@ -6,12 +6,25 @@ and resolves every name.  Where the canonical names of two outputs of one
 projection or grouping clash it renames the later ones with numeric suffixes
 and reports the renaming; clashes across a product must be resolved by the
 caller with an explicit rename.
+
+It is the one place that derives facts about expression nodes.  The checked
+tree shares no node, so each expression node has its own `RelSig` in
+`Checked.notes`, keyed by identity: the node's labels, types, the labels that
+may carry NULL and the names it reads from enclosing rows.  Nullability
+follows the structural rules: selections and duplicate elimination keep
+their input's set, products concatenate, bag union lists a position nullable
+on either side and intersection on both, difference takes the left side,
+fixpoints take the union of both branches (iterated to a fixed point),
+projections list terms that can evaluate to NULL, and grouping keeps nullable
+grouping names and aggregates over nullable columns.  Every name in scope
+carries its nullability, so a correlated subquery sees which of the enclosing
+rows' names may be NULL.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import ast
 from .errors import TypeCheckError
@@ -20,12 +33,16 @@ from .values import NUM, ORD, Schema
 ANY = "?"  # type of the NULL constant: member of both type universes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelSig:
-    """Output signature of a relation or expression: labels plus type word."""
+    """What is known of a relation or expression node: output labels and type
+    word, the labels that may carry NULL, and the names read from enclosing
+    rows."""
 
     labels: tuple[str, ...]
     types: tuple[str, ...]
+    nullable: tuple[str, ...] = ()
+    free: frozenset = frozenset()
 
     def __post_init__(self):
         if len(self.labels) != len(self.types):
@@ -40,10 +57,15 @@ class RelSig:
 
 
 Catalog = Mapping[str, RelSig]
+# name -> (type, whether it may be NULL), for the names a term can read
+Scope = Mapping[str, tuple[str, bool]]
 
 
 def catalog_from_schema(schema: Schema) -> dict[str, RelSig]:
-    return {rel.name: RelSig(rel.labels, rel.types) for rel in schema.relations.values()}
+    return {
+        rel.name: RelSig(rel.labels, rel.types, rel.nullable_labels)
+        for rel in schema.relations.values()
+    }
 
 
 @dataclass(frozen=True)
@@ -51,17 +73,25 @@ class Checked:
     expr: ast.Expression
     sig: RelSig
     renames: tuple[str, ...]  # human-readable notes about applied renamings
+    notes: Mapping[int, RelSig]  # id of each expression node of `expr` -> its RelSig
+
+    def of(self, node: ast.Expression) -> RelSig:
+        return self.notes[id(node)]
 
 
-def _merge_scope(outer: Mapping[str, str], sig: RelSig) -> dict[str, str]:
-    """Row names extend the parameter scope; inner bindings shadow outer ones."""
+def _merge_scope(outer: Scope, sig: RelSig) -> dict:
+    """Row names extend the enclosing scope; inner bindings shadow outer ones."""
     scope = dict(outer)
     for name, typ in zip(sig.labels, sig.types):
-        scope[name] = typ
+        scope[name] = (typ, name in sig.nullable)
     return scope
 
 
-def term_type(term: ast.Term, scope: Mapping[str, str]) -> str:
+def _nullable_names(scope: Scope) -> set:
+    return {name for name, (_, nullable) in scope.items() if nullable}
+
+
+def term_type(term: ast.Term, scope: Scope) -> str:
     if isinstance(term, ast.NumConst):
         return NUM
     if isinstance(term, ast.OrdConst):
@@ -71,7 +101,7 @@ def term_type(term: ast.Term, scope: Mapping[str, str]) -> str:
     if isinstance(term, ast.NameRef):
         if term.name not in scope:
             raise TypeCheckError(f"unknown name {term.name!r}")
-        return scope[term.name]
+        return scope[term.name][0]
     if isinstance(term, ast.FnApply):
         if term.fn not in ast.NUMERIC_FUNCTIONS:
             raise TypeCheckError(f"unknown function {term.fn!r}")
@@ -109,28 +139,45 @@ class Typechecker:
     def __init__(self, catalog: Catalog):
         self.catalog = dict(catalog)
         self.renames: list[str] = []
+        self.notes: dict[int, RelSig] = {}
 
     # -- expressions --------------------------------------------------------
 
-    def check_expr(self, e: ast.Expression, scope: Mapping[str, str]) -> tuple[ast.Expression, RelSig]:
+    def check_expr(self, e: ast.Expression, scope: Scope) -> tuple[ast.Expression, RelSig]:
+        out, sig = self._check_expr(e, scope)
+        self.notes[id(out)] = sig
+        return out, sig
+
+    def _check_expr(self, e: ast.Expression, scope: Scope) -> tuple[ast.Expression, RelSig]:
         if isinstance(e, ast.BaseRelation):
             if e.name not in self.catalog:
                 raise TypeCheckError(f"unknown relation {e.name!r}")
-            return e, self.catalog[e.name]
+            return ast.BaseRelation(e.name), self.catalog[e.name]
 
         if isinstance(e, ast.Projection):
             src, src_sig = self.check_expr(e.source, scope)
             inner = _merge_scope(scope, src_sig)
-            types = []
+            nullable = _nullable_names(inner)
+            types, names, may_be_null = [], set(), []
             for item in e.items:
                 t = term_type(item.term, inner)
                 types.append(ORD if t == ANY else t)  # bare NULL defaults to ordinary
+                names |= ast.term_names(item.term)
+                may_be_null.append(ast.term_can_yield_null(item.term, nullable))
             items, labels = self._unique_proj_names(e.items)
-            return ast.Projection(items, src), RelSig(tuple(labels), tuple(types))
+            sig = RelSig(
+                tuple(labels), tuple(types),
+                tuple(n for n, null in zip(labels, may_be_null) if null),
+                src_sig.free | (names - set(src_sig.labels)),
+            )
+            return ast.Projection(items, src), sig
 
         if isinstance(e, ast.Selection):
             src, src_sig = self.check_expr(e.source, scope)
-            cond = self.check_cond(e.cond, _merge_scope(scope, src_sig))
+            cond, names = self.check_cond(e.cond, _merge_scope(scope, src_sig))
+            names.difference_update(src_sig.labels)
+            if not names <= src_sig.free:
+                src_sig = RelSig(src_sig.labels, src_sig.types, src_sig.nullable, src_sig.free | names)
             return ast.Selection(cond, src), src_sig
 
         if isinstance(e, ast.Product):
@@ -142,7 +189,9 @@ class Typechecker:
                 raise TypeCheckError(
                     f"product output repeats names {dup}; rename one side with a projection"
                 )
-            return ast.Product(left, right), RelSig(labels, lsig.types + rsig.types)
+            sig = RelSig(labels, lsig.types + rsig.types, lsig.nullable + rsig.nullable,
+                         lsig.free | rsig.free)
+            return ast.Product(left, right), sig
 
         if isinstance(e, ast.SetOp):
             left, lsig = self.check_expr(e.left, scope)
@@ -151,7 +200,15 @@ class Typechecker:
                 raise TypeCheckError(
                     f"{e.op}: type words differ ({''.join(lsig.types)} vs {''.join(rsig.types)})"
                 )
-            return ast.SetOp(e.op, left, right), lsig
+            lnul, rnul = set(lsig.nullable), set(rsig.nullable)
+            if e.op == "union":
+                nullable = [a for a, b in zip(lsig.labels, rsig.labels) if a in lnul or b in rnul]
+            elif e.op == "intersect":
+                nullable = [a for a, b in zip(lsig.labels, rsig.labels) if a in lnul and b in rnul]
+            else:
+                nullable = list(lsig.nullable)
+            sig = RelSig(lsig.labels, lsig.types, tuple(nullable), lsig.free | rsig.free)
+            return ast.SetOp(e.op, left, right), sig
 
         if isinstance(e, ast.Distinct):
             src, sig = self.check_expr(e.source, scope)
@@ -179,39 +236,67 @@ class Typechecker:
                     )
             aggs, labels = self._unique_group_names(e.names, e.aggs)
             types = tuple(src_sig.type_of(n) for n in e.names) + tuple(NUM for _ in aggs)
-            return ast.Group(e.names, aggs, src), RelSig(tuple(labels), types)
+            src_nul = set(src_sig.nullable)
+            nullable = [n for n in e.names if n in src_nul] + [
+                ast.agg_name(agg) for agg in aggs if agg.column in src_nul
+            ]
+            sig = RelSig(tuple(labels), types, tuple(nullable), src_sig.free)
+            return ast.Group(e.names, aggs, src), sig
 
         if isinstance(e, ast.Mu):
-            if e.rel in self.catalog:
-                raise TypeCheckError(f"mu relation {e.rel!r} is not fresh")
-            if ast.expression_references(e.seed, e.rel):
-                raise TypeCheckError(f"mu seed must not reference {e.rel!r}")
-            seed, seed_sig = self.check_expr(e.seed, scope)
-            self.catalog[e.rel] = seed_sig
-            try:
-                step, step_sig = self.check_expr(e.step, scope)
-            finally:
-                del self.catalog[e.rel]
-            if seed_sig.types != step_sig.types:
-                raise TypeCheckError(
-                    f"mu {e.rel}: branch type words differ "
-                    f"({''.join(seed_sig.types)} vs {''.join(step_sig.types)})"
-                )
-            return ast.Mu(e.rel, e.distinct, seed, step), seed_sig
+            return self._check_mu(e, scope)
 
         raise TypeCheckError(f"not an expression: {e!r}")
 
+    def _check_mu(self, e: ast.Mu, scope: Scope) -> tuple[ast.Mu, RelSig]:
+        """The step is checked with the iterated relation's nullable labels
+        grown to a fixed point; only the final pass's notes and renames are
+        kept."""
+        if e.rel in self.catalog:
+            raise TypeCheckError(f"mu relation {e.rel!r} is not fresh")
+        if ast.expression_references(e.seed, e.rel):
+            raise TypeCheckError(f"mu seed must not reference {e.rel!r}")
+        seed, seed_sig = self.check_expr(e.seed, scope)
+        notes, renames = self.notes, self.renames
+        current = set(seed_sig.nullable)
+        try:
+            while True:
+                self.notes, self.renames = {}, []
+                nullable = tuple(n for n in seed_sig.labels if n in current)
+                self.catalog[e.rel] = RelSig(seed_sig.labels, seed_sig.types, nullable)
+                step, step_sig = self.check_expr(e.step, scope)
+                step_nul = set(step_sig.nullable)
+                grown = current | {
+                    a for a, b in zip(seed_sig.labels, step_sig.labels) if b in step_nul
+                }
+                if grown == current:
+                    break
+                current = grown
+        finally:
+            del self.catalog[e.rel]
+            notes.update(self.notes)
+            renames.extend(self.renames)
+            self.notes, self.renames = notes, renames
+        if seed_sig.types != step_sig.types:
+            raise TypeCheckError(
+                f"mu {e.rel}: branch type words differ "
+                f"({''.join(seed_sig.types)} vs {''.join(step_sig.types)})"
+            )
+        sig = RelSig(seed_sig.labels, seed_sig.types, nullable, seed_sig.free | step_sig.free)
+        return ast.Mu(e.rel, e.distinct, seed, step), sig
+
     # -- conditions ---------------------------------------------------------
 
-    def check_cond(self, c: ast.Condition, scope: Mapping[str, str]) -> ast.Condition:
+    def check_cond(self, c: ast.Condition, scope: Scope) -> tuple[ast.Condition, set]:
+        """The checked condition and the names it reads from ``scope``."""
         if isinstance(c, (ast.CTrue, ast.CFalse)):
-            return c
+            return c, set()
         if isinstance(c, ast.IsNull):
             term_type(c.term, scope)
-            return c
+            return c, ast.term_names(c.term)
         if isinstance(c, ast.Compare):
             _check_tuple_comparison(list(c.lhs), c.op, list(c.rhs), scope, "comparison")
-            return c
+            return c, _names(c.lhs + c.rhs)
         if isinstance(c, ast.In):
             query, qsig = self.check_expr(c.query, scope)
             if len(c.items) != qsig.arity:
@@ -221,10 +306,10 @@ class Typechecker:
             for t, qt in zip(c.items, qsig.types):
                 if not _compatible(term_type(t, scope), qt):
                     raise TypeCheckError("in: tuple/subquery type mismatch")
-            return ast.In(c.items, query)
+            return ast.In(c.items, query), _names(c.items) | qsig.free
         if isinstance(c, ast.Empty):
-            query, _ = self.check_expr(c.query, scope)
-            return ast.Empty(query)
+            query, qsig = self.check_expr(c.query, scope)
+            return ast.Empty(query), set(qsig.free)
         if isinstance(c, ast.Quant):
             query, qsig = self.check_expr(c.query, scope)
             if len(c.items) != qsig.arity:
@@ -237,13 +322,14 @@ class Typechecker:
                     raise TypeCheckError(f"{c.quant}: tuple/subquery type mismatch")
                 if c.op in ast.ORDER_COMPARISONS and (a == ORD or qt == ORD):
                     raise TypeCheckError(f"{c.quant}: order comparison on ordinary type")
-            return ast.Quant(c.items, c.op, c.quant, query)
-        if isinstance(c, ast.And):
-            return ast.And(self.check_cond(c.left, scope), self.check_cond(c.right, scope))
-        if isinstance(c, ast.Or):
-            return ast.Or(self.check_cond(c.left, scope), self.check_cond(c.right, scope))
+            return ast.Quant(c.items, c.op, c.quant, query), _names(c.items) | qsig.free
+        if isinstance(c, (ast.And, ast.Or)):
+            left, lnames = self.check_cond(c.left, scope)
+            right, rnames = self.check_cond(c.right, scope)
+            return type(c)(left, right), lnames | rnames
         if isinstance(c, ast.Not):
-            return ast.Not(self.check_cond(c.cond, scope))
+            cond, names = self.check_cond(c.cond, scope)
+            return ast.Not(cond), names
         raise TypeCheckError(f"not a condition: {c!r}")
 
     # -- naming -------------------------------------------------------------
@@ -289,24 +375,24 @@ class Typechecker:
         return tuple(out_aggs), labels
 
 
-def typecheck(expr: ast.Expression, schema: Schema, params: Optional[Mapping[str, str]] = None) -> Checked:
+def _names(terms) -> set:
+    return set().union(*(ast.term_names(t) for t in terms))
+
+
+def typecheck(expr: ast.Expression, schema: Schema) -> Checked:
     checker = Typechecker(catalog_from_schema(schema))
-    checked, sig = checker.check_expr(expr, dict(params or {}))
-    return Checked(checked, sig, tuple(checker.renames))
+    checked, sig = checker.check_expr(expr, {})
+    return Checked(checked, sig, tuple(checker.renames), checker.notes)
 
 
-def labels(expr: ast.Expression, schema_or_catalog) -> tuple[str, ...]:
+def labels(expr: ast.Expression, schema: Schema) -> tuple[str, ...]:
     """The output label sequence of an expression.
 
     Computed structurally: projections and groupings use renames or canonical
     term names, products concatenate, set operations take the left side.
     Rejects duplicate names; run `typecheck` first to auto-rename.
     """
-    if isinstance(schema_or_catalog, Schema):
-        catalog = {rel.name: rel.labels for rel in schema_or_catalog.relations.values()}
-    else:
-        catalog = {name: sig.labels for name, sig in schema_or_catalog.items()}
-    return _labels(expr, catalog)
+    return _labels(expr, {rel.name: rel.labels for rel in schema.relations.values()})
 
 
 def _labels(e: ast.Expression, catalog: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
@@ -332,8 +418,7 @@ def _labels(e: ast.Expression, catalog: Mapping[str, tuple[str, ...]]) -> tuple[
         _require_distinct(out, "group")
         return out
     if isinstance(e, ast.Mu):
-        seed_labels = _labels(e.seed, catalog)
-        return seed_labels
+        return _labels(e.seed, catalog)
     raise TypeCheckError(f"not an expression: {e!r}")
 
 

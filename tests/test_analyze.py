@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 
 from nullvl import analyze, ast, harness
 from nullvl.ast import col, num
 from nullvl.errors import RecursionLimitError
 from nullvl.evaluator import evaluate
-from nullvl.fuzz import ExpressionGenerator, FuzzConfig, default_schema, gen_database
+from nullvl.fuzz import ExpressionGenerator, FuzzConfig, default_schema, gen_database, gen_expression
 from nullvl.parser import parse_expression
 from nullvl.typecheck import typecheck
 from nullvl.values import NUM, ORD, Column, Relation, Schema
@@ -15,7 +17,9 @@ from sample_queries import (
     q2,
     q3,
     q4,
+    q1_translated,
     q5,
+    q5_translated,
     rs_schema,
 )
 
@@ -231,3 +235,80 @@ def test_coincidence_family_passes_its_former_counterexamples():
     for seed, cases, _ in COINCIDENCE_REGRESSIONS:
         summary = harness.run_differential("coincidence", FuzzConfig(seed=seed, cases=cases))
         assert summary.failed == 0, seed
+
+
+def _correlated_outer():
+    inner = ast.Selection(
+        ast.Not(ast.Compare((col("R.A"),), "=", (col("S.A"),))), ast.BaseRelation("S")
+    )
+    return ast.Selection(ast.Empty(inner), ast.BaseRelation("R"))
+
+
+def _pinned_certificate_cases():
+    """(expression, schema) pairs whose certificates the digest pins: fuzz
+    expressions of depth 3-6, then the nested and correlated shapes above."""
+    schema = default_schema()
+    for i in range(200):
+        cfg = FuzzConfig(seed=i, max_depth=3 + i % 4)
+        yield typecheck(gen_expression(schema, cfg, random.Random(i)), schema).expr, schema
+    for _, _, text in COINCIDENCE_REGRESSIONS:
+        yield parse_expression(text), schema
+    nullable_r = Schema(
+        [
+            Relation("R", (Column("R.A", NUM, nullable=True),)),
+            Relation("S", (Column("S.A", NUM, nullable=False),)),
+        ]
+    )
+    for rs in (rs_schema(nullable=True), rs_schema(nullable=False), rs_schema(keys=True), nullable_r):
+        for q in (q1(), q2(), q3(), q4(), q1_translated(), _correlated_outer()):
+            yield q, rs
+    for co in (customer_orders_schema(True), customer_orders_schema(False)):
+        yield q5(), co
+        yield q5_translated(), co
+    seed = ast.Projection((ast.ProjItem(col("B"), "w"),), ast.BaseRelation("R"))
+    for step in (
+        ast.Projection((ast.ProjItem(col("A"), "w"),), ast.BaseRelation("R")),
+        ast.Projection((ast.ProjItem(col("w"), "w"),), ast.BaseRelation("W")),
+        ast.Selection(ast.Not(ast.In((col("w"),), ast.Projection(
+            (ast.ProjItem(col("A"), "x"),), ast.BaseRelation("R")))), ast.BaseRelation("W")),
+    ):
+        yield ast.Mu("W", True, seed, step), mixed_schema()
+
+
+# pins the analyzer's output over the cases above; a change in any derived
+# label, nullable set or violation shows here
+PINNED_CERTIFICATE_DIGEST = "c1270474603663eb4251245c09293fc6b26ddf1f2aaa0e9848e028e0b6bbc823"
+
+
+def test_certificates_match_pinned_digest():
+    digest = hashlib.sha256()
+    for expr, schema in _pinned_certificate_cases():
+        report = analyze.coincidence_certificate(expr, schema)
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CERTIFICATE_DIGEST
+
+
+def _stacked_not_in(n: int) -> ast.Expression:
+    e = ast.BaseRelation("R")
+    for _ in range(n):
+        e = ast.Selection(ast.Not(ast.In((col("R.A"),), ast.BaseRelation("S"))), e)
+    return e
+
+
+def test_certificate_derivations_grow_linearly_with_depth(monkeypatch):
+    from nullvl.typecheck import Typechecker
+
+    calls = []
+    for name in ("check_expr", "check_cond"):
+        real = getattr(Typechecker, name)
+        monkeypatch.setattr(
+            Typechecker, name, lambda self, *a, real=real: calls.append(1) or real(self, *a)
+        )
+    schema = rs_schema(nullable=True)
+    counts = []
+    for n in (100, 200):
+        calls.clear()
+        report = analyze.coincidence_certificate(_stacked_not_in(n), schema)
+        assert len(report.selections) == n and not report.certified
+        counts.append(len(calls))
+    assert counts[1] <= 2.2 * counts[0]

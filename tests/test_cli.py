@@ -272,3 +272,57 @@ def test_one_parser_serves_a_sequence_of_commands(tmp_path, capsys, monkeypatch)
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 2, 0]
     assert shared[2][2].startswith("usage: nullvl eval")
+
+
+def _not_nest(depth):
+    """A selection whose parentheses nest ``depth`` deep through `not`."""
+    n = depth - 3
+    return "(select " + "(not " * n + "(cmp = (col R.A) (num 1))" + ")" * n + " (base R))"
+
+
+def _distinct_nest(depth):
+    n = depth - 1
+    return "(distinct " * n + "(base R)" + ")" * n
+
+
+def _nest_commands(db, expr):
+    return [
+        ["eval", "--semantics", "3vl", expr, db],
+        ["eval", "--semantics", "2vl-syn", expr, db],
+        ["analyze", "--json", expr, db],
+        *(["translate", "--direction", d, "--schema", db, expr] for d in ("2to3", "3to2", "3-to-gr")),
+    ]
+
+
+def test_nests_at_the_limit_complete(tmp_path, capsys):
+    from nullvl.parser import MAX_NESTING
+
+    db = _write(tmp_path, "db.json", DB)
+    for nest in (_not_nest, _distinct_nest):
+        expr = _write(tmp_path, "q.ra", nest(MAX_NESTING))
+        for argv in _nest_commands(db, expr):
+            assert main(argv) == 0, (nest.__name__, argv[:3])
+    capsys.readouterr()
+
+
+def test_deeper_nests_exit_two_with_a_position(tmp_path, capsys):
+    from nullvl.parser import MAX_NESTING
+
+    db = _write(tmp_path, "db.json", DB)
+    for nest in (_not_nest, _distinct_nest):
+        for depth in (MAX_NESTING + 1, 3000):
+            expr = _write(tmp_path, "q.ra", nest(depth))
+            for argv in _nest_commands(db, expr):
+                assert main(argv) == 2, (nest.__name__, depth, argv[:3])
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: nesting deeper than {MAX_NESTING} parentheses (offset ")
+                assert "line 1, column" in err
+
+
+def test_deep_input_the_parser_admits_still_exits_two(tmp_path, capsys):
+    # a flat `and` of 3,000 conditions parses to a 3,000-deep tree
+    db = _write(tmp_path, "db.json", DB)
+    cond = "(and " + " ".join(["(cmp = (col R.A) (num 1))"] * 3000) + ")"
+    expr = _write(tmp_path, "q.ra", f"(select {cond} (base R))")
+    assert main(["eval", expr, db]) == 2
+    assert capsys.readouterr().err == "error: input nests too deeply to process\n"

@@ -468,7 +468,7 @@ def test_plan_matches_tree_walker_on_sample_queries(kname, seed):
 
 def _hoisted_in(cond, db, kernel):
     """The condition answered from its hoisted bag, as a selection does."""
-    run = evaluator._Run(EvalConfig(kernel=kernel)).within((id(cond),))
+    run = evaluator._Run(EvalConfig(kernel=kernel), {}).within((id(cond),))
     rt = evaluator._db_rt(db)
     value = evaluator.eval_condition_rt(cond, rt, {}, run)
     assert isinstance(run.hoisted[id(cond)], evaluator._Members)
@@ -563,7 +563,7 @@ def test_uncorrelated_aggregate_subquery_runs_once(cfg3, monkeypatch):
     real = evaluator.eval_rt
 
     def counting(e, *args):
-        if e is agg_subquery:
+        if e == agg_subquery:  # evaluate runs a typechecked copy of the tree
             runs.append(e)
         return real(e, *args)
 

@@ -293,3 +293,15 @@ def test_kernel_json_requires_total_null_comparisons():
     }
     with pytest.raises(KernelError, match="must cover every comparison"):
         kernel_from_json(obj)
+
+
+def test_built_in_kernels_are_built_once_per_process():
+    from nullvl import logic
+    from nullvl.harness import PLAN_KERNELS, kernel_by_name
+
+    for make in (logic.kernel_3vl, logic.kernel_2vl, logic.kernel_2vl_syntactic,
+                 logic.kernel_4vl_example):
+        assert make() is make()
+    for name in PLAN_KERNELS:
+        assert kernel_by_name(name) is kernel_by_name(name)
+    assert kernel_by_name("3vl") is logic.kernel_3vl()

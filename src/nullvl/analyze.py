@@ -182,13 +182,15 @@ class NullabilityReport:
         return "\n".join(lines)
 
 
-def coincidence_certificate(e: ast.Expression, schema: Schema) -> NullabilityReport:
+def coincidence_certificate(e: ast.Expression | Checked, schema: Schema) -> NullabilityReport:
     """Certify that two- and three-valued evaluation coincide.
 
     Certified iff every selection anywhere in the expression, including
-    those inside condition subqueries, passes the null-free check.
+    those inside condition subqueries, passes the null-free check.  The
+    expression is typechecked first, unless it is the `Checked` that
+    `typecheck` returned for this schema.
     """
-    checked = typecheck(e, schema)
+    checked = e if isinstance(e, Checked) else typecheck(e, schema)
     report = NullabilityReport(True, checked.sig.nullable, [])
     _walk_expr(checked.expr, "", frozenset(), checked, report)
     report.certified = all(s.null_free for s in report.selections)

@@ -209,6 +209,9 @@ def main(argv=None) -> int:
         # a long flat `and` or SQL text
         print("error: input nests too deeply to process", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -195,7 +195,7 @@ def _typed(text: str, db: Database) -> Checked:
 def _check_coincidence_case(case: dict) -> CaseOutcome:
     db = _load_case_db(case)
     checked = _checked_expr(case, db)
-    report = analyze.coincidence_certificate(checked.expr, db.schema)
+    report = analyze.coincidence_certificate(checked, db.schema)
     try:
         two = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_2vl()))
         three = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_3vl()))
@@ -503,7 +503,7 @@ def run_differential(
         case = _gen_case(family, schema, cfg, rng)
         if needs_certified:
             db = database_from_json(case["db"])
-            if not analyze.coincidence_certificate(_checked_expr(case, db).expr, db.schema).certified:
+            if not analyze.coincidence_certificate(_checked_expr(case, db), db.schema).certified:
                 notes["uncertified-generated"] = notes.get("uncertified-generated", 0) + 1
                 continue
         produced += 1

@@ -313,12 +313,24 @@ class _FromMVL(_Translator):
     """Many-valued conditions into three-valued equivalents.
 
     For each truth value the translated condition is true exactly when the
-    source condition takes that value.  Quantified conditions cannot just
-    recurse (the fold size depends on the data), so they count, per truth
-    value, how many subquery records compare to it, reduce each count
-    through its eventual periodicity with counting subqueries and modular
-    arithmetic, and enumerate the finitely many reduced count profiles whose
-    fold equals the wanted value.
+    source condition takes that value.  Three rules keep the output small
+    (and/or/not conditions stay within 4x their size under the 3vl and 4vl
+    kernels; the truth-table cells no operand absorbs are still enumerated):
+
+    - absorbing operand: an And/Or operand value that gives the wanted value
+      whatever the other operand is becomes one disjunct naming that operand
+      alone; only the truth-table cells neither operand absorbs are
+      enumerated as conjunctions;
+    - don't-care counts: quantified conditions cannot just recurse (the fold
+      size depends on the data), so they count, per truth value, how many
+      subquery records compare to it, and reduce each count through its
+      eventual periodicity.  The reduced count profiles whose fold is the
+      wanted value are merged, as in an implicant merge, wherever the
+      profiles of one position's whole range agree on every other
+      position; a merged position needs no count at all;
+    - idempotent values: a value whose fold is itself at every length (lead
+      1, period 2) only asks whether any record compares to it, which is
+      selection non-emptiness rather than a count reduced modulo 1.
     """
 
     name = "mvl-to-3vl"
@@ -362,19 +374,7 @@ class _FromMVL(_Translator):
             conn = OR if c.quant == "any" else AND
             return self._counted(c.items, c.op, c.query, conn, tau, path)
         if isinstance(c, (ast.And, ast.Or)):
-            table = kernel.and_table if isinstance(c, ast.And) else kernel.or_table
-            disjuncts = []
-            for t1, t2 in iter_product(kernel.values, repeat=2):
-                if table[(t1, t2)] != tau:
-                    continue
-                disjuncts.append(
-                    ast.And(
-                        self.cond_value(c.left, t1, path + ".l"),
-                        self.cond_value(c.right, t2, path + ".r"),
-                    )
-                )
-            self._note(path, f"connective-cases:{tau}")
-            return ast.or_all(disjuncts)
+            return self._connective(c, tau, path)
         if isinstance(c, ast.Not):
             disjuncts = [
                 self.cond_value(c.cond, t1, path + ".n")
@@ -385,17 +385,32 @@ class _FromMVL(_Translator):
             return ast.or_all(disjuncts)
         raise NullvlError(f"not a condition: {c!r}")
 
+    def _connective(self, c: ast.And | ast.Or, tau, path: str) -> ast.Condition:
+        values = self.kernel.values
+        table = self.kernel.and_table if isinstance(c, ast.And) else self.kernel.or_table
+        # operand values that give tau whatever the other operand's value;
+        # kernel tables are commutative, so they absorb on either side
+        absorbing = [a for a in values if all(table[(a, b)] == tau for b in values)]
+        disjuncts = [self.cond_value(c.left, a, path + ".l") for a in absorbing]
+        disjuncts += [self.cond_value(c.right, b, path + ".r") for b in absorbing]
+        if absorbing:
+            self._note(path, f"connective-absorbed:{tau}")
+        cells = [
+            (a, b) for a, b in iter_product(values, repeat=2)
+            if table[(a, b)] == tau and a not in absorbing and b not in absorbing
+        ]
+        for a, b in cells:
+            disjuncts.append(
+                ast.And(self.cond_value(c.left, a, path + ".l"), self.cond_value(c.right, b, path + ".r"))
+            )
+        if cells or not absorbing:
+            self._note(path, f"connective-cases:{tau}")
+        return ast.or_all(disjuncts)
+
     def _counted(self, items, op, query, conn, tau, path) -> ast.Condition:
         kernel = self.kernel
         avoid = self._avoid(items) | {COUNT_LABEL, REDUCED_LABEL}
         base, labels = self.subquery(query, path + "/q", avoid)
-
-        selections = []
-        for value in kernel.values:
-            per_row = self.cond_value(
-                ast.Compare(items, op, _cols(labels)), value, path + f".cnt[{value}]"
-            )
-            selections.append(ast.Selection(per_row, base))
 
         periods = [kernel.periodicity(v, conn) for v in kernel.values]
         profiles = []
@@ -406,21 +421,36 @@ class _FromMVL(_Translator):
                 value = fold_counted(kernel, conn, dict(zip(kernel.values, profile)))
             if value == tau:
                 profiles.append(profile)
-
         self._note(path, f"count-profiles:{tau}:{len(profiles)}")
+        merged = _merge_profiles(profiles, [p for (_l, p) in periods])
+        if len(merged) < len(profiles):
+            self._note(path, f"count-dont-care:{tau}:{len(merged)}")
+
+        # the per-value selections of the positions some profile still counts
+        compare = ast.Compare(items, op, _cols(labels))
+        selections = {}
+        for i in sorted({i for profile in merged for i, m in enumerate(profile) if m is not None}):
+            value = kernel.values[i]
+            per_row = self.cond_value(compare, value, path + f".cnt[{value}]")
+            selections[i] = ast.Selection(per_row, base)
+
         disjuncts = []
-        for profile in profiles:
+        for profile in merged:
             conjs = [
-                self._count_matches(selections[i], m, periods[i])
+                self._count_matches(selections[i], m, periods[i], path)
                 for i, m in enumerate(profile)
+                if m is not None
             ]
             disjuncts.append(ast.and_all(conjs))
         return ast.or_all(disjuncts)
 
-    def _count_matches(self, selected: ast.Selection, m: int, lead_period) -> ast.Condition:
+    def _count_matches(self, selected: ast.Selection, m: int, lead_period, path) -> ast.Condition:
         lead, period = lead_period
         if m == 0:
             return ast.Empty(selected)
+        if (lead, period) == (1, 2):
+            self._note(path, "count-idempotent")
+            return ast.Not(ast.Empty(selected))
         counted = ast.Group(
             (), (ast.AggItem("count_star", None, COUNT_LABEL),), selected
         )
@@ -445,6 +475,27 @@ class _FromMVL(_Translator):
             ),
         )
         return ast.Quant((ast.num(m - lead),), "=", "any", reduced)
+
+
+def _merge_profiles(profiles: list[tuple], sizes: list[int]) -> list[tuple]:
+    """Merge count profiles that differ in one position and together cover
+    its whole range `range(size)` into one profile with None (any count)
+    there, until nothing merges.  The profiles stay disjoint, and a merged
+    profile takes the place of the first profile it replaces."""
+    out = list(profiles)
+    merging = True
+    while merging:
+        merging = False
+        for i, size in enumerate(sizes):
+            groups: dict[tuple, list[tuple]] = {}
+            for prof in out:
+                if prof[i] is not None:
+                    groups.setdefault(prof[:i] + (None,) + prof[i + 1:], []).append(prof)
+            into = {p: key for key, members in groups.items() if len(members) == size for p in members}
+            if into:
+                merging = True
+                out = list(dict.fromkeys(into.get(p, p) for p in out))
+    return out
 
 
 # ---------------------------------------------------------------------------

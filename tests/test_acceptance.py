@@ -40,6 +40,16 @@ from sample_queries import (
 
 # the size-ratio constant reported and pinned for the translation suites
 LINEAR_BOUND = Fraction(8)
+# the same, for the many-valued and the grounded directions (criterion 11)
+MVL_BOUND = Fraction(16)
+GROUNDED_BOUND = Fraction(24)
+PINNED_BOUNDS = {
+    "mvl-4vl": MVL_BOUND,
+    "mvl-self": MVL_BOUND,
+    "grounded-syntactic": GROUNDED_BOUND,
+    "grounded-leq": GROUNDED_BOUND,
+    "capture-3vl-to-grounded": GROUNDED_BOUND,
+}
 
 
 class _Criterion:
@@ -205,3 +215,20 @@ def test_criterion_10_bag_multiplicities(cfg3):
         out = evaluate(typecheck(p, schema).expr, db, cfg=cfg3)
         assert out == Bag([(row(6), 5)])
         assert out.multiplicity(row(6)) == 5
+
+
+def test_criterion_11_pinned_size_bounds_500_cases_each():
+    with _Criterion(11, "many-valued and grounded size bounds, 500 cases each", 60.0):
+        cfg = fuzz.FuzzConfig(seed=2026, cases=500, null_rate=0.3, rows_per_relation=6)
+        for family, bound in PINNED_BOUNDS.items():
+            summary = harness.run_differential(family, cfg)
+            assert summary.cases == 500
+            assert summary.failed == 0, summary.bundles[:1]
+            assert summary.max_size_ratio is not None
+            assert summary.max_size_ratio <= bound, (
+                f"{family}: measured ratio {summary.max_size_ratio} above the pinned bound"
+            )
+            print(
+                f"  {family}: max size ratio {float(summary.max_size_ratio):.2f}, "
+                f"mean {summary.notes['mean_size_ratio']:.2f} (bound {float(bound)})"
+            )

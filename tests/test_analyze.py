@@ -183,6 +183,13 @@ def test_certificate_soundness_and_incompleteness(cfg2, cfg3):
     assert uncertified_equal > 0
 
 
+def test_certificate_accepts_a_checked_expression():
+    for schema, expr in ((rs_schema(nullable=True), q1()), (rs_schema(nullable=False), q1())):
+        direct = analyze.coincidence_certificate(expr, schema)
+        reused = analyze.coincidence_certificate(typecheck(expr, schema), schema)
+        assert reused.to_json() == direct.to_json()
+
+
 def test_report_json_shape():
     schema = rs_schema(nullable=True)
     report = analyze.coincidence_certificate(q1(), schema)

@@ -326,3 +326,16 @@ def test_deep_input_the_parser_admits_still_exits_two(tmp_path, capsys):
     expr = _write(tmp_path, "q.ra", f"(select {cond} (base R))")
     assert main(["eval", expr, db]) == 2
     assert capsys.readouterr().err == "error: input nests too deeply to process\n"
+
+
+def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
+    from nullvl import cli
+
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evaluate", exhausted)
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    assert main(["eval", expr, db]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"

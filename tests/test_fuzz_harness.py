@@ -74,6 +74,25 @@ def test_every_family_passes_on_a_small_corpus(family):
     assert summary.cases == 25
 
 
+def test_coincidence_cases_typecheck_at_most_three_times(monkeypatch):
+    # generation, the certified-only gate and the checker each typecheck once;
+    # the certificate and both evaluations reuse the checker's `Checked`
+    from nullvl import typecheck as typecheck_module
+
+    constructions = []
+    init = typecheck_module.Typechecker.__init__
+
+    def counting(self, *args, **kwargs):
+        constructions.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(typecheck_module.Typechecker, "__init__", counting)
+    summary = harness.run_differential("coincidence", fuzz.FuzzConfig(seed=0, cases=20))
+    assert summary.cases == 20 and summary.failed == 0
+    generated = summary.cases + summary.notes.get("uncertified-generated", 0)
+    assert len(constructions) <= 3 * generated
+
+
 def test_capture_families_report_size_ratios():
     cfg = fuzz.FuzzConfig(seed=17, cases=25)
     summary = harness.run_differential("capture-2vl-to-3vl", cfg)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 from nullvl import ast, translate
 from nullvl.ast import col, num
@@ -172,6 +173,59 @@ def test_mvl_four_valued_selection_picks_exactly_true_rows(cfg3, cfg4):
         assert verdict.status != "not-equal"
 
 
+def _parity_kernel():
+    """t, f and a, where a is its own inverse under both connectives (a and
+    a = t, a or a = f): a has lead 1 and period 3, so an `all` over records
+    that compare to a is true only for an even count of them."""
+    from nullvl.logic import make_mvl_kernel, standard_compare
+
+    def table(unit, zero):
+        out = {}
+        for x, y in product("tfa", repeat=2):
+            if zero in (x, y):
+                out[(x, y)] = zero
+            elif unit in (x, y):
+                out[(x, y)] = y if x == unit else x
+            else:
+                out[(x, y)] = unit
+        return out
+
+    def compare(op, x, y):
+        if x is None or y is None:
+            return "a"
+        return "t" if standard_compare(op, x, y) else "f"
+
+    def null_free(x, y, c):
+        return ast.and_all([ast.Not(ast.IsNull(x)), ast.Not(ast.IsNull(y)), c])
+
+    templates = {}
+    for op in ast.COMPARISONS:
+        templates[(op, "t")] = lambda x, y, op=op: null_free(x, y, ast.Compare((x,), op, (y,)))
+        templates[(op, "f")] = lambda x, y, op=op: null_free(x, y, ast.Not(ast.Compare((x,), op, (y,))))
+        templates[(op, "a")] = lambda x, y: ast.Or(ast.IsNull(x), ast.IsNull(y))
+    return make_mvl_kernel(
+        "parity", ("t", "f", "a"), "t", "f", table("t", "f"), table("f", "t"),
+        {"t": "f", "f": "t", "a": "a"}, compare, templates,
+    )
+
+
+def test_mvl_capture_keeps_the_parity_of_counts(cfg3):
+    kern = _parity_kernel()
+    assert kern.periodicity("a", "and") == kern.periodicity("a", "or") == (1, 3)
+    r = ast.BaseRelation("R")
+    for nulls in range(4):
+        db = rs_db([1], [None] * nulls + [1])
+        expr = ast.Selection(ast.Quant((col("R.A"),), "=", "all", ast.BaseRelation("S")), r)
+        want = bag(1) if nulls % 2 == 0 else Bag([])
+        assert evaluate(expr, db, cfg=EvalConfig(kernel=kern)) == want
+        assert evaluate(translate.tr_mvl_to_3vl(expr, SCHEMA, kern).output, db, cfg=cfg3) == want
+    schema = default_schema()
+    for expr, db in _corpus(71, 60, depth=3, schema=schema):
+        tr = translate.tr_mvl_to_3vl(expr, schema, kern)
+        verdict = translate.check_capture(expr, db, EvalConfig(kernel=kern), cfg3, tr)
+        assert verdict.status != "not-equal", ast.render_expression(expr)
+
+
 def test_mvl_negation_rule_structure():
     kern = kernel_4vl_example()
     t = translate._FromMVL(SCHEMA, kern)
@@ -181,6 +235,66 @@ def test_mvl_negation_rule_structure():
     assert got == ast.CFalse()
     got_t = t.cond_value(ast.Not(theta), "t", "")
     assert got_t == t.cond_value(theta, "f", "")
+
+
+def _random_atom(rng):
+    return ast.Compare((col("R.A"),), rng.choice(("=", "<", ">=")), (num(rng.randrange(10)),))
+
+
+def _alternating_chain(rng, depth):
+    cond = _random_atom(rng)
+    for i in range(depth):
+        if i % 3 == 0:
+            cond = ast.And(cond, _random_atom(rng))
+        elif i % 3 == 1:
+            cond = ast.Or(cond, _random_atom(rng))
+        else:
+            cond = ast.Not(cond)
+    return cond
+
+
+def _random_connective_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return _random_atom(rng)
+    kind = rng.choice((ast.And, ast.Or, ast.Not))
+    if kind is ast.Not:
+        return ast.Not(_random_connective_tree(rng, depth - 1))
+    return kind(_random_connective_tree(rng, depth - 1), _random_connective_tree(rng, depth - 1))
+
+
+def test_mvl_translation_of_connectives_stays_linear():
+    # without the absorbing-operand rule a depth-6 tree alone grows to
+    # thousands of times its size; with it every output is within 4x
+    rng = random.Random(2026)
+    conds = [_alternating_chain(rng, depth) for depth in range(1, 31)]
+    conds += [_random_connective_tree(rng, 6) for _ in range(200)]
+    for kern in (kernel_3vl(), kernel_4vl_example()):
+        for cond in conds:
+            expr = ast.Selection(cond, ast.BaseRelation("R"))
+            ratio = translate.tr_mvl_to_3vl(expr, SCHEMA, kern).size_ratio
+            assert ratio <= 4, (kern.name, ast.render_expression(expr), float(ratio))
+
+
+def test_mvl_count_profiles_merge_dont_care_positions():
+    # 3vl membership is true exactly when some record compares true: one
+    # non-emptiness test, whatever the counts of false and unknown records
+    t = translate._FromMVL(SCHEMA, kernel_3vl())
+    got = t.cond_value(ast.In((num(1),), ast.BaseRelation("S")), "t", "")
+    cmp_ = ast.Compare((num(1),), "=", (col("S.A"),))
+    assert got == ast.Not(ast.Empty(ast.Selection(cmp_, ast.BaseRelation("S"))))
+    assert ("", "count-dont-care:t:1") in t.trace and ("", "count-idempotent") in t.trace
+
+
+def test_merged_count_profiles_cover_exactly_the_merged_cells():
+    rng = random.Random(7)
+    for _ in range(300):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        density = rng.choice((0.3, 0.7, 1.0))
+        profiles = [p for p in product(*map(range, sizes)) if rng.random() < density]
+        cells = []
+        for merged in translate._merge_profiles(profiles, sizes):
+            cells += product(*(range(n) if m is None else (m,) for m, n in zip(merged, sizes)))
+        assert sorted(cells) == sorted(profiles)
 
 
 def test_corrupted_translation_is_caught(cfg2, cfg3):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .values import format_number
+from .values import Number, exact_number, format_number
 
 COMPARISONS = ("=", "!=", "<", ">", "<=", ">=")
 ORDER_COMPARISONS = ("<", ">", "<=", ">=")
@@ -26,7 +26,7 @@ AGGREGATES = ("count", "count_star", "sum", "avg", "min", "max")
 
 @dataclass(frozen=True)
 class NumConst:
-    value: Fraction
+    value: Number
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ Term = Union[NumConst, OrdConst, NullConst, NameRef, FnApply, ArgHole]
 
 
 def num(value) -> NumConst:
-    return NumConst(Fraction(value))
+    return NumConst(exact_number(Fraction(value)))
 
 
 def col(name: str) -> NameRef:

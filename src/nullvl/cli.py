@@ -15,7 +15,7 @@ from .evaluator import EvalConfig, evaluate
 from .logic import load_grounding, load_kernel
 from .parser import parse_expression
 from .typecheck import typecheck
-from .values import bag_to_json, load_database, read_json
+from .values import bag_json_text, bag_to_json, load_database, read_json
 from .harness import kernel_by_name
 
 
@@ -50,7 +50,7 @@ def _cmd_eval(args) -> int:
     if args.canonical:
         print(bag.canonical_text())
     else:
-        print(json.dumps(bag_to_json(bag, checked.sig.labels), indent=1))
+        print(bag_json_text(bag_to_json(bag, checked.sig.labels)))
     return 0
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
@@ -87,12 +86,12 @@ def gen_database(schema: Schema, cfg: FuzzConfig, rng: Optional[random.Random] =
             cells = []
             for i, colm in enumerate(rel.columns):
                 if colm.key:
-                    cells.append(Fraction(key_pool[r][key_positions.index(i)]))
+                    cells.append(key_pool[r][key_positions.index(i)])
                     continue
                 if colm.nullable and rng.random() < cfg.null_rate:
                     cells.append(None)
                 elif colm.type == NUM:
-                    cells.append(Fraction(rng.choice(_NUM_POOL)))
+                    cells.append(rng.choice(_NUM_POOL))
                 else:
                     cells.append(rng.choice(_ORD_POOL))
             rows.append(tuple(cells))

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import ast
 from .errors import SqlEmitError, SqlParseError, UnsupportedSqlError
 from .typecheck import _labels
-from .values import Schema, parse_number
+from .values import Number, Schema, parse_number
 
 _KEYWORDS = {
     "select", "distinct", "from", "where", "group", "by", "having", "as",
@@ -115,7 +114,7 @@ class SCol:
 
 @dataclass(frozen=True)
 class SNum:
-    value: Fraction
+    value: Number
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Values, records, bags, schemas and databases.
 
-Cells are either NULL (``None``), exact rationals (`fractions.Fraction`,
-type ``n``) or text atoms (`str`, type ``o``).  Rationals keep every
-comparison and aggregate bit-deterministic; AVG is exact.
+Cells are either NULL (``None``), exact rationals (type ``n``), held as
+`int` when integral and `fractions.Fraction` otherwise, or text atoms
+(`str`, type ``o``).  Rationals keep every comparison and aggregate
+bit-deterministic; AVG is exact.  Every layer that makes a number keeps it
+canonical (`exact_number`); `int` and `Fraction` of one value are equal and
+hash alike, so the representation never changes a bag.
 """
 from __future__ import annotations
 
@@ -10,12 +13,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import NullvlError, SchemaError
 
 NULL = None
-Value = Optional[Union[Fraction, str]]
+# exact rationals: int when integral, Fraction otherwise
+Number = Union[int, Fraction]
+Value = Optional[Union[Number, str]]
 Record = tuple  # tuple[Value, ...]
 
 NUM = "n"
@@ -26,15 +32,20 @@ def is_null(v: Value) -> bool:
     return v is None
 
 
-def parse_number(text: str) -> Fraction:
+def exact_number(q: Number) -> Number:
+    """The canonical form of an exact rational: an int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def parse_number(text: str) -> Number:
     """Parse an exact decimal or rational literal ("7", "-0.25", "1/3")."""
     try:
-        return Fraction(text)
+        return exact_number(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact numeric literal: {text!r}") from exc
 
 
-def format_number(v: Fraction) -> str:
+def format_number(v: Number) -> str:
     if v.denominator == 1:
         return str(v.numerator)
     return f"{v.numerator}/{v.denominator}"
@@ -44,9 +55,9 @@ def value_sort_key(v: Value):
     """Canonical ordering: nulls first, numbers before text atoms."""
     if v is None:
         return (0, 0)
-    if isinstance(v, Fraction):
-        return (1, v)
-    return (2, v)
+    if isinstance(v, str):
+        return (2, v)
+    return (1, v)
 
 
 def record_sort_key(record: Record):
@@ -165,9 +176,9 @@ class Bag:
 def format_value(v: Value) -> str:
     if v is None:
         return "null"
-    if isinstance(v, Fraction):
-        return format_number(v)
-    return repr(v)
+    if isinstance(v, str):
+        return repr(v)
+    return format_number(v)
 
 
 @dataclass(frozen=True)
@@ -251,7 +262,7 @@ def parse_cell(raw, col_type: str) -> Value:
         if isinstance(raw, bool):
             raise SchemaError(f"boolean cell {raw!r} in numeric column")
         if isinstance(raw, int):
-            return Fraction(raw)
+            return raw
         if isinstance(raw, str):
             try:
                 return parse_number(raw)
@@ -264,11 +275,9 @@ def parse_cell(raw, col_type: str) -> Value:
 
 
 def dump_cell(v: Value):
-    if v is None:
-        return None
-    if isinstance(v, Fraction):
-        return format_number(v)
-    return v
+    if v is None or isinstance(v, str):
+        return v
+    return format_number(v)
 
 
 def required(obj, key: str, what: str, error=SchemaError):
@@ -462,3 +471,21 @@ def bag_to_json(bag: Bag, labels: tuple[str, ...]) -> dict:
         for record, k in bag.sorted_items()
     ]
     return {"columns": list(labels), "rows": rows}
+
+
+def bag_json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=1)`` of a `bag_to_json` document, assembled
+    from the C string encoder instead of the pure-Python indenting one."""
+
+    def array(cells, pad: str) -> str:
+        if not cells:
+            return "[]"
+        inner = f",\n{pad} ".join("null" if c is None else encode_basestring_ascii(c) for c in cells)
+        return f"[\n{pad} {inner}\n{pad}]"
+
+    rows = ",\n  ".join(
+        f'{{\n   "values": {array(row["values"], "   ")},\n   "multiplicity": {row["multiplicity"]}\n  }}'
+        for row in doc["rows"]
+    )
+    rows = f"[\n  {rows}\n ]" if rows else "[]"
+    return f'{{\n "columns": {array(doc["columns"], " ")},\n "rows": {rows}\n}}'

@@ -1,6 +1,12 @@
+import hashlib
 import json
+import random
+from fractions import Fraction
 
+from nullvl import ast
 from nullvl.cli import main
+
+import sample_queries as sq
 
 DB = {
     "schema": {
@@ -339,3 +345,99 @@ def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
     expr = _write(tmp_path, "q.ra", Q1_EXPR)
     assert main(["eval", expr, db]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+# -- pinned eval output ---------------------------------------------------------
+
+# one value in several spellings, fractions, and values that cancel in sums
+_DIGEST_CELLS = [1, "1", "2/2", "1.0", "1/3", "-0.25", "-2", 0, "3/2", "5", "-7/3", None]
+
+
+def _digest_database(seed: int) -> dict:
+    rng = random.Random(seed)
+
+    def col(name, key=False):
+        return {"name": name, "type": "num", "nullable": not key, "key": key}
+
+    def cells(n):
+        return [[rng.choice(_DIGEST_CELLS)] for _ in range(n)]
+
+    keys = rng.sample(range(1, 30), 10)
+    return {
+        "schema": {
+            "R": {"columns": [col("R.A")]},
+            "S": {"columns": [col("S.A")]},
+            "G": {"columns": [col("G.k"), col("G.v")]},
+            "customer": {"columns": [col("c_custkey", key=True), col("c_nationkey"), col("c_acctbal")]},
+            "orders": {"columns": [col("o_custkey")]},
+        },
+        "data": {
+            "R": cells(14),
+            "S": cells(6),
+            "G": [[rng.choice([0, "1", "2/2", 2, None]), rng.choice(_DIGEST_CELLS)] for _ in range(24)],
+            "customer": [
+                [rng.choice([k, str(k), f"{2 * k}/2"]), rng.choice([0, 1, "1.0", None]),
+                 rng.choice(_DIGEST_CELLS)]
+                for k in keys
+            ],
+            "orders": [[rng.choice(keys + [None])] for _ in range(6)],
+        },
+    }
+
+
+def _digest_queries() -> list:
+    """The worked queries, then aggregates and arithmetic whose avg, div and
+    mod cells on _digest_database(31) are both integral and not."""
+    g = ast.BaseRelation("G")
+    k, v = ast.col("G.k"), ast.col("G.v")
+    aggs = tuple(ast.AggItem(fn, "G.v", f"{fn}_v") for fn in ("avg", "sum", "count", "min", "max"))
+    arith = ast.Projection(
+        (
+            ast.ProjItem(k, None),
+            ast.ProjItem(ast.FnApply("div", (v, k)), "D"),
+            ast.ProjItem(ast.FnApply("mod", (v, k)), "M"),
+            ast.ProjItem(ast.FnApply("div", (v, ast.num(Fraction(-3, 2)))), "D2"),
+            ast.ProjItem(ast.FnApply("mod", (ast.FnApply("neg", (v,)), ast.num(Fraction(2, 3)))), "M2"),
+            ast.ProjItem(ast.FnApply("mult", (v, ast.num(3))), "T"),
+        ),
+        g,
+    )
+    queries = [sq.q1(), sq.q2(), sq.q3(), sq.q4(), sq.q5(), sq.q5_translated(), sq.q1_translated(),
+               ast.Group(("G.k",), aggs, g), arith,
+               ast.Group(("D",), (ast.AggItem("avg", "M", "avg_m"), ast.AggItem("count_star", None, "n")), arith)]
+    return [ast.render_expression(q) for q in queries]
+
+
+# SHA-256 of the concatenated `eval` outputs of _digest_queries() on
+# _digest_database(31), JSON and --canonical, per semantics
+EVAL_DIGESTS = {
+    "3vl": ("e61712bfd0b5368694d1da92b6fb92d301b8e6aab4f67c421fa0bf2d4c322b7b",
+            "1d18a67f28d9be92dae67abc9f8401dbfb4b28d4d3c30c7f245969b76a54b1c8"),
+    "2vl": ("2404fac64a7b3bfd2e7f9eca5535924b72b1e8cd88b5320b7daebe2113cb231c",
+            "185d844a44f954a606f88e1547f448a77653817e955d23cee1f5144cdac4c061"),
+    "2vl-syn": ("2e3d65de48fff4874028b572cded6989bb292d275c5ac015fd9c90ddc2983e35",
+                "14975424d63a49dc7b2a724221461c2d777e4638fb4ef5c9a1804da73f6a9324"),
+    "grounded": ("152ecf9ab31dec7e9b28bcf5268acabb3fe8e31957164141ec7279acf090e9b7",
+                 "84a2a94449b4de842adcff2191733034d8a5fda23d4f133f1a769c08edcc6626"),
+}
+
+
+def test_eval_output_bytes_are_pinned(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", _digest_database(31))
+    grounding = _write(tmp_path, "grounding.json", {"name": "leq-sign-syn", "templates": {
+        "<=": {"1": "(cmp >= (arg 2) (num 0))", "2": "(cmp < (arg 1) (num 0))", "12": "(true)"},
+        "=": {"1": "(cmp = (arg 2) (num 1))", "2": "(cmp = (arg 1) (num 1))", "12": "(true)"},
+        ">": {"1": "(cmp < (arg 2) (num 0))", "2": "(cmp > (arg 1) (num 1/2))", "12": "(false)"},
+    }})
+    exprs = [_write(tmp_path, f"q{i}.ra", text) for i, text in enumerate(_digest_queries())]
+    got = {}
+    for semantics in ("3vl", "2vl", "2vl-syn", f"grounded:{grounding}"):
+        digests = []
+        for flags in ([], ["--canonical"]):
+            out = []
+            for expr in exprs:
+                assert main(["eval", "--semantics", semantics, *flags, expr, db]) == 0
+                out.append(capsys.readouterr().out)
+            digests.append(hashlib.sha256("".join(out).encode()).hexdigest())
+        got[semantics.split(":")[0]] = tuple(digests)
+    assert got == EVAL_DIGESTS

@@ -309,7 +309,12 @@ def test_results_respect_the_type_word(cfg3):
             for v, t in zip(record, checked.sig.types):
                 if v is None:
                     continue
-                assert (t == NUM) == isinstance(v, Fraction)
+                # canonical numbers: an int when integral, else a Fraction
+                # whose denominator is not 1; never a bool or a float
+                if t == NUM:
+                    assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+                else:
+                    assert type(v) is str, v
 
 
 def test_tuple_comparison_matches_expanded_form():

@@ -224,3 +224,29 @@ def test_keyed_and_row_by_row_counting_agree(monkeypatch):
     plain = _load(rows).counts()
     monkeypatch.setattr(values, "_PLAIN_CELLS", frozenset())
     assert _load(rows).counts() == plain == {row(1): 4, row(2): 1, row(None): 2}
+
+
+def test_bag_json_text_matches_the_json_module():
+    rng = random.Random(8)
+    cells = [None, 0, -3, 12, Fraction(1, 3), Fraction(-7, 4), "", "a", 'say "hi"', "back\\slash",
+             "tab\tnew\nline", "café", "☃ snow", "\U0001f600", "ctl\x01"]
+    cases = [(Bag([]), ()), (Bag([]), ("A",)), (Bag([(), ()]), ()), (Bag([()]), ())]
+    for _ in range(60):
+        arity = rng.randrange(0, 4)
+        records = [tuple(rng.choice(cells) for _ in range(arity)) for _ in range(rng.randrange(0, 8))]
+        labels = tuple(rng.choice(["A", "R.A", 'q"uote', "été"]) for _ in range(arity))
+        cases.append((Bag(records), labels))
+    for bag_, labels in cases:
+        doc = values.bag_to_json(bag_, labels)
+        assert values.bag_json_text(doc) == json.dumps(doc, indent=1)
+
+
+def test_loaded_numbers_are_canonical():
+    doc = {
+        "schema": {"R": {"columns": [{"name": "R.A", "type": "num"}]}},
+        "data": {"R": [[1], ["1"], ["2/2"], ["1.0"], ["-0.25"], ["4/6"], [-5]]},
+    }
+    cells = {record[0]: k for record, k in database_from_json(doc).table("R").items()}
+    assert cells == {1: 4, Fraction(-1, 4): 1, Fraction(2, 3): 1, -5: 1}
+    assert {type(v) for v in cells} == {int, Fraction}
+    assert all(type(v) is int or v.denominator != 1 for v in cells)

@@ -351,7 +351,8 @@ def _name_text(name: str) -> str:
 
 
 def _quote(text: str) -> str:
-    body = text.replace("\\", "\\\\").replace('"', '\\"')
+    # a string may not hold a raw newline; the parser reads `\n` as one
+    body = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
     return f'"{body}"'
 
 

@@ -407,17 +407,16 @@ class Grounding:
                 raise KernelError(f"grounding {name}: bad null pattern {sorted(pattern)}")
             _validate_template(cond, pattern, f"grounding {name} ({op}, {sorted(pattern)})")
             self.templates[(op, pattern)] = cond
+        # the templates keyed by which arguments are NULL, for `decide`
+        self._by_nulls = {(op, 1 in p, 2 in p): cond for (op, p), cond in self.templates.items()}
 
     def template(self, op: str, pattern: frozenset) -> Optional[ast.Condition]:
         return self.templates.get((op, frozenset(pattern)))
 
     def decide(self, op: str, left: Value, right: Value) -> bool:
-        pattern = frozenset(
-            i for i, v in ((1, left), (2, right)) if is_null(v)
-        )
-        if not pattern:
+        if left is not None and right is not None:
             return standard_compare(op, left, right)
-        cond = self.templates.get((op, pattern))
+        cond = self._by_nulls.get((op, left is None, right is None))
         if cond is None:
             return False
         return eval_template(cond, (left, right))
@@ -741,11 +740,13 @@ def kernel_from_json(obj: Mapping) -> LogicKernel:
                     f"missing ({op}, {''.join(str(i) for i in sorted(pattern))})"
                 )
 
+    # the null comparisons keyed by which arguments are NULL
+    by_nulls = {(op, 1 in p, 2 in p): value for (op, p), value in null_cmp.items()}
+
     def compare(op: str, a: Value, b: Value) -> TruthValue:
-        pattern = frozenset(i for i, v in ((1, a), (2, b)) if is_null(v))
-        if not pattern:
+        if a is not None and b is not None:
             return true if standard_compare(op, a, b) else false
-        return null_cmp[(op, pattern)]
+        return by_nulls[(op, a is None, b is None)]
 
     expr: dict[tuple[str, str], TemplateFn] = {}
     expressibility = _json_object(obj.get("expressibility", {}), 'kernel: "expressibility"')

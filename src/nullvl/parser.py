@@ -6,18 +6,14 @@ render and parse yields an equal AST.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import re
+from operator import itemgetter
+from typing import Optional, Union
 
 from . import ast
 from .errors import ExprParseError
 from .values import parse_number
 
-_EXPR_KEYWORDS = {
-    "base", "project", "select", "product", "union-all", "intersect-all",
-    "except-all", "distinct", "group", "mu",
-}
-_COND_KEYWORDS = {"true", "false", "and", "or", "not", "isnull", "cmp", "in", "empty", "any", "all"}
 _TERM_KEYWORDS = {"col", "num", "ord", "null", "fn", "arg"}
 _AGG_KEYWORDS = {"count", "count-star", "sum", "avg", "min", "max"}
 
@@ -31,126 +27,139 @@ _OPS = set(ast.COMPARISONS) | {"eq", "ne", "lt", "gt", "le", "ge"}
 _OP_ALIASES = {"eq": "=", "ne": "!=", "lt": "<", "gt": ">", "le": "<=", "ge": ">="}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "(", ")", "sym", "str"
-    text: str
-    offset: int
-    line: int
-    col: int
+# One match reads the layout and comments before a token (group 1), then
+# the token: a parenthesis (group 2), a string or a bare symbol (group 5).
+# A string's body (group 3) runs to the first `"`, newline or end of text
+# that no backslash escapes; group 4 holds which of them it met.  A bare
+# symbol is any run of characters other than layout, parentheses, `;` and
+# `"`.  At the end of the text only group 1 matches.
+_TOKEN = re.compile(
+    r'([ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*)'
+    r'(?:([()])'
+    r'|"([^"\\\n]*(?:\\[\s\S][^"\\\n]*)*)(["\n\\]?)'
+    r'|([^ \t\r\n();"]+)'
+    r'|\Z)'
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPED = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == ";":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start, sline, scol = i, line, col
-        if ch in "()":
-            toks.append(_Tok(ch, ch, start, sline, scol))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            out = []
-            while True:
-                if i >= n:
-                    raise ExprParseError("unterminated string", start + 1, sline, scol)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ExprParseError("unterminated escape", i + 1, line, col)
-                    nxt = text[i + 1]
-                    out.append({"n": "\n", "t": "\t"}.get(nxt, nxt))
-                    i += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\n":
-                    raise ExprParseError("newline inside string", i + 1, line, col)
-                out.append(c)
-                i += 1
-                col += 1
-            toks.append(_Tok("str", "".join(out), start, sline, scol))
-            continue
-        j = i
-        while j < n and text[j] not in ' \t\r\n();"':
-            j += 1
-        toks.append(_Tok("sym", text[i:j], start, sline, scol))
-        col += j - i
-        i = j
-    return toks
+def _unescape(m: re.Match) -> str:
+    return _ESCAPED.get(m.group(1), m.group(1))
 
 
-_SExpr = Union[_Tok, list]
+class _Tok(tuple):
+    """A string or bare-symbol token: ``(kind, text, offset)``."""
 
-
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def _eof_error(self) -> ExprParseError:
-        off = len(self.text) + 1
-        line = self.text.count("\n") + 1
-        col = len(self.text) - (self.text.rfind("\n") + 1) + 1
-        return ExprParseError("unexpected end of input", off, line, col)
-
-    def read(self, depth: int = 1) -> _SExpr:
-        if self.pos >= len(self.toks):
-            raise self._eof_error()
-        tok = self.toks[self.pos]
-        self.pos += 1
-        if tok.kind == "(":
-            if depth > MAX_NESTING:
-                raise ExprParseError(
-                    f"nesting deeper than {MAX_NESTING} parentheses", tok.offset + 1, tok.line, tok.col
-                )
-            items: list = []
-            while True:
-                if self.pos >= len(self.toks):
-                    raise self._eof_error()
-                if self.toks[self.pos].kind == ")":
-                    self.pos += 1
-                    return _Form(items, tok)
-                items.append(self.read(depth + 1))
-        if tok.kind == ")":
-            raise ExprParseError("unexpected ')'", tok.offset + 1, tok.line, tok.col)
-        return tok
+    __slots__ = ()
+    kind = property(itemgetter(0))  # "sym" or "str"
+    text = property(itemgetter(1))
+    offset = property(itemgetter(2))  # 0-based
 
 
 class _Form(list):
-    """A parenthesized form; remembers its opening token for error positions."""
+    """A parenthesized form; remembers the offset of its opening parenthesis."""
 
-    def __init__(self, items, open_tok: _Tok):
-        super().__init__(items)
-        self.open_tok = open_tok
+    __slots__ = ("offset",)
 
 
-def _err(node, message: str) -> ExprParseError:
-    # offsets are reported 1-based
-    tok = node.open_tok if isinstance(node, _Form) else node
-    return ExprParseError(message, tok.offset + 1, tok.line, tok.col)
+class _Fault(Exception):
+    """A parse error at a 0-based offset; the entry points add its line and
+    column, which only the text can give."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.message = message
+        self.offset = offset
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """Line and column of ``offset``.  Lines are counted in the layout
+    between tokens: a newline escaped inside a string starts none."""
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text, 0, offset):
+        start, end = m.span(1)
+        breaks = text.count("\n", start, end)
+        if breaks:
+            line += breaks
+            line_start = text.rindex("\n", start, end) + 1
+    return line, offset - line_start + 1
+
+
+def _string(m: re.Match) -> _Tok:
+    """The string token of a match of `_TOKEN` that read one, or its fault."""
+    stop = m.group(4)
+    if stop == '"':
+        body = m.group(3)
+        if "\\" in body:
+            body = _ESCAPE.sub(_unescape, body)
+        return _Tok(("str", body, m.start(3) - 1))
+    if stop == "\n":
+        raise _Fault("newline inside string", m.start(4))
+    if stop == "\\":
+        raise _Fault("unterminated escape", m.start(4))
+    raise _Fault("unterminated string", m.start(3) - 1)
+
+
+def _next_token(text: str, pos: int) -> Optional[int]:
+    """The offset of the first token at or after ``pos``, if any.  Reads the
+    rest of the text, so a malformed string in it is the fault raised: a
+    text is judged as if it were tokenized whole before it is read."""
+    first = None
+    for m in _TOKEN.finditer(text, pos):
+        if m.lastindex == 1:  # the end of the text
+            break
+        if m.lastindex == 4:
+            _string(m)
+        if first is None:
+            first = m.end(1)
+    return first
+
+
+def _fault_after(text: str, pos: int, message: str, offset: int) -> _Fault:
+    _next_token(text, pos)
+    return _Fault(message, offset)
+
+
+def _eof_error(text: str) -> ExprParseError:
+    off = len(text) + 1
+    line = text.count("\n") + 1
+    col = len(text) - (text.rfind("\n") + 1) + 1
+    return ExprParseError("unexpected end of input", off, line, col)
+
+
+def _read(text: str) -> tuple[Union[_Tok, _Form], Optional[int]]:
+    """The first datum of ``text`` and the offset of the token after it."""
+    stack: list[_Form] = []  # the open forms, outermost first
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == 5:
+            datum = _Tok(("sym", m.group(5), m.start(5)))
+        elif kind == 4:
+            datum = _string(m)
+        elif kind == 1:  # the end of the text
+            break
+        elif m.group(2) == "(":
+            form = _Form()
+            form.offset = m.start(2)
+            stack.append(form)
+            if len(stack) > MAX_NESTING:
+                message = f"nesting deeper than {MAX_NESTING} parentheses"
+                raise _fault_after(text, m.end(), message, form.offset)
+            continue
+        elif stack:
+            datum = stack.pop()
+        else:
+            raise _fault_after(text, m.end(), "unexpected ')'", m.start(2))
+        if stack:
+            stack[-1].append(datum)
+        else:
+            return datum, _next_token(text, m.end())
+    raise _eof_error(text)
+
+
+def _err(node, message: str) -> _Fault:
+    return _Fault(message, node.offset)
 
 
 def _head(form: _Form) -> str:
@@ -160,7 +169,7 @@ def _head(form: _Form) -> str:
 
 
 def _name(node) -> str:
-    if isinstance(node, _Tok) and node.kind in ("sym", "str"):
+    if isinstance(node, _Tok):
         return node.text
     raise _err(node, "expected a name")
 
@@ -364,19 +373,20 @@ def _parse_expr(node) -> ast.Expression:
     raise _err(node, f"unknown expression keyword {head!r}")
 
 
+def _parse(text: str, what: str, parse):
+    try:
+        node, extra = _read(text)
+        if extra is not None:
+            raise _Fault(f"trailing input after {what}", extra)
+        return parse(node)
+    except _Fault as fault:
+        line, col = _line_col(text, fault.offset)
+        raise ExprParseError(fault.message, fault.offset + 1, line, col) from None
+
+
 def parse_expression(text: str) -> ast.Expression:
-    reader = _Reader(text)
-    node = reader.read()
-    if reader.pos < len(reader.toks):
-        extra = reader.toks[reader.pos]
-        raise ExprParseError("trailing input after expression", extra.offset + 1, extra.line, extra.col)
-    return _parse_expr(node)
+    return _parse(text, "expression", _parse_expr)
 
 
 def parse_condition(text: str) -> ast.Condition:
-    reader = _Reader(text)
-    node = reader.read()
-    if reader.pos < len(reader.toks):
-        extra = reader.toks[reader.pos]
-        raise ExprParseError("trailing input after condition", extra.offset + 1, extra.line, extra.col)
-    return _parse_condition(node)
+    return _parse(text, "condition", _parse_condition)

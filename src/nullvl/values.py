@@ -10,6 +10,7 @@ hash alike, so the representation never changes a bag.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -291,6 +292,7 @@ def required(obj, key: str, what: str, error=SchemaError):
 
 
 _ARRAYS = (list, tuple)
+_ARRAY_TYPES = frozenset(_ARRAYS)
 
 
 def json_array(obj, what: str, error=SchemaError):
@@ -346,10 +348,13 @@ def schema_to_json(schema: Schema) -> dict:
 def database_from_json(obj: Mapping) -> Database:
     """Load and validate a {"schema": ..., "data": ...} document.
 
-    Work follows distinct records: identical rows are counted first, each
-    distinct row is parsed and validated once, and equal cells are parsed
-    once per call.  Rows are visited in order of first occurrence, so the
-    first faulty row in the file is the one reported.
+    Work follows distinct records: identical rows are counted first.  When
+    every cell is already its value (JSON integers in numeric columns,
+    strings in text columns, NULLs only where allowed), the counted rows are
+    the table and no cell is parsed.  Otherwise each distinct row is parsed
+    and validated once, and equal cells are parsed once per call.  Rows are
+    visited in order of first occurrence, so the first faulty row in the
+    file is the one reported.
     """
     if not isinstance(obj, Mapping) or "schema" not in obj:
         raise SchemaError('a database document is an object with a "schema" key')
@@ -368,51 +373,58 @@ def database_from_json(obj: Mapping) -> Database:
     return Database(schema, tables)
 
 
-class _Unkeyed:
-    """A row that cannot be a dict key (not an array, or holding an array or
-    object).  Each one counts apart, so it is rejected at its own place."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row):
-        self.row = row
-
-
 _NEW = object()  # a cell the memo has not seen
 
 
 # the cell types parse_cell accepts; bool and float cells, which may equal
 # int ones (True == 1 == 1.0), it rejects
 _PLAIN_CELLS = frozenset({int, str, type(None)})
+# the raw cell types a column holds when every cell is already its value
+_CANONICAL = {
+    (NUM, True): frozenset({int, type(None)}),
+    (NUM, False): frozenset({int}),
+    (ORD, True): frozenset({str, type(None)}),
+    (ORD, False): frozenset({str}),
+}
+
+
+def _is_canonical(columns: tuple[Column, ...], counts: Mapping[tuple, int]) -> bool:
+    """Whether every distinct row has the relation's arity and every cell
+    is its own value: the counted rows are then the table."""
+    if not set(map(len, counts)) <= {len(columns)}:
+        return False
+    for col, cells in zip(columns, zip(*counts)):
+        if not set(map(type, cells)) <= _CANONICAL[(col.type, col.nullable)]:
+            return False
+    return True
 
 
 def _table_from_rows(rel: Relation, rows, memo: dict) -> Bag:
     json_array(rows, f'relation {rel.name}: "data"')
-    # equal rows count under one key when every cell is of a plain type;
-    # otherwise each row counts apart, so a faulty one is reported in place
-    try:
-        plain = set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS
-    except TypeError:  # a row that cannot be iterated, rejected in its turn below
-        plain = False
-    counts: dict = {}
-    for row in rows:
-        key = tuple(row) if plain and type(row) in _ARRAYS else _Unkeyed(row)
-        counts[key] = counts.get(key, 0) + 1
+    # equal rows count under one key when every row is an array of plain
+    # cells; otherwise each row counts apart, so a faulty one is reported
+    # in place
+    plain = set(map(type, rows)) <= _ARRAY_TYPES and (
+        set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS
+    )
+    if plain:
+        counts = Counter(map(tuple, rows))
+        if _is_canonical(rel.columns, counts):
+            return Bag.from_counts(counts)
+        distinct = counts.items()
+    else:
+        distinct = ((row, 1) for row in rows)
 
     columns = rel.columns
     arity = len(columns)
     types = [col.type for col in columns]
     not_null = [i for i, col in enumerate(columns) if not col.nullable]
     records: dict[Record, int] = {}
-    for key, k in counts.items():
-        if type(key) is not _Unkeyed:
-            row, n = key, len(key)
-        elif type(key.row) in _ARRAYS:
-            row, n = key.row, len(key.row)
-        else:
-            raise SchemaError(f'relation {rel.name}: "data" row {key.row!r} must be a JSON array')
-        if n != arity:
-            raise SchemaError(f"{rel.name}: row of arity {n}, expected {arity}")
+    for row, k in distinct:
+        if type(row) not in _ARRAYS:
+            raise SchemaError(f'relation {rel.name}: "data" row {row!r} must be a JSON array')
+        if len(row) != arity:
+            raise SchemaError(f"{rel.name}: row of arity {len(row)}, expected {arity}")
         record = []
         for raw, col_type in zip(row, types):
             cell = (col_type, type(raw), raw)

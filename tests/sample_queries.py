@@ -5,17 +5,12 @@ from fractions import Fraction
 
 from nullvl import ast
 from nullvl.ast import col, num
-from nullvl.values import NUM, ORD, Bag, Column, Database, Relation, Schema
+from nullvl.values import NUM, ORD, Bag, Column, Database, Relation, Schema, exact_number
 
 
 def row(*cells):
-    out = []
-    for c in cells:
-        if isinstance(c, int):
-            out.append(Fraction(c))
-        else:
-            out.append(c)
-    return tuple(out)
+    # numbers in the canonical form the loader and the generator produce
+    return tuple(exact_number(c) if isinstance(c, (int, Fraction)) else c for c in cells)
 
 
 def bag(*rows):

@@ -96,3 +96,61 @@ def test_comments_are_skipped():
 def test_unterminated_string_reports_position():
     with pytest.raises(ExprParseError, match="unterminated"):
         parse_expression('(base "R')
+
+
+# (text, message, offset, line, column) of malformed texts.  Offsets and
+# columns are 1-based and count characters; a newline escaped inside a
+# string starts no line for the tokens after it, but the end of input
+# counts every newline.
+MALFORMED = [
+    ('(base "R', "unterminated string", 7, 1, 7),
+    ('(base "R\\', "unterminated escape", 9, 1, 9),
+    ('(base "R\nS")', "newline inside string", 9, 1, 9),
+    (")", "unexpected ')'", 1, 1, 1),
+    ("(base R))", "trailing input after expression", 9, 1, 9),
+    ("(base R) (base S)", "trailing input after expression", 10, 1, 10),
+    ("(base R) x", "trailing input after expression", 10, 1, 10),
+    ("(" * 201 + ")" * 201, "nesting deeper than 200 parentheses", 201, 1, 201),
+    ("(" * 200 + "(base R)" + ")" * 199, "nesting deeper than 200 parentheses", 201, 1, 201),
+    ("(select (empt", "unexpected end of input", 14, 1, 14),
+    ("", "unexpected end of input", 1, 1, 1),
+    ("; only a comment", "unexpected end of input", 17, 1, 17),
+    ('; note\n(base "R', "unterminated string", 14, 2, 7),
+    ("(base R)\r\n; c\r\n  )", "trailing input after expression", 18, 3, 3),
+    ('\t(select\t(cmp = (col A) (num 1))\t"open', "unterminated string", 34, 1, 34),
+    ('; a "quoted" comment\r\n\t(base R) ; (\n\t)', "trailing input after expression", 38, 3, 2),
+    ('(base "R\\\nS") (base T)', "trailing input after expression", 15, 1, 15),
+    ('(base "R\\\nS"', "unexpected end of input", 13, 2, 3),
+    # a malformed string anywhere is reported before a fault of the forms
+    ('(base R) ) "open', "unterminated string", 12, 1, 12),
+    ("(" * 201 + '"a\\', "unterminated escape", 204, 1, 204),
+    ("(base R)\n\t\t(frobnicate)", "trailing input after expression", 12, 2, 3),
+    ("(frobnicate (base R))", "unknown expression keyword 'frobnicate'", 1, 1, 1),
+    ('(project ((col A)) (base R)) ; done\n\r\n   "tail', "unterminated string", 42, 3, 4),
+    ("; c\r\n\t(select (true)\r\n\t\t(frob R))", "unknown expression keyword 'frob'", 25, 3, 3),
+    ('(project\t((as "a\\\nb" (col A)))\n (bse R))', "unknown expression keyword 'bse'", 33, 2, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, offset, line, column",
+    MALFORMED,
+    ids=[f"{i}-{case[1].split()[0]}" for i, case in enumerate(MALFORMED)],
+)
+def test_error_message_and_position(text, message, offset, line, column):
+    with pytest.raises(ExprParseError) as err:
+        parse_expression(text)
+    assert str(err.value) == f"{message} (offset {offset}, line {line}, column {column})"
+    assert (err.value.offset, err.value.line, err.value.column) == (offset, line, column)
+
+
+def test_strings_read_escapes():
+    e = parse_expression('(project ((as "a\\nb\\tc\\\\d\\"e\\qf" (col A))) (base R))')
+    assert e.items[0].rename == 'a\nb\tc\\d"eqf'
+
+
+@pytest.mark.parametrize("name", ["a\nb", "tab\there", "back\\slash", 'q"uote', '\n\\"\t\r', "\\n", ""])
+def test_names_with_layout_and_escapes_round_trip(name):
+    cond = ast.Compare((col(name),), "=", (ast.OrdConst(name),))
+    e = ast.Projection((ast.ProjItem(col(name), name),), ast.Selection(cond, ast.BaseRelation(name)))
+    assert parse_expression(render_expression(e)) == e

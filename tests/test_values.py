@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullvl import fuzz, values
 from nullvl.errors import SchemaError
@@ -250,3 +251,77 @@ def test_loaded_numbers_are_canonical():
     assert cells == {1: 4, Fraction(-1, 4): 1, Fraction(2, 3): 1, -5: 1}
     assert {type(v) for v in cells} == {int, Fraction}
     assert all(type(v) is int or v.denominator != 1 for v in cells)
+
+
+_NUM_CELLS = [0, 1, 2, -3, None, "1", "2/2", "1/3"]
+_ORD_CELLS = ["a", "b", "1", "", None]
+
+
+@st.composite
+def _tables(draw, faults=()):
+    """A one-relation document whose cells mix canonical values with other
+    spellings and NULLs, over nullable and NOT NULL columns; ``faults`` are
+    cells or rows one of which may be put in."""
+    kinds = draw(st.lists(st.tuples(st.sampled_from(["num", "ord"]), st.booleans()), max_size=3))
+    canonical = draw(st.booleans())
+
+    def cells(kind, nullable):
+        pool = _NUM_CELLS if kind == "num" else _ORD_CELLS
+        if canonical:
+            value_type = int if kind == "num" else str
+            pool = [c for c in pool if type(c) is value_type or (c is None and nullable)]
+        return st.sampled_from(pool or [None])
+
+    row = st.tuples(*(cells(k, n) for k, n in kinds)).map(list)
+    rows = draw(st.lists(row, max_size=12))
+    if faults and draw(st.booleans()):
+        fault = draw(st.sampled_from(faults))
+        if rows and fault != "ragged":
+            victim = draw(st.sampled_from(rows))
+            if victim:
+                victim[draw(st.integers(0, len(victim) - 1))] = fault
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [None] * (len(kinds) + 1))
+    columns = [{"name": f"c{i}", "type": k, "nullable": n} for i, (k, n) in enumerate(kinds)]
+    return {"schema": {"R": {"columns": columns}}, "data": {"R": rows}}
+
+
+def _outcome(doc):
+    try:
+        return database_from_json(doc).table("R").counts()
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _agrees_with_row_by_row_loading(doc):
+    loaded = _outcome(doc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(values, "_PLAIN_CELLS", frozenset())
+        assert _outcome(doc) == loaded
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_tables())
+def test_counted_and_parsed_loads_agree(doc):
+    _agrees_with_row_by_row_loading(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_tables(faults=(True, 1.0, "ragged")))
+def test_counted_and_parsed_loads_raise_the_same_first_error(doc):
+    _agrees_with_row_by_row_loading(doc)
+
+
+def test_canonical_tables_are_counted_without_parsing_a_cell(monkeypatch):
+    def unused(raw, col_type):
+        raise AssertionError("parse_cell called on a canonical table")
+
+    monkeypatch.setattr(values, "parse_cell", unused)
+    doc = {
+        "schema": {"R": {"columns": [
+            {"name": "a", "type": "num"},
+            {"name": "b", "type": "ord", "nullable": False},
+        ]}},
+        "data": {"R": [[1, "x"], [None, "y"], [1, "x"], [-7, ""]]},
+    }
+    assert database_from_json(doc).table("R").counts() == {(1, "x"): 2, (None, "y"): 1, (-7, ""): 1}

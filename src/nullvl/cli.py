@@ -126,6 +126,20 @@ def _cmd_replay(args) -> int:
     return 0 if outcome.status == "pass" else 1
 
 
+def _bounded(convert, low, high=None):
+    """An argparse type: ``convert`` the text, then require low <= value <= high."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (low <= value and (high is None or value <= high)):
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nullvl",
@@ -138,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--semantics", default="3vl",
                     help="3vl | 2vl | 2vl-syn | grounded:<file> | mvl:<file>")
     pe.add_argument("--canonical", action="store_true", help="print the sorted text form")
-    pe.add_argument("--recursion-cap", type=int, default=10_000)
+    pe.add_argument("--recursion-cap", type=_bounded(int, 1), default=10_000)
     pe.add_argument("expr", help="expression file ('-' for stdin)")
     pe.add_argument("db", help="database JSON file")
     pe.set_defaults(fn=_cmd_eval)
@@ -175,10 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("fuzz", help="run a differential property family")
     pf.add_argument("--family", required=True, choices=sorted(harness.FAMILIES))
     pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--cases", type=int, default=500)
-    pf.add_argument("--depth", type=int, default=4)
-    pf.add_argument("--null-rate", type=float, default=0.3)
-    pf.add_argument("--rows", type=int, default=6)
+    pf.add_argument("--cases", type=_bounded(int, 0), default=500)
+    pf.add_argument("--depth", type=_bounded(int, 1), default=4)
+    pf.add_argument("--null-rate", type=_bounded(float, 0.0, 1.0), default=0.3)
+    pf.add_argument("--rows", type=_bounded(int, 0), default=6)
     pf.add_argument("--bundles", help="directory for counterexample bundles")
     pf.set_defaults(fn=_cmd_fuzz)
 

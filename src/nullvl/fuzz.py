@@ -105,6 +105,10 @@ class _Sig:
     types: tuple[str, ...]
 
 
+# the depth a subquery takes from the condition it sits in
+_SUBQUERY_DEPTH_COST = 1
+
+
 class ExpressionGenerator:
     """Grammar-directed generation of well-typed expressions.
 
@@ -120,7 +124,6 @@ class ExpressionGenerator:
         self.rng = rng or random.Random(cfg.seed)
         self.coverage: Counter = Counter()
         self._fresh = 0
-        self.subquery_depth_cost = 1
 
     # -- helpers --------------------------------------------------------------
 
@@ -170,7 +173,7 @@ class ExpressionGenerator:
     # -- conditions ----------------------------------------------------------------
 
     def condition(self, depth: int, scope: dict) -> ast.Condition:
-        subqueries_ok = depth > self.subquery_depth_cost
+        subqueries_ok = depth > _SUBQUERY_DEPTH_COST
         choices = [
             (1, "true"),
             (1, "false"),
@@ -213,13 +216,13 @@ class ExpressionGenerator:
         if kind == "not":
             return ast.Not(self.condition(depth - 1, scope))
         if kind == "empty":
-            sub, _ = self.expr(depth - self.subquery_depth_cost, scope)
+            sub, _ = self.expr(depth - _SUBQUERY_DEPTH_COST, scope)
             return ast.Empty(sub)
         return self._membership(kind, depth, scope)
 
     def _membership(self, kind: str, depth: int, scope: dict) -> ast.Condition:
         rng = self.rng
-        sub, sub_sig = self.expr(depth - self.subquery_depth_cost, scope)
+        sub, sub_sig = self.expr(depth - _SUBQUERY_DEPTH_COST, scope)
         op = "=" if kind == "in" else rng.choice(ast.COMPARISONS)
         if op in ast.ORDER_COMPARISONS:
             positions = [i for i, t in enumerate(sub_sig.types) if t == NUM]

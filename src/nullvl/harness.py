@@ -97,10 +97,6 @@ class FamilySummary:
         return out
 
 
-def _db_json(db: Database) -> dict:
-    return database_to_json(db)
-
-
 def _bags_equal_detail(left: Bag, right: Bag, labels) -> str:
     return json.dumps(
         {"left": bag_to_json(left, labels), "right": bag_to_json(right, labels)}
@@ -301,17 +297,14 @@ _CHECKERS: dict[str, Callable[[dict], CaseOutcome]] = {
 
 
 def _base_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, family: str, depth=None) -> dict:
-    fcfg = cfg if depth is None else fuzz.FuzzConfig(
-        seed=cfg.seed, max_depth=depth, null_rate=cfg.null_rate,
-        rows_per_relation=cfg.rows_per_relation, cases=cfg.cases,
-    )
+    fcfg = cfg if depth is None else replace(cfg, max_depth=depth)
     expr = fuzz.gen_expression(schema, fcfg, rng)
     expr = typecheck(expr, schema).expr
     db = fuzz.gen_database(schema, fcfg, rng)
     return {
         "family": family,
         "expression": ast.render_expression(expr),
-        "db": _db_json(db),
+        "db": database_to_json(db),
     }
 
 
@@ -325,11 +318,7 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
             case[translate.DIRECTIONS[direction].param] = param
         return case
     if family == "null-free-invariance":
-        nf_cfg = fuzz.FuzzConfig(
-            seed=cfg.seed, max_depth=cfg.max_depth, null_rate=0.0,
-            rows_per_relation=cfg.rows_per_relation, cases=cfg.cases,
-        )
-        return _base_case(schema, nf_cfg, rng, family)
+        return _base_case(schema, replace(cfg, null_rate=0.0), rng, family)
     if family in ("coincidence", "nullable-soundness", "sql-roundtrip"):
         return _base_case(schema, cfg, rng, family)
     if family == "plan-equivalence":
@@ -375,7 +364,7 @@ def _plan_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, expr: ast.Expression) 
     return {
         "family": "plan-equivalence",
         "expression": ast.render_expression(typecheck(expr, schema).expr),
-        "db": _db_json(fuzz.gen_database(schema, cfg, rng)),
+        "db": database_to_json(fuzz.gen_database(schema, cfg, rng)),
     }
 
 
@@ -470,7 +459,7 @@ def _gen_prop41_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
     return {
         "family": "prop-4.1",
         "expression": expr_text,
-        "db": _db_json(db),
+        "db": database_to_json(db),
         "checks": checks,
     }
 

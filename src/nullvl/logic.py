@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from . import ast
 from .errors import KernelError
 from .funcs import apply_function
-from .values import NUM, Value, is_null, json_array, read_json, required
+from .values import Value, is_null, json_array, read_json, required
 
 TruthValue = str
 
@@ -50,10 +50,30 @@ TemplateFn = Callable[[ast.Term, ast.Term], ast.Condition]
 
 # the null patterns of a comparison: which argument positions are NULL
 _PATTERNS = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
+# the cells of a NULL table: every comparison under every null pattern
+_NULL_CELLS = tuple(itertools.product(ast.COMPARISONS, _PATTERNS))
 
 
-def _constant_nulls(value: TruthValue) -> dict:
-    return {p: value for p in _PATTERNS}
+def _null_rules(table: Mapping, true: TruthValue, false: TruthValue):
+    """``compare`` and ``null_equality`` from a kernel's one NULL table, which
+    maps every cell to a truth value or, for groundings, to a two-valued
+    template over the non-null argument.  ``compare`` is standard on two
+    non-null arguments; ``null_equality`` is the `=` row's constants."""
+    outcome = {True: true, False: false}
+    by_nulls = {
+        (op, 1 in p, 2 in p): entry if isinstance(entry, str)
+        else lambda a, b, cond=entry: outcome[eval_template(cond, (a, b))]
+        for (op, p), entry in table.items()
+    }
+
+    def compare(op: str, a: Value, b: Value) -> TruthValue:
+        if a is not None and b is not None:
+            return true if standard_compare(op, a, b) else false
+        entry = by_nulls[(op, a is None, b is None)]
+        return entry if isinstance(entry, str) else entry(a, b)
+
+    eq = {p: table[("=", p)] for p in _PATTERNS}
+    return compare, {p: v if isinstance(v, str) else None for p, v in eq.items()}
 
 
 class LogicKernel:
@@ -166,34 +186,45 @@ def validate_kernel(kernel: LogicKernel):
             raise KernelError("or table not Boolean on {t,f}", witness=(a, b))
     if kernel.not_table[t] != f or kernel.not_table[f] != t:
         raise KernelError("negation not Boolean on {t,f}")
-    _check_non_null_comparisons(kernel)
+    _check_comparisons(kernel)
 
 
 _NUM_GRID = (-1, 0, 1, 2)
 _ORD_GRID = ("a", "b")
+# (op, a, b, standard outcome) on non-null arguments: numbers under every
+# comparison, then text atoms under = and !=
+_STANDARD_GRID = tuple(
+    (op, a, b, standard_compare(op, a, b))
+    for ops, grid in ((ast.COMPARISONS, _NUM_GRID), (("=", "!="), _ORD_GRID))
+    for op in ops
+    for a, b in itertools.product(grid, repeat=2)
+)
+# (null pattern, a, b) for every grid pair with at least one NULL
+_NULL_GRID = (
+    *((frozenset({1}), None, v) for v in _NUM_GRID + _ORD_GRID),
+    *((frozenset({2}), v, None) for v in _NUM_GRID + _ORD_GRID),
+    (frozenset({1, 2}), None, None),
+)
 
 
-def _check_non_null_comparisons(kernel: LogicKernel):
-    for op in ast.COMPARISONS:
-        pairs = itertools.product(_NUM_GRID, repeat=2)
-        for a, b in pairs:
-            got = kernel.compare(op, a, b)
-            want = kernel.true if standard_compare(op, a, b) else kernel.false
-            if got != want:
-                raise KernelError(
-                    f"kernel {kernel.name}: comparison {op} disagrees with the "
-                    f"standard one on non-null arguments",
-                    witness=(op, a, b, got),
-                )
-    for op in ("=", "!="):
-        for a, b in itertools.product(_ORD_GRID, repeat=2):
-            got = kernel.compare(op, a, b)
-            want = kernel.true if standard_compare(op, a, b) else kernel.false
-            if got != want:
-                raise KernelError(
-                    f"kernel {kernel.name}: comparison {op} disagrees on text atoms",
-                    witness=(op, a, b, got),
-                )
+def _check_comparisons(kernel: LogicKernel):
+    """`compare` is standard on non-null arguments and gives `=` each
+    constant of `null_equality` under its null pattern."""
+    for op, a, b, holds in _STANDARD_GRID:
+        got = kernel.compare(op, a, b)
+        if got != (kernel.true if holds else kernel.false):
+            what = ("disagrees on text atoms" if isinstance(a, str)
+                    else "disagrees with the standard one on non-null arguments")
+            raise KernelError(
+                f"kernel {kernel.name}: comparison {op} {what}", witness=(op, a, b, got)
+            )
+    for pattern, a, b in _NULL_GRID:
+        want = kernel.null_equality[pattern]
+        if want is not None and (got := kernel.compare("=", a, b)) != want:
+            raise KernelError(
+                f"kernel {kernel.name}: null_equality {want!r} on null pattern "
+                f"{sorted(pattern)} disagrees with compare", witness=("=", a, b, got),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +252,14 @@ def _cmp(a: ast.Term, op: str, b: ast.Term) -> ast.Condition:
     return ast.Compare((a,), op, (b,))
 
 
-def _templates_2vl(op: str):
-    return {
-        "t": lambda a, b, op=op: _cmp(a, op, b),
-        "f": lambda a, b, op=op: ast.or_all(
+def _templates_2vl() -> dict[tuple[str, str], TemplateFn]:
+    expr: dict[tuple[str, str], TemplateFn] = {}
+    for op in ast.COMPARISONS:
+        expr[(op, "t")] = lambda a, b, op=op: _cmp(a, op, b)
+        expr[(op, "f")] = lambda a, b, op=op: ast.or_all(
             [ast.IsNull(a), ast.IsNull(b), ast.Not(_cmp(a, op, b))]
-        ),
-    }
+        )
+    return expr
 
 
 # The built-in kernels are built once per process: nothing changes a
@@ -239,38 +271,22 @@ def kernel_3vl() -> LogicKernel:
     """Three truth values with the standard truth tables; a comparison with a
     null argument is unknown, isnull is always two-valued."""
     and_t, or_t, not_t = _kleene_tables()
-
-    def compare(op: str, a: Value, b: Value) -> TruthValue:
-        if is_null(a) or is_null(b):
-            return "u"
-        return "t" if standard_compare(op, a, b) else "f"
-
+    compare, nulls = _null_rules(dict.fromkeys(_NULL_CELLS, "u"), "t", "f")
     expr: dict[tuple[str, str], TemplateFn] = {}
     for op in ast.COMPARISONS:
         expr[(op, "t")] = lambda a, b, op=op: _cmp(a, op, b)
         expr[(op, "f")] = lambda a, b, op=op: ast.Not(_cmp(a, op, b))
         expr[(op, "u")] = lambda a, b: ast.Or(ast.IsNull(a), ast.IsNull(b))
-    return LogicKernel(
-        "3vl", ("t", "f", "u"), "t", "f", and_t, or_t, not_t, compare, expr, _constant_nulls("u")
-    )
+    return LogicKernel("3vl", ("t", "f", "u"), "t", "f", and_t, or_t, not_t, compare, expr, nulls)
 
 
 @functools.cache
 def kernel_2vl() -> LogicKernel:
     """Two truth values; any comparison with a null argument is false."""
     and_t, or_t, not_t = _bool_tables("t", "f")
-
-    def compare(op: str, a: Value, b: Value) -> TruthValue:
-        if is_null(a) or is_null(b):
-            return "f"
-        return "t" if standard_compare(op, a, b) else "f"
-
-    expr: dict[tuple[str, str], TemplateFn] = {}
-    for op in ast.COMPARISONS:
-        expr.update({(op, v): fn for v, fn in _templates_2vl(op).items()})
-    return LogicKernel(
-        "2vl", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr, _constant_nulls("f")
-    )
+    compare, nulls = _null_rules(dict.fromkeys(_NULL_CELLS, "f"), "t", "f")
+    expr = _templates_2vl()
+    return LogicKernel("2vl", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr, nulls)
 
 
 @functools.cache
@@ -278,29 +294,15 @@ def kernel_2vl_syntactic() -> LogicKernel:
     """Like the conflating two-valued kernel except NULL = NULL is true and,
     by negation, NULL != NULL is false."""
     and_t, or_t, not_t = _bool_tables("t", "f")
-
-    def compare(op: str, a: Value, b: Value) -> TruthValue:
-        if is_null(a) and is_null(b):
-            if op == "=":
-                return "t"
-            return "f"
-        if is_null(a) or is_null(b):
-            return "f"
-        return "t" if standard_compare(op, a, b) else "f"
-
-    expr: dict[tuple[str, str], TemplateFn] = {}
-    for op in ast.COMPARISONS:
-        expr.update({(op, v): fn for v, fn in _templates_2vl(op).items()})
+    table = {**dict.fromkeys(_NULL_CELLS, "f"), ("=", frozenset({1, 2})): "t"}
+    compare, nulls = _null_rules(table, "t", "f")
+    expr = _templates_2vl()
     both_null = lambda a, b: ast.And(ast.IsNull(a), ast.IsNull(b))
     expr[("=", "t")] = lambda a, b: ast.Or(_cmp(a, "=", b), both_null(a, b))
     expr[("=", "f")] = lambda a, b: ast.And(
         ast.Not(both_null(a, b)),
         ast.or_all([ast.IsNull(a), ast.IsNull(b), ast.Not(_cmp(a, "=", b))]),
     )
-    expr[("!=", "f")] = lambda a, b: ast.or_all(
-        [ast.IsNull(a), ast.IsNull(b), ast.Not(_cmp(a, "!=", b))]
-    )
-    nulls = {**_constant_nulls("f"), frozenset({1, 2}): "t"}
     return LogicKernel(
         "2vl-syn", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr, nulls
     )
@@ -337,12 +339,7 @@ def kernel_4vl_example() -> LogicKernel:
     null argument yield s; conjoining or disjoining two s values cannot be
     pinned down and gives u."""
     not_t = {"t": "f", "f": "t", "u": "u", "s": "s"}
-
-    def compare(op: str, a: Value, b: Value) -> TruthValue:
-        if is_null(a) or is_null(b):
-            return "s"
-        return "t" if standard_compare(op, a, b) else "f"
-
+    compare, nulls = _null_rules(dict.fromkeys(_NULL_CELLS, "s"), "t", "f")
     expr: dict[tuple[str, str], TemplateFn] = {}
     for op in ast.COMPARISONS:
         expr[(op, "t")] = lambda a, b, op=op: ast.and_all(
@@ -355,7 +352,7 @@ def kernel_4vl_example() -> LogicKernel:
         expr[(op, "u")] = lambda a, b: ast.CFalse()
     return LogicKernel(
         "4vl", ("t", "f", "u", "s"), "t", "f", dict(_4VL_AND), dict(_4VL_OR), not_t, compare,
-        expr, _constant_nulls("s"),
+        expr, nulls,
     )
 
 
@@ -376,7 +373,7 @@ def make_mvl_kernel(
     Raises KernelError naming the broken law and a witnessing tuple when the
     tables are not associative/commutative or not Boolean on {t, f}.
     ``null_equality`` states the value of ``=`` per null pattern where it
-    does not depend on the values; it is not checked against ``compare``.
+    does not depend on the values; ``compare`` must agree with it.
     """
     return LogicKernel(
         name, values, true, false, and_table, or_table, not_table, compare, expressibility,
@@ -393,12 +390,14 @@ class Grounding:
 
     ``templates`` maps (comparison, pattern) to a condition over two term
     holes; the template may only mention the holes at non-null positions.
-    A missing entry is the empty grounding (the comparison is false there).
+    A missing entry is the empty grounding: ``(false)`` stands in for it.
     """
 
     def __init__(self, name: str, templates: Mapping[tuple[str, frozenset], ast.Condition]):
         self.name = name
-        self.templates: dict[tuple[str, frozenset], ast.Condition] = {}
+        self.templates: dict[tuple[str, frozenset], ast.Condition] = dict.fromkeys(
+            _NULL_CELLS, ast.CFalse()
+        )
         for (op, pattern), cond in templates.items():
             pattern = frozenset(pattern)
             if op not in ast.COMPARISONS:
@@ -407,19 +406,6 @@ class Grounding:
                 raise KernelError(f"grounding {name}: bad null pattern {sorted(pattern)}")
             _validate_template(cond, pattern, f"grounding {name} ({op}, {sorted(pattern)})")
             self.templates[(op, pattern)] = cond
-        # the templates keyed by which arguments are NULL, for `decide`
-        self._by_nulls = {(op, 1 in p, 2 in p): cond for (op, p), cond in self.templates.items()}
-
-    def template(self, op: str, pattern: frozenset) -> Optional[ast.Condition]:
-        return self.templates.get((op, frozenset(pattern)))
-
-    def decide(self, op: str, left: Value, right: Value) -> bool:
-        if left is not None and right is not None:
-            return standard_compare(op, left, right)
-        cond = self._by_nulls.get((op, left is None, right is None))
-        if cond is None:
-            return False
-        return eval_template(cond, (left, right))
 
 
 def empty_grounding() -> Grounding:
@@ -566,18 +552,16 @@ def _eval_template_cond(c: ast.Condition, values) -> TruthValue:
 def kernel_grounded(grounding: Grounding) -> LogicKernel:
     """Two-valued kernel whose null comparisons follow the given grounding."""
     and_t, or_t, not_t = _bool_tables("t", "f")
-
-    def compare(op: str, a: Value, b: Value) -> TruthValue:
-        return "t" if grounding.decide(op, a, b) else "f"
-
-    expr: dict[tuple[str, str], TemplateFn] = {}
-    for op in ast.COMPARISONS:
-        expr[(op, "t")] = _grounded_template(grounding, op, negate=False)
-        expr[(op, "f")] = _grounded_template(grounding, op, negate=True)
-    # read off the `=` templates: a missing one is false, a constant one is
-    # its value, any other may depend on the non-null argument
-    constants = {None: "f", ast.CTrue(): "t", ast.CFalse(): "f"}
-    nulls = {p: constants.get(grounding.template("=", p)) for p in _PATTERNS}
+    # a constant template is its value, any other may depend on the
+    # non-null argument
+    constants = {ast.CTrue(): "t", ast.CFalse(): "f"}
+    table = {cell: constants.get(t, t) for cell, t in grounding.templates.items()}
+    compare, nulls = _null_rules(table, "t", "f")
+    expr: dict[tuple[str, str], TemplateFn] = {
+        (op, value): functools.partial(grounded_comparison_condition, grounding, op, negate=negate)
+        for op in ast.COMPARISONS
+        for value, negate in (("t", False), ("f", True))
+    }
     return LogicKernel(
         f"grounded:{grounding.name}", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr,
         nulls,
@@ -601,27 +585,16 @@ def grounded_comparison_condition(
     """The grounded comparison (or its complement) as a condition that never
     evaluates to unknown: one guarded disjunct per null pattern."""
     disjuncts = []
-    for pattern in (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})):
+    for pattern in (frozenset(), *_PATTERNS):
         guard = null_pattern_guard(a, b, pattern)
         if not pattern:
             body: ast.Condition = _cmp(a, op, b)
         else:
-            template = grounding.template(op, pattern)
-            if template is None:
-                body = ast.CFalse()
-            else:
-                body = substitute_holes(template, (a, b))
+            body = substitute_holes(grounding.templates[(op, pattern)], (a, b))
         if negate:
             body = ast.Not(body)
         disjuncts.append(ast.And(guard, body))
     return ast.or_all(disjuncts)
-
-
-def _grounded_template(grounding: Grounding, op: str, negate: bool) -> TemplateFn:
-    def build(a: ast.Term, b: ast.Term) -> ast.Condition:
-        return grounded_comparison_condition(grounding, op, a, b, negate)
-
-    return build
 
 
 # ---------------------------------------------------------------------------
@@ -732,22 +705,13 @@ def kernel_from_json(obj: Mapping) -> LogicKernel:
             if value not in values:
                 raise KernelError(f"null_comparison: unknown value {value!r}")
             null_cmp[(op, pattern)] = value
-    for op in ast.COMPARISONS:
-        for pattern in _PATTERNS:
-            if (op, pattern) not in null_cmp:
-                raise KernelError(
-                    f"null_comparison must cover every comparison and null pattern; "
-                    f"missing ({op}, {''.join(str(i) for i in sorted(pattern))})"
-                )
-
-    # the null comparisons keyed by which arguments are NULL
-    by_nulls = {(op, 1 in p, 2 in p): value for (op, p), value in null_cmp.items()}
-
-    def compare(op: str, a: Value, b: Value) -> TruthValue:
-        if a is not None and b is not None:
-            return true if standard_compare(op, a, b) else false
-        return by_nulls[(op, a is None, b is None)]
-
+    for op, pattern in _NULL_CELLS:
+        if (op, pattern) not in null_cmp:
+            raise KernelError(
+                f"null_comparison must cover every comparison and null pattern; "
+                f"missing ({op}, {''.join(str(i) for i in sorted(pattern))})"
+            )
+    compare, nulls = _null_rules(null_cmp, true, false)
     expr: dict[tuple[str, str], TemplateFn] = {}
     expressibility = _json_object(obj.get("expressibility", {}), 'kernel: "expressibility"')
     for key, text in expressibility.items():
@@ -762,7 +726,6 @@ def kernel_from_json(obj: Mapping) -> LogicKernel:
             lambda a, b, template=template: substitute_holes(template, (a, b))
         )
     name = obj.get("name", "custom-mvl")
-    nulls = {p: null_cmp[("=", p)] for p in _PATTERNS}
     return make_mvl_kernel(name, values, true, false, and_t, or_t, not_t, compare, expr, nulls)
 
 

@@ -63,12 +63,9 @@ class _Translator:
 
     name = "base"
 
-    def __init__(self, schema_or_catalog):
+    def __init__(self, schema: Schema):
         # relation name -> tuple of labels
-        if isinstance(schema_or_catalog, Schema):
-            self.catalog = {rel.name: rel.labels for rel in schema_or_catalog.relations.values()}
-        else:
-            self.catalog = dict(schema_or_catalog)
+        self.catalog = {rel.name: rel.labels for rel in schema.relations.values()}
         self.trace: list[tuple[str, str]] = []
         self._fresh = 0
 
@@ -258,8 +255,8 @@ class _FromGrounded(_TwoValuedSourceTranslator):
     name = "grounded-to-3vl"
     via_emptiness = True
 
-    def __init__(self, schema_or_catalog, grounding: Grounding):
-        super().__init__(schema_or_catalog)
+    def __init__(self, schema: Schema, grounding: Grounding):
+        super().__init__(schema)
         self.grounding = grounding
 
     def compare(self, c, negate, path):
@@ -335,8 +332,8 @@ class _FromMVL(_Translator):
 
     name = "mvl-to-3vl"
 
-    def __init__(self, schema_or_catalog, kernel: LogicKernel):
-        super().__init__(schema_or_catalog)
+    def __init__(self, schema: Schema, kernel: LogicKernel):
+        super().__init__(schema)
         self.kernel = kernel
 
     def cond_true(self, c, path):
@@ -502,40 +499,40 @@ def _merge_profiles(profiles: list[tuple], sizes: list[int]) -> list[tuple]:
 # Public entry points
 
 
-def tr_to_3vl(expr: ast.Expression, schema_or_catalog) -> TranslationResult:
+def tr_to_3vl(expr: ast.Expression, schema: Schema) -> TranslationResult:
     """Rewrite a query written under the conflating two-valued semantics so it
     evaluates identically under the three-valued semantics."""
-    return _From2VL(schema_or_catalog).run(expr)
+    return _From2VL(schema).run(expr)
 
 
-def tr_cond_true(cond: ast.Condition, schema_or_catalog) -> ast.Condition:
-    return _From2VL(schema_or_catalog).cond_true(cond, "")
+def tr_cond_true(cond: ast.Condition, schema: Schema) -> ast.Condition:
+    return _From2VL(schema).cond_true(cond, "")
 
 
-def tr_cond_false(cond: ast.Condition, schema_or_catalog) -> ast.Condition:
-    return _From2VL(schema_or_catalog).cond_false(cond, "")
+def tr_cond_false(cond: ast.Condition, schema: Schema) -> ast.Condition:
+    return _From2VL(schema).cond_false(cond, "")
 
 
-def tr_from_3vl(expr: ast.Expression, schema_or_catalog) -> TranslationResult:
+def tr_from_3vl(expr: ast.Expression, schema: Schema) -> TranslationResult:
     """Rewrite a query written under the three-valued semantics so it
     evaluates identically under the conflating two-valued semantics."""
-    return _From3VL(schema_or_catalog).run(expr)
+    return _From3VL(schema).run(expr)
 
 
 def tr_grounded_to_3vl(
-    expr: ast.Expression, schema_or_catalog, grounding: Grounding
+    expr: ast.Expression, schema: Schema, grounding: Grounding
 ) -> TranslationResult:
-    return _FromGrounded(schema_or_catalog, grounding).run(expr)
+    return _FromGrounded(schema, grounding).run(expr)
 
 
-def tr_3vl_to_grounded(expr: ast.Expression, schema_or_catalog) -> TranslationResult:
-    return _From3VLToGrounded(schema_or_catalog).run(expr)
+def tr_3vl_to_grounded(expr: ast.Expression, schema: Schema) -> TranslationResult:
+    return _From3VLToGrounded(schema).run(expr)
 
 
 def tr_mvl_to_3vl(
-    expr: ast.Expression, schema_or_catalog, kernel: LogicKernel
+    expr: ast.Expression, schema: Schema, kernel: LogicKernel
 ) -> TranslationResult:
-    return _FromMVL(schema_or_catalog, kernel).run(expr)
+    return _FromMVL(schema, kernel).run(expr)
 
 
 @dataclass(frozen=True)

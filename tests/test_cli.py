@@ -244,6 +244,33 @@ def test_json_fields_of_the_wrong_type_exit_two(tmp_path, capsys):
         assert all(f in err for f in fields), (argv, err)
 
 
+def test_out_of_range_numbers_exit_two(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    fuzz = ["fuzz", "--family", "plan-equivalence"]
+    runs = [
+        (fuzz + ["--depth", "0"], "--depth"),
+        (fuzz + ["--null-rate", "2"], "--null-rate"),
+        (fuzz + ["--null-rate", "nan"], "--null-rate"),
+        (fuzz + ["--rows", "-1"], "--rows"),
+        (fuzz + ["--cases", "-1"], "--cases"),
+        (fuzz + ["--cases", "many"], "--cases"),
+        (["eval", "--recursion-cap", "0", expr, db], "--recursion-cap"),
+    ]
+    for argv, flag in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends a usage error this way
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert f"error: argument {flag}" in err and "Traceback" not in err, (argv, err)
+    # the bounds themselves are accepted
+    assert main(fuzz + ["--depth", "1", "--null-rate", "1", "--rows", "0", "--cases", "0"]) == 0
+    assert main(["eval", "--recursion-cap", "1", expr, db]) == 0
+    capsys.readouterr()
+
+
 def test_one_parser_serves_a_sequence_of_commands(tmp_path, capsys, monkeypatch):
     from nullvl import cli
 

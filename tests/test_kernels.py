@@ -261,8 +261,8 @@ def test_grounding_json_and_validation():
             "templates": {"<=": {"1": "(cmp >= (arg 2) (num 0))"}},
         }
     )
-    assert g.decide("<=", None, Fraction(3)) is True
-    assert g.decide("<=", None, Fraction(-3)) is False
+    assert kernel_grounded(g).compare("<=", None, Fraction(3)) == "t"
+    assert kernel_grounded(g).compare("<=", None, Fraction(-3)) == "f"
     with pytest.raises(KernelError, match="null position"):
         Grounding("bad", {("<=", frozenset({1})): ast.Compare((ast.ArgHole(1),), ">=", (ast.num(0),))})
     with pytest.raises(KernelError, match="subqueries"):
@@ -305,3 +305,81 @@ def test_built_in_kernels_are_built_once_per_process():
     for name in PLAN_KERNELS:
         assert kernel_by_name(name) is kernel_by_name(name)
     assert kernel_by_name("3vl") is logic.kernel_3vl()
+
+
+def _comparison_table_lines(kernel) -> list:
+    """Every comparison on a grid of NULL, integers, a fraction and (for
+    `=` and `!=`) text, plus the null equality the hash paths read."""
+    numbers = [None, -1, 0, 1, 2, Fraction(1, 2)]
+    lines = []
+    for op in ast.COMPARISONS:
+        grid = numbers + ["a", "b"] if op in ("=", "!=") else numbers
+        for a, b in itertools.product(grid, repeat=2):
+            lines.append(f"{op} {a!r} {b!r} {kernel.compare(op, a, b)}")
+    for pattern, value in sorted(kernel.null_equality.items(), key=lambda kv: sorted(kv[0])):
+        lines.append(f"null= {sorted(pattern)} {value}")
+    return lines
+
+
+def _4vl_as_json():
+    k4 = kernel_4vl_example()
+    return {
+        "name": "4vl-json",
+        "values": list(k4.values), "true": "t", "false": "f",
+        "and": [[k4.and_table[(a, b)] for b in k4.values] for a in k4.values],
+        "or": [[k4.or_table[(a, b)] for b in k4.values] for a in k4.values],
+        "not": [k4.not_table[a] for a in k4.values],
+        "null_comparison": {op: {"1": "s", "2": "s", "12": "s"} for op in ast.COMPARISONS},
+    }
+
+
+# sha256 of `_comparison_table_lines`, one digest per kernel
+_COMPARISON_TABLE_DIGESTS = {
+    "3vl": "ba2551dd651d0ee7c162553f835d30c0bbbe1c581c3a9317c0aac86a8c91323a",
+    "2vl": "6bcfd43a8e495bdb6e751c04c7695d3adb53a34aed4786a008834d9824530fdc",
+    "2vl-syn": "7833a7975cb8cd0e20479a686652cdd828833c4479c85ba2d4f7a9bc41800937",
+    "4vl": "1b2119b205734aa7e437c63170c2ddd270c19586f9267a0f4be8a93bbfe55647",
+    "4vl-json": "1b2119b205734aa7e437c63170c2ddd270c19586f9267a0f4be8a93bbfe55647",
+    "grounded-empty": "6bcfd43a8e495bdb6e751c04c7695d3adb53a34aed4786a008834d9824530fdc",
+    "grounded-syntactic": "7833a7975cb8cd0e20479a686652cdd828833c4479c85ba2d4f7a9bc41800937",
+    "grounded-leq": "fee6d2107ca94265e2cc7e038d2ba92c72d09eb4055b7704006503cad4a9e370",
+}
+
+
+def test_every_kernels_comparison_table_is_pinned():
+    import hashlib
+
+    kernels = {
+        "3vl": kernel_3vl(),
+        "2vl": kernel_2vl(),
+        "2vl-syn": kernel_2vl_syntactic(),
+        "4vl": kernel_4vl_example(),
+        "4vl-json": kernel_from_json(json.loads(json.dumps(_4vl_as_json()))),
+        "grounded-empty": kernel_grounded(empty_grounding()),
+        "grounded-syntactic": kernel_grounded(syntactic_equality_grounding()),
+        "grounded-leq": kernel_grounded(nonnegative_leq_grounding()),
+    }
+    digests = {
+        name: hashlib.sha256("\n".join(_comparison_table_lines(k)).encode()).hexdigest()
+        for name, k in kernels.items()
+    }
+    assert digests == _COMPARISON_TABLE_DIGESTS
+
+
+def test_null_equality_must_agree_with_compare():
+    # the tables and comparison of 2vl-syn, where NULL = NULL is true, with a
+    # null equality claiming it is false: a hash join on it would drop the
+    # (NULL, NULL) pair that the nested loop keeps
+    ks = kernel_2vl_syntactic()
+    with pytest.raises(KernelError, match="null_equality") as info:
+        make_mvl_kernel(
+            "syn-claims-f", ks.values, "t", "f", ks.and_table, ks.or_table, ks.not_table,
+            ks.compare, ks.expressibility, dict.fromkeys(ks.null_equality, "f"),
+        )
+    assert info.value.witness == ("=", None, None, "t")
+    # a None entry makes no claim, and the agreeing table is accepted
+    for nulls in ({frozenset({1, 2}): None}, ks.null_equality):
+        make_mvl_kernel(
+            "syn", ks.values, "t", "f", ks.and_table, ks.or_table, ks.not_table,
+            ks.compare, ks.expressibility, nulls,
+        )

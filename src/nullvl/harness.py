@@ -1,9 +1,10 @@
 """Differential and property test driver.
 
 Each family turns one of the equivalence results into an executable oracle
-over a reproducible random corpus.  Failures are emitted as self-contained
-bundles (expression text, database, family) that `replay` re-checks to the
-same verdict; cap-exceeded fixpoints are skipped, never failed.
+over a reproducible random corpus.  Cases are checked in memory; only
+failures are emitted as self-contained bundles (expression text, database,
+family) that `replay` re-checks to the same verdict; cap-exceeded fixpoints
+are skipped, never failed.
 """
 from __future__ import annotations
 
@@ -103,34 +104,34 @@ def _bags_equal_detail(left: Bag, right: Bag, labels) -> str:
     )
 
 
+@dataclass
+class Case:
+    """One harness case in memory: the `Checked` of the generator's one
+    typecheck, the database, the family's parameters by bundle key
+    (direction, grounding, kernel) and, for prop-4.1, its checks as trees."""
+
+    family: str
+    checked: Checked
+    db: Database
+    params: dict = field(default_factory=dict)
+    checks: tuple = ()  # (kind, first, second), the fields as in `_CHECK_FIELDS`
+
+
 # ---------------------------------------------------------------------------
-# Case checkers (pure functions of a self-contained case dict)
+# Case checkers (pure functions of a `Case`)
 
 
-def _field(case: dict, key: str):
-    return required(case, key, "bundle")
-
-
-def _load_case_db(case: dict) -> Database:
-    return database_from_json(_field(case, "db"))
-
-
-def _checked_expr(case: dict, db: Database) -> Checked:
-    return typecheck(parse_expression(_field(case, "expression")), db.schema)
-
-
-def _check_capture_case(case: dict) -> CaseOutcome:
-    db = _load_case_db(case)
-    checked = _checked_expr(case, db)
+def _check_capture_case(case: Case) -> CaseOutcome:
+    db, checked = case.db, case.checked
     expr = checked.expr
-    direction = translate.DIRECTIONS.get(_field(case, "direction"))
+    direction = translate.DIRECTIONS.get(required(case.params, "direction", "bundle"))
     if direction is None:
-        raise NullvlError(f"unknown direction {case['direction']!r}")
+        raise NullvlError(f"unknown direction {case.params['direction']!r}")
     param = None
     if direction.param == "grounding":
-        param = _grounding_by_name(_field(case, "grounding"))
+        param = _grounding_by_name(required(case.params, "grounding", "bundle"))
     elif direction.param == "kernel":
-        param = kernel_by_name(_field(case, "kernel"))
+        param = kernel_by_name(required(case.params, "kernel", "bundle"))
     tr = direction.translate(expr, db.schema, param)
     verdict = translate.check_capture(
         expr, db, EvalConfig(kernel=direction.source(param)),
@@ -143,14 +144,12 @@ def _check_capture_case(case: dict) -> CaseOutcome:
     return CaseOutcome("fail", _bags_equal_detail(verdict.left, verdict.right, checked.sig.labels))
 
 
-def _check_invariance_case(case: dict) -> CaseOutcome:
-    db = _load_case_db(case)
-    checked = _checked_expr(case, db)
+def _check_invariance_case(case: Case) -> CaseOutcome:
     kernels = [kernel_3vl(), kernel_2vl(), kernel_2vl_syntactic(), kernel_grounded(empty_grounding())]
     outs = []
     try:
         for k in kernels:
-            outs.append(evaluate(checked, db, cfg=EvalConfig(kernel=k)))
+            outs.append(evaluate(case.checked, case.db, cfg=EvalConfig(kernel=k)))
     except RecursionLimitError as exc:
         return CaseOutcome("skip", str(exc))
     if all(o == outs[0] for o in outs):
@@ -158,39 +157,29 @@ def _check_invariance_case(case: dict) -> CaseOutcome:
     return CaseOutcome("fail", "kernels disagree on a null-free database")
 
 
-def _check_prop41_case(case: dict) -> CaseOutcome:
-    db = _load_case_db(case)
+def _check_prop41_case(case: Case) -> CaseOutcome:
+    db = case.db
     cfg = EvalConfig(kernel=kernel_2vl())
     try:
-        for chk in _field(case, "checks"):
-            kind = required(chk, "kind", "check")
+        for kind, a, b in case.checks:
             if kind == "bags-equal":
-                left = evaluate(_typed(required(chk, "left", kind), db), db, cfg=cfg)
-                right = evaluate(_typed(required(chk, "right", kind), db), db, cfg=cfg)
-                if left != right:
+                if evaluate(a, db, cfg=cfg) != evaluate(b, db, cfg=cfg):
                     return CaseOutcome("fail", f"{kind}: bags differ")
-            elif kind in ("cond-false-iff-empty", "cond-true-iff-empty"):
-                value = eval_condition(parse_condition(required(chk, "cond", kind)), db, cfg=cfg)
-                bag = evaluate(_typed(required(chk, "expr", kind), db), db, cfg=cfg)
+            else:
+                value = eval_condition(a, db, cfg=cfg)
+                bag = evaluate(b, db, cfg=cfg)
                 wanted = "f" if kind == "cond-false-iff-empty" else "t"
                 if (value == wanted) != bag.is_empty():
                     return CaseOutcome(
                         "fail", f"{kind}: condition {value}, selection empty={bag.is_empty()}"
                     )
-            else:
-                raise NullvlError(f"unknown check {kind!r}")
     except RecursionLimitError as exc:
         return CaseOutcome("skip", str(exc))
     return CaseOutcome("pass")
 
 
-def _typed(text: str, db: Database) -> Checked:
-    return typecheck(parse_expression(text), db.schema)
-
-
-def _check_coincidence_case(case: dict) -> CaseOutcome:
-    db = _load_case_db(case)
-    checked = _checked_expr(case, db)
+def _check_coincidence_case(case: Case) -> CaseOutcome:
+    db, checked = case.db, case.checked
     report = analyze.coincidence_certificate(checked, db.schema)
     try:
         two = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_2vl()))
@@ -205,14 +194,13 @@ def _check_coincidence_case(case: dict) -> CaseOutcome:
     return CaseOutcome("pass", "uncertified-equal" if two == three else "uncertified-divergent")
 
 
-def _check_nullable_case(case: dict) -> CaseOutcome:
-    db = _load_case_db(case)
-    checked = _checked_expr(case, db)
+def _check_nullable_case(case: Case) -> CaseOutcome:
+    checked = case.checked
     labels = checked.sig.labels
-    nul = set(analyze.nullable(checked.expr, db.schema))
+    nul = set(checked.sig.nullable)
     for kname in ("2vl", "3vl"):
         try:
-            out = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_by_name(kname)))
+            out = evaluate(checked, case.db, cfg=EvalConfig(kernel=kernel_by_name(kname)))
         except RecursionLimitError as exc:
             return CaseOutcome("skip", str(exc))
         for record in out.records():
@@ -224,11 +212,10 @@ def _check_nullable_case(case: dict) -> CaseOutcome:
     return CaseOutcome("pass")
 
 
-def _check_roundtrip_case(case: dict) -> CaseOutcome:
+def _check_roundtrip_case(case: Case) -> CaseOutcome:
     from . import sqlfront
 
-    db = _load_case_db(case)
-    checked = _checked_expr(case, db)
+    db, checked = case.db, case.checked
     try:
         sql = sqlfront.emit_sql(checked.expr)
     except SqlEmitError as exc:
@@ -250,11 +237,10 @@ def _check_roundtrip_case(case: dict) -> CaseOutcome:
 PLAN_KERNELS = ("3vl", "2vl", "2vl-syn", "grounded:leq-sign", "4vl")
 
 
-def _check_plan_case(case: dict) -> CaseOutcome:
+def _check_plan_case(case: Case) -> CaseOutcome:
     """The planned evaluator against the plain tree-walker."""
-    db = _load_case_db(case)
-    checked = _checked_expr(case, db)
-    kernel = kernel_by_name(_field(case, "kernel"))
+    db, checked = case.db, case.checked
+    kernel = kernel_by_name(required(case.params, "kernel", "bundle"))
     try:
         reference = evaluate(checked, db, cfg=EvalConfig(kernel=kernel, plan=False))
     except RecursionLimitError as exc:
@@ -281,7 +267,7 @@ CAPTURE_FAMILIES = {
     "mvl-self": ("mvl-to-3", "3vl", 3),
 }
 
-_CHECKERS: dict[str, Callable[[dict], CaseOutcome]] = {
+_CHECKERS: dict[str, Callable[[Case], CaseOutcome]] = {
     **{family: _check_capture_case for family in CAPTURE_FAMILIES},
     "null-free-invariance": _check_invariance_case,
     "prop-4.1": _check_prop41_case,
@@ -296,26 +282,24 @@ _CHECKERS: dict[str, Callable[[dict], CaseOutcome]] = {
 # Case generators
 
 
-def _base_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, family: str, depth=None) -> dict:
-    fcfg = cfg if depth is None else replace(cfg, max_depth=depth)
-    expr = fuzz.gen_expression(schema, fcfg, rng)
-    expr = typecheck(expr, schema).expr
-    db = fuzz.gen_database(schema, fcfg, rng)
-    return {
-        "family": family,
-        "expression": ast.render_expression(expr),
-        "db": database_to_json(db),
-    }
+def _case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng, expr: ast.Expression) -> Case:
+    """A case of `expr`, typechecked once, over a database drawn next."""
+    return Case(family, typecheck(expr, schema), fuzz.gen_database(schema, cfg, rng))
 
 
-def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
+def _base_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, family: str) -> Case:
+    return _case(family, schema, cfg, rng, fuzz.gen_expression(schema, cfg, rng))
+
+
+def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
     if family in CAPTURE_FAMILIES:
         direction, param, depth_cap = CAPTURE_FAMILIES[family]
-        depth = None if depth_cap is None else min(cfg.max_depth, depth_cap)
-        case = _base_case(schema, cfg, rng, family, depth=depth)
-        case["direction"] = direction
+        if depth_cap is not None:
+            cfg = replace(cfg, max_depth=min(cfg.max_depth, depth_cap))
+        case = _base_case(schema, cfg, rng, family)
+        case.params["direction"] = direction
         if param is not None:
-            case[translate.DIRECTIONS[direction].param] = param
+            case.params[translate.DIRECTIONS[direction].param] = param
         return case
     if family == "null-free-invariance":
         return _base_case(schema, replace(cfg, null_rate=0.0), rng, family)
@@ -329,7 +313,7 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
             case = _join_case(schema, cfg, rng)
         else:
             case = _correlated_case(schema, cfg, rng)
-        case["kernel"] = rng.choice(PLAN_KERNELS)
+        case.params["kernel"] = rng.choice(PLAN_KERNELS)
         return case
     if family == "prop-4.1":
         return _gen_prop41_case(schema, cfg, rng)
@@ -360,15 +344,7 @@ def _equated(gen: fuzz.ExpressionGenerator, cfg: fuzz.FuzzConfig, rng, lsig, rsi
     return ast.and_all(conds)
 
 
-def _plan_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, expr: ast.Expression) -> dict:
-    return {
-        "family": "plan-equivalence",
-        "expression": ast.render_expression(typecheck(expr, schema).expr),
-        "db": database_to_json(fuzz.gen_database(schema, cfg, rng)),
-    }
-
-
-def _join_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
+def _join_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
     """sigma(l = r and theta)(L x R) over two drawn expressions: the shape a
     hash join serves, which the expression generator seldom draws."""
     gen = fuzz.ExpressionGenerator(schema, cfg, rng)
@@ -376,10 +352,10 @@ def _join_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
     left, lsig = gen.expr(rng.randint(1, top), {})
     right, rsig = _renamed(gen, *gen.expr(rng.randint(1, top), {}))
     cond = _equated(gen, cfg, rng, lsig, rsig)
-    return _plan_case(schema, cfg, rng, ast.Selection(cond, ast.Product(left, right)))
+    return _case("plan-equivalence", schema, cfg, rng, ast.Selection(cond, ast.Product(left, right)))
 
 
-def _correlated_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
+def _correlated_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
     """sigma(C)(L) where C is empty / in / any over pi(sigma(l = s and
     theta)(S)), L is a drawn expression, S a base relation and l a column of
     L: the correlated lookup a probe index serves, which the expression
@@ -403,68 +379,90 @@ def _correlated_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
         cond = ast.Quant(item, rng.choice(ops), "any", query)
     if rng.random() < 0.5:
         cond = ast.Not(cond)
-    return _plan_case(schema, cfg, rng, ast.Selection(cond, outer))
+    return _case("plan-equivalence", schema, cfg, rng, ast.Selection(cond, outer))
 
 
-def _gen_prop41_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> dict:
+def _gen_prop41_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
     gen = fuzz.ExpressionGenerator(schema, cfg, rng)
     expr, sig = gen.expr(cfg.max_depth - 1, {})
-    expr = typecheck(expr, schema).expr
+    checked = typecheck(expr, schema)
+    expr = checked.expr
     scope = dict(zip(sig.labels, sig.types))
     theta = gen.condition(2, scope)
-    expr_text = ast.render_expression(expr)
-    checks = [
-        {
-            "kind": "bags-equal",
-            "left": ast.render_expression(ast.Selection(theta, expr)),
-            "right": ast.render_expression(
-                ast.SetOp("except", expr, ast.Selection(ast.Not(theta), expr))
-            ),
-        }
-    ]
     # constant tuples compared against the subquery result
     items = tuple(gen.term(t, {}) for t in sig.types)
     labels = tuple(ast.NameRef(n) for n in sig.labels)
-    checks.append(
-        {
-            "kind": "cond-false-iff-empty",
-            "cond": ast.render_condition(ast.In(items, expr)),
-            "expr": ast.render_expression(
-                ast.Selection(ast.Compare(items, "=", labels), expr)
-            ),
-        }
-    )
     numeric = all(t == "n" for t in sig.types)
     op = rng.choice(ast.COMPARISONS if numeric else ("=", "!="))
     items2 = tuple(gen.term(t, {}) for t in sig.types)
-    checks.append(
-        {
-            "kind": "cond-false-iff-empty",
-            "cond": ast.render_condition(ast.Quant(items2, op, "any", expr)),
-            "expr": ast.render_expression(
-                ast.Selection(ast.Compare(items2, op, labels), expr)
-            ),
-        }
-    )
-    checks.append(
-        {
-            "kind": "cond-true-iff-empty",
-            "cond": ast.render_condition(ast.Quant(items2, op, "all", expr)),
-            "expr": ast.render_expression(
-                ast.Selection(ast.Not(ast.Compare(items2, op, labels)), expr)
-            ),
-        }
+    checks = (
+        ("bags-equal", ast.Selection(theta, expr),
+         ast.SetOp("except", expr, ast.Selection(ast.Not(theta), expr))),
+        ("cond-false-iff-empty", ast.In(items, expr),
+         ast.Selection(ast.Compare(items, "=", labels), expr)),
+        ("cond-false-iff-empty", ast.Quant(items2, op, "any", expr),
+         ast.Selection(ast.Compare(items2, op, labels), expr)),
+        ("cond-true-iff-empty", ast.Quant(items2, op, "all", expr),
+         ast.Selection(ast.Not(ast.Compare(items2, op, labels)), expr)),
     )
     db = fuzz.gen_database(schema, cfg, rng)
-    return {
-        "family": "prop-4.1",
-        "expression": expr_text,
-        "db": database_to_json(db),
-        "checks": checks,
-    }
+    return Case("prop-4.1", checked, db, checks=checks)
 
 
 FAMILIES = tuple(_CHECKERS)
+
+
+# ---------------------------------------------------------------------------
+# Bundles: the text form of a case, built only for a failing case and read
+# only by `replay`
+
+# the JSON fields of each check kind after "kind"; a "bags-equal" check
+# compares two expressions, the others a condition with an expression
+_CHECK_FIELDS = {
+    "bags-equal": ("left", "right"),
+    "cond-false-iff-empty": ("cond", "expr"),
+    "cond-true-iff-empty": ("cond", "expr"),
+}
+
+
+def _case_to_bundle(case: Case) -> dict:
+    bundle = {
+        "family": case.family,
+        "expression": ast.render_expression(case.checked.expr),
+        "db": database_to_json(case.db),
+    }
+    bundle.update(case.params)
+    if case.family == "prop-4.1":
+        bundle["checks"] = [_check_to_json(*chk) for chk in case.checks]
+    return bundle
+
+
+def _check_to_json(kind: str, first, second: ast.Expression) -> dict:
+    render = ast.render_expression if kind == "bags-equal" else ast.render_condition
+    first_key, second_key = _CHECK_FIELDS[kind]
+    return {"kind": kind, first_key: render(first), second_key: ast.render_expression(second)}
+
+
+def _case_from_bundle(bundle: dict) -> Case:
+    family = required(bundle, "family", "bundle")
+    if not isinstance(family, str) or family not in _CHECKERS:
+        raise NullvlError(f"bundle names unknown family {family!r}")
+    db = database_from_json(required(bundle, "db", "bundle"))
+    expr = parse_expression(required(bundle, "expression", "bundle"))
+    params = {key: bundle[key] for key in ("direction", "grounding", "kernel") if key in bundle}
+    checks = ()
+    if family == "prop-4.1":
+        checks = tuple(_check_from_json(chk) for chk in required(bundle, "checks", "bundle"))
+    return Case(family, typecheck(expr, db.schema), db, params, checks)
+
+
+def _check_from_json(chk: dict) -> tuple:
+    kind = required(chk, "kind", "check")
+    if not isinstance(kind, str) or kind not in _CHECK_FIELDS:
+        raise NullvlError(f"unknown check {kind!r}")
+    first, second = (required(chk, key, kind) for key in _CHECK_FIELDS[kind])
+    parse = parse_expression if kind == "bags-equal" else parse_condition
+    return kind, parse(first), parse_expression(second)
 
 
 def run_differential(
@@ -490,14 +488,10 @@ def run_differential(
         rng = fuzz.case_rng(cfg.seed, attempts)
         attempts += 1
         case = _gen_case(family, schema, cfg, rng)
-        if needs_certified:
-            db = database_from_json(case["db"])
-            if not analyze.coincidence_certificate(_checked_expr(case, db), db.schema).certified:
-                notes["uncertified-generated"] = notes.get("uncertified-generated", 0) + 1
-                continue
+        if needs_certified and not analyze.coincidence_certificate(case.checked, schema).certified:
+            notes["uncertified-generated"] = notes.get("uncertified-generated", 0) + 1
+            continue
         produced += 1
-        case["index"] = attempts - 1
-        case["seed"] = cfg.seed
         outcome = checker(case)
         summary.cases += 1
         if outcome.status == "pass":
@@ -510,12 +504,12 @@ def run_differential(
             summary.skipped += 1
         else:
             summary.failed += 1
-            bundle = dict(case)
-            bundle["failure"] = outcome.detail
+            bundle = _case_to_bundle(case)
+            bundle.update(index=attempts - 1, seed=cfg.seed, failure=outcome.detail)
             summary.bundles.append(bundle)
             if bundle_dir:
                 os.makedirs(bundle_dir, exist_ok=True)
-                path = os.path.join(bundle_dir, f"{family}-{case['index']}.json")
+                path = os.path.join(bundle_dir, f"{family}-{bundle['index']}.json")
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(bundle, fh, indent=1)
                 notes.setdefault("bundle_files", 0)
@@ -529,7 +523,5 @@ def run_differential(
 
 def replay(bundle: dict) -> CaseOutcome:
     """Re-run a counterexample bundle; deterministic, no randomness involved."""
-    family = required(bundle, "family", "bundle")
-    if not isinstance(family, str) or family not in _CHECKERS:
-        raise NullvlError(f"bundle names unknown family {family!r}")
-    return _CHECKERS[family](bundle)
+    case = _case_from_bundle(bundle)
+    return _CHECKERS[case.family](case)

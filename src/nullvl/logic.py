@@ -498,7 +498,7 @@ def eval_template(cond: ast.Condition, values: tuple[Value, Value]) -> bool:
     Connectives follow the three-valued tables; the result must come out
     two-valued, otherwise the template is invalid.
     """
-    v = _eval_template_cond(cond, values)
+    v = _eval_template_cond(cond, values, kernel_3vl())
     if v == "u":
         raise KernelError("template evaluated to unknown; it must be two-valued")
     return v == "t"
@@ -521,10 +521,8 @@ def _eval_template_term(t: ast.Term, values) -> Value:
     raise KernelError(f"bad template term {t!r}")
 
 
-_K3_AND, _K3_OR, _K3_NOT = _kleene_tables()
-
-
-def _eval_template_cond(c: ast.Condition, values) -> TruthValue:
+def _eval_template_cond(c: ast.Condition, values, k3: LogicKernel) -> TruthValue:
+    """`c` under `k3`, the three-valued kernel: its `compare` and tables."""
     if isinstance(c, ast.CTrue):
         return "t"
     if isinstance(c, ast.CFalse):
@@ -536,16 +534,18 @@ def _eval_template_cond(c: ast.Condition, values) -> TruthValue:
         if isinstance(expanded, ast.Compare):
             a = _eval_template_term(expanded.lhs[0], values)
             b = _eval_template_term(expanded.rhs[0], values)
-            if is_null(a) or is_null(b):
-                return "u"
-            return "t" if standard_compare(expanded.op, a, b) else "f"
-        return _eval_template_cond(expanded, values)
+            return k3.compare(expanded.op, a, b)
+        return _eval_template_cond(expanded, values, k3)
     if isinstance(c, ast.And):
-        return _K3_AND[(_eval_template_cond(c.left, values), _eval_template_cond(c.right, values))]
+        return k3.conj(
+            _eval_template_cond(c.left, values, k3), _eval_template_cond(c.right, values, k3)
+        )
     if isinstance(c, ast.Or):
-        return _K3_OR[(_eval_template_cond(c.left, values), _eval_template_cond(c.right, values))]
+        return k3.disj(
+            _eval_template_cond(c.left, values, k3), _eval_template_cond(c.right, values, k3)
+        )
     if isinstance(c, ast.Not):
-        return _K3_NOT[_eval_template_cond(c.cond, values)]
+        return k3.neg(_eval_template_cond(c.cond, values, k3))
     raise KernelError(f"bad template condition {c!r}")
 
 

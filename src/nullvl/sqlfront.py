@@ -508,6 +508,8 @@ class _SqlParser:
         if t.kind == "kw" and t.text in _AGG_FNS:
             self.next()
             self.expect_op("(")
+            if self.at_kw("distinct"):
+                raise UnsupportedSqlError("unsupported feature: DISTINCT inside an aggregate")
             if t.text == "count" and self.eat_op("*"):
                 self.expect_op(")")
                 call = SAgg("count", True, None)

@@ -99,6 +99,14 @@ def test_fuzz_and_replay(tmp_path, capsys):
     assert verdict["status"] == "fail"
 
 
+def test_sql2ra_names_distinct_inside_an_aggregate(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    sql = _write(tmp_path, "q.sql", "SELECT count(DISTINCT R.A) FROM R")
+    assert main(["sql2ra", "--schema", db, sql]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unsupported feature: DISTINCT inside an aggregate\n"
+
+
 def test_parse_errors_exit_two(tmp_path, capsys):
     db = _write(tmp_path, "db.json", DB)
     expr = _write(tmp_path, "broken.ra", "(select (empt")

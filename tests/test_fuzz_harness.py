@@ -1,11 +1,13 @@
+import hashlib
 import json
 import random
+import sys
 
 import pytest
 
-from nullvl import ast, evaluator, fuzz, harness
+from nullvl import ast, evaluator, fuzz, harness, parser, values
 from nullvl.typecheck import typecheck
-from nullvl.values import database_to_json
+from nullvl.values import database_from_json, database_to_json
 
 
 def test_database_generation_is_deterministic():
@@ -74,9 +76,9 @@ def test_every_family_passes_on_a_small_corpus(family):
     assert summary.cases == 25
 
 
-def test_coincidence_cases_typecheck_at_most_three_times(monkeypatch):
-    # generation, the certified-only gate and the checker each typecheck once;
-    # the certificate and both evaluations reuse the checker's `Checked`
+def test_coincidence_cases_typecheck_once(monkeypatch):
+    # generation typechecks once; the certified-only gate, the certificate
+    # and both evaluations reuse the generator's `Checked`
     from nullvl import typecheck as typecheck_module
 
     constructions = []
@@ -90,7 +92,7 @@ def test_coincidence_cases_typecheck_at_most_three_times(monkeypatch):
     summary = harness.run_differential("coincidence", fuzz.FuzzConfig(seed=0, cases=20))
     assert summary.cases == 20 and summary.failed == 0
     generated = summary.cases + summary.notes.get("uncertified-generated", 0)
-    assert len(constructions) <= 3 * generated
+    assert len(constructions) <= generated
 
 
 def test_capture_families_report_size_ratios():
@@ -156,7 +158,7 @@ def test_plan_equivalence_covers_every_kernel():
         assert summary.passed + summary.skipped == summary.cases == 5
         for index in range(cfg.cases):
             case = harness._gen_case("plan-equivalence", schema, cfg, fuzz.case_rng(seed, index))
-            kernels.add(case["kernel"])
+            kernels.add(case.params["kernel"])
     assert kernels == set(harness.PLAN_KERNELS)
 
 
@@ -171,7 +173,7 @@ def test_plan_equivalence_probes_correlated_selections_under_every_kernel(monkey
         return real_probe(e, keys, *args)
 
     def check(case):
-        kernel[0] = case["kernel"]
+        kernel[0] = case.params["kernel"]
         return real_check(case)
 
     monkeypatch.setattr(evaluator, "_probe_candidates", probe)
@@ -185,3 +187,107 @@ def test_plan_equivalence_probes_correlated_selections_under_every_kernel(monkey
 def test_plan_equivalence_runs_at_depth_one():
     summary = harness.run_differential("plan-equivalence", fuzz.FuzzConfig(seed=3, max_depth=1, cases=20))
     assert summary.failed == 0 and summary.cases == 20
+
+
+# SHA-256 of each family's `FamilySummary.to_json()` (keys sorted) at seed 0
+# x 60 cases, taken from the harness that checked every case through its
+# rendered text and JSON database
+PINNED_SUMMARY_DIGESTS = {
+    "capture-2vl-to-3vl": "6e3bf304c39297117cdb344f2e370d86f6d337f4d5379c2c368a69e309f00e43",
+    "capture-3vl-to-2vl": "3f27a1429ecf120f29b983435ea3b734b6e52548583dec85dba2e41d36c25805",
+    "grounded-syntactic": "0f611b44785eae5ffcb629a357cdbe0cf2d28759f5d3ea1e40614030d2013467",
+    "grounded-leq": "df726d9bb45c790e4d4e5d57c601c4e498beabdc1ca7d9c59e06e24c08a9c220",
+    "capture-3vl-to-grounded": "3d3c740e72ca881163669a99e945601e47c308a8bfd83bc4339f77663aafc69d",
+    "mvl-4vl": "885ca2c29bfaf5f34673a0ce24b85f4bb4afbd37124c60f1301301a75a60e74b",
+    "mvl-self": "e05e8923aa39dad1c88df8b654dd9ade738ecf9c342cb9314ea0efeb7c5e3a6d",
+    "null-free-invariance": "557aaa66dd23ac07c98e530ed27ead7e95f84ea988a568dc8737e83882504112",
+    "prop-4.1": "cce7ee32662bfff75e25819abb4d4d28c0703d18450a56b1bbff73952e1cf2a2",
+    "coincidence": "8fe586e90a7ac3b0e088b762c1497262c4a44d10576e3543ee6424b653c6bbfe",
+    "nullable-soundness": "197068ebd88c7dac8dc3252423be24cb3dd024efefdf768d423658ffd5d550f4",
+    "sql-roundtrip": "52b96a0eb0374f6e7879e1297fcce22d2d5e4162dca1cf3683879ced80b35c40",
+    "plan-equivalence": "2a8855d60c884c99c2cb48c51cd43722311bb26628253c420ab99b2d1b2919f0",
+}
+
+
+def _summary_digest(summary) -> str:
+    return hashlib.sha256(json.dumps(summary.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", harness.FAMILIES)
+def test_family_summaries_match_the_pinned_digests(family):
+    summary = harness.run_differential(family, fuzz.FuzzConfig(seed=0, cases=60))
+    assert _summary_digest(summary) == PINNED_SUMMARY_DIGESTS[family]
+
+
+def _generated_cases(family, seeds, cases):
+    schema = fuzz.default_schema()
+    for seed in seeds:
+        cfg = fuzz.FuzzConfig(seed=seed)
+        for index in range(cases):
+            yield harness._gen_case(family, schema, cfg, fuzz.case_rng(seed, index))
+
+
+@pytest.mark.parametrize("family", harness.FAMILIES)
+def test_generated_cases_round_trip_through_text_and_json(family):
+    # the harness checks cases in memory; bundles and `replay` go through
+    # this text form, so it must give back the same trees and tables
+    for case in _generated_cases(family, range(5), 40):
+        text = ast.render_expression(case.checked.expr)
+        assert typecheck(parser.parse_expression(text), case.db.schema).expr == case.checked.expr
+        for kind, first, second in case.checks:
+            if kind == "bags-equal":
+                assert parser.parse_expression(ast.render_expression(first)) == first
+            else:
+                assert parser.parse_condition(ast.render_condition(first)) == first
+            assert parser.parse_expression(ast.render_expression(second)) == second
+        # `Schema` has no `__eq__`, so compare the tables and the relations
+        loaded = database_from_json(database_to_json(case.db))
+        assert loaded.tables == case.db.tables
+        assert loaded.schema.relations == case.db.schema.relations
+
+
+@pytest.mark.parametrize("family", harness.FAMILIES)
+def test_replay_of_a_bundle_gives_the_in_memory_verdict(family):
+    checker = harness._CHECKERS[family]
+    for case in _generated_cases(family, range(3), 10):
+        direct = checker(case)
+        bundle = json.loads(json.dumps(harness._case_to_bundle(case)))
+        replayed = harness.replay(bundle)
+        assert (replayed.status, replayed.detail, replayed.size_ratio) == (
+            direct.status, direct.detail, direct.size_ratio
+        )
+
+
+def test_passing_cases_build_no_text(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("text or JSON built for a passing case")
+
+    originals = [
+        parser.parse_expression, parser.parse_condition, values.database_from_json,
+        values.database_to_json, ast.render_expression, ast.render_condition,
+    ]
+    for name, module in list(sys.modules.items()):
+        if name == "nullvl" or name.startswith("nullvl."):
+            for attr, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+    for family in harness.FAMILIES:
+        summary = harness.run_differential(family, fuzz.FuzzConfig(seed=0, cases=20))
+        assert summary.failed == 0 and summary.cases == 20, family
+
+
+@pytest.mark.parametrize("family, keys", [
+    ("grounded-leq", ["direction", "grounding"]),
+    ("plan-equivalence", ["kernel"]),
+    ("prop-4.1", ["checks"]),
+])
+def test_failing_cases_write_bundles_that_replay(family, keys, tmp_path, monkeypatch):
+    real = harness._CHECKERS[family]
+    monkeypatch.setitem(harness._CHECKERS, family, lambda case: harness.CaseOutcome("fail", "forced"))
+    summary = harness.run_differential(family, fuzz.FuzzConfig(seed=4, cases=3), bundle_dir=str(tmp_path))
+    monkeypatch.setitem(harness._CHECKERS, family, real)
+    assert summary.failed == summary.notes["bundle_files"] == 3
+    for bundle in summary.bundles:
+        assert list(bundle) == ["family", "expression", "db", *keys, "index", "seed", "failure"]
+        written = json.loads((tmp_path / f"{family}-{bundle['index']}.json").read_text())
+        assert written == bundle and harness.replay(written).status in ("pass", "skip")

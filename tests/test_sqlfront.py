@@ -56,6 +56,13 @@ def test_join_and_order_by_are_named_unsupported():
         sqlfront.parse_sql("SELECT R.A FROM R ORDER BY R.A")
 
 
+def test_distinct_inside_an_aggregate_is_named_unsupported():
+    for sql in ("SELECT count(DISTINCT a) FROM R", "SELECT sum(DISTINCT a) FROM R"):
+        with pytest.raises(UnsupportedSqlError,
+                           match="^unsupported feature: DISTINCT inside an aggregate$"):
+            sqlfront.parse_sql(sql)
+
+
 def test_not_exists_lowers_to_emptiness():
     sql = "SELECT R.A FROM R WHERE NOT EXISTS (SELECT S.A FROM S WHERE S.A = R.A)"
     lowered = lower(sql, SCHEMA)

@@ -12,11 +12,10 @@ import sys
 from . import analyze, ast, fuzz, harness, sqlfront, translate
 from .errors import NullvlError
 from .evaluator import EvalConfig, evaluate
-from .logic import load_grounding, load_kernel
+from .logic import GROUNDINGS, KERNELS, RESOLVERS, kernel_by_name
 from .parser import parse_expression
 from .typecheck import typecheck
 from .values import bag_json_text, bag_to_json, load_database, read_json
-from .harness import kernel_by_name
 
 
 def _read(path: str) -> str:
@@ -26,26 +25,11 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _semantics_kernel(spec: str):
-    if spec.startswith("grounded:"):
-        from .logic import kernel_grounded
-
-        return kernel_grounded(load_grounding(spec.split(":", 1)[1]))
-    if spec.startswith("mvl:"):
-        return load_kernel(spec.split(":", 1)[1])
-    if spec in ("3vl", "2vl", "2vl-syn"):
-        return kernel_by_name(spec)
-    raise NullvlError(
-        f"unknown semantics {spec!r}; use 3vl, 2vl, 2vl-syn, grounded:<file> or mvl:<file>"
-    )
-
-
 def _cmd_eval(args) -> int:
     db = load_database(args.db)
     expr = parse_expression(_read(args.expr))
     checked = typecheck(expr, db.schema)
-    kernel = _semantics_kernel(args.semantics)
-    cfg = EvalConfig(kernel=kernel, recursion_cap=args.recursion_cap)
+    cfg = EvalConfig(kernel=kernel_by_name(args.semantics), recursion_cap=args.recursion_cap)
     bag = evaluate(checked, db, cfg=cfg)
     if args.canonical:
         print(bag.canonical_text())
@@ -62,10 +46,10 @@ def _cmd_translate(args) -> int:
     direction = translate.DIRECTIONS[args.direction]
     param = None
     if direction.param and direction.translation_uses_param:
-        path = getattr(args, direction.param)
-        if not path:
-            raise NullvlError(f"{args.direction} needs --{direction.param} <file>")
-        param = (load_grounding if direction.param == "grounding" else load_kernel)(path)
+        spec = getattr(args, direction.param)
+        if not spec:
+            raise NullvlError(f"{args.direction} needs --{direction.param} <name or file>")
+        param = RESOLVERS[direction.param](spec)
     result = direction.translate(expr, schema, param)
     print(ast.render_expression(result.output))
     if args.trace:
@@ -150,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate an expression on a database")
     pe.add_argument("--semantics", default="3vl",
-                    help="3vl | 2vl | 2vl-syn | grounded:<file> | mvl:<file>")
+                    help=f"{' | '.join(KERNELS)} | grounded:<grounding> | [mvl:]<kernel file>")
     pe.add_argument("--canonical", action="store_true", help="print the sorted text form")
     pe.add_argument("--recursion-cap", type=_bounded(int, 1), default=10_000)
     pe.add_argument("expr", help="expression file ('-' for stdin)")
@@ -159,10 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("translate", help="translate an expression between semantics")
     pt.add_argument("--direction", required=True, choices=list(translate.DIRECTIONS))
-    for flag in ("grounding", "kernel"):
+    for flag, built_ins in (("grounding", GROUNDINGS), ("kernel", KERNELS)):
         users = [name for name, d in translate.DIRECTIONS.items()
                  if d.param == flag and d.translation_uses_param]
-        pt.add_argument(f"--{flag}", help=f"{flag} JSON file ({', '.join(users)})")
+        pt.add_argument(f"--{flag}",
+                        help=f"{' | '.join(built_ins)} | <{flag} file> ({', '.join(users)})")
     pt.add_argument("--schema", help="database JSON supplying the schema")
     pt.add_argument("--trace", action="store_true", help="emit the per-node rule trace")
     pt.add_argument("expr", help="expression file ('-' for stdin)")

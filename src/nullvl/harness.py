@@ -8,7 +8,6 @@ are skipped, never failed.
 """
 from __future__ import annotations
 
-import functools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -16,54 +15,14 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import analyze, ast, fuzz, translate
-from .errors import KernelError, NullvlError, RecursionLimitError, SqlEmitError
+from .errors import NullvlError, RecursionLimitError, SqlEmitError
 from .evaluator import EvalConfig, eval_condition, evaluate
-from .logic import (
-    LogicKernel,
-    empty_grounding,
-    kernel_2vl,
-    kernel_2vl_syntactic,
-    kernel_3vl,
-    kernel_4vl_example,
-    kernel_grounded,
-    nonnegative_leq_grounding,
-    syntactic_equality_grounding,
-)
+from .logic import RESOLVERS, kernel_2vl, kernel_3vl, kernel_by_name
 from .parser import parse_condition, parse_expression
 from .typecheck import Checked, typecheck
 from .values import (
     NUM, Bag, Database, Schema, bag_to_json, database_from_json, database_to_json, required,
 )
-
-_GROUNDINGS = {
-    "empty": empty_grounding,
-    "syntactic": syntactic_equality_grounding,
-    "leq-sign": nonnegative_leq_grounding,
-}
-
-_KERNELS = {
-    "3vl": kernel_3vl,
-    "2vl": kernel_2vl,
-    "2vl-syn": kernel_2vl_syntactic,
-    "4vl": kernel_4vl_example,
-}
-
-
-def _grounding_by_name(name: str):
-    if name not in _GROUNDINGS:
-        raise KernelError(f"unknown grounding {name!r}; choose from {', '.join(_GROUNDINGS)}")
-    return _GROUNDINGS[name]()
-
-
-@functools.cache
-def kernel_by_name(name: str) -> LogicKernel:
-    """A built-in kernel, built once per process; kernels are not changed
-    after construction."""
-    if name.startswith("grounded:"):
-        return kernel_grounded(_grounding_by_name(name.split(":", 1)[1]))
-    if name not in _KERNELS:
-        raise KernelError(f"unknown kernel {name!r}; choose from {', '.join(_KERNELS)}")
-    return _KERNELS[name]()
 
 
 @dataclass
@@ -124,14 +83,13 @@ class Case:
 def _check_capture_case(case: Case) -> CaseOutcome:
     db, checked = case.db, case.checked
     expr = checked.expr
-    direction = translate.DIRECTIONS.get(required(case.params, "direction", "bundle"))
+    name = required(case.params, "direction", "bundle")
+    direction = translate.DIRECTIONS.get(name) if isinstance(name, str) else None
     if direction is None:
-        raise NullvlError(f"unknown direction {case.params['direction']!r}")
+        raise NullvlError(f"unknown direction {name!r}")
     param = None
-    if direction.param == "grounding":
-        param = _grounding_by_name(required(case.params, "grounding", "bundle"))
-    elif direction.param == "kernel":
-        param = kernel_by_name(required(case.params, "kernel", "bundle"))
+    if direction.param:
+        param = RESOLVERS[direction.param](required(case.params, direction.param, "bundle"))
     tr = direction.translate(expr, db.schema, param)
     verdict = translate.check_capture(
         expr, db, EvalConfig(kernel=direction.source(param)),
@@ -145,11 +103,10 @@ def _check_capture_case(case: Case) -> CaseOutcome:
 
 
 def _check_invariance_case(case: Case) -> CaseOutcome:
-    kernels = [kernel_3vl(), kernel_2vl(), kernel_2vl_syntactic(), kernel_grounded(empty_grounding())]
     outs = []
     try:
-        for k in kernels:
-            outs.append(evaluate(case.checked, case.db, cfg=EvalConfig(kernel=k)))
+        for name in ("3vl", "2vl", "2vl-syn", "grounded:empty"):
+            outs.append(evaluate(case.checked, case.db, cfg=EvalConfig(kernel=kernel_by_name(name))))
     except RecursionLimitError as exc:
         return CaseOutcome("skip", str(exc))
     if all(o == outs[0] for o in outs):
@@ -198,9 +155,9 @@ def _check_nullable_case(case: Case) -> CaseOutcome:
     checked = case.checked
     labels = checked.sig.labels
     nul = set(checked.sig.nullable)
-    for kname in ("2vl", "3vl"):
+    for kernel in (kernel_2vl(), kernel_3vl()):
         try:
-            out = evaluate(checked, case.db, cfg=EvalConfig(kernel=kernel_by_name(kname)))
+            out = evaluate(checked, case.db, cfg=EvalConfig(kernel=kernel))
         except RecursionLimitError as exc:
             return CaseOutcome("skip", str(exc))
         for record in out.records():

@@ -751,3 +751,57 @@ def grounding_from_json(obj: Mapping) -> Grounding:
 
 def load_grounding(path: str) -> Grounding:
     return grounding_from_json(read_json(path))
+
+
+# ---------------------------------------------------------------------------
+# Semantics by name, resolved here for the CLI, the harness and replay
+
+KERNELS: dict[str, Callable[[], LogicKernel]] = {
+    "3vl": kernel_3vl,
+    "2vl": kernel_2vl,
+    "2vl-syn": kernel_2vl_syntactic,
+    "4vl": kernel_4vl_example,
+}
+
+GROUNDINGS: dict[str, Callable[[], Grounding]] = {
+    "empty": empty_grounding,
+    "syntactic": syntactic_equality_grounding,
+    "leq-sign": nonnegative_leq_grounding,
+}
+
+
+def _by_name(spec, what: str, built_ins: Mapping, load: Callable):
+    """A built-in by name, else `load(spec)` of a file."""
+    if not isinstance(spec, str):
+        raise KernelError(f"a {what} name must be a string, not {spec!r}")
+    if spec in built_ins:
+        return built_ins[spec]()
+    try:
+        return load(spec)
+    except (FileNotFoundError, IsADirectoryError):
+        raise KernelError(f"unknown {what} {spec!r}: no such file, and no built-in "
+                          f"{what} of that name ({', '.join(built_ins)})") from None
+
+
+def grounding_by_name(spec) -> Grounding:
+    """A built-in grounding, otherwise a grounding JSON file."""
+    return _by_name(spec, "grounding", GROUNDINGS, load_grounding)
+
+
+def kernel_by_name(spec) -> LogicKernel:
+    """A built-in kernel, `grounded:<grounding>`, or a kernel JSON file with
+    or without the `mvl:` prefix.  A built-in, `grounded:<built-in>` too, is
+    built once per process; a file is read on every call."""
+    if isinstance(spec, str) and spec.startswith("grounded:"):
+        name = spec.removeprefix("grounded:")
+        return _grounded(name) if name in GROUNDINGS else kernel_grounded(grounding_by_name(name))
+    return _by_name(spec, "kernel", KERNELS, lambda path: load_kernel(path.removeprefix("mvl:")))
+
+
+@functools.cache
+def _grounded(name: str) -> LogicKernel:
+    return kernel_grounded(GROUNDINGS[name]())
+
+
+# the resolver of each kind of name, keyed as `translate.Direction.param`
+RESOLVERS = {"grounding": grounding_by_name, "kernel": kernel_by_name}

@@ -855,7 +855,6 @@ class _Lowerer:
                     "unsupported feature: HAVING without grouping or aggregation"
                 )
 
-            current_labels = self.scopes[-1].sources[0].labels if agg_map or core.group_by else None
             if core.items is not None:
                 items = []
                 for item in core.items:

@@ -200,6 +200,13 @@ def test_json_missing_required_fields_exit_two(tmp_path, capsys):
     runs.append((["replay", _write(tmp_path, "bundle-list.json", [])], "JSON object"))
     unknown = dict(bundle, family="plan-equivalence", kernel="5vl")
     runs.append((["replay", _write(tmp_path, "bundle-kernel.json", unknown)], "5vl"))
+    not_strings = [
+        dict(bundle, family="plan-equivalence", kernel=["…"]),
+        dict(bundle, family="grounded-leq", direction="gr-to-3", grounding=["…"]),
+        dict(bundle, family="capture-2vl-to-3vl", direction=["…"]),
+    ]
+    for key, listed in zip(("kernel", "grounding", "direction"), not_strings):
+        runs.append((["replay", _write(tmp_path, f"bundle-{key}-list.json", listed)], key))
     for argv, field in runs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -476,3 +483,65 @@ def test_eval_output_bytes_are_pinned(tmp_path, capsys):
             digests.append(hashlib.sha256("".join(out).encode()).hexdigest())
         got[semantics.split(":")[0]] = tuple(digests)
     assert got == EVAL_DIGESTS
+
+
+def _bundle_names():
+    """Every kernel and grounding name a harness bundle can carry, by the
+    CLI flag of its kind."""
+    from nullvl import harness, translate
+
+    names = {"kernel": set(harness.PLAN_KERNELS) | {"grounded:empty"}, "grounding": set()}
+    for direction, param, _ in harness.CAPTURE_FAMILIES.values():
+        if param is not None:
+            names[translate.DIRECTIONS[direction].param].add(param)
+    return names
+
+
+def test_every_bundle_kernel_name_evaluates_as_the_harness_kernel(tmp_path, capsys):
+    from nullvl.evaluator import EvalConfig, evaluate
+    from nullvl.logic import kernel_by_name
+    from nullvl.parser import parse_expression
+    from nullvl.typecheck import typecheck
+    from nullvl.values import bag_to_json, database_from_json
+
+    data = dict(DB, data={"R": [["-1"], ["0"], ["2"], [None]], "S": [[None], ["0"]]})
+    db = _write(tmp_path, "db.json", data)
+    database = database_from_json(data)
+    texts = [Q1_EXPR, "(select (cmp <= (col R.A) (num 0)) (base R))",
+             "(select (not (cmp = (col R.A) (col R.A))) (base R))"]
+    names = _bundle_names()["kernel"]
+    assert {"3vl", "2vl", "2vl-syn", "4vl", "grounded:leq-sign", "grounded:empty"} <= names
+    for text in texts:
+        expr = _write(tmp_path, "q.ra", text)
+        checked = typecheck(parse_expression(text), database.schema)
+        for name in sorted(names):
+            assert main(["eval", "--semantics", name, expr, db]) == 0, name
+            bag = evaluate(checked, database, cfg=EvalConfig(kernel=kernel_by_name(name)))
+            assert json.loads(capsys.readouterr().out) == bag_to_json(bag, checked.sig.labels)
+
+
+def test_every_bundle_parameter_name_is_a_translate_flag_value(tmp_path, capsys):
+    from nullvl import harness, translate
+    from nullvl.logic import RESOLVERS
+    from nullvl.parser import parse_expression
+    from nullvl.typecheck import typecheck
+    from nullvl.values import database_from_json
+
+    db = _write(tmp_path, "db.json", DB)
+    text = "(select (cmp <= (col R.A) (num 0)) (base R))"
+    expr = _write(tmp_path, "q.ra", text)
+    schema = database_from_json(DB).schema
+    checked = typecheck(parse_expression(text), schema).expr
+    seen = set()
+    for direction_name, name, _ in harness.CAPTURE_FAMILIES.values():
+        direction = translate.DIRECTIONS[direction_name]
+        if name is None:
+            continue
+        argv = ["translate", "--direction", direction_name, f"--{direction.param}", name,
+                "--schema", db, expr]
+        assert main(argv) == 0, argv
+        param = RESOLVERS[direction.param](name) if direction.translation_uses_param else None
+        want = ast.render_expression(direction.translate(checked, schema, param).output)
+        assert capsys.readouterr().out == want + "\n"
+        seen.add((direction.param, name))
+    assert {kind for kind, _ in seen} == {"grounding", "kernel"}

@@ -302,9 +302,52 @@ def test_built_in_kernels_are_built_once_per_process():
     for make in (logic.kernel_3vl, logic.kernel_2vl, logic.kernel_2vl_syntactic,
                  logic.kernel_4vl_example):
         assert make() is make()
-    for name in PLAN_KERNELS:
+    grounded = [f"grounded:{g}" for g in logic.GROUNDINGS]
+    for name in (*PLAN_KERNELS, *logic.KERNELS, *grounded):
         assert kernel_by_name(name) is kernel_by_name(name)
     assert kernel_by_name("3vl") is logic.kernel_3vl()
+
+
+def test_semantics_names_that_are_no_strings_or_unknown_are_kernel_errors():
+    from nullvl import logic
+
+    for bad in (["3vl"], None, 4):
+        for resolve in logic.RESOLVERS.values():
+            with pytest.raises(KernelError, match="must be a string"):
+                resolve(bad)
+    with pytest.raises(KernelError, match="3vl, 2vl, 2vl-syn, 4vl"):
+        logic.kernel_by_name("5vl")
+    with pytest.raises(KernelError, match="empty, syntactic, leq-sign"):
+        logic.kernel_by_name("grounded:leq")
+
+
+def test_built_in_names_win_over_files_of_the_same_name(tmp_path, monkeypatch):
+    from nullvl import logic
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "leq-sign").write_text(json.dumps({"name": "from-file", "templates": {}}))
+    (tmp_path / "4vl").write_text(json.dumps(_4vl_as_json()))
+    assert logic.grounding_by_name("leq-sign").name == "leq-sign"
+    assert logic.grounding_by_name("./leq-sign").name == "from-file"
+    assert logic.kernel_by_name("grounded:leq-sign").name == "grounded:leq-sign"
+    assert logic.kernel_by_name("grounded:./leq-sign").name == "grounded:from-file"
+    assert logic.kernel_by_name("4vl") is kernel_4vl_example()
+    for spec in ("./4vl", "mvl:4vl", "mvl:./4vl"):
+        assert logic.kernel_by_name(spec).name == "4vl-json", spec
+
+
+def test_semantics_files_are_read_on_every_call(tmp_path):
+    from nullvl import logic
+
+    grounding = tmp_path / "g.json"
+    kernel = tmp_path / "k.json"
+    for name in ("first", "second"):
+        grounding.write_text(json.dumps({"name": name, "templates": {}}))
+        kernel.write_text(json.dumps(dict(_4vl_as_json(), name=name)))
+        assert logic.grounding_by_name(str(grounding)).name == name
+        assert logic.kernel_by_name(f"grounded:{grounding}").name == f"grounded:{name}"
+        assert logic.kernel_by_name(str(kernel)).name == name
+        assert logic.kernel_by_name(f"mvl:{kernel}").name == name
 
 
 def _comparison_table_lines(kernel) -> list:

@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     except NullvlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input path that is missing, a directory, unreadable, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -525,6 +525,14 @@ def eval_condition(cond: ast.Condition, db: Database, cfg: Optional[EvalConfig] 
     return eval_condition_rt(cond, _db_rt(db), {}, _Run(cfg or EvalConfig(), checker.notes))
 
 
+def condition_rule(cond: ast.Condition, names: tuple[str, str]):
+    """A subquery-free condition as a function of the values of two names to
+    its 3VL truth value: the plain tree-walker, on one `_Run` for all calls."""
+    run = _Run(EvalConfig(kernel=kernel_3vl(), plan=False), {})
+    first, second = names
+    return lambda a, b: eval_condition_rt(cond, {}, {first: a, second: b}, run)
+
+
 def eval_group(
     names: tuple[str, ...],
     aggs: tuple[ast.AggItem, ...],

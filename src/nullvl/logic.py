@@ -8,7 +8,8 @@ as an ordinary condition evaluated under the three-valued semantics.
 
 The same module houses groundings (per-comparison decisions for each pattern
 of null argument positions) and the eventual-periodicity machinery used to
-fold connectives over counted multisets.
+fold connectives over counted multisets.  It evaluates no condition itself:
+a grounding template that depends on the values runs on the evaluator.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from . import ast
 from .errors import KernelError
-from .funcs import apply_function
-from .values import Value, is_null, json_array, read_json, required
+from .values import Value, json_array, read_json, required
 
 TruthValue = str
 
@@ -59,10 +59,9 @@ def _null_rules(table: Mapping, true: TruthValue, false: TruthValue):
     maps every cell to a truth value or, for groundings, to a two-valued
     template over the non-null argument.  ``compare`` is standard on two
     non-null arguments; ``null_equality`` is the `=` row's constants."""
-    outcome = {True: true, False: false}
     by_nulls = {
         (op, 1 in p, 2 in p): entry if isinstance(entry, str)
-        else lambda a, b, cond=entry: outcome[eval_template(cond, (a, b))]
+        else _template_rule(entry, true, false)
         for (op, p), entry in table.items()
     }
 
@@ -74,6 +73,28 @@ def _null_rules(table: Mapping, true: TruthValue, false: TruthValue):
 
     eq = {p: table[("=", p)] for p in _PATTERNS}
     return compare, {p: v if isinstance(v, str) else None for p, v in eq.items()}
+
+
+# the names a template's holes 1 and 2 are bound to when it is evaluated
+TEMPLATE_NAMES = ("__1", "__2")
+
+
+def _template_rule(template: ast.Condition, true: TruthValue, false: TruthValue):
+    """A NULL-table template as a function of the two argument values: the
+    evaluator's plain tree-walker under 3VL, which must come out t or f."""
+    from .evaluator import condition_rule
+
+    holds = condition_rule(
+        substitute_holes(template, tuple(map(ast.NameRef, TEMPLATE_NAMES))), TEMPLATE_NAMES
+    )
+
+    def rule(a: Value, b: Value) -> TruthValue:
+        value = holds(a, b)
+        if value == "u":
+            raise KernelError("template evaluated to unknown; it must be two-valued")
+        return true if value == "t" else false
+
+    return rule
 
 
 class LogicKernel:
@@ -391,6 +412,8 @@ class Grounding:
     ``templates`` maps (comparison, pattern) to a condition over two term
     holes; the template may only mention the holes at non-null positions.
     A missing entry is the empty grounding: ``(false)`` stands in for it.
+    The evaluator runs a template under 3VL with the holes bound to the
+    argument values, and it must come out t or f.
     """
 
     def __init__(self, name: str, templates: Mapping[tuple[str, frozenset], ast.Condition]):
@@ -490,63 +513,6 @@ def substitute_holes(cond: ast.Condition, args: tuple[ast.Term, ...]) -> ast.Con
     if isinstance(cond, (ast.In, ast.Empty, ast.Quant)):
         raise KernelError("subqueries are not allowed in templates")
     raise KernelError(f"not a template condition: {cond!r}")
-
-
-def eval_template(cond: ast.Condition, values: tuple[Value, Value]) -> bool:
-    """Evaluate a subquery-free template on concrete argument values.
-
-    Connectives follow the three-valued tables; the result must come out
-    two-valued, otherwise the template is invalid.
-    """
-    v = _eval_template_cond(cond, values, kernel_3vl())
-    if v == "u":
-        raise KernelError("template evaluated to unknown; it must be two-valued")
-    return v == "t"
-
-
-def _eval_template_term(t: ast.Term, values) -> Value:
-    if isinstance(t, ast.ArgHole):
-        return values[t.index - 1]
-    if isinstance(t, ast.NumConst):
-        return t.value
-    if isinstance(t, ast.OrdConst):
-        return t.value
-    if isinstance(t, ast.NullConst):
-        return None
-    if isinstance(t, ast.FnApply):
-        args = [_eval_template_term(a, values) for a in t.args]
-        if any(is_null(a) for a in args):
-            return None
-        return apply_function(t.fn, args)
-    raise KernelError(f"bad template term {t!r}")
-
-
-def _eval_template_cond(c: ast.Condition, values, k3: LogicKernel) -> TruthValue:
-    """`c` under `k3`, the three-valued kernel: its `compare` and tables."""
-    if isinstance(c, ast.CTrue):
-        return "t"
-    if isinstance(c, ast.CFalse):
-        return "f"
-    if isinstance(c, ast.IsNull):
-        return "t" if is_null(_eval_template_term(c.term, values)) else "f"
-    if isinstance(c, ast.Compare):
-        expanded = ast.expand_tuple_comparison(c.lhs, c.op, c.rhs)
-        if isinstance(expanded, ast.Compare):
-            a = _eval_template_term(expanded.lhs[0], values)
-            b = _eval_template_term(expanded.rhs[0], values)
-            return k3.compare(expanded.op, a, b)
-        return _eval_template_cond(expanded, values, k3)
-    if isinstance(c, ast.And):
-        return k3.conj(
-            _eval_template_cond(c.left, values, k3), _eval_template_cond(c.right, values, k3)
-        )
-    if isinstance(c, ast.Or):
-        return k3.disj(
-            _eval_template_cond(c.left, values, k3), _eval_template_cond(c.right, values, k3)
-        )
-    if isinstance(c, ast.Not):
-        return k3.neg(_eval_template_cond(c.cond, values, k3))
-    raise KernelError(f"bad template condition {c!r}")
 
 
 def kernel_grounded(grounding: Grounding) -> LogicKernel:

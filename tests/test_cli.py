@@ -117,6 +117,43 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_directory_as_an_input_file_exits_two(tmp_path, capsys):
+    # any OSError on an input path ends the same way; a PermissionError
+    # cannot be provoked when the tests run as root, so a directory stands in
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    sql = _write(tmp_path, "q.sql", Q1_SQL)
+    folder = str(tmp_path)
+    rewrite = ["rewrite", "--from", "2vl", "--to", "3vl"]
+    runs = [
+        ["eval", folder, db],
+        ["eval", expr, folder],
+        ["translate", "--direction", "2to3", folder],
+        ["translate", "--direction", "2to3", "--schema", folder, expr],
+        ["analyze", folder, db],
+        ["analyze", expr, folder],
+        ["sql2ra", "--schema", db, folder],
+        ["sql2ra", "--schema", folder, sql],
+        rewrite + ["--schema", db, folder],
+        rewrite + ["--schema", folder, sql],
+        ["replay", folder],
+    ]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, (argv, err)
+
+
+def test_a_template_that_comes_out_unknown_exits_two(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", "(select (cmp <= (col R.A) (num 0)) (base R))")
+    grounding = {"templates": {"<=": {"1": "(cmp >= (fn div (num 1) (arg 2)) (num 0))"}}}
+    gpath = _write(tmp_path, "grounding.json", grounding)
+    assert main(["eval", "--semantics", f"grounded:{gpath}", expr, db]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: template evaluated to unknown; it must be two-valued\n"
+
+
 def test_translate_trace_emission(tmp_path, capsys):
     db = _write(tmp_path, "db.json", DB)
     expr = _write(tmp_path, "q.ra", Q1_EXPR)

@@ -405,7 +405,7 @@ def test_selection_never_invents_records(cfg3, cfg2):
 # -- the planned evaluator against the plain tree-walker ----------------------
 
 from nullvl.harness import kernel_by_name  # noqa: E402
-from nullvl.logic import Grounding  # noqa: E402
+from nullvl.logic import TEMPLATE_NAMES, Grounding  # noqa: E402
 from nullvl.parser import parse_expression  # noqa: E402
 from nullvl.translate import tr_to_3vl  # noqa: E402
 
@@ -502,16 +502,19 @@ def _self_join():
 
 
 def _count_condition_evals(monkeypatch, expr, db, kernel) -> tuple:
-    calls = []
+    """The result, the calls that evaluate the query's own conditions, and
+    the calls that evaluate a grounding template (their names are the
+    template's holes)."""
+    calls, template_calls = [], []
     real = evaluator.eval_condition_rt
 
-    def counting(cond, *args):
-        calls.append(cond)
-        return real(cond, *args)
+    def counting(cond, rt, env, run):
+        (template_calls if env.keys() == set(TEMPLATE_NAMES) else calls).append(cond)
+        return real(cond, rt, env, run)
 
     monkeypatch.setattr(evaluator, "eval_condition_rt", counting)
     out = evaluate(expr, db, cfg=EvalConfig(kernel=kernel))
-    return out, len(calls)
+    return out, len(calls), len(template_calls)
 
 
 def _count_index_builds(monkeypatch) -> list:
@@ -532,7 +535,7 @@ def test_syntactic_equality_joins_null_keys(cfg_syn, monkeypatch):
     assert planned == reference
     assert planned.multiplicity(row(None, None)) == 4
     # distinct records 1, 2 and NULL each pair with themselves only
-    out, calls = _count_condition_evals(monkeypatch, _self_join(), db, cfg_syn.kernel)
+    out, calls, _ = _count_condition_evals(monkeypatch, _self_join(), db, cfg_syn.kernel)
     assert out == reference and calls == 3
 
 
@@ -547,16 +550,18 @@ def test_value_dependent_grounding_falls_back_to_nested_loop(monkeypatch):
     assert planned == reference
     # NULL = x holds for x >= 0, a pair no hash on the key would find
     assert planned.multiplicity(row(None, 3)) == 1
-    _, calls = _count_condition_evals(monkeypatch, _self_join(), db, kernel)
-    assert calls == 16
+    _, calls, template_calls = _count_condition_evals(monkeypatch, _self_join(), db, kernel)
+    # the template runs once for each of the three pairs (NULL, x)
+    assert calls == 16 and template_calls == 3
     # the same holds for the correlated selection of q2: the outer NULL
     # meets S.A = 3, so q2 runs as a nested loop without an index
     db = rs_db([-1, 3, None], [-2, 3, None])
     planned, reference = _plan_and_reference(q2(), db, kernel)
     assert planned == reference == bag(-1)
     builds = _count_index_builds(monkeypatch)
-    _, calls = _count_condition_evals(monkeypatch, q2(), db, kernel)
-    assert calls == 3 + 3 * 3 and builds == []
+    _, calls, template_calls = _count_condition_evals(monkeypatch, q2(), db, kernel)
+    # the template runs for the outer NULL against S's -2 and 3
+    assert calls == 3 + 3 * 3 and template_calls == 2 and builds == []
 
 
 def test_uncorrelated_aggregate_subquery_runs_once(cfg3, monkeypatch):
@@ -580,7 +585,7 @@ def test_uncorrelated_aggregate_subquery_runs_once(cfg3, monkeypatch):
 def test_self_join_tests_only_matching_pairs(cfg3, monkeypatch):
     # 400 distinct values and a NULL: 401 x 401 pairs, 400 of them matching
     db = rs_db(list(range(400)) + [None] * 3, [])
-    out, calls = _count_condition_evals(monkeypatch, q3(), db, cfg3.kernel)
+    out, calls, _ = _count_condition_evals(monkeypatch, q3(), db, cfg3.kernel)
     assert calls == 400
     assert out == Bag([row(v) for v in range(400)])
 
@@ -648,7 +653,7 @@ def test_q2_tests_only_the_outer_rows_and_their_matches(cfg3, monkeypatch):
     # R: 400 values and a NULL; S: the even ones and a NULL.  The plain
     # tree-walker makes 401 + 401 x 201 condition calls
     db = rs_db(list(range(400)) + [None], list(range(0, 400, 2)) + [None])
-    out, calls = _count_condition_evals(monkeypatch, q2(), db, cfg3.kernel)
+    out, calls, _ = _count_condition_evals(monkeypatch, q2(), db, cfg3.kernel)
     assert calls <= 401 + 200
     assert out == Bag([row(v) for v in range(1, 400, 2)] + [row(None)])
 
@@ -659,7 +664,7 @@ def test_q2_null_outer_key_matches_null_rows_under_syntactic_equality(cfg_syn, m
     assert planned == reference == bag(1)
     # three distinct outer records; 2 finds S's 2 and NULL finds S's NULL
     # record (two copies), 1 finds nothing
-    out, calls = _count_condition_evals(monkeypatch, q2(), db, cfg_syn.kernel)
+    out, calls, _ = _count_condition_evals(monkeypatch, q2(), db, cfg_syn.kernel)
     assert out == reference and calls == 3 + 1 + 1
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nullvl import ast
 from nullvl.errors import KernelError
+from nullvl.evaluator import EvalConfig, evaluate
 from nullvl.logic import (
     AND,
     OR,
@@ -27,6 +28,8 @@ from nullvl.logic import (
     reduce_count,
     syntactic_equality_grounding,
 )
+
+from sample_queries import rs_db
 
 ALL_KERNELS = [kernel_3vl, kernel_2vl, kernel_2vl_syntactic, kernel_4vl_example]
 
@@ -386,7 +389,28 @@ _COMPARISON_TABLE_DIGESTS = {
     "grounded-empty": "6bcfd43a8e495bdb6e751c04c7695d3adb53a34aed4786a008834d9824530fdc",
     "grounded-syntactic": "7833a7975cb8cd0e20479a686652cdd828833c4479c85ba2d4f7a9bc41800937",
     "grounded-leq": "fee6d2107ca94265e2cc7e038d2ba92c72d09eb4055b7704006503cad4a9e370",
+    "grounded-templates": "f69e554f74ca064d694ed9214f87aaf4b17ef002356eed4bcf92e2e1b2b34c56",
 }
+
+
+def _every_template_form_grounding():
+    """Two-valued templates on order comparisons that between them use
+    and / or / not, isnull, a tuple comparison, functions and (null)."""
+    return grounding_from_json({
+        "name": "template-forms",
+        "templates": {
+            "<": {
+                "1": "(and (not (isnull (fn mult (arg 2) (num 2))))"
+                     " (cmp < (tuple (num 0) (arg 2)) (tuple (num 0) (num 1))))",
+                "2": "(or (isnull (fn div (num 1) (arg 1))) (cmp > (arg 1) (num 1)))",
+            },
+            "<=": {"12": "(or (isnull (null)) (false))"},
+            ">": {"1": "(or (cmp >= (tuple (arg 2) (fn neg (arg 2))) (tuple (num 1) (num 0)))"
+                        " (cmp = (fn mod (arg 2) (num 2)) (num 0)))"},
+            ">=": {"2": "(not (and (cmp > (arg 1) (num 0))"
+                        " (not (isnull (fn add (arg 1) (null))))))"},
+        },
+    })
 
 
 def test_every_kernels_comparison_table_is_pinned():
@@ -401,12 +425,26 @@ def test_every_kernels_comparison_table_is_pinned():
         "grounded-empty": kernel_grounded(empty_grounding()),
         "grounded-syntactic": kernel_grounded(syntactic_equality_grounding()),
         "grounded-leq": kernel_grounded(nonnegative_leq_grounding()),
+        "grounded-templates": kernel_grounded(_every_template_form_grounding()),
     }
     digests = {
         name: hashlib.sha256("\n".join(_comparison_table_lines(k)).encode()).hexdigest()
         for name, k in kernels.items()
     }
     assert digests == _COMPARISON_TABLE_DIGESTS
+
+
+def test_a_template_that_comes_out_unknown_is_an_error():
+    # 1 / 0 is NULL, so NULL <= 0 compares NULL with 0: unknown under 3VL
+    grounding = grounding_from_json(
+        {"templates": {"<=": {"1": "(cmp >= (fn div (num 1) (arg 2)) (num 0))"}}}
+    )
+    kernel = kernel_grounded(grounding)
+    assert kernel.compare("<=", None, 2) == "t"
+    expr = ast.Selection(ast.Compare((ast.col("R.A"),), "<=", (ast.num(0),)), ast.BaseRelation("R"))
+    for plan in (True, False):
+        with pytest.raises(KernelError, match="template evaluated to unknown"):
+            evaluate(expr, rs_db([1, None], []), EvalConfig(kernel=kernel, plan=plan))
 
 
 def test_null_equality_must_agree_with_compare():

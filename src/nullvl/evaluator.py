@@ -5,7 +5,7 @@ three-valued semantics, the conflating two-valued one, syntactic equality,
 groundings and arbitrary finite many-valued logics.  Selections keep exactly
 the records whose condition comes out as the kernel's designated true value.
 
-With ``EvalConfig.plan`` on (the default) the walker follows four rules, none
+With ``EvalConfig.plan`` on (the default) the walker follows five rules, none
 of which changes a result:
 
 1. Each `evaluate` / `eval_condition` call typechecks its input once and
@@ -29,6 +29,12 @@ of which changes a result:
    - single-item IN / ANY-`=` looks the item up in a value count index of
      the subquery's bag.
 4. Quantifiers fold once per distinct record through `fold_counted`.
+5. Each selection's condition and each projection's items are compiled once
+   per call, next to the selection's other facts, to closures: the source's
+   labels read record positions, outer names the caller's environment, and
+   connectives index the kernel's tables.  A record is bound into an
+   environment only for a subquery that has not been hoisted and evaluated.
+   Grounding templates compile through the same compiler (`condition_rule`).
 
 With ``plan=False`` it is the plain tree-walker, the reference the planned
 evaluation is tested against.
@@ -71,8 +77,9 @@ class _Run:
     """The state of one `evaluate` call.
 
     ``notes`` are the `typecheck` notes of the evaluated tree; ``facts`` maps
-    selection identities to what `_plan_selection` derived for them (None
-    runs the plain tree-walker); ``hoisted`` holds the hoisted subqueries of
+    selection identities to what `_plan_selection` derived for them, and
+    projection identities to their compiled items (None runs the plain
+    tree-walker); ``hoisted`` holds the hoisted subqueries of
     the selection whose condition is being evaluated, by identity of their
     In / Quant / Empty node; ``indexes`` holds the probe index of each
     selection over a base relation, with the bag it was built from.
@@ -168,7 +175,8 @@ def eval_condition_rt(cond: ast.Condition, rt: Rt, env: Env, run: _Run) -> Truth
         rvals = [eval_term(t, env) for t in cond.rhs]
         return _compare_value_tuples(kernel, lvals, cond.op, rvals)
     if run.facts is not None and isinstance(cond, (ast.In, ast.Quant)):
-        return _eval_quantified(cond, rt, env, run)
+        source = _subquery(cond, rt, env, run, _source_form(cond, run))
+        return _eval_quantified(cond, source, [eval_term(t, env) for t in cond.items], kernel)
     if isinstance(cond, ast.In):
         return eval_condition_rt(
             ast.Quant(cond.items, "=", "any", cond.query), rt, env, run
@@ -243,16 +251,27 @@ class _Members:
         ]
 
 
-def _eval_quantified(cond: ast.In | ast.Quant, rt: Rt, env: Env, run: _Run) -> TruthValue:
-    """IN and ANY/ALL, folded once per distinct record of the subquery."""
-    kernel = run.kernel
+def _connective(cond: ast.In | ast.Quant) -> tuple[str, str]:
+    """The comparison and the connective that fold an IN or ANY/ALL."""
     if isinstance(cond, ast.In):
-        op, conn = "=", OR
-    else:
-        op, conn = cond.op, OR if cond.quant == "any" else AND
-    indexed = op == "=" and conn == OR and len(cond.items) == 1 and run.members
-    source = _subquery(cond, rt, env, run, _Members if indexed else _same)
-    items = [eval_term(t, env) for t in cond.items]
+        return "=", OR
+    return cond.op, OR if cond.quant == "any" else AND
+
+
+def _source_form(cond: ast.In | ast.Quant, run: _Run):
+    """How the subquery's bag is kept: as value counts when a single-item
+    `=` disjunction can look its item up, as the bag otherwise."""
+    if _connective(cond) == ("=", OR) and len(cond.items) == 1 and run.members:
+        return _Members
+    return _same
+
+
+def _eval_quantified(
+    cond: ast.In | ast.Quant, source, items: list, kernel: LogicKernel
+) -> TruthValue:
+    """IN and ANY/ALL over the subquery's ``source``, folded once per
+    distinct record."""
+    op, conn = _connective(cond)
     if isinstance(source, _Members):
         pairs = source.equalities(kernel, items[0])
     else:
@@ -275,6 +294,105 @@ def _bind(env: Env, labels: tuple[str, ...], record) -> dict:
     return merged
 
 
+# -- compiled conditions and terms ---------------------------------------------
+#
+# A compiled term is a function of (record, env) and a compiled condition of
+# (record, rt, env, run): the names in ``labels`` read the record's positions,
+# any other name the caller's environment.  Each does what the tree-walker
+# does on the record bound over ``env``, in the same order, and raises the
+# same errors, when it runs rather than when it is compiled.
+
+
+def _compile_term(term: ast.Term, where: Mapping[str, int]):
+    if isinstance(term, (ast.NumConst, ast.OrdConst)):
+        value = term.value
+        return lambda record, env: value
+    if isinstance(term, ast.NameRef) and term.name in where:
+        i = where[term.name]
+        return lambda record, env: record[i]
+    if isinstance(term, ast.FnApply):
+        fn, args = term.fn, [_compile_term(a, where) for a in term.args]
+
+        def apply(record, env):
+            values = [a(record, env) for a in args]
+            return None if None in values else apply_function(fn, values)
+
+        return apply
+    # NULL, outer names, and the errors of holes and non-terms: the tree-walker
+    return lambda record, env: eval_term(term, env)
+
+
+def _compile_condition(cond: ast.Condition, labels: tuple[str, ...], run: _Run):
+    """The condition as a function of a record with these labels, compiled
+    against the run's kernel."""
+    where = {name: i for i, name in enumerate(labels)}
+    kernel = run.kernel
+    true, false = kernel.true, kernel.false
+    if isinstance(cond, ast.CTrue):
+        return lambda record, rt, env, run: true
+    if isinstance(cond, ast.CFalse):
+        return lambda record, rt, env, run: false
+    if isinstance(cond, ast.IsNull):
+        term = _compile_term(cond.term, where)
+        return lambda record, rt, env, run: true if term(record, env) is None else false
+    if isinstance(cond, ast.Compare):
+        op, compare = cond.op, kernel.compare
+        lhs = [_compile_term(t, where) for t in cond.lhs]
+        rhs = [_compile_term(t, where) for t in cond.rhs]
+        if len(lhs) == 1:
+            left, right = lhs[0], rhs[0]
+            return lambda record, rt, env, run: compare(op, left(record, env), right(record, env))
+        return lambda record, rt, env, run: _compare_value_tuples(
+            kernel, [t(record, env) for t in lhs], op, [t(record, env) for t in rhs]
+        )
+    if isinstance(cond, (ast.In, ast.Quant, ast.Empty)):
+        return _compile_subquery(cond, labels, where, run)
+    if isinstance(cond, (ast.And, ast.Or)):
+        # a left chain folds in a loop, in the tree-walker's order
+        kind, parts = type(cond), []
+        while isinstance(cond, kind):
+            parts.append(cond.right)
+            cond = cond.left
+        parts.append(cond)
+        first, *rest = [_compile_condition(c, labels, run) for c in reversed(parts)]
+        table = kernel.and_table if kind is ast.And else kernel.or_table
+
+        def connective(record, rt, env, run):
+            value = first(record, rt, env, run)
+            for part in rest:
+                value = table[value, part(record, rt, env, run)]
+            return value
+
+        return connective
+    if isinstance(cond, ast.Not):
+        inner, neg = _compile_condition(cond.cond, labels, run), kernel.not_table
+        return lambda record, rt, env, run: neg[inner(record, rt, env, run)]
+    # not a condition: the tree-walker raises its error
+    return lambda record, rt, env, run: eval_condition_rt(cond, rt, env, run)
+
+
+def _compile_subquery(cond: ast.In | ast.Quant | ast.Empty, labels, where, run: _Run):
+    """IN, ANY/ALL and EMPTY answer from the selection's hoisted value when
+    there is one; otherwise the subquery runs on the record bound over the
+    environment."""
+    key = id(cond)
+    if isinstance(cond, ast.Empty):
+        true, false = run.kernel.true, run.kernel.false
+        form, items = (lambda bag: true if bag.is_empty() else false), None
+    else:
+        form, items = _source_form(cond, run), [_compile_term(t, where) for t in cond.items]
+
+    def subquery(record, rt, env, run):
+        value = run.hoisted.get(key)
+        if value is None or value is _PENDING:
+            value = _subquery(cond, rt, _bind(env, labels, record), run, form)
+        if items is None:
+            return value
+        return _eval_quantified(cond, value, [t(record, env) for t in items], run.kernel)
+
+    return subquery
+
+
 def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
     if isinstance(e, ast.BaseRelation):
         try:
@@ -283,12 +401,11 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
             raise EvalError(f"unknown relation {e.name!r} at runtime")
 
     if isinstance(e, ast.Projection):
-        src_labels = run.notes[id(e.source)].labels
         src = eval_rt(e.source, rt, env, run)
+        project = _projection(e, run)
         counts: dict = {}
         for record, k in src.items():
-            row_env = _bind(env, src_labels, record)
-            out = tuple(eval_term(item.term, row_env) for item in e.items)
+            out = project(record, env)
             counts[out] = counts.get(out, 0) + k
         return Bag.from_counts(counts)
 
@@ -326,14 +443,35 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
     raise EvalError(f"not an expression: {e!r}")
 
 
-def _plan_selection(e: ast.Selection, notes: Mapping[int, RelSig]):
-    """The subquery conditions to hoist, the join keys and the probe keys."""
+def _projection(e: ast.Projection, run: _Run):
+    """The projection's items as a function of a source record and the
+    environment: tree-walked, or compiled once per call."""
+    labels = run.notes[id(e.source)].labels
+    if run.facts is None:
+        def project(record, env):
+            row_env = _bind(env, labels, record)
+            return tuple(eval_term(item.term, row_env) for item in e.items)
+
+        return project
+    project = run.facts.get(id(e))
+    if project is None:
+        where = {name: i for i, name in enumerate(labels)}
+        terms = [_compile_term(item.term, where) for item in e.items]
+        project = run.facts[id(e)] = lambda record, env: tuple([t(record, env) for t in terms])
+    return project
+
+
+def _plan_selection(e: ast.Selection, run: _Run):
+    """The subquery conditions to hoist, the join keys, the probe keys and
+    the compiled condition."""
+    notes = run.notes
     labels = notes[id(e.source)].labels
     bound = set(labels)
     hoisted = tuple(
         id(c) for c in _subquery_conditions(e.cond) if not notes[id(c.query)].free & bound
     )
-    return hoisted, _join_keys(e, notes, labels), _probe_keys(e, labels)
+    test = _compile_condition(e.cond, labels, run)
+    return hoisted, _join_keys(e, notes, labels), _probe_keys(e, labels), test
 
 
 def _subquery_conditions(cond: ast.Condition) -> list:
@@ -395,14 +533,17 @@ def _conjuncts(c: ast.Condition) -> list:
 
 
 def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
-    labels = run.notes[id(e.source)].labels
     if run.facts is None:
         hoisted, join, probe = (), None, None
+        labels = run.notes[id(e.source)].labels
+
+        def test(record, rt, env, run):
+            return eval_condition_rt(e.cond, rt, _bind(env, labels, record), run)
     else:
         facts = run.facts.get(id(e))
         if facts is None:
-            facts = run.facts[id(e)] = _plan_selection(e, run.notes)
-        hoisted, join, probe = facts
+            facts = run.facts[id(e)] = _plan_selection(e, run)
+        hoisted, join, probe, test = facts
     nulls = run.join_nulls
     if join is not None and nulls is not None:
         rows = _join_candidates(e.source, join, rt, env, run)
@@ -415,7 +556,7 @@ def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
     true = run.kernel.true
     counts: dict = {}
     for record, k in rows:
-        if eval_condition_rt(e.cond, rt, _bind(env, labels, record), run) == true:
+        if test(record, rt, env, run) == true:
             counts[record] = counts.get(record, 0) + k
     return Bag.from_counts(counts)
 
@@ -527,10 +668,10 @@ def eval_condition(cond: ast.Condition, db: Database, cfg: Optional[EvalConfig] 
 
 def condition_rule(cond: ast.Condition, names: tuple[str, str]):
     """A subquery-free condition as a function of the values of two names to
-    its 3VL truth value: the plain tree-walker, on one `_Run` for all calls."""
-    run = _Run(EvalConfig(kernel=kernel_3vl(), plan=False), {})
-    first, second = names
-    return lambda a, b: eval_condition_rt(cond, {}, {first: a, second: b}, run)
+    its 3VL truth value: compiled once, run on one `_Run` for all calls."""
+    run = _Run(EvalConfig(kernel=kernel_3vl()), {})
+    test = _compile_condition(cond, names, run)
+    return lambda a, b: test((a, b), {}, {}, run)
 
 
 def eval_group(

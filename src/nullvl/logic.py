@@ -81,7 +81,7 @@ TEMPLATE_NAMES = ("__1", "__2")
 
 def _template_rule(template: ast.Condition, true: TruthValue, false: TruthValue):
     """A NULL-table template as a function of the two argument values: the
-    evaluator's plain tree-walker under 3VL, which must come out t or f."""
+    evaluator's compiled condition under 3VL, which must come out t or f."""
     from .evaluator import condition_rule
 
     holds = condition_rule(

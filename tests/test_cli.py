@@ -3,6 +3,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from nullvl import ast
 from nullvl.cli import main
 
@@ -411,6 +413,32 @@ def test_deep_input_the_parser_admits_still_exits_two(tmp_path, capsys):
     expr = _write(tmp_path, "q.ra", f"(select {cond} (base R))")
     assert main(["eval", expr, db]) == 2
     assert capsys.readouterr().err == "error: input nests too deeply to process\n"
+
+
+@pytest.mark.parametrize("plan", [True, False])
+@pytest.mark.parametrize("conn", ["and", "or"])
+def test_flat_connective_of_400_conditions_evaluates(tmp_path, capsys, monkeypatch, conn, plan):
+    # the parser builds a 400-deep left chain; neither evaluator may recurse
+    # past what the rest of the pipeline admits
+    import functools
+
+    from nullvl import cli
+    from nullvl.evaluator import EvalConfig, evaluate
+    from nullvl.parser import parse_expression
+    from nullvl.values import database_from_json
+
+    op = "!=" if conn == "and" else "="
+    cond = f"({conn} " + " ".join(f"(cmp {op} (col R.A) (num {i}))" for i in range(1, 401)) + ")"
+    text = f"(select {cond} (base R))"
+    data = {**DB, "data": {"R": [["1"], ["400"], ["401"], [None]], "S": []}}
+    want = [["401"]] if conn == "and" else [["1"], ["400"]]
+    bag = evaluate(parse_expression(text), database_from_json(data), EvalConfig(plan=plan))
+    assert sorted(bag.records()) == sorted((int(v),) for (v,) in want)
+    monkeypatch.setattr(cli, "EvalConfig", functools.partial(EvalConfig, plan=plan))
+    db, expr = _write(tmp_path, "db.json", data), _write(tmp_path, "q.ra", text)
+    assert main(["eval", expr, db]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert sorted(r["values"] for r in rows) == want
 
 
 def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -501,19 +502,26 @@ def _self_join():
     )
 
 
-def _count_condition_evals(monkeypatch, expr, db, kernel) -> tuple:
-    """The result, the calls that evaluate the query's own conditions, and
-    the calls that evaluate a grounding template (their names are the
-    template's holes)."""
+def _count_condition_evals(monkeypatch, expr, db, make_kernel) -> tuple:
+    """The result, the calls of the query's own conditions, and the calls of
+    grounding template conditions (compiled with the template's two names as
+    labels).  The seam wraps what the condition compiler returns, so the
+    kernel is built under it, where its templates are compiled."""
     calls, template_calls = [], []
-    real = evaluator.eval_condition_rt
+    real = evaluator._compile_condition
 
-    def counting(cond, rt, env, run):
-        (template_calls if env.keys() == set(TEMPLATE_NAMES) else calls).append(cond)
-        return real(cond, rt, env, run)
+    def compiling(cond, labels, run):
+        test = real(cond, labels, run)
+        counted = template_calls if labels == TEMPLATE_NAMES else calls
 
-    monkeypatch.setattr(evaluator, "eval_condition_rt", counting)
-    out = evaluate(expr, db, cfg=EvalConfig(kernel=kernel))
+        def counting(*args):
+            counted.append(cond)
+            return test(*args)
+
+        return counting
+
+    monkeypatch.setattr(evaluator, "_compile_condition", compiling)
+    out = evaluate(expr, db, cfg=EvalConfig(kernel=make_kernel()))
     return out, len(calls), len(template_calls)
 
 
@@ -535,7 +543,7 @@ def test_syntactic_equality_joins_null_keys(cfg_syn, monkeypatch):
     assert planned == reference
     assert planned.multiplicity(row(None, None)) == 4
     # distinct records 1, 2 and NULL each pair with themselves only
-    out, calls, _ = _count_condition_evals(monkeypatch, _self_join(), db, cfg_syn.kernel)
+    out, calls, _ = _count_condition_evals(monkeypatch, _self_join(), db, kernel_2vl_syntactic)
     assert out == reference and calls == 3
 
 
@@ -550,7 +558,9 @@ def test_value_dependent_grounding_falls_back_to_nested_loop(monkeypatch):
     assert planned == reference
     # NULL = x holds for x >= 0, a pair no hash on the key would find
     assert planned.multiplicity(row(None, 3)) == 1
-    _, calls, template_calls = _count_condition_evals(monkeypatch, _self_join(), db, kernel)
+    _, calls, template_calls = _count_condition_evals(
+        monkeypatch, _self_join(), db, lambda: kernel_grounded(grounding)
+    )
     # the template runs once for each of the three pairs (NULL, x)
     assert calls == 16 and template_calls == 3
     # the same holds for the correlated selection of q2: the outer NULL
@@ -559,7 +569,9 @@ def test_value_dependent_grounding_falls_back_to_nested_loop(monkeypatch):
     planned, reference = _plan_and_reference(q2(), db, kernel)
     assert planned == reference == bag(-1)
     builds = _count_index_builds(monkeypatch)
-    _, calls, template_calls = _count_condition_evals(monkeypatch, q2(), db, kernel)
+    _, calls, template_calls = _count_condition_evals(
+        monkeypatch, q2(), db, lambda: kernel_grounded(grounding)
+    )
     # the template runs for the outer NULL against S's -2 and 3
     assert calls == 3 + 3 * 3 and template_calls == 2 and builds == []
 
@@ -582,10 +594,10 @@ def test_uncorrelated_aggregate_subquery_runs_once(cfg3, monkeypatch):
     assert len(runs) == 1
 
 
-def test_self_join_tests_only_matching_pairs(cfg3, monkeypatch):
+def test_self_join_tests_only_matching_pairs(monkeypatch):
     # 400 distinct values and a NULL: 401 x 401 pairs, 400 of them matching
     db = rs_db(list(range(400)) + [None] * 3, [])
-    out, calls, _ = _count_condition_evals(monkeypatch, q3(), db, cfg3.kernel)
+    out, calls, _ = _count_condition_evals(monkeypatch, q3(), db, kernel_3vl)
     assert calls == 400
     assert out == Bag([row(v) for v in range(400)])
 
@@ -649,11 +661,11 @@ def test_shared_step_under_two_bindings_of_one_mu_name(cfg3):
 # -- correlated `=` selections probed through an index -------------------------
 
 
-def test_q2_tests_only_the_outer_rows_and_their_matches(cfg3, monkeypatch):
+def test_q2_tests_only_the_outer_rows_and_their_matches(monkeypatch):
     # R: 400 values and a NULL; S: the even ones and a NULL.  The plain
     # tree-walker makes 401 + 401 x 201 condition calls
     db = rs_db(list(range(400)) + [None], list(range(0, 400, 2)) + [None])
-    out, calls, _ = _count_condition_evals(monkeypatch, q2(), db, cfg3.kernel)
+    out, calls, _ = _count_condition_evals(monkeypatch, q2(), db, kernel_3vl)
     assert calls <= 401 + 200
     assert out == Bag([row(v) for v in range(1, 400, 2)] + [row(None)])
 
@@ -664,7 +676,7 @@ def test_q2_null_outer_key_matches_null_rows_under_syntactic_equality(cfg_syn, m
     assert planned == reference == bag(1)
     # three distinct outer records; 2 finds S's 2 and NULL finds S's NULL
     # record (two copies), 1 finds nothing
-    out, calls, _ = _count_condition_evals(monkeypatch, q2(), db, cfg_syn.kernel)
+    out, calls, _ = _count_condition_evals(monkeypatch, q2(), db, kernel_2vl_syntactic)
     assert out == reference and calls == 3 + 1 + 1
 
 
@@ -777,3 +789,98 @@ def test_q2_nested_inside_another_not_exists(monkeypatch):
     builds = _count_index_builds(monkeypatch)
     evaluate(expr, db, cfg=EvalConfig(kernel=kernel_3vl()))
     assert builds == [(0,), (0,)]
+
+
+# -- compiled conditions and projections against the tree-walker ---------------
+
+from nullvl.errors import EvalError  # noqa: E402
+from nullvl.logic import GROUNDINGS, KERNELS  # noqa: E402
+
+ALL_SEMANTICS = (*KERNELS, *(f"grounded:{g}" for g in GROUNDINGS))
+
+TUV = Schema(
+    [
+        Relation("T", (Column("T.A", NUM), Column("T.B", NUM))),
+        Relation("U", (Column("U.C", NUM), Column("U.D", NUM))),
+        Relation("V", (Column("V.E", NUM), Column("V.F", NUM))),
+    ]
+)
+
+_K2 = "(tuple (col T.A) (col T.B))"
+_K3 = "(tuple (col T.A) (col T.B) (col U.C))"
+_TU = "(product (base T) (base U))"
+COMPILED_SHAPES = [
+    # k = 2 and k = 3 tuple comparisons under every operator
+    *(f"(select (cmp {op} {_K2} (tuple (col U.C) (col U.D))) {_TU})" for op in ast.COMPARISONS),
+    *(
+        f"(select (cmp {op} {_K3} (tuple (col U.D) (num 1) (col T.A))) {_TU})"
+        for op in ast.COMPARISONS
+    ),
+    # division by zero gives NULL inside cmp, isnull and a projection
+    "(select (cmp < (fn div (col T.A) (num 0)) (col T.B)) (base T))",
+    "(select (not (cmp = (fn add (col T.B) (fn div (col T.A) (num 0))) (num 1))) (base T))",
+    "(select (isnull (fn div (col T.A) (num 0))) (base T))",
+    "(select (or (isnull (fn div (col T.A) (col T.B))) "
+    "(cmp > (fn mod (col T.B) (col T.A)) (num 0))) (base T))",
+    "(project ((fn div (col T.A) (col T.B)) (as X (fn neg (col T.B)))) (base T))",
+    # outer names read two subquery levels down
+    "(select (empty (select (not (empty (select (and (cmp = (col T.A) (col V.E)) "
+    "(cmp <= (col U.D) (col V.F))) (base V)))) (base U))) (base T))",
+    "(select (in (col T.B) (project ((col U.D)) (select (any < (col T.A) "
+    "(project ((fn add (col V.F) (col U.C))) (select (cmp >= (col V.E) (col U.C)) (base V)))) "
+    "(base U)))) (base T))",
+    # multi-column in, any and all
+    "(select (in (tuple (col T.A) (col T.B)) (base U)) (base T))",
+    "(select (not (in (tuple (col T.B) (col T.A)) (base V))) (base T))",
+    "(select (any < (tuple (col T.A) (col T.B)) (base U)) (base T))",
+    "(select (all >= (tuple (col T.A) (col T.B)) "
+    "(select (cmp != (col U.C) (col T.B)) (base U))) (base T))",
+    "(select (or (all = (tuple (col T.A) (num 2)) (base V)) "
+    "(any != (tuple (col T.B) (col T.A)) (base U))) (base T))",
+]
+
+
+def _tuv_db(seed: int) -> Database:
+    rng = random.Random(seed)
+    values = range(-1, 4)
+    return Database(
+        TUV,
+        {
+            name: Bag([row(_cell(rng, values), _cell(rng, values)) for _ in range(9)])
+            for name in ("T", "U", "V")
+        },
+    )
+
+
+@pytest.mark.parametrize("kname", ALL_SEMANTICS)
+def test_compiled_conditions_match_tree_walker(kname):
+    kernel = kernel_by_name(kname)
+    for text in COMPILED_SHAPES:
+        expr = typecheck(parse_expression(text), TUV)
+        for seed in range(3):
+            planned, reference = _plan_and_reference(expr, _tuv_db(seed), kernel)
+            assert planned == reference, (kname, text, seed)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (col("nowhere"), "unbound name 'nowhere' (translator or evaluator bug)"),
+        (ast.ArgHole(1), "template hole escaped into evaluation"),
+    ],
+)
+def test_compiled_and_tree_walked_terms_raise_the_same_error(bad, message):
+    # typecheck rejects both terms, so they go into an already checked tree
+    db = _tuv_db(0)
+    checked = typecheck(parse_expression("(project ((col T.A)) (base T))"), TUV)
+    source = checked.expr.source
+    wrong = [
+        ast.Selection(ast.Compare((bad,), "=", (num(1),)), source),
+        ast.Selection(ast.IsNull(ast.FnApply("neg", (bad,))), source),
+        ast.Projection((ast.ProjItem(bad, "X"),), source),
+    ]
+    for expr in wrong:
+        for plan in (True, False):
+            with pytest.raises(EvalError) as raised:
+                evaluate(replace(checked, expr=expr), db, cfg=EvalConfig(plan=plan))
+            assert str(raised.value) == message

@@ -10,11 +10,13 @@ of which changes a result:
 
 1. Each `evaluate` / `eval_condition` call typechecks its input once and
    reads labels and free names from the `typecheck` notes.  The planner's
-   own facts about a selection (hoistable subqueries, join and probe keys)
-   are derived from those notes once per call, in a dict keyed by node
-   identity.
+   own facts about a selection (join and probe keys, the compiled
+   condition) are derived from those notes once per call, in a dict keyed
+   by node identity.
 2. A condition subquery whose free names miss the labels of the selection's
-   source is evaluated at most once per selection, on first use.
+   source is hoisted, as its condition compiles: it is evaluated at most
+   once per evaluation of the selection, on first use, and kept in a memo
+   that lives for that evaluation only.
 3. Equality lookups go through hash indexes when the kernel allows it
    (`_Run.join_nulls`), and the full condition is still tested on every
    candidate:
@@ -33,11 +35,14 @@ of which changes a result:
    per call, next to the selection's other facts, to closures: the source's
    labels read record positions, outer names the caller's environment, and
    connectives index the kernel's tables.  A record is bound into an
-   environment only for a subquery that has not been hoisted and evaluated.
-   Grounding templates compile through the same compiler (`condition_rule`).
+   environment only for a subquery that reads the source's labels.
+   `eval_condition` compiles its condition with no labels, so each of its
+   subqueries is hoisted.  Grounding templates compile through the same
+   compiler (`condition_rule`).
 
 With ``plan=False`` it is the plain tree-walker, the reference the planned
-evaluation is tested against.
+evaluation is tested against; `eval_condition_rt` is that walker and reads
+no planner state.
 """
 from __future__ import annotations
 
@@ -69,7 +74,6 @@ class EvalConfig:
 # runtime catalog: relation name -> bag
 Rt = dict
 
-_PENDING = object()  # a hoisted subquery its selection has not needed yet
 _NULLS_1, _NULLS_2, _NULLS_12 = frozenset({1}), frozenset({2}), frozenset({1, 2})
 
 
@@ -79,10 +83,8 @@ class _Run:
     ``notes`` are the `typecheck` notes of the evaluated tree; ``facts`` maps
     selection identities to what `_plan_selection` derived for them, and
     projection identities to their compiled items (None runs the plain
-    tree-walker); ``hoisted`` holds the hoisted subqueries of
-    the selection whose condition is being evaluated, by identity of their
-    In / Quant / Empty node; ``indexes`` holds the probe index of each
-    selection over a base relation, with the bag it was built from.
+    tree-walker); ``indexes`` holds the probe index of each selection over a
+    base relation, with the bag it was built from.
     """
 
     def __init__(self, cfg: EvalConfig, notes: Mapping[int, RelSig]):
@@ -90,7 +92,6 @@ class _Run:
         self.kernel = cfg.kernel
         self.notes = notes
         self.facts: Optional[dict] = {} if cfg.plan else None
-        self.hoisted: dict = {}
         self.indexes: dict = {}
 
     @cached_property
@@ -113,13 +114,6 @@ class _Run:
         if any(v == true and pair != (true, true) for pair, v in kernel.and_table.items()):
             return None
         return eq[_NULLS_12] == true
-
-    def within(self, hoisted: tuple) -> "_Run":
-        """The same call, seen from a selection with these hoisted subqueries."""
-        run = object.__new__(_Run)
-        run.__dict__.update(self.__dict__)
-        run.hoisted = dict.fromkeys(hoisted, _PENDING)
-        return run
 
 
 def eval_term(term: ast.Term, env: Env) -> Value:
@@ -174,17 +168,12 @@ def eval_condition_rt(cond: ast.Condition, rt: Rt, env: Env, run: _Run) -> Truth
         lvals = [eval_term(t, env) for t in cond.lhs]
         rvals = [eval_term(t, env) for t in cond.rhs]
         return _compare_value_tuples(kernel, lvals, cond.op, rvals)
-    if run.facts is not None and isinstance(cond, (ast.In, ast.Quant)):
-        source = _subquery(cond, rt, env, run, _source_form(cond, run))
-        return _eval_quantified(cond, source, [eval_term(t, env) for t in cond.items], kernel)
     if isinstance(cond, ast.In):
         return eval_condition_rt(
             ast.Quant(cond.items, "=", "any", cond.query), rt, env, run
         )
     if isinstance(cond, ast.Empty):
-        return _subquery(
-            cond, rt, env, run, lambda bag: kernel.true if bag.is_empty() else kernel.false
-        )
+        return kernel.true if eval_rt(cond.query, rt, env, run).is_empty() else kernel.false
     if isinstance(cond, ast.Quant):
         bag = eval_rt(cond.query, rt, env, run)
         items = [eval_term(t, env) for t in cond.items]
@@ -209,18 +198,6 @@ def eval_condition_rt(cond: ast.Condition, rt: Rt, env: Env, run: _Run) -> Truth
     if isinstance(cond, ast.Not):
         return kernel.neg(eval_condition_rt(cond.cond, rt, env, run))
     raise EvalError(f"not a condition: {cond!r}")
-
-
-def _subquery(cond, rt: Rt, env: Env, run: _Run, prepare):
-    """``prepare`` applied to the bag of the condition's subquery: once per
-    selection when the selection hoisted it, on every call otherwise."""
-    hoisted = run.hoisted.get(id(cond))
-    if hoisted is not None and hoisted is not _PENDING:
-        return hoisted
-    value = prepare(eval_rt(cond.query, rt, env, run))
-    if hoisted is _PENDING:
-        run.hoisted[id(cond)] = value
-    return value
 
 
 def _same(bag: Bag) -> Bag:
@@ -297,10 +274,14 @@ def _bind(env: Env, labels: tuple[str, ...], record) -> dict:
 # -- compiled conditions and terms ---------------------------------------------
 #
 # A compiled term is a function of (record, env) and a compiled condition of
-# (record, rt, env, run): the names in ``labels`` read the record's positions,
-# any other name the caller's environment.  Each does what the tree-walker
-# does on the record bound over ``env``, in the same order, and raises the
-# same errors, when it runs rather than when it is compiled.
+# (record, rt, env, run, memo): the names in ``labels`` read the record's
+# positions, any other name the caller's environment, and ``memo`` keeps the
+# hoisted subqueries' values for one evaluation of the selection.  Each does
+# what the tree-walker does on the record bound over ``env``, in the same
+# order, and raises the same errors, when it runs rather than when it is
+# compiled.  The run is an argument, not a captured cell: the run keeps the
+# compiled conditions in its facts, and a cell would make each call's state
+# a reference cycle.
 
 
 def _compile_term(term: ast.Term, where: Mapping[str, int]):
@@ -329,20 +310,22 @@ def _compile_condition(cond: ast.Condition, labels: tuple[str, ...], run: _Run):
     kernel = run.kernel
     true, false = kernel.true, kernel.false
     if isinstance(cond, ast.CTrue):
-        return lambda record, rt, env, run: true
+        return lambda record, rt, env, run, memo: true
     if isinstance(cond, ast.CFalse):
-        return lambda record, rt, env, run: false
+        return lambda record, rt, env, run, memo: false
     if isinstance(cond, ast.IsNull):
         term = _compile_term(cond.term, where)
-        return lambda record, rt, env, run: true if term(record, env) is None else false
+        return lambda record, rt, env, run, memo: true if term(record, env) is None else false
     if isinstance(cond, ast.Compare):
         op, compare = cond.op, kernel.compare
         lhs = [_compile_term(t, where) for t in cond.lhs]
         rhs = [_compile_term(t, where) for t in cond.rhs]
         if len(lhs) == 1:
             left, right = lhs[0], rhs[0]
-            return lambda record, rt, env, run: compare(op, left(record, env), right(record, env))
-        return lambda record, rt, env, run: _compare_value_tuples(
+            return lambda record, rt, env, run, memo: compare(
+                op, left(record, env), right(record, env)
+            )
+        return lambda record, rt, env, run, memo: _compare_value_tuples(
             kernel, [t(record, env) for t in lhs], op, [t(record, env) for t in rhs]
         )
     if isinstance(cond, (ast.In, ast.Quant, ast.Empty)):
@@ -357,40 +340,43 @@ def _compile_condition(cond: ast.Condition, labels: tuple[str, ...], run: _Run):
         first, *rest = [_compile_condition(c, labels, run) for c in reversed(parts)]
         table = kernel.and_table if kind is ast.And else kernel.or_table
 
-        def connective(record, rt, env, run):
-            value = first(record, rt, env, run)
+        def connective(record, rt, env, run, memo):
+            value = first(record, rt, env, run, memo)
             for part in rest:
-                value = table[value, part(record, rt, env, run)]
+                value = table[value, part(record, rt, env, run, memo)]
             return value
 
         return connective
     if isinstance(cond, ast.Not):
         inner, neg = _compile_condition(cond.cond, labels, run), kernel.not_table
-        return lambda record, rt, env, run: neg[inner(record, rt, env, run)]
+        return lambda record, rt, env, run, memo: neg[inner(record, rt, env, run, memo)]
     # not a condition: the tree-walker raises its error
-    return lambda record, rt, env, run: eval_condition_rt(cond, rt, env, run)
+    return lambda record, rt, env, run, memo: eval_condition_rt(cond, rt, env, run)
 
 
 def _compile_subquery(cond: ast.In | ast.Quant | ast.Empty, labels, where, run: _Run):
-    """IN, ANY/ALL and EMPTY answer from the selection's hoisted value when
-    there is one; otherwise the subquery runs on the record bound over the
-    environment."""
-    key = id(cond)
+    """IN, ANY/ALL and EMPTY.  A subquery that reads none of the labels is
+    hoisted: it runs on the caller's environment once per memo, on first
+    use.  Any other runs on the record bound over the environment."""
+    key, query, kernel = id(cond), cond.query, run.kernel
     if isinstance(cond, ast.Empty):
-        true, false = run.kernel.true, run.kernel.false
+        true, false = kernel.true, kernel.false
         form, items = (lambda bag: true if bag.is_empty() else false), None
     else:
         form, items = _source_form(cond, run), [_compile_term(t, where) for t in cond.items]
-
-    def subquery(record, rt, env, run):
-        value = run.hoisted.get(key)
-        if value is None or value is _PENDING:
-            value = _subquery(cond, rt, _bind(env, labels, record), run, form)
-        if items is None:
-            return value
-        return _eval_quantified(cond, value, [t(record, env) for t in items], run.kernel)
-
-    return subquery
+    if run.notes[id(query)].free & set(labels):
+        def source(record, rt, env, run, memo):
+            return form(eval_rt(query, rt, _bind(env, labels, record), run))
+    else:
+        def source(record, rt, env, run, memo):
+            if key not in memo:
+                memo[key] = form(eval_rt(query, rt, env, run))
+            return memo[key]
+    if items is None:
+        return source
+    return lambda record, rt, env, run, memo: _eval_quantified(
+        cond, source(record, rt, env, run, memo), [t(record, env) for t in items], kernel
+    )
 
 
 def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
@@ -462,22 +448,10 @@ def _projection(e: ast.Projection, run: _Run):
 
 
 def _plan_selection(e: ast.Selection, run: _Run):
-    """The subquery conditions to hoist, the join keys, the probe keys and
-    the compiled condition."""
-    notes = run.notes
-    labels = notes[id(e.source)].labels
-    bound = set(labels)
-    hoisted = tuple(
-        id(c) for c in _subquery_conditions(e.cond) if not notes[id(c.query)].free & bound
-    )
+    """The join keys, the probe keys and the compiled condition."""
+    labels = run.notes[id(e.source)].labels
     test = _compile_condition(e.cond, labels, run)
-    return hoisted, _join_keys(e, notes, labels), _probe_keys(e, labels), test
-
-
-def _subquery_conditions(cond: ast.Condition) -> list:
-    if isinstance(cond, (ast.In, ast.Quant, ast.Empty)):
-        return [cond]
-    return [c for sub in ast.condition_children(cond) for c in _subquery_conditions(sub)]
+    return _join_keys(e, run.notes, labels), _probe_keys(e, labels), test
 
 
 def _equalities(cond: ast.Condition) -> list:
@@ -534,16 +508,16 @@ def _conjuncts(c: ast.Condition) -> list:
 
 def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
     if run.facts is None:
-        hoisted, join, probe = (), None, None
+        join = probe = None
         labels = run.notes[id(e.source)].labels
 
-        def test(record, rt, env, run):
+        def test(record, rt, env, run, memo):
             return eval_condition_rt(e.cond, rt, _bind(env, labels, record), run)
     else:
         facts = run.facts.get(id(e))
         if facts is None:
             facts = run.facts[id(e)] = _plan_selection(e, run)
-        hoisted, join, probe, test = facts
+        join, probe, test = facts
     nulls = run.join_nulls
     if join is not None and nulls is not None:
         rows = _join_candidates(e.source, join, rt, env, run)
@@ -551,12 +525,10 @@ def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
         rows = _probe_candidates(e, probe, rt, env, run)
     else:
         rows = eval_rt(e.source, rt, env, run).items()
-    if hoisted or run.hoisted:
-        run = run.within(hoisted)
-    true = run.kernel.true
+    true, memo = run.kernel.true, {}
     counts: dict = {}
     for record, k in rows:
-        if test(record, rt, env, run) == true:
+        if test(record, rt, env, run, memo) == true:
             counts[record] = counts.get(record, 0) + k
     return Bag.from_counts(counts)
 
@@ -663,7 +635,10 @@ def eval_condition(cond: ast.Condition, db: Database, cfg: Optional[EvalConfig] 
     """Evaluate a condition that reads no row; it is typechecked first."""
     checker = Typechecker(catalog_from_schema(db.schema))
     cond, _ = checker.check_cond(cond, {})
-    return eval_condition_rt(cond, _db_rt(db), {}, _Run(cfg or EvalConfig(), checker.notes))
+    run, rt = _Run(cfg or EvalConfig(), checker.notes), _db_rt(db)
+    if run.facts is None:
+        return eval_condition_rt(cond, rt, {}, run)
+    return _compile_condition(cond, (), run)((), rt, {}, run, {})
 
 
 def condition_rule(cond: ast.Condition, names: tuple[str, str]):
@@ -671,7 +646,7 @@ def condition_rule(cond: ast.Condition, names: tuple[str, str]):
     its 3VL truth value: compiled once, run on one `_Run` for all calls."""
     run = _Run(EvalConfig(kernel=kernel_3vl()), {})
     test = _compile_condition(cond, names, run)
-    return lambda a, b: test((a, b), {}, {}, run)
+    return lambda a, b: test((a, b), {}, {}, run, None)
 
 
 def eval_group(

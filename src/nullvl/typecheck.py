@@ -164,9 +164,9 @@ class Typechecker:
                 types.append(ORD if t == ANY else t)  # bare NULL defaults to ordinary
                 names |= ast.term_names(item.term)
                 may_be_null.append(ast.term_can_yield_null(item.term, nullable))
-            items, labels = self._unique_proj_names(e.items)
+            items, labels = self._rename_apart(e.items, ast.proj_item_name, (), "projection")
             sig = RelSig(
-                tuple(labels), tuple(types),
+                labels, tuple(types),
                 tuple(n for n, null in zip(labels, may_be_null) if null),
                 src_sig.free | (names - set(src_sig.labels)),
             )
@@ -234,13 +234,15 @@ class Typechecker:
                     raise TypeCheckError(
                         f"aggregate {agg.fn} over non-numerical column {agg.column!r}"
                     )
-            aggs, labels = self._unique_group_names(e.names, e.aggs)
+            if len(set(e.names)) != len(e.names):
+                raise TypeCheckError(f"grouping names repeat: {e.names}")
+            aggs, agg_labels = self._rename_apart(e.aggs, ast.agg_name, e.names, "aggregate")
             types = tuple(src_sig.type_of(n) for n in e.names) + tuple(NUM for _ in aggs)
             src_nul = set(src_sig.nullable)
             nullable = [n for n in e.names if n in src_nul] + [
                 ast.agg_name(agg) for agg in aggs if agg.column in src_nul
             ]
-            sig = RelSig(tuple(labels), types, tuple(nullable), src_sig.free)
+            sig = RelSig(tuple(e.names) + agg_labels, types, tuple(nullable), src_sig.free)
             return ast.Group(e.names, aggs, src), sig
 
         if isinstance(e, ast.Mu):
@@ -334,45 +336,27 @@ class Typechecker:
 
     # -- naming -------------------------------------------------------------
 
-    def _unique_proj_names(self, items):
-        seen: dict[str, int] = {}
-        out_items, labels = [], []
-        for item in items:
-            name = ast.proj_item_name(item)
+    def _rename_apart(self, parts, name_of, taken, what: str):
+        """The items or aggregates with each output named apart from
+        ``taken`` and from the earlier ones, and their output names; every
+        rename is recorded."""
+        seen: dict[str, int] = dict.fromkeys(taken, 1)
+        out, labels = [], []
+        for part in parts:
+            name = name_of(part)
             if name in seen:
                 seen[name] += 1
                 fresh = f"{name}_{seen[name]}"
                 while fresh in seen:
                     seen[name] += 1
                     fresh = f"{name}_{seen[name]}"
-                self.renames.append(f"projection output {name!r} renamed to {fresh!r}")
-                item = dataclasses.replace(item, rename=fresh)
+                self.renames.append(f"{what} output {name!r} renamed to {fresh!r}")
+                part = dataclasses.replace(part, rename=fresh)
                 name = fresh
             seen.setdefault(name, 1)
-            out_items.append(item)
+            out.append(part)
             labels.append(name)
-        return tuple(out_items), labels
-
-    def _unique_group_names(self, names, aggs):
-        seen: dict[str, int] = {n: 1 for n in names}
-        if len(seen) != len(names):
-            raise TypeCheckError(f"grouping names repeat: {names}")
-        out_aggs, labels = [], list(names)
-        for agg in aggs:
-            name = ast.agg_name(agg)
-            if name in seen:
-                seen[name] += 1
-                fresh = f"{name}_{seen[name]}"
-                while fresh in seen:
-                    seen[name] += 1
-                    fresh = f"{name}_{seen[name]}"
-                self.renames.append(f"aggregate output {name!r} renamed to {fresh!r}")
-                agg = dataclasses.replace(agg, rename=fresh)
-                name = fresh
-            seen.setdefault(name, 1)
-            out_aggs.append(agg)
-            labels.append(name)
-        return tuple(out_aggs), labels
+        return tuple(out), tuple(labels)
 
 
 def _names(terms) -> set:

@@ -85,7 +85,19 @@ def test_typecheck_auto_renames_clashing_projection_outputs():
     )
     checked = typecheck(p, schema)
     assert checked.sig.labels == ("A", "A_2")
-    assert checked.renames and "A_2" in checked.renames[0]
+    assert checked.renames == ("projection output 'A' renamed to 'A_2'",)
+    # a fresh name already taken moves on to the next suffix
+    p = ast.Projection(
+        (
+            ast.ProjItem(col("A"), None),
+            ast.ProjItem(col("B"), "A_2"),
+            ast.ProjItem(col("A"), None),
+        ),
+        ast.BaseRelation("R"),
+    )
+    checked = typecheck(p, schema)
+    assert checked.sig.labels == ("A", "A_2", "A_3")
+    assert checked.renames == ("projection output 'A' renamed to 'A_3'",)
 
 
 def test_typecheck_mu_freshness_and_seed_restriction():
@@ -161,6 +173,14 @@ def test_typecheck_auto_renames_clashing_aggregate_outputs():
     )
     checked = typecheck(g, schema)
     assert checked.sig.labels == ("count(B)", "count(B)_2")
+    assert checked.renames == ("aggregate output 'count(B)' renamed to 'count(B)_2'",)
+    # aggregates are named apart from the grouping names too
+    g = ast.Group(("A",), (ast.AggItem("count", "B", "A"),), ast.BaseRelation("R"))
+    checked = typecheck(g, schema)
+    assert checked.sig.labels == ("A", "A_2")
+    assert checked.renames == ("aggregate output 'A' renamed to 'A_2'",)
+    with pytest.raises(TypeCheckError, match=r"grouping names repeat: \('A', 'A'\)"):
+        typecheck(ast.Group(("A", "A"), (), ast.BaseRelation("R")), schema)
 
 
 def test_sql_comments_are_skipped():

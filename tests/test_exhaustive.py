@@ -10,7 +10,7 @@ import pytest
 
 from nullvl import ast, translate
 from nullvl.ast import col, num
-from nullvl.evaluator import EvalConfig, evaluate
+from nullvl.evaluator import EvalConfig, eval_condition, evaluate
 from nullvl.logic import (
     kernel_2vl,
     kernel_2vl_syntactic,
@@ -144,3 +144,17 @@ def test_negated_shapes_through_the_four_valued_counting():
         tr = translate.tr_mvl_to_3vl(expr, SCHEMA, K4)
         for db in (_SMALL_DBS[3], _SMALL_DBS[7], _SMALL_DBS[14]):
             _check(expr, db, K4, K3, tr)
+
+
+ROW_FREE_SHAPES = [(n, c) for n, c in ALL_SHAPES if "R.A" not in ast.render_condition(c)]
+
+
+@pytest.mark.parametrize(
+    "kernel", [K3, K2, KSYN, K4, KG_SYN, KG_LEQ], ids=lambda k: k.name
+)
+def test_compiled_row_free_conditions_match_the_tree_walker(kernel):
+    planned, reference = EvalConfig(kernel=kernel), EvalConfig(kernel=kernel, plan=False)
+    for name, cond in ROW_FREE_SHAPES:
+        for db in _SMALL_DBS:
+            want = eval_condition(cond, db, cfg=reference)
+            assert eval_condition(cond, db, cfg=planned) == want, (name, db.tables)

@@ -37,24 +37,30 @@ class Violation:
     detail: str
 
 
+def _steps(cond: ast.Condition) -> tuple[tuple[str, ast.Condition], ...]:
+    """The operands of a connective, each with the path step to it: the
+    steps `translate` uses in its trace."""
+    if isinstance(cond, (ast.And, ast.Or)):
+        return ((".l", cond.left), (".r", cond.right))
+    if isinstance(cond, ast.Not):
+        return ((".n", cond.cond),)
+    return ()
+
+
 def _atoms_under(cond: ast.Condition, path: str) -> Iterable[tuple[str, ast.Condition]]:
     """Atoms reachable through connectives, without entering subqueries."""
-    if isinstance(cond, (ast.And, ast.Or)):
-        yield from _atoms_under(cond.left, path + ".l")
-        yield from _atoms_under(cond.right, path + ".r")
-    elif isinstance(cond, ast.Not):
-        yield from _atoms_under(cond.cond, path + ".n")
-    else:
+    steps = _steps(cond)
+    if not steps:
         yield path, cond
+    for step, sub in steps:
+        yield from _atoms_under(sub, path + step)
 
 
 def _negated_subconditions(cond: ast.Condition, path: str):
-    if isinstance(cond, ast.Not):
-        yield path, cond.cond
-        yield from _negated_subconditions(cond.cond, path + ".n")
-    elif isinstance(cond, (ast.And, ast.Or)):
-        yield from _negated_subconditions(cond.left, path + ".l")
-        yield from _negated_subconditions(cond.right, path + ".r")
+    for step, sub in _steps(cond):
+        if isinstance(cond, ast.Not):
+            yield path + step, sub
+        yield from _negated_subconditions(sub, path + step)
 
 
 def _check_negated(
@@ -230,5 +236,5 @@ def _walk_cond(
 ):
     for q in ast.condition_subqueries(c):
         _walk_expr(q, path + "/q", outer, checked, report)
-    for i, sub in enumerate(ast.condition_children(c)):
-        _walk_cond(sub, f"{path}.{i}", outer, checked, report)
+    for step, sub in _steps(c):
+        _walk_cond(sub, path + step, outer, checked, report)

@@ -42,7 +42,6 @@ def _cmd_translate(args) -> int:
     text = _read(args.expr)
     expr = parse_expression(text)
     schema = load_database(args.schema).schema if args.schema else fuzz.default_schema()
-    expr = typecheck(expr, schema).expr
     direction = translate.DIRECTIONS[args.direction]
     param = None
     if direction.param and direction.translation_uses_param:
@@ -82,7 +81,6 @@ def _cmd_rewrite(args) -> int:
     db = load_database(args.schema)
     query = sqlfront.parse_sql(_read(args.sql))
     lowered = sqlfront.lower_to_algebra(query, db.schema)
-    lowered = typecheck(lowered, db.schema).expr
     result = translate.tr_to_3vl(lowered, db.schema)
     print(sqlfront.emit_sql(result.output))
     return 0

@@ -13,6 +13,7 @@ from typing import Optional
 
 from . import ast
 from .errors import SchemaError
+from .typecheck import RelSig
 from .values import NUM, ORD, Bag, Column, Database, Relation, Schema
 
 
@@ -97,12 +98,6 @@ def gen_database(schema: Schema, cfg: FuzzConfig, rng: Optional[random.Random] =
             rows.append(tuple(cells))
         tables[rel.name] = Bag(rows)
     return Database(schema, tables)
-
-
-@dataclass
-class _Sig:
-    labels: tuple[str, ...]
-    types: tuple[str, ...]
 
 
 # the depth a subquery takes from the condition it sits in
@@ -232,7 +227,7 @@ class ExpressionGenerator:
                     (ast.ProjItem(self.term(NUM, dict(zip(sub_sig.labels, sub_sig.types))), name),),
                     sub,
                 )
-                sub_sig = _Sig((name,), (NUM,))
+                sub_sig = RelSig((name,), (NUM,))
                 positions = [0]
             keep = [rng.choice(positions)]
         else:
@@ -257,7 +252,7 @@ class ExpressionGenerator:
         e, _ = self.expr(self.cfg.max_depth, {})
         return e
 
-    def expr(self, depth: int, params: dict) -> tuple[ast.Expression, _Sig]:
+    def expr(self, depth: int, params: dict) -> tuple[ast.Expression, RelSig]:
         if depth <= 1:
             return self._base()
         choices = [
@@ -293,7 +288,7 @@ class ExpressionGenerator:
                 items.append(ast.ProjItem(self.term(typ, scope), name))
                 labels.append(name)
                 types.append(typ)
-            return ast.Projection(tuple(items), src), _Sig(tuple(labels), tuple(types))
+            return ast.Projection(tuple(items), src), RelSig(tuple(labels), tuple(types))
         if kind == "product":
             left, lsig = self.expr(depth - 1, params)
             right, rsig = self.expr(depth - 1, params)
@@ -306,8 +301,8 @@ class ExpressionGenerator:
                     ),
                     right,
                 )
-                rsig = _Sig(fresh, rsig.types)
-            return ast.Product(left, right), _Sig(
+                rsig = RelSig(fresh, rsig.types)
+            return ast.Product(left, right), RelSig(
                 lsig.labels + rsig.labels, lsig.types + rsig.types
             )
         if kind == "setop":
@@ -344,17 +339,17 @@ class ExpressionGenerator:
             types = tuple(dict(zip(sig.labels, sig.types))[n] for n in names) + tuple(
                 NUM for _ in aggs
             )
-            return ast.Group(names, tuple(aggs), src), _Sig(labels, types)
+            return ast.Group(names, tuple(aggs), src), RelSig(labels, types)
         if kind == "mu":
             return self._mu(depth, params)
         raise AssertionError(kind)
 
-    def _base(self) -> tuple[ast.Expression, _Sig]:
+    def _base(self) -> tuple[ast.Expression, RelSig]:
         rel = self.schema[self.rng.choice(self.schema.names())]
         self.coverage["expr.base"] += 1
-        return ast.BaseRelation(rel.name), _Sig(rel.labels, rel.types)
+        return ast.BaseRelation(rel.name), RelSig(rel.labels, rel.types)
 
-    def _mu(self, depth: int, params: dict) -> tuple[ast.Expression, _Sig]:
+    def _mu(self, depth: int, params: dict) -> tuple[ast.Expression, RelSig]:
         rng = self.rng
         rel = self.fresh("W")
         w = self.fresh("w")
@@ -372,7 +367,7 @@ class ExpressionGenerator:
             ),
         )
         distinct = rng.random() < 0.7
-        return ast.Mu(rel, distinct, seed, step), _Sig((w,), (NUM,))
+        return ast.Mu(rel, distinct, seed, step), RelSig((w,), (NUM,))
 
 
 def gen_expression(

@@ -82,7 +82,6 @@ class Case:
 
 def _check_capture_case(case: Case) -> CaseOutcome:
     db, checked = case.db, case.checked
-    expr = checked.expr
     name = required(case.params, "direction", "bundle")
     direction = translate.DIRECTIONS.get(name) if isinstance(name, str) else None
     if direction is None:
@@ -90,9 +89,9 @@ def _check_capture_case(case: Case) -> CaseOutcome:
     param = None
     if direction.param:
         param = RESOLVERS[direction.param](required(case.params, direction.param, "bundle"))
-    tr = direction.translate(expr, db.schema, param)
+    tr = direction.translate(checked.expr, db.schema, param)
     verdict = translate.check_capture(
-        expr, db, EvalConfig(kernel=direction.source(param)),
+        checked, db, EvalConfig(kernel=direction.source(param)),
         EvalConfig(kernel=direction.target(param)), tr,
     )
     if verdict.status == "inconclusive":

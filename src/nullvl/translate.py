@@ -7,6 +7,11 @@ Expressions translate by replacing every selection condition with its
 "true" image; the output evaluates, under the target semantics, to the same
 bag as the input under the source semantics, on every database.
 
+Each entry point typechecks its input once, as `evaluate` does, and
+translates the checked tree; a translator reads the labels of every node it
+needs them for from the `typecheck` notes of that tree.  Translation keeps
+the labels of every node, so a translated subquery has its input's labels.
+
 The translations are purely syntactic and deterministic; no simplification
 pass runs afterwards.  Fresh names introduced here carry the reserved
 prefix ``__``.
@@ -17,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from . import ast
 from .errors import EvalError, NullvlError, RecursionLimitError
@@ -33,7 +38,7 @@ from .logic import (
     kernel_3vl,
     kernel_grounded,
 )
-from .typecheck import _labels
+from .typecheck import Checked, RelSig, typecheck
 from .values import Bag, Database, Schema
 
 COUNT_LABEL = "__cnt"
@@ -63,9 +68,8 @@ class _Translator:
 
     name = "base"
 
-    def __init__(self, schema: Schema):
-        # relation name -> tuple of labels
-        self.catalog = {rel.name: rel.labels for rel in schema.relations.values()}
+    def __init__(self, notes: Mapping[int, RelSig]):
+        self.notes = notes  # the `typecheck` notes of the translated tree
         self.trace: list[tuple[str, str]] = []
         self._fresh = 0
 
@@ -89,7 +93,7 @@ class _Translator:
         """Translate a condition subquery; rename its output labels when they
         collide with names the surrounding condition must keep visible."""
         out = self.expr(e, path)
-        labels = _labels(out, self.catalog)
+        labels = self.notes[id(e)].labels
         if not (set(labels) & avoid):
             return out, labels
         fresh = tuple(self._fresh_name("c") for _ in labels)
@@ -124,25 +128,13 @@ class _Translator:
         if isinstance(e, ast.Group):
             return ast.Group(e.names, e.aggs, self.expr(e.source, path + "/src"))
         if isinstance(e, ast.Mu):
-            seed = self.expr(e.seed, path + "/seed")
-            saved = self.catalog.get(e.rel)
-            self.catalog[e.rel] = _labels(seed, self.catalog)
-            try:
-                step = self.expr(e.step, path + "/step")
-            finally:
-                if saved is None:
-                    del self.catalog[e.rel]
-                else:
-                    self.catalog[e.rel] = saved
+            seed, step = self.expr(e.seed, path + "/seed"), self.expr(e.step, path + "/step")
             return ast.Mu(e.rel, e.distinct, seed, step)
         raise NullvlError(f"not an expression: {e!r}")
 
     # -- condition hooks ------------------------------------------------------
 
     def cond_true(self, c: ast.Condition, path: str) -> ast.Condition:
-        raise NotImplementedError
-
-    def cond_false(self, c: ast.Condition, path: str) -> ast.Condition:
         raise NotImplementedError
 
 
@@ -162,9 +154,6 @@ class _TwoValuedSourceTranslator(_Translator):
 
     def cond_true(self, c, path):
         return self.image(c, False, path)
-
-    def cond_false(self, c, path):
-        return self.image(c, True, path)
 
     def image(self, c: ast.Condition, negate: bool, path: str) -> ast.Condition:
         if isinstance(c, (ast.And, ast.Or)):
@@ -202,12 +191,11 @@ class _TwoValuedSourceTranslator(_Translator):
     def quantified(self, quant, cmp_, query, negate, path) -> ast.Condition:
         """The image of `cmp_` quantified (`any` or `all`) over the records
         of the translated subquery `query`."""
+        theta = self.image(cmp_, negate, path + ".cmp")
         if not negate:
-            theta = self.cond_true(cmp_, path + ".cmp")
             if quant == "any":
                 return ast.Not(ast.Empty(ast.Selection(theta, query)))
             return ast.Empty(ast.Selection(ast.Not(theta), query))
-        theta = self.cond_false(cmp_, path + ".cmp")
         if quant == "any":
             self._note(path, "any-false-emptiness")
             return ast.Empty(ast.Selection(ast.Not(theta), query))
@@ -255,8 +243,8 @@ class _FromGrounded(_TwoValuedSourceTranslator):
     name = "grounded-to-3vl"
     via_emptiness = True
 
-    def __init__(self, schema: Schema, grounding: Grounding):
-        super().__init__(schema)
+    def __init__(self, notes: Mapping[int, RelSig], grounding: Grounding):
+        super().__init__(notes)
         self.grounding = grounding
 
     def compare(self, c, negate, path):
@@ -332,8 +320,8 @@ class _FromMVL(_Translator):
 
     name = "mvl-to-3vl"
 
-    def __init__(self, schema: Schema, kernel: LogicKernel):
-        super().__init__(schema)
+    def __init__(self, notes: Mapping[int, RelSig], kernel: LogicKernel):
+        super().__init__(notes)
         self.kernel = kernel
 
     def cond_true(self, c, path):
@@ -499,40 +487,39 @@ def _merge_profiles(profiles: list[tuple], sizes: list[int]) -> list[tuple]:
 # Public entry points
 
 
+def _translate(make: Callable, expr: ast.Expression, schema: Schema, *args) -> TranslationResult:
+    """Typecheck `expr` once and translate the checked tree with the
+    translator `make(notes, *args)`."""
+    checked = typecheck(expr, schema)
+    return make(checked.notes, *args).run(checked.expr)
+
+
 def tr_to_3vl(expr: ast.Expression, schema: Schema) -> TranslationResult:
     """Rewrite a query written under the conflating two-valued semantics so it
     evaluates identically under the three-valued semantics."""
-    return _From2VL(schema).run(expr)
-
-
-def tr_cond_true(cond: ast.Condition, schema: Schema) -> ast.Condition:
-    return _From2VL(schema).cond_true(cond, "")
-
-
-def tr_cond_false(cond: ast.Condition, schema: Schema) -> ast.Condition:
-    return _From2VL(schema).cond_false(cond, "")
+    return _translate(_From2VL, expr, schema)
 
 
 def tr_from_3vl(expr: ast.Expression, schema: Schema) -> TranslationResult:
     """Rewrite a query written under the three-valued semantics so it
     evaluates identically under the conflating two-valued semantics."""
-    return _From3VL(schema).run(expr)
+    return _translate(_From3VL, expr, schema)
 
 
 def tr_grounded_to_3vl(
     expr: ast.Expression, schema: Schema, grounding: Grounding
 ) -> TranslationResult:
-    return _FromGrounded(schema, grounding).run(expr)
+    return _translate(_FromGrounded, expr, schema, grounding)
 
 
 def tr_3vl_to_grounded(expr: ast.Expression, schema: Schema) -> TranslationResult:
-    return _From3VLToGrounded(schema).run(expr)
+    return _translate(_From3VLToGrounded, expr, schema)
 
 
 def tr_mvl_to_3vl(
     expr: ast.Expression, schema: Schema, kernel: LogicKernel
 ) -> TranslationResult:
-    return _FromMVL(schema, kernel).run(expr)
+    return _translate(_FromMVL, expr, schema, kernel)
 
 
 @dataclass(frozen=True)
@@ -599,13 +586,15 @@ class Verdict:
 
 
 def check_capture(
-    expr: ast.Expression,
+    expr: ast.Expression | Checked,
     db: Database,
     source_cfg: EvalConfig,
     target_cfg: EvalConfig,
     translation: TranslationResult,
 ) -> Verdict:
-    """Evaluate both sides of a capture equation and compare the bags."""
+    """Evaluate both sides of a capture equation and compare the bags.  The
+    source side may be the `Checked` that `typecheck` returned for the
+    database's schema, which is then not typechecked again."""
     try:
         left = evaluate(expr, db, cfg=source_cfg)
         right = evaluate(translation.output, db, cfg=target_cfg)

@@ -19,6 +19,12 @@ projections list terms that can evaluate to NULL, and grouping keeps nullable
 grouping names and aggregates over nullable columns.  Every name in scope
 carries its nullability, so a correlated subquery sees which of the enclosing
 rows' names may be NULL.
+
+`labels` and `_labels` derive output labels alone, without checking.  In the
+library `_labels` now serves only the SQL lowerer, which labels derived
+tables and the seeds of WITH RECURSIVE while it builds the expression,
+before any typecheck; the evaluator, the analyzer and the translators read
+the notes.
 """
 from __future__ import annotations
 

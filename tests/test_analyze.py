@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 
-from nullvl import analyze, ast, harness
+from nullvl import analyze, ast, harness, translate
 from nullvl.ast import col, num
 from nullvl.errors import RecursionLimitError
 from nullvl.evaluator import evaluate
@@ -282,9 +282,36 @@ def _pinned_certificate_cases():
         yield ast.Mu("W", True, seed, step), mixed_schema()
 
 
+def test_selection_and_violation_paths_are_translate_trace_paths():
+    # σ(a = 1 ∧ ¬(b IN π_c(σ(¬(c = 2))(S))))(R): c may be NULL
+    inner = ast.Projection(
+        (ast.ProjItem(col("c"), None),),
+        ast.Selection(ast.Not(ast.Compare((col("c"),), "=", (num(2),))), ast.BaseRelation("S")),
+    )
+    expr = ast.Selection(
+        ast.And(ast.Compare((col("a"),), "=", (num(1),)), ast.Not(ast.In((col("b"),), inner))),
+        ast.BaseRelation("R"),
+    )
+    schema = default_schema()
+    report = analyze.coincidence_certificate(expr, schema)
+    found = [(s.path, v.path, v.rule) for s in report.selections for v in s.violations]
+    assert found == [
+        ("", "cond.r.n", "nullable-subquery"),
+        ("/cond.r.n/q/src", "cond.n", "nullable-comparison"),
+    ]
+    # a selection path, "/" and a violation path make translate's path for that atom
+    trace = translate.tr_to_3vl(expr, schema).trace
+    assert ("/cond.r.n", "in-null-filtered") in trace
+    assert ("/cond.r.n/q/src/cond.n", "compare-null-guarded") in trace
+    for sel_path, v_path, _ in found:
+        assert any(path == f"{sel_path}/{v_path}" for path, _ in trace)
+
+
 # pins the analyzer's output over the cases above; a change in any derived
-# label, nullable set or violation shows here
-PINNED_CERTIFICATE_DIGEST = "c1270474603663eb4251245c09293fc6b26ddf1f2aaa0e9848e028e0b6bbc823"
+# label, nullable set or violation shows here.  Re-pinned once, when the
+# condition paths took translate's `.l` / `.r` / `.n` steps; with every path
+# blanked the reports were byte-identical before and after.
+PINNED_CERTIFICATE_DIGEST = "827f9da1ee15f674e8eccc2987916caa62ac87f81dfeed814d4f23957d8f3188"
 
 
 def test_certificates_match_pinned_digest():

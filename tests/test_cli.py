@@ -59,16 +59,23 @@ def test_eval_with_custom_kernel_file(tmp_path, capsys):
     assert len(out["rows"]) == 2  # behaves like the conflating two-valued kernel
 
 
-def test_translate_and_rewrite(tmp_path, capsys):
+def test_translate_and_rewrite(tmp_path, capsys, monkeypatch):
+    from nullvl import typecheck as typecheck_module
+
+    # each request typechecks its input once
+    typecheckers = []
+    init = typecheck_module.Typechecker.__init__
+    monkeypatch.setattr(typecheck_module.Typechecker, "__init__",
+                        lambda self, *a: typecheckers.append(1) or init(self, *a))
     db = _write(tmp_path, "db.json", DB)
     expr = _write(tmp_path, "q.ra", Q1_EXPR)
     assert main(["translate", "--direction", "2to3", "--schema", db, expr]) == 0
     out = capsys.readouterr().out
-    assert "(isnull (col R.A))" in out
+    assert "(isnull (col R.A))" in out and len(typecheckers) == 1
     sql = _write(tmp_path, "q.sql", Q1_SQL)
     assert main(["rewrite", "--from", "2vl", "--to", "3vl", "--schema", db, sql]) == 0
     out = capsys.readouterr().out
-    assert "IS NULL" in out and "IS NOT NULL" in out
+    assert "IS NULL" in out and "IS NOT NULL" in out and len(typecheckers) == 2
 
 
 def test_sql2ra_and_analyze(tmp_path, capsys):
@@ -164,6 +171,16 @@ def test_translate_trace_emission(tmp_path, capsys):
     trace = json.loads(captured.err)
     assert trace["size_ratio"] > 1
     assert any(entry["rule"] == "in-null-filtered" for entry in trace["trace"])
+
+
+def test_translate_of_an_ill_typed_expression_exits_two(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", "(select (not (isnull (col A))) (base R))")
+    for direction in (["2to3"], ["3to2"], ["3-to-gr"], ["gr-to-3", "--grounding", "syntactic"],
+                      ["mvl-to-3", "--kernel", "4vl"]):
+        assert main(["translate", "--direction", *direction, "--schema", db, expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: unknown name 'A'\n", direction
 
 
 def test_translate_3vl_to_grounded_needs_no_grounding(tmp_path, capsys):

@@ -76,9 +76,8 @@ def test_every_family_passes_on_a_small_corpus(family):
     assert summary.cases == 25
 
 
-def test_coincidence_cases_typecheck_once(monkeypatch):
-    # generation typechecks once; the certified-only gate, the certificate
-    # and both evaluations reuse the generator's `Checked`
+def _typecheckers(monkeypatch) -> list:
+    """A list that gains an entry for each `Typechecker` made from now on."""
     from nullvl import typecheck as typecheck_module
 
     constructions = []
@@ -89,10 +88,29 @@ def test_coincidence_cases_typecheck_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(typecheck_module.Typechecker, "__init__", counting)
+    return constructions
+
+
+def test_coincidence_cases_typecheck_once(monkeypatch):
+    # generation typechecks once; the certified-only gate, the certificate
+    # and both evaluations reuse the generator's `Checked`
+    constructions = _typecheckers(monkeypatch)
     summary = harness.run_differential("coincidence", fuzz.FuzzConfig(seed=0, cases=20))
     assert summary.cases == 20 and summary.failed == 0
     generated = summary.cases + summary.notes.get("uncertified-generated", 0)
     assert len(constructions) <= generated
+
+
+def test_capture_cases_typecheck_three_times(monkeypatch):
+    # generation, the translation of the generator's tree and the evaluation
+    # of the output; the source side of the capture equation reuses the
+    # generator's `Checked`
+    constructions = _typecheckers(monkeypatch)
+    for family in sorted(harness.CAPTURE_FAMILIES):
+        constructions.clear()
+        summary = harness.run_differential(family, fuzz.FuzzConfig(seed=0, cases=10))
+        assert summary.cases == 10 and summary.failed == 0
+        assert len(constructions) <= 3 * summary.cases, family
 
 
 def test_capture_families_report_size_ratios():

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
+
+import pytest
 
 from nullvl import ast, translate
 from nullvl.ast import col, num
@@ -16,8 +19,9 @@ from nullvl.logic import (
     nonnegative_leq_grounding,
     syntactic_equality_grounding,
 )
+from nullvl.errors import TypeCheckError
 from nullvl.typecheck import typecheck
-from nullvl.values import Bag, Database
+from nullvl.values import NUM, Bag, Column, Database, Relation, Schema
 
 from sample_queries import (
     bag,
@@ -34,32 +38,54 @@ from sample_queries import (
 )
 
 SCHEMA = rs_schema()
+# R and S of `rs_schema`, and T with the two columns A and B
+AB_SCHEMA = Schema(list(SCHEMA.relations.values()) + [
+    Relation("T", (Column("A", NUM, nullable=True), Column("B", NUM, nullable=True)))
+])
+
+
+def _image(tr_fn, cond, source=ast.BaseRelation("T")):
+    """The condition that `tr_fn` makes of the one in `σ(cond)(source)`;
+    under `not` that is the false image of the operand."""
+    return tr_fn(ast.Selection(cond, source), AB_SCHEMA).output.cond
 
 
 def test_condition_rule_snapshots():
     a, b = col("A"), col("B")
-    assert translate.tr_cond_true(ast.IsNull(a), SCHEMA) == ast.IsNull(a)
+    assert _image(translate.tr_to_3vl, ast.IsNull(a)) == ast.IsNull(a)
     cmp_ = ast.Compare((a,), "<", (b,))
-    got = translate.tr_cond_false(cmp_, SCHEMA)
+    got = _image(translate.tr_to_3vl, ast.Not(cmp_))
     assert got == ast.or_all([ast.IsNull(a), ast.IsNull(b), ast.Not(cmp_)])
     # falsity of a universal comparison becomes a witness search
     all_cond = ast.Quant((a,), "<", "all", ast.BaseRelation("S"))
-    got = translate.tr_cond_false(all_cond, SCHEMA)
+    got = _image(translate.tr_to_3vl, ast.Not(all_cond))
     assert isinstance(got, ast.Not) and isinstance(got.cond, ast.Empty)
     inner = got.cond.query
     assert isinstance(inner, ast.Selection) and inner.source == ast.BaseRelation("S")
-    assert inner.cond == translate.tr_cond_false(
-        ast.Compare((a,), "<", (col("S.A"),)), SCHEMA
+    assert inner.cond == _image(
+        translate.tr_to_3vl,
+        ast.Not(ast.Compare((a,), "<", (col("S.A"),))),
+        ast.Product(ast.BaseRelation("T"), ast.BaseRelation("S")),
     )
 
 
 def test_duality_of_the_two_condition_maps():
-    gen = ExpressionGenerator(default_schema(), FuzzConfig(seed=4, max_depth=4), random.Random(4))
     schema = default_schema()
+    gen = ExpressionGenerator(schema, FuzzConfig(seed=4, max_depth=4), random.Random(4))
+    # a source row with the names the drawn conditions read
+    source = ast.Product(
+        ast.Projection((ast.ProjItem(col("a"), None),), ast.BaseRelation("R")),
+        ast.Projection((ast.ProjItem(col("d"), None),), ast.BaseRelation("S")),
+    )
     for _ in range(60):
-        cond = gen.condition(3, {"a": "n", "d": "o"})
-        assert translate.tr_cond_true(ast.Not(cond), schema) == translate.tr_cond_false(cond, schema)
-        assert translate.tr_cond_false(ast.Not(cond), schema) == translate.tr_cond_true(cond, schema)
+        checked = typecheck(ast.Selection(gen.condition(3, {"a": "n", "d": "o"}), source), schema)
+        cond = checked.expr.cond
+
+        def image(c, negate):
+            return translate._From2VL(checked.notes).image(c, negate, "")
+
+        assert image(ast.Not(cond), False) == image(cond, True)
+        assert image(ast.Not(cond), True) == image(cond, False)
 
 
 def test_membership_query_translates_to_the_guarded_form():
@@ -89,13 +115,26 @@ def test_capture_on_the_intro_database(cfg2, cfg3):
 def test_reverse_direction_rule_snapshots():
     a, b = col("A"), col("B")
     assert translate.tr_from_3vl(
-        ast.Selection(ast.Not(ast.IsNull(a)), ast.BaseRelation("R")), SCHEMA
-    ).output == ast.Selection(ast.Not(ast.IsNull(a)), ast.BaseRelation("R"))
-    tr = translate._From3VL(SCHEMA)
+        ast.Selection(ast.Not(ast.IsNull(col("R.A"))), ast.BaseRelation("R")), SCHEMA
+    ).output == ast.Selection(ast.Not(ast.IsNull(col("R.A"))), ast.BaseRelation("R"))
     cmp_ = ast.Compare((a,), "<", (b,))
-    assert tr.cond_false(cmp_, "") == ast.and_all(
+    assert _image(translate.tr_from_3vl, ast.Not(cmp_)) == ast.and_all(
         [ast.Not(ast.IsNull(a)), ast.Not(ast.IsNull(b)), ast.Not(cmp_)]
     )
+
+
+def test_ill_typed_input_raises_a_type_error():
+    # no relation of the schema has a column A
+    bad = ast.Selection(ast.Not(ast.IsNull(col("A"))), ast.BaseRelation("R"))
+    for run in (
+        lambda: translate.tr_to_3vl(bad, SCHEMA),
+        lambda: translate.tr_from_3vl(bad, SCHEMA),
+        lambda: translate.tr_grounded_to_3vl(bad, SCHEMA, syntactic_equality_grounding()),
+        lambda: translate.tr_3vl_to_grounded(bad, SCHEMA),
+        lambda: translate.tr_mvl_to_3vl(bad, SCHEMA, kernel_4vl_example()),
+    ):
+        with pytest.raises(TypeCheckError, match="unknown name 'A'"):
+            run()
 
 
 def test_reverse_capture_on_the_intro_database(cfg2, cfg3):
@@ -228,7 +267,7 @@ def test_mvl_capture_keeps_the_parity_of_counts(cfg3):
 
 def test_mvl_negation_rule_structure():
     kern = kernel_4vl_example()
-    t = translate._FromMVL(SCHEMA, kern)
+    t = translate._FromMVL({}, kern)  # no subquery below, so no notes
     theta = ast.IsNull(col("A"))
     got = t.cond_value(ast.Not(theta), "s", "")
     # the only value whose negation is s is s itself; isnull never takes it
@@ -278,11 +317,11 @@ def test_mvl_translation_of_connectives_stays_linear():
 def test_mvl_count_profiles_merge_dont_care_positions():
     # 3vl membership is true exactly when some record compares true: one
     # non-emptiness test, whatever the counts of false and unknown records
-    t = translate._FromMVL(SCHEMA, kernel_3vl())
-    got = t.cond_value(ast.In((num(1),), ast.BaseRelation("S")), "t", "")
+    sel = ast.Selection(ast.In((num(1),), ast.BaseRelation("S")), ast.BaseRelation("R"))
+    tr = translate.tr_mvl_to_3vl(sel, SCHEMA, kernel_3vl())
     cmp_ = ast.Compare((num(1),), "=", (col("S.A"),))
-    assert got == ast.Not(ast.Empty(ast.Selection(cmp_, ast.BaseRelation("S"))))
-    assert ("", "count-dont-care:t:1") in t.trace and ("", "count-idempotent") in t.trace
+    assert tr.output.cond == ast.Not(ast.Empty(ast.Selection(cmp_, ast.BaseRelation("S"))))
+    assert ("/cond", "count-dont-care:t:1") in tr.trace and ("/cond", "count-idempotent") in tr.trace
 
 
 def test_merged_count_profiles_cover_exactly_the_merged_cells():
@@ -430,7 +469,10 @@ def test_translations_touch_only_negations_and_tuple_comparisons():
 
 
 # SHA-256 over the rendered outputs of 200 seeded fuzz expressions, one line
-# each; recorded before the two-valued-source translators shared their rules
+# each; recorded before the two-valued-source translators shared their rules.
+# The mvl-to-3 outputs (over depth-3 expressions, the harness's cap for the
+# many-valued families) and every direction's `trace_json()` ("<key>.trace")
+# were recorded before the translators read labels from the typecheck notes.
 PINNED_OUTPUT_DIGESTS = {
     "2to3": "9d8f185c4b587f55318fc09818dd281110d81cdbd1e63ecd5427ea8b6ae19ac7",
     "3to2": "ba6b787dbbd81822436103d363f9ff9a6b3de17d610b958b1dded6daba0d62c9",
@@ -438,6 +480,16 @@ PINNED_OUTPUT_DIGESTS = {
     "gr-to-3.empty": "78324ecf461cdcef2de5a4875abd5b33640681c227aa8cebb585d7a92f828599",
     "gr-to-3.syntactic": "f4d4e041bc2a73f3813b46373cce86a4893a0c2e711c2dc8dd519df8bf371856",
     "gr-to-3.leq-sign": "51853737ec6d91cef3e012e3cbd7d46a466871d6b513983977d86d0758db4080",
+    "mvl-to-3.3vl": "de67dc2cfca004536a51a060cb23b2cdbd22dceec6350ae704059aa297f8c66b",
+    "mvl-to-3.4vl": "2888b3b27b78ce280c4620a56c358e35552a91dc650d851c8db98298a095db1b",
+    "2to3.trace": "c0ae6fa975dc5f98fd2b61d5671bbcfbe927dc47bf08d295cbf4bce01076e8c8",
+    "3to2.trace": "a3c54ac9b051589c23f1f9f857bd9818b9ed77d0ce69b8693f4fd7d248fa2655",
+    "3-to-gr.trace": "c7e112fa762fb70eb177cd13466e6c1f24796eef7b48fedfa4bfd84a1575802e",
+    "gr-to-3.empty.trace": "28758063526b1e48f2a36d98a08d5094dc013f44b8540c3708c79e0210d9e4d5",
+    "gr-to-3.syntactic.trace": "28758063526b1e48f2a36d98a08d5094dc013f44b8540c3708c79e0210d9e4d5",
+    "gr-to-3.leq-sign.trace": "28758063526b1e48f2a36d98a08d5094dc013f44b8540c3708c79e0210d9e4d5",
+    "mvl-to-3.3vl.trace": "4c4945d00b99275383bc236e4fe8fa96d02eb95ddf31cd872c4602e79f560f46",
+    "mvl-to-3.4vl.trace": "d827b629bf25c43e1900a7a995f41254ebb32953c6e5b0ffbc2b87765ae530b8",
 }
 
 
@@ -454,10 +506,21 @@ def test_two_valued_source_outputs_match_pinned_digests():
     for name, g in (("empty", empty_grounding()), ("syntactic", syntactic_equality_grounding()),
                     ("leq-sign", nonnegative_leq_grounding())):
         runs[f"gr-to-3.{name}"] = lambda e, g=g: translate.tr_grounded_to_3vl(e, schema, g)
-    digests = {name: hashlib.sha256() for name in runs}
+    mvl_runs = {
+        f"mvl-to-3.{k.name}": lambda e, k=k: translate.tr_mvl_to_3vl(e, schema, k)
+        for k in (kernel_3vl(), kernel_4vl_example())
+    }
+    digests = {}
+
+    def update(key, text):
+        digests.setdefault(key, hashlib.sha256()).update(text.encode() + b"\n")
+
     for i in range(200):
-        cfg = FuzzConfig(seed=i, max_depth=4)
-        expr = typecheck(gen_expression(schema, cfg, random.Random(i)), schema).expr
-        for name, run in runs.items():
-            digests[name].update(ast.render_expression(run(expr).output).encode() + b"\n")
+        for depth, group in ((4, runs), (3, mvl_runs)):
+            cfg = FuzzConfig(seed=i, max_depth=depth)
+            expr = typecheck(gen_expression(schema, cfg, random.Random(i)), schema).expr
+            for name, run in group.items():
+                tr = run(expr)
+                update(name, ast.render_expression(tr.output))
+                update(f"{name}.trace", json.dumps(tr.trace_json()))
     assert {name: d.hexdigest() for name, d in digests.items()} == PINNED_OUTPUT_DIGESTS

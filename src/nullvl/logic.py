@@ -413,7 +413,8 @@ class Grounding:
     holes; the template may only mention the holes at non-null positions.
     A missing entry is the empty grounding: ``(false)`` stands in for it.
     The evaluator runs a template under 3VL with the holes bound to the
-    argument values, and it must come out t or f.
+    argument values, and it must come out t or f.  Two groundings are equal
+    when their names and templates are, which keys `kernel_grounded`.
     """
 
     def __init__(self, name: str, templates: Mapping[tuple[str, frozenset], ast.Condition]):
@@ -429,6 +430,14 @@ class Grounding:
                 raise KernelError(f"grounding {name}: bad null pattern {sorted(pattern)}")
             _validate_template(cond, pattern, f"grounding {name} ({op}, {sorted(pattern)})")
             self.templates[(op, pattern)] = cond
+        # every template map holds the cells in `_NULL_CELLS` order
+        self._key = (name, tuple(self.templates.items()))
+
+    def __eq__(self, other):
+        return isinstance(other, Grounding) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
 
 def empty_grounding() -> Grounding:
@@ -515,8 +524,10 @@ def substitute_holes(cond: ast.Condition, args: tuple[ast.Term, ...]) -> ast.Con
     raise KernelError(f"not a template condition: {cond!r}")
 
 
+@functools.cache
 def kernel_grounded(grounding: Grounding) -> LogicKernel:
-    """Two-valued kernel whose null comparisons follow the given grounding."""
+    """Two-valued kernel whose null comparisons follow the given grounding,
+    built once per distinct grounding (its name and templates)."""
     and_t, or_t, not_t = _bool_tables("t", "f")
     # a constant template is its value, any other may depend on the
     # non-null argument
@@ -712,7 +723,10 @@ def grounding_from_json(obj: Mapping) -> Grounding:
             if not isinstance(text, str):
                 raise KernelError(f"{where} {pattern_text!r}: the template must be a string")
             templates[(op, pattern)] = parse_condition(text)
-    return Grounding(obj.get("name", "custom"), templates)
+    name = obj.get("name", "custom")
+    if not isinstance(name, str):
+        raise KernelError('grounding: "name" must be a string')
+    return Grounding(name, templates)
 
 
 def load_grounding(path: str) -> Grounding:
@@ -756,17 +770,12 @@ def grounding_by_name(spec) -> Grounding:
 
 def kernel_by_name(spec) -> LogicKernel:
     """A built-in kernel, `grounded:<grounding>`, or a kernel JSON file with
-    or without the `mvl:` prefix.  A built-in, `grounded:<built-in>` too, is
-    built once per process; a file is read on every call."""
+    or without the `mvl:` prefix.  A built-in kernel is built once per
+    process and a grounded kernel once per distinct grounding; a file is
+    read on every call."""
     if isinstance(spec, str) and spec.startswith("grounded:"):
-        name = spec.removeprefix("grounded:")
-        return _grounded(name) if name in GROUNDINGS else kernel_grounded(grounding_by_name(name))
+        return kernel_grounded(grounding_by_name(spec.removeprefix("grounded:")))
     return _by_name(spec, "kernel", KERNELS, lambda path: load_kernel(path.removeprefix("mvl:")))
-
-
-@functools.cache
-def _grounded(name: str) -> LogicKernel:
-    return kernel_grounded(GROUNDINGS[name]())
 
 
 # the resolver of each kind of name, keyed as `translate.Direction.param`

@@ -7,6 +7,12 @@ Expressions translate by replacing every selection condition with its
 "true" image; the output evaluates, under the target semantics, to the same
 bag as the input under the source semantics, on every database.
 
+Two cores hold the rules.  `_TwoValuedSourceTranslator` serves the fixed
+directions between 2VL and 3VL (2to3, 3to2 and 3-to-gr); `_FromMVL` serves
+every direction from a kernel given as a value: mvl-to-3 with any finite
+kernel, and gr-to-3 with a grounding's two-valued kernel, whose comparison
+templates are the grounded comparisons (`logic.kernel_grounded`).
+
 Each entry point typechecks its input once, as `evaluate` does, and
 translates the checked tree; a translator reads the labels of every node it
 needs them for from the `typecheck` notes of that tree.  Translation keeps
@@ -33,7 +39,6 @@ from .logic import (
     Grounding,
     LogicKernel,
     fold_counted,
-    grounded_comparison_condition,
     kernel_2vl,
     kernel_3vl,
     kernel_grounded,
@@ -65,8 +70,6 @@ def _cols(labels: tuple[str, ...]) -> tuple[ast.Term, ...]:
 
 class _Translator:
     """Shared recursion over expressions; subclasses provide condition rules."""
-
-    name = "base"
 
     def __init__(self, notes: Mapping[int, RelSig]):
         self.notes = notes  # the `typecheck` notes of the translated tree
@@ -139,8 +142,8 @@ class _Translator:
 
 
 class _TwoValuedSourceTranslator(_Translator):
-    """The rules shared by every translator whose source semantics is two-
-    or three-valued: each condition gets a true image and a false image.
+    """The rules shared by the translators between 2VL and 3VL: each
+    condition gets a true image and a false image.
 
     A direction supplies `compare`, the image of one atomic comparison, and
     sets the flags below where its rules deviate from the shared ones.
@@ -211,8 +214,6 @@ def _not_null_guarded(c: ast.Compare, negate: bool) -> ast.Condition:
 class _From2VL(_TwoValuedSourceTranslator):
     """Conflating two-valued conditions into three-valued equivalents."""
 
-    name = "2vl-to-3vl"
-
     def compare(self, c, negate, path):
         if not negate:
             self._note(path, "compare-kept")
@@ -232,39 +233,9 @@ class _From2VL(_TwoValuedSourceTranslator):
         return ast.or_all([ast.IsNull(t) for t in c.items] + [kept])
 
 
-class _FromGrounded(_TwoValuedSourceTranslator):
-    """Grounded two-valued conditions into three-valued equivalents.
-
-    Atomic comparisons become one guarded disjunct per null pattern; the
-    guard asserts nullness exactly on the pattern so the disjunction is
-    two-valued whatever the grounding templates contain.
-    """
-
-    name = "grounded-to-3vl"
-    via_emptiness = True
-
-    def __init__(self, notes: Mapping[int, RelSig], grounding: Grounding):
-        super().__init__(notes)
-        self.grounding = grounding
-
-    def compare(self, c, negate, path):
-        self._note(path, "compare-pattern-cases")
-        return grounded_comparison_condition(
-            self.grounding, c.op, c.lhs[0], c.rhs[0], negate
-        )
-
-    def quantified(self, quant, cmp_, query, negate, path):
-        # the source is two-valued, so the false image negates the true one
-        true_image = super().quantified(quant, cmp_, query, False, path)
-        if not negate:
-            return true_image
-        return true_image.cond if isinstance(true_image, ast.Not) else ast.Not(true_image)
-
-
 class _From3VL(_TwoValuedSourceTranslator):
     """Three-valued conditions into conflating two-valued equivalents."""
 
-    name = "3vl-to-2vl"
     negate_constants = True
 
     def compare(self, c, negate, path):
@@ -286,7 +257,6 @@ class _From3VLToGrounded(_From3VL):
     so one output is valid under every grounded two-valued target.
     """
 
-    name = "3vl-to-grounded"
     via_emptiness = True
 
     def compare(self, c, negate, path):
@@ -295,7 +265,8 @@ class _From3VLToGrounded(_From3VL):
 
 
 class _FromMVL(_Translator):
-    """Many-valued conditions into three-valued equivalents.
+    """Conditions under a finite kernel (many-valued, or the two-valued
+    kernel of a grounding) into three-valued equivalents.
 
     For each truth value the translated condition is true exactly when the
     source condition takes that value.  Three rules keep the output small
@@ -317,8 +288,6 @@ class _FromMVL(_Translator):
       1, period 2) only asks whether any record compares to it, which is
       selection non-emptiness rather than a count reduced modulo 1.
     """
-
-    name = "mvl-to-3vl"
 
     def __init__(self, notes: Mapping[int, RelSig], kernel: LogicKernel):
         super().__init__(notes)
@@ -509,7 +478,9 @@ def tr_from_3vl(expr: ast.Expression, schema: Schema) -> TranslationResult:
 def tr_grounded_to_3vl(
     expr: ast.Expression, schema: Schema, grounding: Grounding
 ) -> TranslationResult:
-    return _translate(_FromGrounded, expr, schema, grounding)
+    """Rewrite a query written under the grounding's two-valued semantics so
+    it evaluates identically under the three-valued semantics."""
+    return _translate(_FromMVL, expr, schema, kernel_grounded(grounding))
 
 
 def tr_3vl_to_grounded(expr: ast.Expression, schema: Schema) -> TranslationResult:
@@ -598,9 +569,7 @@ def check_capture(
     try:
         left = evaluate(expr, db, cfg=source_cfg)
         right = evaluate(translation.output, db, cfg=target_cfg)
-    except RecursionLimitError as exc:
-        return Verdict("inconclusive", None, None, translation.size_ratio, str(exc))
-    except EvalError as exc:
+    except (RecursionLimitError, EvalError) as exc:
         return Verdict("inconclusive", None, None, translation.size_ratio, str(exc))
     status = "equal" if left == right else "not-equal"
     return Verdict(status, left, right, translation.size_ratio)

@@ -302,6 +302,7 @@ def test_json_fields_of_the_wrong_type_exit_two(tmp_path, capsys):
     groundings = [
         ({"templates": []}, ['"templates"']),
         ({"templates": {"=": {"x": "(true)"}}}, ["templates", "'x'"]),
+        ({"name": ["leq"], "templates": {}}, ['"name"']),
     ]
     for i, (grounding, fields) in enumerate(groundings):
         gpath = _write(tmp_path, f"grounding-{i}.json", grounding)

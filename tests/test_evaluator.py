@@ -552,13 +552,19 @@ def test_value_dependent_grounding_falls_back_to_nested_loop(monkeypatch):
     )
     kernel = kernel_grounded(grounding)
     assert kernel.null_equality[frozenset({1})] is None
+
+    def built_under_the_seam():
+        # the memoised kernel compiled its template before the seam was set
+        kernel_grounded.cache_clear()
+        return kernel_grounded(grounding)
+
     db = rs_db([-1, 0, 3, None], [])
     planned, reference = _plan_and_reference(_self_join(), db, kernel)
     assert planned == reference
     # NULL = x holds for x >= 0, a pair no hash on the key would find
     assert planned.multiplicity(row(None, 3)) == 1
     _, calls, template_calls = _count_condition_evals(
-        monkeypatch, _self_join(), db, lambda: kernel_grounded(grounding)
+        monkeypatch, _self_join(), db, built_under_the_seam
     )
     # the template runs once for each of the three pairs (NULL, x)
     assert calls == 16 and template_calls == 3
@@ -569,7 +575,7 @@ def test_value_dependent_grounding_falls_back_to_nested_loop(monkeypatch):
     assert planned == reference == bag(-1)
     builds = _count_index_builds(monkeypatch)
     _, calls, template_calls = _count_condition_evals(
-        monkeypatch, q2(), db, lambda: kernel_grounded(grounding)
+        monkeypatch, q2(), db, built_under_the_seam
     )
     # the template runs for the outer NULL against S's -2 and 3
     assert calls == 3 + 3 * 3 and template_calls == 2 and builds == []

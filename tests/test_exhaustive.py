@@ -138,12 +138,18 @@ def test_many_valued_and_grounded_capture_exhaustive(name, cond):
 
 
 def test_negated_shapes_through_the_four_valued_counting():
-    # negation over quantified conditions drives the per-value counting rules
+    # negation over quantified conditions drives the per-value counting
+    # rules, which gr-to-3 shares: a negated IN/ANY/ALL under a grounded
+    # kernel takes the false value's count profiles
     for name, cond in composite_shapes():
         expr = typecheck(ast.Selection(cond, ast.BaseRelation("R")), SCHEMA).expr
         tr = translate.tr_mvl_to_3vl(expr, SCHEMA, K4)
+        gr_syn = translate.tr_grounded_to_3vl(expr, SCHEMA, G_SYN)
+        gr_leq = translate.tr_grounded_to_3vl(expr, SCHEMA, G_LEQ)
         for db in (_SMALL_DBS[3], _SMALL_DBS[7], _SMALL_DBS[14]):
             _check(expr, db, K4, K3, tr)
+            _check(expr, db, KG_SYN, K3, gr_syn)
+            _check(expr, db, KG_LEQ, K3, gr_leq)
 
 
 ROW_FREE_SHAPES = [(n, c) for n, c in ALL_SHAPES if "R.A" not in ast.render_condition(c)]

@@ -209,12 +209,15 @@ def test_plan_equivalence_runs_at_depth_one():
 
 # SHA-256 of each family's `FamilySummary.to_json()` (keys sorted) at seed 0
 # x 60 cases, taken from the harness that checked every case through its
-# rendered text and JSON database
+# rendered text and JSON database.  The grounded-syntactic and grounded-leq
+# entries were recorded when gr-to-3 moved onto the many-valued core, whose
+# ALL images are larger: at seed 0 x 60 the largest size ratio went from
+# 10.67 to 11.0 and the mean by under 0.01.
 PINNED_SUMMARY_DIGESTS = {
     "capture-2vl-to-3vl": "6e3bf304c39297117cdb344f2e370d86f6d337f4d5379c2c368a69e309f00e43",
     "capture-3vl-to-2vl": "3f27a1429ecf120f29b983435ea3b734b6e52548583dec85dba2e41d36c25805",
-    "grounded-syntactic": "0f611b44785eae5ffcb629a357cdbe0cf2d28759f5d3ea1e40614030d2013467",
-    "grounded-leq": "df726d9bb45c790e4d4e5d57c601c4e498beabdc1ca7d9c59e06e24c08a9c220",
+    "grounded-syntactic": "48b94c7c5057da52c30eea4d50d7f8b9a6418e4945a947a6f0526b417f766ed3",
+    "grounded-leq": "12af94c48d8ade177ab26377c4f6febc107b6d9888f55cb1da2805594fb72293",
     "capture-3vl-to-grounded": "3d3c740e72ca881163669a99e945601e47c308a8bfd83bc4339f77663aafc69d",
     "mvl-4vl": "885ca2c29bfaf5f34673a0ce24b85f4bb4afbd37124c60f1301301a75a60e74b",
     "mvl-self": "e05e8923aa39dad1c88df8b654dd9ade738ecf9c342cb9314ea0efeb7c5e3a6d",

@@ -298,7 +298,7 @@ def test_kernel_json_requires_total_null_comparisons():
         kernel_from_json(obj)
 
 
-def test_built_in_kernels_are_built_once_per_process():
+def test_built_in_kernels_are_built_once_per_process(tmp_path):
     from nullvl import logic
     from nullvl.harness import PLAN_KERNELS, kernel_by_name
 
@@ -309,6 +309,19 @@ def test_built_in_kernels_are_built_once_per_process():
     for name in (*PLAN_KERNELS, *logic.KERNELS, *grounded):
         assert kernel_by_name(name) is kernel_by_name(name)
     assert kernel_by_name("3vl") is logic.kernel_3vl()
+
+    # a grounding file is read each time it is named, and its kernel is
+    # built once per distinct grounding
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"name": "rule", "templates": {"=": {"1": "(cmp >= (arg 2) (num 0))"}}}))
+    first = kernel_by_name(f"grounded:{path}")
+    assert kernel_by_name(f"grounded:{path}") is first
+    assert first.compare("=", None, Fraction(1)) == "t"
+    path.write_text(json.dumps({"name": "rule", "templates": {"=": {"1": "(cmp < (arg 2) (num 0))"}}}))
+    rewritten = kernel_by_name(f"grounded:{path}")
+    assert rewritten is not first and rewritten.name == first.name
+    assert rewritten.compare("=", None, Fraction(1)) == "f"
+    assert rewritten.compare("=", None, Fraction(-1)) == "t"
 
 
 def test_semantics_names_that_are_no_strings_or_unknown_are_kernel_errors():

@@ -473,21 +473,24 @@ def test_translations_touch_only_negations_and_tuple_comparisons():
 # The mvl-to-3 outputs (over depth-3 expressions, the harness's cap for the
 # many-valued families) and every direction's `trace_json()` ("<key>.trace")
 # were recorded before the translators read labels from the typecheck notes.
+# The six gr-to-3 entries were recorded when gr-to-3 moved onto the
+# many-valued core: ALL and negated ALL now use the false template where
+# they used the negated true one, and the trace names the core's rules.
 PINNED_OUTPUT_DIGESTS = {
     "2to3": "9d8f185c4b587f55318fc09818dd281110d81cdbd1e63ecd5427ea8b6ae19ac7",
     "3to2": "ba6b787dbbd81822436103d363f9ff9a6b3de17d610b958b1dded6daba0d62c9",
     "3-to-gr": "3b3c2470e56b7a0b4883e11744432b13aa1108a9ceb528ac78e297206e707a46",
-    "gr-to-3.empty": "78324ecf461cdcef2de5a4875abd5b33640681c227aa8cebb585d7a92f828599",
-    "gr-to-3.syntactic": "f4d4e041bc2a73f3813b46373cce86a4893a0c2e711c2dc8dd519df8bf371856",
-    "gr-to-3.leq-sign": "51853737ec6d91cef3e012e3cbd7d46a466871d6b513983977d86d0758db4080",
+    "gr-to-3.empty": "b138464387de8fc2fb8ee452e4887ab0f848cb5fe6315b11bc45fcb477356851",
+    "gr-to-3.syntactic": "f9815983421f400fe3a130b465306652061d908393eac5c531a0620e5f894f01",
+    "gr-to-3.leq-sign": "28cfb23c020d1f7e9738407e2c181c4677edbe4deb75cafcac7d4b34d3b81e6c",
     "mvl-to-3.3vl": "de67dc2cfca004536a51a060cb23b2cdbd22dceec6350ae704059aa297f8c66b",
     "mvl-to-3.4vl": "2888b3b27b78ce280c4620a56c358e35552a91dc650d851c8db98298a095db1b",
     "2to3.trace": "c0ae6fa975dc5f98fd2b61d5671bbcfbe927dc47bf08d295cbf4bce01076e8c8",
     "3to2.trace": "a3c54ac9b051589c23f1f9f857bd9818b9ed77d0ce69b8693f4fd7d248fa2655",
     "3-to-gr.trace": "c7e112fa762fb70eb177cd13466e6c1f24796eef7b48fedfa4bfd84a1575802e",
-    "gr-to-3.empty.trace": "28758063526b1e48f2a36d98a08d5094dc013f44b8540c3708c79e0210d9e4d5",
-    "gr-to-3.syntactic.trace": "28758063526b1e48f2a36d98a08d5094dc013f44b8540c3708c79e0210d9e4d5",
-    "gr-to-3.leq-sign.trace": "28758063526b1e48f2a36d98a08d5094dc013f44b8540c3708c79e0210d9e4d5",
+    "gr-to-3.empty.trace": "b3c4dafaf35a92b150645f4b6d1aff3abbdd9841cc7650ade1e0341149af8526",
+    "gr-to-3.syntactic.trace": "b3c4dafaf35a92b150645f4b6d1aff3abbdd9841cc7650ade1e0341149af8526",
+    "gr-to-3.leq-sign.trace": "b3c4dafaf35a92b150645f4b6d1aff3abbdd9841cc7650ade1e0341149af8526",
     "mvl-to-3.3vl.trace": "4c4945d00b99275383bc236e4fe8fa96d02eb95ddf31cd872c4602e79f560f46",
     "mvl-to-3.4vl.trace": "d827b629bf25c43e1900a7a995f41254ebb32953c6e5b0ffbc2b87765ae530b8",
 }

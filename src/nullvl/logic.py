@@ -1,10 +1,13 @@
 """Truth-value systems as pluggable kernels.
 
-A kernel bundles a finite truth-value set, conjunction/disjunction/negation
-tables (validated associative and commutative, Boolean on {t, f}), the rule
-for atomic comparisons on possibly-null arguments, and per-(comparison,
-truth value) condition templates witnessing that every outcome is statable
-as an ordinary condition evaluated under the three-valued semantics.
+A kernel is a finite truth-value set, its conjunction/disjunction/negation
+tables (validated associative and commutative, Boolean on {t, f}) and one
+NULL table: the value of every comparison under every pattern of null
+arguments, or for a grounding a two-valued template over the non-null
+argument.  Everything else a kernel offers is derived from that table: the
+rule for atomic comparisons, the constants of `=` that the evaluator's hash
+paths read, and per-(comparison, truth value) condition templates that state
+each outcome as an ordinary condition under the three-valued semantics.
 
 The same module houses groundings (per-comparison decisions for each pattern
 of null argument positions) and the eventual-periodicity machinery used to
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, get_args
 
 from . import ast
 from .errors import KernelError
@@ -46,34 +49,13 @@ def standard_compare(op: str, a, b) -> bool:
     raise KernelError(f"unknown comparison {op!r}")
 
 
-TemplateFn = Callable[[ast.Term, ast.Term], ast.Condition]
-
 # the null patterns of a comparison: which argument positions are NULL
 _PATTERNS = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
 # the cells of a NULL table: every comparison under every null pattern
 _NULL_CELLS = tuple(itertools.product(ast.COMPARISONS, _PATTERNS))
-
-
-def _null_rules(table: Mapping, true: TruthValue, false: TruthValue):
-    """``compare`` and ``null_equality`` from a kernel's one NULL table, which
-    maps every cell to a truth value or, for groundings, to a two-valued
-    template over the non-null argument.  ``compare`` is standard on two
-    non-null arguments; ``null_equality`` is the `=` row's constants."""
-    by_nulls = {
-        (op, 1 in p, 2 in p): entry if isinstance(entry, str)
-        else _template_rule(entry, true, false)
-        for (op, p), entry in table.items()
-    }
-
-    def compare(op: str, a: Value, b: Value) -> TruthValue:
-        if a is not None and b is not None:
-            return true if standard_compare(op, a, b) else false
-        entry = by_nulls[(op, a is None, b is None)]
-        return entry if isinstance(entry, str) else entry(a, b)
-
-    eq = {p: table[("=", p)] for p in _PATTERNS}
-    return compare, {p: v if isinstance(v, str) else None for p, v in eq.items()}
-
+# a null pattern as kernel files spell it
+_PATTERN_KEYS = {"".join(map(str, sorted(p))): p for p in _PATTERNS}
+_CONDITIONS = get_args(ast.Condition)
 
 # the names a template's holes 1 and 2 are bound to when it is evaluated
 TEMPLATE_NAMES = ("__1", "__2")
@@ -97,8 +79,35 @@ def _template_rule(template: ast.Condition, true: TruthValue, false: TruthValue)
     return rule
 
 
+def _cmp(a: ast.Term, op: str, b: ast.Term) -> ast.Condition:
+    return ast.Compare((a,), op, (b,))
+
+
+def _exact_guard(pattern: frozenset, a: ast.Term, b: ast.Term) -> ast.Condition:
+    """isnull exactly at the pattern positions, not-null everywhere else."""
+    null_a, null_b = ast.IsNull(a), ast.IsNull(b)
+    return ast.And(null_a if 1 in pattern else ast.Not(null_a),
+                   null_b if 2 in pattern else ast.Not(null_b))
+
+
+def _null_guard(patterns: list, a: ast.Term, b: ast.Term) -> list:
+    """The fewest disjuncts that are true exactly under the given null
+    patterns."""
+    covered = set(patterns)
+    if covered == set(_PATTERNS):
+        return [ast.Or(ast.IsNull(a), ast.IsNull(b))]
+    for i, t in ((1, a), (2, b)):
+        if covered == {frozenset({i}), frozenset({1, 2})}:
+            return [ast.IsNull(t)]
+    return [_exact_guard(p, a, b) for p in patterns]
+
+
 class LogicKernel:
-    """A validated finite logic with comparison semantics."""
+    """A validated finite logic: its connective tables and its one NULL
+    table, which maps every (comparison, null pattern) cell to a truth value
+    or, for groundings, to a two-valued template over the non-null argument.
+    The comparison rule, the `=` row's constants and every comparison's
+    condition templates are derived from that table."""
 
     def __init__(
         self,
@@ -109,9 +118,7 @@ class LogicKernel:
         and_table: Mapping[tuple[TruthValue, TruthValue], TruthValue],
         or_table: Mapping[tuple[TruthValue, TruthValue], TruthValue],
         not_table: Mapping[TruthValue, TruthValue],
-        compare: Callable[[str, Value, Value], TruthValue],
-        expressibility: Optional[Mapping[tuple[str, TruthValue], TemplateFn]] = None,
-        null_equality: Optional[Mapping[frozenset, Optional[TruthValue]]] = None,
+        nulls: Mapping[tuple[str, frozenset], TruthValue | ast.Condition],
     ):
         self.name = name
         self.values = tuple(values)
@@ -120,15 +127,28 @@ class LogicKernel:
         self.and_table = dict(and_table)
         self.or_table = dict(or_table)
         self.not_table = dict(not_table)
-        self.compare = compare
-        self.expressibility = dict(expressibility or {})
-        # the value of `=` for each null pattern when it is a constant, None
-        # when it depends on the values (or is not known): what the
-        # evaluator's hash join and hash membership rely on
-        null_equality = null_equality or {}
-        self.null_equality = {p: null_equality.get(p) for p in _PATTERNS}
+        self.nulls = dict(nulls)
         self._periods: dict[tuple[TruthValue, str], tuple[int, int]] = {}
         validate_kernel(self)
+        by_nulls = {
+            (op, 1 in p, 2 in p): entry if isinstance(entry, str)
+            else _template_rule(entry, true, false)
+            for (op, p), entry in self.nulls.items()
+        }
+
+        def compare(op: str, a: Value, b: Value) -> TruthValue:
+            """Standard on two non-null arguments, the NULL table otherwise."""
+            if a is not None and b is not None:
+                return true if standard_compare(op, a, b) else false
+            entry = by_nulls[(op, a is None, b is None)]
+            return entry if isinstance(entry, str) else entry(a, b)
+
+        self.compare = compare
+        # the value of `=` for each null pattern when it is a constant, None
+        # when it depends on the values: what the evaluator's hash join and
+        # hash membership rely on
+        eq = {p: self.nulls[("=", p)] for p in _PATTERNS}
+        self.null_equality = {p: v if isinstance(v, str) else None for p, v in eq.items()}
 
     def table(self, conn: str) -> dict:
         return self.and_table if conn == AND else self.or_table
@@ -153,13 +173,26 @@ class LogicKernel:
             return self.false if conn == OR else self.true
         return acc
 
-    def template(self, op: str, value: TruthValue) -> TemplateFn:
-        try:
-            return self.expressibility[(op, value)]
-        except KeyError:
-            raise KernelError(
-                f"kernel {self.name}: no condition template for ({op}, {value})"
-            )
+    def template(self, op: str, value: TruthValue, a: ast.Term, b: ast.Term) -> ast.Condition:
+        """A condition that is true under 3VL exactly when `a op b` takes
+        `value`: for true (false) the comparison itself (its negation), then
+        the smallest guard over the null patterns whose constant is `value`,
+        then for true (false) each template cell (its negation) under the
+        exact guard of its null pattern."""
+        def polar(c: ast.Condition) -> ast.Condition:
+            return ast.Not(c) if value == self.false else c
+
+        two_valued = value in (self.true, self.false)
+        cells = [(p, self.nulls[(op, p)]) for p in _PATTERNS]
+        disjuncts = [polar(_cmp(a, op, b))] if two_valued else []
+        disjuncts += _null_guard([p for p, entry in cells if entry == value], a, b)
+        if two_valued:
+            disjuncts += [
+                ast.And(_exact_guard(p, a, b), polar(substitute_holes(entry, (a, b))))
+                for p, entry in cells
+                if not isinstance(entry, str)
+            ]
+        return ast.or_all(disjuncts)
 
     def periodicity(self, value: TruthValue, conn: str) -> tuple[int, int]:
         key = (value, conn)
@@ -207,45 +240,17 @@ def validate_kernel(kernel: LogicKernel):
             raise KernelError("or table not Boolean on {t,f}", witness=(a, b))
     if kernel.not_table[t] != f or kernel.not_table[f] != t:
         raise KernelError("negation not Boolean on {t,f}")
-    _check_comparisons(kernel)
-
-
-_NUM_GRID = (-1, 0, 1, 2)
-_ORD_GRID = ("a", "b")
-# (op, a, b, standard outcome) on non-null arguments: numbers under every
-# comparison, then text atoms under = and !=
-_STANDARD_GRID = tuple(
-    (op, a, b, standard_compare(op, a, b))
-    for ops, grid in ((ast.COMPARISONS, _NUM_GRID), (("=", "!="), _ORD_GRID))
-    for op in ops
-    for a, b in itertools.product(grid, repeat=2)
-)
-# (null pattern, a, b) for every grid pair with at least one NULL
-_NULL_GRID = (
-    *((frozenset({1}), None, v) for v in _NUM_GRID + _ORD_GRID),
-    *((frozenset({2}), v, None) for v in _NUM_GRID + _ORD_GRID),
-    (frozenset({1, 2}), None, None),
-)
-
-
-def _check_comparisons(kernel: LogicKernel):
-    """`compare` is standard on non-null arguments and gives `=` each
-    constant of `null_equality` under its null pattern."""
-    for op, a, b, holds in _STANDARD_GRID:
-        got = kernel.compare(op, a, b)
-        if got != (kernel.true if holds else kernel.false):
-            what = ("disagrees on text atoms" if isinstance(a, str)
-                    else "disagrees with the standard one on non-null arguments")
-            raise KernelError(
-                f"kernel {kernel.name}: comparison {op} {what}", witness=(op, a, b, got)
-            )
-    for pattern, a, b in _NULL_GRID:
-        want = kernel.null_equality[pattern]
-        if want is not None and (got := kernel.compare("=", a, b)) != want:
-            raise KernelError(
-                f"kernel {kernel.name}: null_equality {want!r} on null pattern "
-                f"{sorted(pattern)} disagrees with compare", witness=("=", a, b, got),
-            )
+    for op, (key, pattern) in itertools.product(ast.COMPARISONS, _PATTERN_KEYS.items()):
+        cell = f"({op}, {key})"
+        if (op, pattern) not in kernel.nulls:
+            raise KernelError(f"kernel {kernel.name}: the NULL table must cover every "
+                              f"comparison and null pattern; missing {cell}")
+        entry = kernel.nulls[(op, pattern)]
+        if isinstance(entry, _CONDITIONS):
+            _validate_template(entry, pattern, f"kernel {kernel.name} {cell}")
+        elif not isinstance(entry, str) or entry not in vals:
+            raise KernelError(f"kernel {kernel.name}: NULL table cell {cell} holds "
+                              f"{entry!r}, neither a value nor a template")
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +274,6 @@ def _kleene_tables():
     return and_t, or_t, not_t
 
 
-def _cmp(a: ast.Term, op: str, b: ast.Term) -> ast.Condition:
-    return ast.Compare((a,), op, (b,))
-
-
-def _templates_2vl() -> dict[tuple[str, str], TemplateFn]:
-    expr: dict[tuple[str, str], TemplateFn] = {}
-    for op in ast.COMPARISONS:
-        expr[(op, "t")] = lambda a, b, op=op: _cmp(a, op, b)
-        expr[(op, "f")] = lambda a, b, op=op: ast.or_all(
-            [ast.IsNull(a), ast.IsNull(b), ast.Not(_cmp(a, op, b))]
-        )
-    return expr
-
-
 # The built-in kernels are built once per process: nothing changes a
 # LogicKernel after construction (its periodicity memo only fills in).
 
@@ -292,22 +283,16 @@ def kernel_3vl() -> LogicKernel:
     """Three truth values with the standard truth tables; a comparison with a
     null argument is unknown, isnull is always two-valued."""
     and_t, or_t, not_t = _kleene_tables()
-    compare, nulls = _null_rules(dict.fromkeys(_NULL_CELLS, "u"), "t", "f")
-    expr: dict[tuple[str, str], TemplateFn] = {}
-    for op in ast.COMPARISONS:
-        expr[(op, "t")] = lambda a, b, op=op: _cmp(a, op, b)
-        expr[(op, "f")] = lambda a, b, op=op: ast.Not(_cmp(a, op, b))
-        expr[(op, "u")] = lambda a, b: ast.Or(ast.IsNull(a), ast.IsNull(b))
-    return LogicKernel("3vl", ("t", "f", "u"), "t", "f", and_t, or_t, not_t, compare, expr, nulls)
+    nulls = dict.fromkeys(_NULL_CELLS, "u")
+    return LogicKernel("3vl", ("t", "f", "u"), "t", "f", and_t, or_t, not_t, nulls)
 
 
 @functools.cache
 def kernel_2vl() -> LogicKernel:
     """Two truth values; any comparison with a null argument is false."""
     and_t, or_t, not_t = _bool_tables("t", "f")
-    compare, nulls = _null_rules(dict.fromkeys(_NULL_CELLS, "f"), "t", "f")
-    expr = _templates_2vl()
-    return LogicKernel("2vl", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr, nulls)
+    nulls = dict.fromkeys(_NULL_CELLS, "f")
+    return LogicKernel("2vl", ("t", "f"), "t", "f", and_t, or_t, not_t, nulls)
 
 
 @functools.cache
@@ -315,18 +300,8 @@ def kernel_2vl_syntactic() -> LogicKernel:
     """Like the conflating two-valued kernel except NULL = NULL is true and,
     by negation, NULL != NULL is false."""
     and_t, or_t, not_t = _bool_tables("t", "f")
-    table = {**dict.fromkeys(_NULL_CELLS, "f"), ("=", frozenset({1, 2})): "t"}
-    compare, nulls = _null_rules(table, "t", "f")
-    expr = _templates_2vl()
-    both_null = lambda a, b: ast.And(ast.IsNull(a), ast.IsNull(b))
-    expr[("=", "t")] = lambda a, b: ast.Or(_cmp(a, "=", b), both_null(a, b))
-    expr[("=", "f")] = lambda a, b: ast.And(
-        ast.Not(both_null(a, b)),
-        ast.or_all([ast.IsNull(a), ast.IsNull(b), ast.Not(_cmp(a, "=", b))]),
-    )
-    return LogicKernel(
-        "2vl-syn", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr, nulls
-    )
+    nulls = {**dict.fromkeys(_NULL_CELLS, "f"), ("=", frozenset({1, 2})): "t"}
+    return LogicKernel("2vl-syn", ("t", "f"), "t", "f", and_t, or_t, not_t, nulls)
 
 
 _4VL_AND = {}
@@ -360,20 +335,9 @@ def kernel_4vl_example() -> LogicKernel:
     null argument yield s; conjoining or disjoining two s values cannot be
     pinned down and gives u."""
     not_t = {"t": "f", "f": "t", "u": "u", "s": "s"}
-    compare, nulls = _null_rules(dict.fromkeys(_NULL_CELLS, "s"), "t", "f")
-    expr: dict[tuple[str, str], TemplateFn] = {}
-    for op in ast.COMPARISONS:
-        expr[(op, "t")] = lambda a, b, op=op: ast.and_all(
-            [ast.Not(ast.IsNull(a)), ast.Not(ast.IsNull(b)), _cmp(a, op, b)]
-        )
-        expr[(op, "f")] = lambda a, b, op=op: ast.and_all(
-            [ast.Not(ast.IsNull(a)), ast.Not(ast.IsNull(b)), ast.Not(_cmp(a, op, b))]
-        )
-        expr[(op, "s")] = lambda a, b: ast.Or(ast.IsNull(a), ast.IsNull(b))
-        expr[(op, "u")] = lambda a, b: ast.CFalse()
+    nulls = dict.fromkeys(_NULL_CELLS, "s")
     return LogicKernel(
-        "4vl", ("t", "f", "u", "s"), "t", "f", dict(_4VL_AND), dict(_4VL_OR), not_t, compare,
-        expr, nulls,
+        "4vl", ("t", "f", "u", "s"), "t", "f", dict(_4VL_AND), dict(_4VL_OR), not_t, nulls
     )
 
 
@@ -385,21 +349,17 @@ def make_mvl_kernel(
     and_table,
     or_table,
     not_table,
-    compare,
-    expressibility=None,
-    null_equality=None,
+    nulls,
 ) -> LogicKernel:
     """Build and validate a custom many-valued kernel.
 
-    Raises KernelError naming the broken law and a witnessing tuple when the
-    tables are not associative/commutative or not Boolean on {t, f}.
-    ``null_equality`` states the value of ``=`` per null pattern where it
-    does not depend on the values; ``compare`` must agree with it.
+    ``nulls`` is its NULL table: a truth value, or a two-valued template, for
+    every comparison and null pattern.  Raises KernelError naming the broken
+    law and a witnessing tuple when the tables are not associative/commutative
+    or not Boolean on {t, f}, or naming the NULL table cell that is missing or
+    holds neither a value nor a template.
     """
-    return LogicKernel(
-        name, values, true, false, and_table, or_table, not_table, compare, expressibility,
-        null_equality,
-    )
+    return LogicKernel(name, values, true, false, and_table, or_table, not_table, nulls)
 
 
 # ---------------------------------------------------------------------------
@@ -533,45 +493,9 @@ def kernel_grounded(grounding: Grounding) -> LogicKernel:
     # non-null argument
     constants = {ast.CTrue(): "t", ast.CFalse(): "f"}
     table = {cell: constants.get(t, t) for cell, t in grounding.templates.items()}
-    compare, nulls = _null_rules(table, "t", "f")
-    expr: dict[tuple[str, str], TemplateFn] = {
-        (op, value): functools.partial(grounded_comparison_condition, grounding, op, negate=negate)
-        for op in ast.COMPARISONS
-        for value, negate in (("t", False), ("f", True))
-    }
     return LogicKernel(
-        f"grounded:{grounding.name}", ("t", "f"), "t", "f", and_t, or_t, not_t, compare, expr,
-        nulls,
+        f"grounded:{grounding.name}", ("t", "f"), "t", "f", and_t, or_t, not_t, table
     )
-
-
-def null_pattern_guard(a: ast.Term, b: ast.Term, pattern: frozenset) -> ast.Condition:
-    """isnull exactly at the pattern positions, not-null everywhere else."""
-    conjs = []
-    for idx, term in ((1, a), (2, b)):
-        if idx in pattern:
-            conjs.append(ast.IsNull(term))
-        else:
-            conjs.append(ast.Not(ast.IsNull(term)))
-    return ast.and_all(conjs)
-
-
-def grounded_comparison_condition(
-    grounding: Grounding, op: str, a: ast.Term, b: ast.Term, negate: bool
-) -> ast.Condition:
-    """The grounded comparison (or its complement) as a condition that never
-    evaluates to unknown: one guarded disjunct per null pattern."""
-    disjuncts = []
-    for pattern in (frozenset(), *_PATTERNS):
-        guard = null_pattern_guard(a, b, pattern)
-        if not pattern:
-            body: ast.Condition = _cmp(a, op, b)
-        else:
-            body = substitute_holes(grounding.templates[(op, pattern)], (a, b))
-        if negate:
-            body = ast.Not(body)
-        disjuncts.append(ast.And(guard, body))
-    return ast.or_all(disjuncts)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +560,9 @@ def _json_object(obj, what: str) -> Mapping:
 
 def _pattern_from_json(text: str, what: str) -> frozenset:
     """A null-pattern key: the null argument positions, "1", "2" or "12"."""
-    if not text or text.strip("12"):
+    if text not in _PATTERN_KEYS:
         raise KernelError(f'{what}: bad null pattern {text!r}; use "1", "2" or "12"')
-    return frozenset(int(ch) for ch in text)
+    return _PATTERN_KEYS[text]
 
 
 def _table_from_rows(values, rows, what) -> dict:
@@ -655,8 +579,6 @@ def _table_from_rows(values, rows, what) -> dict:
 
 
 def kernel_from_json(obj: Mapping) -> LogicKernel:
-    from .parser import parse_condition
-
     def field(key):
         return required(obj, key, "kernel", KernelError)
 
@@ -682,28 +604,8 @@ def kernel_from_json(obj: Mapping) -> LogicKernel:
             if value not in values:
                 raise KernelError(f"null_comparison: unknown value {value!r}")
             null_cmp[(op, pattern)] = value
-    for op, pattern in _NULL_CELLS:
-        if (op, pattern) not in null_cmp:
-            raise KernelError(
-                f"null_comparison must cover every comparison and null pattern; "
-                f"missing ({op}, {''.join(str(i) for i in sorted(pattern))})"
-            )
-    compare, nulls = _null_rules(null_cmp, true, false)
-    expr: dict[tuple[str, str], TemplateFn] = {}
-    expressibility = _json_object(obj.get("expressibility", {}), 'kernel: "expressibility"')
-    for key, text in expressibility.items():
-        op, _, value = key.partition("|")
-        if op not in ast.COMPARISONS or value not in values:
-            raise KernelError(f"expressibility: bad key {key!r}")
-        if not isinstance(text, str):
-            raise KernelError(f"expressibility {key}: the template must be a string")
-        template = parse_condition(text)
-        _collect_holes(template, f"expressibility {key}")
-        expr[(op, value)] = (
-            lambda a, b, template=template: substitute_holes(template, (a, b))
-        )
     name = obj.get("name", "custom-mvl")
-    return make_mvl_kernel(name, values, true, false, and_t, or_t, not_t, compare, expr, nulls)
+    return make_mvl_kernel(name, values, true, false, and_t, or_t, not_t, null_cmp)
 
 
 def load_kernel(path: str) -> LogicKernel:

@@ -10,8 +10,10 @@ bag as the input under the source semantics, on every database.
 Two cores hold the rules.  `_TwoValuedSourceTranslator` serves the fixed
 directions between 2VL and 3VL (2to3, 3to2 and 3-to-gr); `_FromMVL` serves
 every direction from a kernel given as a value: mvl-to-3 with any finite
-kernel, and gr-to-3 with a grounding's two-valued kernel, whose comparison
-templates are the grounded comparisons (`logic.kernel_grounded`).
+kernel, and gr-to-3 with a grounding's two-valued kernel
+(`logic.kernel_grounded`).  It reads each comparison's condition templates
+from the kernel, which derives them from its one NULL table
+(`LogicKernel.template`).
 
 Each entry point typechecks its input once, as `evaluate` does, and
 translates the checked tree; a translator reads the labels of every node it
@@ -314,7 +316,7 @@ class _FromMVL(_Translator):
                     ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), tau, path
                 )
             self._note(path, f"compare-template:{tau}")
-            return kernel.template(c.op, tau)(c.lhs[0], c.rhs[0])
+            return kernel.template(c.op, tau, c.lhs[0], c.rhs[0])
         if isinstance(c, ast.Empty):
             query = self.expr(c.query, path + "/q")
             if tau == kernel.true:

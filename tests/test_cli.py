@@ -236,6 +236,65 @@ KERNEL_2VL = {
 }
 
 
+def _kernel_doc(kernel) -> dict:
+    """A kernel in the Kernel JSON format: its tables and its NULL table."""
+    vals = kernel.values
+    patterns = {"1": frozenset({1}), "2": frozenset({2}), "12": frozenset({1, 2})}
+    return {
+        "name": f"{kernel.name}-file",
+        "values": list(vals), "true": kernel.true, "false": kernel.false,
+        "and": [[kernel.and_table[(a, b)] for b in vals] for a in vals],
+        "or": [[kernel.or_table[(a, b)] for b in vals] for a in vals],
+        "not": [kernel.not_table[a] for a in vals],
+        "null_comparison": {
+            op: {key: kernel.nulls[(op, p)] for key, p in patterns.items()}
+            for op in ast.COMPARISONS
+        },
+    }
+
+
+def test_mvl_to_3_translates_a_kernel_file_without_expressibility(tmp_path, capsys):
+    # the comparison templates come from the NULL table, so a kernel file
+    # needs no `expressibility` map; the translation must capture the kernel
+    from nullvl import fuzz
+    from nullvl.logic import kernel_4vl_example
+    from nullvl.values import database_to_json
+
+    kernel = _write(tmp_path, "4vl.json", _kernel_doc(kernel_4vl_example()))
+    schema = fuzz.default_schema()
+    rows = 0
+    for seed in range(8):
+        cfg = fuzz.FuzzConfig(seed=seed, max_depth=3)
+        data = database_to_json(fuzz.gen_database(schema, cfg, random.Random(seed)))
+        db = _write(tmp_path, f"db-{seed}.json", data)
+        query = fuzz.gen_expression(schema, cfg, random.Random(seed))
+        expr = _write(tmp_path, f"q-{seed}.ra", ast.render_expression(query))
+        translate = ["translate", "--direction", "mvl-to-3", "--kernel", kernel, "--schema", db]
+        assert main(translate + [expr]) == 0
+        translated = _write(tmp_path, f"t-{seed}.ra", capsys.readouterr().out)
+        assert main(["eval", "--semantics", f"mvl:{kernel}", "--canonical", expr, db]) == 0
+        want = capsys.readouterr().out
+        assert main(["eval", "--semantics", "3vl", "--canonical", translated, db]) == 0
+        assert capsys.readouterr().out == want, seed
+        rows += len(want.splitlines())
+    assert rows > 0
+
+
+def test_a_kernel_files_expressibility_is_ignored(tmp_path, capsys):
+    # `expressibility` is read by nothing, so even a malformed one loads
+    from nullvl.logic import kernel_4vl_example
+
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    doc = _kernel_doc(kernel_4vl_example())
+    for i, expressibility in enumerate(({"=|t": "(cmp = (arg 1)", "?": 5}, 5)):
+        kernel = _write(tmp_path, f"k-{i}.json", dict(doc, expressibility=expressibility))
+        assert main(["eval", "--semantics", f"mvl:{kernel}", expr, db]) == 0
+        translate = ["translate", "--direction", "mvl-to-3", "--kernel", kernel, "--schema", db]
+        assert main(translate + [expr]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_json_missing_required_fields_exit_two(tmp_path, capsys):
     db = _write(tmp_path, "db.json", DB)
     expr = _write(tmp_path, "q.ra", Q1_EXPR)
@@ -291,17 +350,27 @@ def test_json_fields_of_the_wrong_type_exit_two(tmp_path, capsys):
         (["eval", expr, _write(tmp_path, f"db-{i}.json", doc)], fields)
         for i, (doc, fields) in enumerate(databases)
     ]
+    def null_comparison(**spelled):
+        # KERNEL_2VL's `=` row with extra or respelled null-pattern keys
+        row = {**KERNEL_2VL["null_comparison"]["="], **spelled}
+        return dict(KERNEL_2VL, null_comparison={**KERNEL_2VL["null_comparison"], "=": row})
+
     kernels = [
-        (dict(KERNEL_2VL, values=5), '"values"'),
-        (dict(KERNEL_2VL, **{"not": "ft"}), '"not"'),
-        (dict(KERNEL_2VL, null_comparison=["="]), '"null_comparison"'),
+        (dict(KERNEL_2VL, values=5), ['"values"']),
+        (dict(KERNEL_2VL, **{"not": "ft"}), ['"not"']),
+        (dict(KERNEL_2VL, null_comparison=["="]), ['"null_comparison"']),
+        (null_comparison(**{"11": "t"}), ["null_comparison", "'11'"]),
+        (null_comparison(**{"21": "t"}), ["null_comparison", "'21'"]),
+        (null_comparison(**{"": "t"}), ["null_comparison", "''"]),
     ]
-    for i, (kernel, field) in enumerate(kernels):
+    for i, (kernel, fields) in enumerate(kernels):
         kpath = _write(tmp_path, f"kernel-{i}.json", kernel)
-        runs.append((["eval", "--semantics", f"mvl:{kpath}", expr, db], [field]))
+        runs.append((["eval", "--semantics", f"mvl:{kpath}", expr, db], fields))
     groundings = [
         ({"templates": []}, ['"templates"']),
         ({"templates": {"=": {"x": "(true)"}}}, ["templates", "'x'"]),
+        ({"templates": {"=": {"1": "(false)", "11": "(true)"}}}, ["templates", "'11'"]),
+        ({"templates": {"=": {"21": "(true)"}}}, ["templates", "'21'"]),
         ({"name": ["leq"], "templates": {}}, ['"name"']),
     ]
     for i, (grounding, fields) in enumerate(groundings):

@@ -131,7 +131,7 @@ def test_broken_commutativity_rejected_with_witness():
     and_t = dict(k.and_table)
     and_t[("u", "f")] = "u"  # now u&f != f&u
     with pytest.raises(KernelError) as err:
-        make_mvl_kernel("broken", k.values, "t", "f", and_t, k.or_table, k.not_table, k.compare)
+        make_mvl_kernel("broken", k.values, "t", "f", and_t, k.or_table, k.not_table, k.nulls)
     a, b = err.value.witness[:2]
     assert and_t[(a, b)] != and_t[(b, a)]
 
@@ -142,7 +142,7 @@ def test_broken_associativity_rejected_with_witness():
     or_t[("t", "u")] = "f"  # commutative but not associative
     or_t[("u", "t")] = "f"
     with pytest.raises(KernelError) as err:
-        make_mvl_kernel("broken", k.values, "t", "f", k.and_table, or_t, k.not_table, k.compare)
+        make_mvl_kernel("broken", k.values, "t", "f", k.and_table, or_t, k.not_table, k.nulls)
     w = err.value.witness
     if len(w) == 3:
         a, b, c = w
@@ -157,13 +157,13 @@ def test_non_boolean_restriction_rejected():
     and_t = dict(k.and_table)
     and_t[("t", "t")] = "u"
     with pytest.raises(KernelError):
-        make_mvl_kernel("broken", k.values, "t", "f", and_t, k.or_table, k.not_table, k.compare)
+        make_mvl_kernel("broken", k.values, "t", "f", and_t, k.or_table, k.not_table, k.nulls)
 
 
 def test_accepts_valid_tables():
     k3 = kernel_3vl()
     rebuilt = make_mvl_kernel(
-        "copy", k3.values, "t", "f", k3.and_table, k3.or_table, k3.not_table, k3.compare
+        "copy", k3.values, "t", "f", k3.and_table, k3.or_table, k3.not_table, k3.nulls
     )
     assert rebuilt.values == k3.values
     kernel_4vl_example()  # weak idempotency is not required, just the laws
@@ -245,16 +245,15 @@ def test_kernel_json_roundtrip():
         "null_comparison": {
             op: {"1": "u", "2": "u", "12": "u"} for op in ast.COMPARISONS
         },
-        "expressibility": {
-            f"{op}|t": f"(cmp {op} (arg 1) (arg 2))" for op in ast.COMPARISONS
-        },
     }
     loaded = kernel_from_json(json.loads(json.dumps(obj)))
+    assert loaded.nulls == k3.nulls
+    x, y = ast.num(1), ast.num(2)
     for op in ast.COMPARISONS:
         for a, b in itertools.product(_GRID, repeat=2):
             assert loaded.compare(op, a, b) == k3.compare(op, a, b)
-    template = loaded.template("=", "t")(ast.num(1), ast.num(2))
-    assert template == ast.Compare((ast.num(1),), "=", (ast.num(2),))
+        for value in k3.values:
+            assert loaded.template(op, value, x, y) == k3.template(op, value, x, y)
 
 
 def test_grounding_json_and_validation():
@@ -460,20 +459,24 @@ def test_a_template_that_comes_out_unknown_is_an_error():
             evaluate(expr, rs_db([1, None], []), EvalConfig(kernel=kernel, plan=plan))
 
 
-def test_null_equality_must_agree_with_compare():
-    # the tables and comparison of 2vl-syn, where NULL = NULL is true, with a
-    # null equality claiming it is false: a hash join on it would drop the
-    # (NULL, NULL) pair that the nested loop keeps
+def test_null_table_cells_must_be_present_and_known():
+    # one table gives both `compare` and `null_equality`, so they cannot
+    # disagree; what can be wrong is a missing cell or an unknown value
     ks = kernel_2vl_syntactic()
-    with pytest.raises(KernelError, match="null_equality") as info:
-        make_mvl_kernel(
-            "syn-claims-f", ks.values, "t", "f", ks.and_table, ks.or_table, ks.not_table,
-            ks.compare, ks.expressibility, dict.fromkeys(ks.null_equality, "f"),
+
+    def build(nulls):
+        return make_mvl_kernel(
+            "syn", ks.values, "t", "f", ks.and_table, ks.or_table, ks.not_table, nulls
         )
-    assert info.value.witness == ("=", None, None, "t")
-    # a None entry makes no claim, and the agreeing table is accepted
-    for nulls in ({frozenset({1, 2}): None}, ks.null_equality):
-        make_mvl_kernel(
-            "syn", ks.values, "t", "f", ks.and_table, ks.or_table, ks.not_table,
-            ks.compare, ks.expressibility, nulls,
-        )
+
+    assert build(ks.nulls).null_equality == ks.null_equality
+    missing = {cell: v for cell, v in ks.nulls.items() if cell != ("<", frozenset({1, 2}))}
+    with pytest.raises(KernelError, match=r"must cover every comparison.*missing \(<, 12\)"):
+        build(missing)
+    for bad in ("u", None, 0, ["t"]):
+        with pytest.raises(KernelError, match=r"\(=, 2\) holds"):
+            build({**ks.nulls, ("=", frozenset({2})): bad})
+    # a template cell is checked like a grounding's
+    hole_at_null = ast.Compare((ast.ArgHole(1),), ">=", (ast.num(0),))
+    with pytest.raises(KernelError, match="null position"):
+        build({**ks.nulls, ("<=", frozenset({1})): hole_at_null})

@@ -10,9 +10,9 @@ of which changes a result:
 
 1. Each `evaluate` / `eval_condition` call typechecks its input once and
    reads labels and free names from the `typecheck` notes.  The planner's
-   own facts about a selection (join and probe keys, the compiled
-   condition) are derived from those notes once per call, in a dict keyed
-   by node identity.
+   own facts about a selection (probe keys, the compiled condition) are
+   derived from those notes once per call, in a dict keyed by node
+   identity.
 2. A condition subquery whose free names miss the labels of the selection's
    source is hoisted, as its condition compiles: it is evaluated at most
    once per evaluation of the selection, on first use, and kept in a memo
@@ -20,14 +20,16 @@ of which changes a result:
 3. Equality lookups go through hash indexes when the kernel allows it
    (`_Run.join_nulls`), and the full condition is still tested on every
    candidate:
-   - a selection over a product with `=` conjuncts across its two sides
-     hashes the right side and probes it with each left record;
-   - a selection over a base relation with `=` conjuncts between its
-     columns and terms that read none of them (q2's correlated
-     `σ(R.A = S.A)(S)`) hashes the relation's bag once and probes it with
-     the values of those terms on every call.  The index lives for the
-     `evaluate` call and is rebuilt when the name is bound to another bag,
-     as a fixpoint relation is on every iteration;
+   - a selection over a base relation or a product probes one index.  Its
+     `=` conjuncts that compare a column of the indexed side (the relation,
+     or the product's right side) with a term reading none of that side's
+     columns give the key.  The side's bag is indexed on those columns and
+     probed with the terms' values: once per call over a base relation
+     (q2's correlated `σ(R.A = S.A)(S)`), once per left record over a
+     product (q3's `X.A = Y.A`, or a computed `X.A + 1 = Y.C`).  The index
+     lives for the `evaluate` call and is kept while the side's bag is
+     unchanged: a loop-invariant side of a fixpoint's step is indexed once,
+     a fixpoint relation again on every iteration;
    - single-item IN / ANY-`=` looks the item up in a value count index of
      the subquery's bag.
 4. Quantifiers fold once per distinct record through `fold_counted`.
@@ -83,8 +85,8 @@ class _Run:
     ``notes`` are the `typecheck` notes of the evaluated tree; ``facts`` maps
     selection identities to what `_plan_selection` derived for them, and
     projection identities to their compiled items (None runs the plain
-    tree-walker); ``indexes`` holds the probe index of each selection over a
-    base relation, with the bag it was built from.
+    tree-walker); ``indexes`` holds the probe index of each selection, with
+    the bag of the indexed side it was built from.
     """
 
     def __init__(self, cfg: EvalConfig, notes: Mapping[int, RelSig]):
@@ -448,10 +450,9 @@ def _projection(e: ast.Projection, run: _Run):
 
 
 def _plan_selection(e: ast.Selection, run: _Run):
-    """The join keys, the probe keys and the compiled condition."""
+    """The probe keys and the compiled condition."""
     labels = run.notes[id(e.source)].labels
-    test = _compile_condition(e.cond, labels, run)
-    return _join_keys(e, run.notes, labels), _probe_keys(e, labels), test
+    return _probe_keys(e, run.notes, labels), _compile_condition(e.cond, labels, run)
 
 
 def _equalities(cond: ast.Condition) -> list:
@@ -462,42 +463,32 @@ def _equalities(cond: ast.Condition) -> list:
     ]
 
 
-def _join_keys(e: ast.Selection, notes: Mapping[int, RelSig], labels: tuple[str, ...]):
-    """For a selection over a product: the (left, right) column positions of
-    the `=` conjuncts that compare a left column with a right one."""
-    if not isinstance(e.source, ast.Product):
+def _probe_keys(e: ast.Selection, notes: Mapping[int, RelSig], labels: tuple[str, ...]):
+    """For a selection over a base relation or a product: the indexed side
+    (the relation, or the product's right side), the positions of its
+    columns that `=` conjuncts compare with terms reading none of them, and
+    those terms compiled over the product's left labels (over none for a
+    base relation).  q3's `X.A = Y.A` over `X × Y` gives the position of Y.A
+    and the left record's X.A; q2's `S.A = R.A` over S gives the position of
+    S.A and the outer R.A."""
+    if isinstance(e.source, ast.Product):
+        side, left = e.source.right, notes[id(e.source.left)].labels
+    elif isinstance(e.source, ast.BaseRelation):
+        side, left = e.source, ()
+    else:
         return None
-    width = notes[id(e.source.left)].arity
-    where = {name: i for i, name in enumerate(labels)}
-    pairs = []
-    for a, b in _equalities(e.cond):
-        if isinstance(a, ast.NameRef) and isinstance(b, ast.NameRef):
-            i, j = sorted((where.get(a.name, -1), where.get(b.name, -1)))
-            if 0 <= i < width <= j:
-                pairs.append((i, j - width))
-    if not pairs:
-        return None
-    return tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
-
-
-def _probe_keys(e: ast.Selection, labels: tuple[str, ...]):
-    """For a selection over a base relation: the terms that read none of its
-    columns and the column positions they are compared with in `=` conjuncts
-    (q2's `R.A = S.A` gives R.A and the position of S.A)."""
-    if not isinstance(e.source, ast.BaseRelation):
-        return None
-    where = {name: i for i, name in enumerate(labels)}
-    bound = set(labels)
+    where = {name: i for i, name in enumerate(labels[len(left):])}
+    read, bound = {name: i for i, name in enumerate(left)}, where.keys()
     terms, positions = [], []
     for pair in _equalities(e.cond):
         for a, b in (pair, pair[::-1]):
             if isinstance(a, ast.NameRef) and a.name in where and not ast.term_names(b) & bound:
-                terms.append(b)
+                terms.append(_compile_term(b, read))
                 positions.append(where[a.name])
                 break
     if not terms:
         return None
-    return tuple(terms), tuple(positions)
+    return side, tuple(positions), tuple(terms)
 
 
 def _conjuncts(c: ast.Condition) -> list:
@@ -508,7 +499,7 @@ def _conjuncts(c: ast.Condition) -> list:
 
 def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
     if run.facts is None:
-        join = probe = None
+        probe = None
         labels = run.notes[id(e.source)].labels
 
         def test(record, rt, env, run, memo):
@@ -517,11 +508,8 @@ def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
         facts = run.facts.get(id(e))
         if facts is None:
             facts = run.facts[id(e)] = _plan_selection(e, run)
-        join, probe, test = facts
-    nulls = run.join_nulls
-    if join is not None and nulls is not None:
-        rows = _join_candidates(e.source, join, rt, env, run)
-    elif probe is not None and nulls is not None:
+        probe, test = facts
+    if probe is not None and run.join_nulls is not None:
         rows = _probe_candidates(e, probe, rt, env, run)
     else:
         rows = eval_rt(e.source, rt, env, run).items()
@@ -546,24 +534,20 @@ def _key_index(bag: Bag, positions: tuple[int, ...], nulls: bool) -> dict:
 
 
 def _probe_candidates(e: ast.Selection, probe, rt: Rt, env: Env, run: _Run):
-    """The records of the selection's base relation whose key columns equal
-    the probe terms, through an index kept until the name's bag changes."""
-    terms, positions = probe
-    bag = eval_rt(e.source, rt, env, run)
+    """The records of the selection's source whose indexed side has key
+    columns equal to the probe terms, with their multiplicities.  The left
+    side is evaluated first (over a base relation it is the one empty
+    record), then the indexed side, whose index is kept until its bag
+    changes; each left record probes with its key values."""
+    side, positions, terms = probe
+    left = (((), 1),) if side is e.source else eval_rt(e.source.left, rt, env, run).items()
+    bag = eval_rt(side, rt, env, run)
     built = run.indexes.get(id(e))
     if built is None or built[0] is not bag:
         built = run.indexes[id(e)] = bag, _key_index(bag, positions, run.join_nulls)
-    return built[1].get(tuple(eval_term(t, env) for t in terms), ())
-
-
-def _join_candidates(product: ast.Product, keys, rt: Rt, env: Env, run: _Run):
-    """The records of the product whose key columns are equal, with their
-    multiplicities: the right side's index probed with each left record."""
-    left = eval_rt(product.left, rt, env, run)
-    lpos, rpos = keys
-    index = _key_index(eval_rt(product.right, rt, env, run), rpos, run.join_nulls)
-    for lrec, lk in left.items():
-        for rrec, rk in index.get(tuple(lrec[i] for i in lpos), ()):
+    index = built[1]
+    for lrec, lk in left:
+        for rrec, rk in index.get(tuple([t(lrec, env) for t in terms]), ()):
             yield lrec + rrec, lk * rk
 
 

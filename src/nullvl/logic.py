@@ -107,7 +107,10 @@ class LogicKernel:
     table, which maps every (comparison, null pattern) cell to a truth value
     or, for groundings, to a two-valued template over the non-null argument.
     The comparison rule, the `=` row's constants and every comparison's
-    condition templates are derived from that table."""
+    condition templates are derived from that table.  Construction raises
+    KernelError naming the broken law and a witness when the tables are not
+    associative/commutative or not Boolean on {t, f}, or naming a NULL table
+    cell that is missing or holds neither a value nor a template."""
 
     def __init__(
         self,
@@ -339,27 +342,6 @@ def kernel_4vl_example() -> LogicKernel:
     return LogicKernel(
         "4vl", ("t", "f", "u", "s"), "t", "f", dict(_4VL_AND), dict(_4VL_OR), not_t, nulls
     )
-
-
-def make_mvl_kernel(
-    name: str,
-    values: tuple[TruthValue, ...],
-    true: TruthValue,
-    false: TruthValue,
-    and_table,
-    or_table,
-    not_table,
-    nulls,
-) -> LogicKernel:
-    """Build and validate a custom many-valued kernel.
-
-    ``nulls`` is its NULL table: a truth value, or a two-valued template, for
-    every comparison and null pattern.  Raises KernelError naming the broken
-    law and a witnessing tuple when the tables are not associative/commutative
-    or not Boolean on {t, f}, or naming the NULL table cell that is missing or
-    holds neither a value nor a template.
-    """
-    return LogicKernel(name, values, true, false, and_table, or_table, not_table, nulls)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +587,7 @@ def kernel_from_json(obj: Mapping) -> LogicKernel:
                 raise KernelError(f"null_comparison: unknown value {value!r}")
             null_cmp[(op, pattern)] = value
     name = obj.get("name", "custom-mvl")
-    return make_mvl_kernel(name, values, true, false, and_t, or_t, not_t, null_cmp)
+    return LogicKernel(name, values, true, false, and_t, or_t, not_t, null_cmp)
 
 
 def load_kernel(path: str) -> LogicKernel:

@@ -10,6 +10,7 @@ hash alike, so the representation never changes a bag.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,18 +39,29 @@ def exact_number(q: Number) -> Number:
     return q.numerator if q.denominator == 1 else q
 
 
+# an optional sign, then digits with an optional decimal part, or p/q; the
+# other forms `Fraction` reads (exponents, spaces, underscores) are not
+# literals, and an exponent such as 1e10000000 would take seconds to expand
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d+|/\d+)?")
+
+
 def parse_number(text: str) -> Number:
     """Parse an exact decimal or rational literal ("7", "-0.25", "1/3")."""
     try:
+        if _NUMBER.fullmatch(text) is None:
+            raise ValueError(text)
         return exact_number(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # also past the int digit limit
         raise ValueError(f"not an exact numeric literal: {text!r}") from exc
 
 
 def format_number(v: Number) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    try:
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:  # past Python's limit on the digits of an int's text
+        raise NullvlError("a number has too many digits to print") from None
 
 
 def value_sort_key(v: Value):
@@ -170,7 +182,7 @@ class Bag:
         lines = []
         for record, k in self.sorted_items():
             cells = ", ".join(format_value(v) for v in record)
-            lines.append(f"({cells}) x{k}")
+            lines.append(f"({cells}) x{format_number(k)}")
         return "\n".join(lines)
 
 
@@ -468,7 +480,7 @@ def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise NullvlError(f"{path}: malformed JSON: {exc}") from None
 
 
@@ -496,7 +508,8 @@ def bag_json_text(doc: dict) -> str:
         return f"[\n{pad} {inner}\n{pad}]"
 
     rows = ",\n  ".join(
-        f'{{\n   "values": {array(row["values"], "   ")},\n   "multiplicity": {row["multiplicity"]}\n  }}'
+        f'{{\n   "values": {array(row["values"], "   ")},\n'
+        f'   "multiplicity": {format_number(row["multiplicity"])}\n  }}'
         for row in doc["rows"]
     )
     rows = f"[\n  {rows}\n ]" if rows else "[]"

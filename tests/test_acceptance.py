@@ -14,10 +14,10 @@ from nullvl.evaluator import EvalConfig, evaluate, eval_condition
 from nullvl.logic import (
     AND,
     OR,
+    LogicKernel,
     kernel_2vl,
     kernel_3vl,
     kernel_4vl_example,
-    make_mvl_kernel,
     reduce_count,
 )
 from nullvl.typecheck import typecheck
@@ -198,7 +198,7 @@ def test_criterion_09_kernel_law_validation():
         and_t = dict(k.and_table)
         and_t[("u", "f")] = "u"
         with pytest.raises(KernelError) as err:
-            make_mvl_kernel("mutated", k.values, "t", "f", and_t, k.or_table, k.not_table, k.nulls)
+            LogicKernel("mutated", k.values, "t", "f", and_t, k.or_table, k.not_table, k.nulls)
         witness = err.value.witness
         a, b = witness[0], witness[1]
         assert and_t[(a, b)] != and_t[(b, a)]

@@ -412,6 +412,42 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_numbers_that_cannot_be_read_or_printed_exit_two(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    # exponents are no literal form; Fraction would expand 1e10000000 for seconds
+    exponent = _write(tmp_path, "exponent.ra", "(select (cmp = (col R.A) (num 1e5)) (base R))")
+    exponent_cells = [
+        _write(tmp_path, f"cell{i}.json", {**DB, "data": {"R": [[text]], "S": []}})
+        for i, text in enumerate(["1e5", "1e10000000", " 7", "1_000"])
+    ]
+    # json.load raises a ValueError that is no JSONDecodeError past 4,300 digits
+    long_int = _write(tmp_path, "long.json", json.dumps(DB).replace('["1"]', f"[{'9' * 5001}]"))
+    # a result of 6,000 digits: Python's int-to-text limit stays in place
+    nines = "(num " + "9" * 3000 + ")"
+    wide = _write(tmp_path, "wide.ra", f"(project ((as X (fn mult {nines} {nines}))) (base R))")
+    # multiplicities square on each of 14 rounds: 2 ** 16384 has 4,933 digits
+    squares = _write(tmp_path, "squares.ra", """
+        (mu W union-all (project ((as W.n (num 0))) (base R))
+          (project ((as W.n (fn add (col X.n) (num 1))))
+            (select (cmp < (col X.n) (num 14))
+              (product (project ((as X.n (col W.n))) (base W))
+                       (project ((as Y.n (col W.n))) (base W))))))""")
+    runs = [["eval", exponent, db], ["eval", expr, long_int]]
+    runs += [["eval", *flag, big, db] for big in (wide, squares) for flag in ([], ["--canonical"])]
+    runs += [["eval", expr, cells] for cells in exponent_cells]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err, argv
+        assert captured.out == "", argv
+    # the documented forms still load
+    assert main(["eval", "--canonical", expr, _write(tmp_path, "forms.json", {
+        **DB, "data": {"R": [["-0.25"], ["+7"], ["1/3"], [12]], "S": []}
+    })]) == 0
+    assert capsys.readouterr().out.split("\n") == ["(-1/4) x1", "(1/3) x1", "(7) x1", "(12) x1", ""]
+
+
 def test_one_parser_serves_a_sequence_of_commands(tmp_path, capsys, monkeypatch):
     from nullvl import cli
 

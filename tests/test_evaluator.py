@@ -658,6 +658,24 @@ def test_join_keys_span_both_sides(cfg3):
     assert planned == bag((1, 1, 1, 5), (3, 3, 3, 0), (3, 3, 3, 0), (None, None, None, None))
 
 
+def test_join_on_a_computed_key_tests_only_candidate_pairs(monkeypatch):
+    # X.A + 1 = Y.C over 100 values and a NULL: each left record probes Y's
+    # index with X.A + 1, so only the 99 pairs (v, v + 1) are tested, where
+    # a nested loop tests 101 x 101
+    left = ast.Projection((ast.ProjItem(col("R.A"), "X.A"),), ast.BaseRelation("R"))
+    right = ast.Projection((ast.ProjItem(col("R.A"), "Y.C"),), ast.BaseRelation("R"))
+    cond = ast.Compare((ast.FnApply("add", (col("X.A"), num(1))),), "=", (col("Y.C"),))
+    expr = ast.Selection(cond, ast.Product(left, right))
+    db = rs_db(list(range(100)) + [None], [])
+    out, calls, _ = _count_condition_evals(monkeypatch, expr, db, kernel_3vl)
+    assert calls == 99
+    assert out == Bag([row(v, v + 1) for v in range(99)])
+    for kname in PLAN_KERNELS:
+        for rs in (db, *(_rs_db_with_nulls(seed) for seed in range(3))):
+            planned, reference = _plan_and_reference(expr, rs, kernel_by_name(kname))
+            assert planned == reference, kname
+
+
 def test_shared_step_under_two_bindings_of_one_mu_name(cfg3):
     # sibling fixpoints may reuse a name with other labels; a step object
     # shared between them is read under each binding in turn
@@ -764,6 +782,51 @@ def test_correlated_selection_over_the_fixpoint_relation_is_reindexed(cfg3, monk
     planned, reference = _plan_and_reference(expr, db, cfg3.kernel)
     assert planned == reference == bag(1, 2, 3, 4, 5, 6)
     assert len(builds) == 1 + 6  # the seed's selection of E, then one per iteration
+
+
+def test_reachability_indexes_the_edges_once_per_evaluation(cfg3, monkeypatch):
+    # the step's σ(W.d = E.src)(W × E) probes E with each frontier record;
+    # E's bag is the same on every iteration, so its index is built once,
+    # not once for each of the 30 iterations
+    db = _chain_db(30)
+    expr = typecheck(parse_expression(REACH), db.schema).expr
+    builds = _count_index_builds(monkeypatch)
+    planned = evaluate(expr, db, cfg=cfg3)
+    assert builds == [(0,)]
+    assert planned == evaluate(expr, db, cfg=EvalConfig(kernel=cfg3.kernel, plan=False))
+    assert planned.distinct_count() == 30 * 31 // 2  # every pair i < j
+
+
+def test_correlated_product_indexes_its_right_side_once(cfg3, monkeypatch):
+    # NOT EMPTY σ(S.A = R.A ∧ S.B = T.B)(S × T) per outer record of R: S × T
+    # is evaluated 100 times, and T's bag, indexed on T.B, never changes
+    schema = Schema(
+        [
+            Relation("R", (Column("R.A", NUM),)),
+            Relation("S", (Column("S.A", NUM), Column("S.B", NUM))),
+            Relation("T", (Column("T.B", NUM),)),
+        ]
+    )
+    correlated = parse_expression(
+        "(select (not (empty (select (and (cmp = (col S.A) (col R.A)) "
+        "(cmp = (col S.B) (col T.B))) (product (base S) (base T))))) (base R))"
+    )
+    expr = typecheck(correlated, schema).expr
+    rng = random.Random(7)
+    db = Database(
+        schema,
+        {
+            "R": Bag([row(v) for v in range(100)]),
+            "S": Bag([row(_cell(rng, range(120)), _cell(rng, range(8))) for _ in range(60)]),
+            "T": Bag([row(_cell(rng, range(8))) for _ in range(12)]),
+        },
+    )
+    for kname in PLAN_KERNELS:
+        planned, reference = _plan_and_reference(expr, db, kernel_by_name(kname))
+        assert planned == reference, kname
+    builds = _count_index_builds(monkeypatch)
+    assert evaluate(expr, db, cfg=cfg3) == reference
+    assert builds == [(0,)]
 
 
 def test_fixpoint_inside_a_condition_gets_no_stale_index(cfg3):

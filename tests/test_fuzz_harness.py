@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -181,25 +182,38 @@ def test_plan_equivalence_covers_every_kernel():
 
 
 def test_plan_equivalence_probes_correlated_selections_under_every_kernel(monkeypatch):
-    # 64 seeds x 20 cases; no kernel in PLAN_KERNELS makes `=` value-dependent
-    probed, kernel = set(), [None]
-    real_probe, real_check = evaluator._probe_candidates, harness._CHECKERS["plan-equivalence"]
+    # 64 seeds x 20 cases; no kernel in PLAN_KERNELS makes `=` value-dependent.
+    # A probe's key terms are compiled closures, so the terms they came
+    # from are recorded as they compile
+    correlated, products, kernel = set(), set(), [None]
+    sources = weakref.WeakKeyDictionary()
+    real_compile, real_probe = evaluator._compile_term, evaluator._probe_candidates
+    real_check = harness._CHECKERS["plan-equivalence"]
+
+    def compile_term(term, where):
+        compiled = real_compile(term, where)
+        sources[compiled] = term
+        return compiled
 
     def probe(e, keys, *args):
-        if any(ast.term_names(t) for t in keys[0]):  # a correlated probe
-            probed.add(kernel[0])
+        side, _, terms = keys
+        if side is not e.source:  # the right side of a product
+            products.add(kernel[0])
+        elif any(ast.term_names(sources[t]) for t in terms):  # outer names
+            correlated.add(kernel[0])
         return real_probe(e, keys, *args)
 
     def check(case):
         kernel[0] = case.params["kernel"]
         return real_check(case)
 
+    monkeypatch.setattr(evaluator, "_compile_term", compile_term)
     monkeypatch.setattr(evaluator, "_probe_candidates", probe)
     monkeypatch.setitem(harness._CHECKERS, "plan-equivalence", check)
     for seed in range(64):
         summary = harness.run_differential("plan-equivalence", fuzz.FuzzConfig(seed=seed, cases=20))
         assert summary.failed == 0, summary.bundles[:1]
-    assert probed == set(harness.PLAN_KERNELS)
+    assert correlated == products == set(harness.PLAN_KERNELS)
 
 
 def test_plan_equivalence_runs_at_depth_one():

@@ -13,6 +13,7 @@ from nullvl.logic import (
     AND,
     OR,
     Grounding,
+    LogicKernel,
     empty_grounding,
     fold_counted,
     grounding_from_json,
@@ -22,7 +23,6 @@ from nullvl.logic import (
     kernel_4vl_example,
     kernel_from_json,
     kernel_grounded,
-    make_mvl_kernel,
     nonnegative_leq_grounding,
     periodicity,
     reduce_count,
@@ -131,7 +131,7 @@ def test_broken_commutativity_rejected_with_witness():
     and_t = dict(k.and_table)
     and_t[("u", "f")] = "u"  # now u&f != f&u
     with pytest.raises(KernelError) as err:
-        make_mvl_kernel("broken", k.values, "t", "f", and_t, k.or_table, k.not_table, k.nulls)
+        LogicKernel("broken", k.values, "t", "f", and_t, k.or_table, k.not_table, k.nulls)
     a, b = err.value.witness[:2]
     assert and_t[(a, b)] != and_t[(b, a)]
 
@@ -142,7 +142,7 @@ def test_broken_associativity_rejected_with_witness():
     or_t[("t", "u")] = "f"  # commutative but not associative
     or_t[("u", "t")] = "f"
     with pytest.raises(KernelError) as err:
-        make_mvl_kernel("broken", k.values, "t", "f", k.and_table, or_t, k.not_table, k.nulls)
+        LogicKernel("broken", k.values, "t", "f", k.and_table, or_t, k.not_table, k.nulls)
     w = err.value.witness
     if len(w) == 3:
         a, b, c = w
@@ -157,12 +157,12 @@ def test_non_boolean_restriction_rejected():
     and_t = dict(k.and_table)
     and_t[("t", "t")] = "u"
     with pytest.raises(KernelError):
-        make_mvl_kernel("broken", k.values, "t", "f", and_t, k.or_table, k.not_table, k.nulls)
+        LogicKernel("broken", k.values, "t", "f", and_t, k.or_table, k.not_table, k.nulls)
 
 
 def test_accepts_valid_tables():
     k3 = kernel_3vl()
-    rebuilt = make_mvl_kernel(
+    rebuilt = LogicKernel(
         "copy", k3.values, "t", "f", k3.and_table, k3.or_table, k3.not_table, k3.nulls
     )
     assert rebuilt.values == k3.values
@@ -465,7 +465,7 @@ def test_null_table_cells_must_be_present_and_known():
     ks = kernel_2vl_syntactic()
 
     def build(nulls):
-        return make_mvl_kernel(
+        return LogicKernel(
             "syn", ks.values, "t", "f", ks.and_table, ks.or_table, ks.not_table, nulls
         )
 

@@ -216,7 +216,7 @@ def _parity_kernel():
     """t, f and a, where a is its own inverse under both connectives (a and
     a = t, a or a = f): a has lead 1 and period 3, so an `all` over records
     that compare to a is true only for an even count of them."""
-    from nullvl.logic import make_mvl_kernel
+    from nullvl.logic import LogicKernel
 
     def table(unit, zero):
         out = {}
@@ -232,7 +232,7 @@ def _parity_kernel():
     nulls = {
         (op, frozenset(p)): "a" for op in ast.COMPARISONS for p in ({1}, {2}, {1, 2})
     }
-    return make_mvl_kernel(
+    return LogicKernel(
         "parity", ("t", "f", "a"), "t", "f", table("t", "f"), table("f", "t"),
         {"t": "f", "f": "t", "a": "a"}, nulls,
     )
@@ -258,11 +258,11 @@ def test_mvl_capture_keeps_the_parity_of_counts(cfg3):
 def _null_a_equals_kernel():
     """2vl except that `=` is true whenever its left argument is NULL: the
     null patterns {1} and {12} share a constant, so one `isnull` covers them."""
-    from nullvl.logic import make_mvl_kernel
+    from nullvl.logic import LogicKernel
 
     k2 = kernel_2vl()
     nulls = {**k2.nulls, ("=", frozenset({1})): "t", ("=", frozenset({1, 2})): "t"}
-    return make_mvl_kernel(
+    return LogicKernel(
         "null-a-equals", k2.values, "t", "f", k2.and_table, k2.or_table, k2.not_table, nulls
     )
 

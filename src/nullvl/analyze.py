@@ -8,7 +8,9 @@ under the conflating two-valued semantics and the three-valued one.  The
 condition is sufficient, not necessary: uncertified expressions may still
 coincide.  Each typechecks its input once and reads labels and nullability
 from the `typecheck` notes, so a certificate costs time linear in the size of
-the expression.
+the expression.  One walker follows `ast.steps` through expressions,
+conditions and subqueries alike, and names each node by its path of steps,
+the path `translate --trace` gives the same node.
 """
 from __future__ import annotations
 
@@ -37,30 +39,23 @@ class Violation:
     detail: str
 
 
-def _steps(cond: ast.Condition) -> tuple[tuple[str, ast.Condition], ...]:
-    """The operands of a connective, each with the path step to it: the
-    steps `translate` uses in its trace."""
-    if isinstance(cond, (ast.And, ast.Or)):
-        return ((".l", cond.left), (".r", cond.right))
-    if isinstance(cond, ast.Not):
-        return ((".n", cond.cond),)
-    return ()
-
-
 def _atoms_under(cond: ast.Condition, path: str) -> Iterable[tuple[str, ast.Condition]]:
-    """Atoms reachable through connectives, without entering subqueries."""
-    steps = _steps(cond)
-    if not steps:
+    """Atoms reachable through connectives: only the `.` steps are taken, so
+    no subquery is entered."""
+    operands = [(step, sub) for step, sub in ast.steps(cond) if step[0] == "."]
+    if not operands:
         yield path, cond
-    for step, sub in steps:
+    for step, sub in operands:
         yield from _atoms_under(sub, path + step)
 
 
 def _negated_subconditions(cond: ast.Condition, path: str):
-    for step, sub in _steps(cond):
-        if isinstance(cond, ast.Not):
-            yield path + step, sub
-        yield from _negated_subconditions(sub, path + step)
+    negated = isinstance(cond, ast.Not)
+    for step, sub in ast.steps(cond):
+        if step[0] == ".":
+            if negated:
+                yield path + step, sub
+            yield from _negated_subconditions(sub, path + step)
 
 
 def _check_negated(
@@ -198,43 +193,22 @@ def coincidence_certificate(e: ast.Expression | Checked, schema: Schema) -> Null
     """
     checked = e if isinstance(e, Checked) else typecheck(e, schema)
     report = NullabilityReport(True, checked.sig.nullable, [])
-    _walk_expr(checked.expr, "", frozenset(), checked, report)
+    _walk(checked.expr, "", frozenset(), checked, report)
     report.certified = all(s.null_free for s in report.selections)
     return report
 
 
-def _walk_expr(
-    e: ast.Expression,
-    path: str,
-    outer: frozenset,
-    checked: Checked,
-    report: NullabilityReport,
-):
-    sig = checked.of(e)
-    report.subexpressions.append((path, sig.labels, sig.nullable))
-    if isinstance(e, ast.Selection):
-        effective = _effective(e, outer, checked)
-        violations = _violations(e, effective, checked)
-        report.selections.append(SelectionReport(path, not violations, violations))
-        _walk_cond(e.cond, path + "/cond", effective, checked, report)
-    if isinstance(e, (ast.Product, ast.SetOp)):
-        children = (("/l", e.left), ("/r", e.right))
-    elif isinstance(e, ast.Mu):
-        children = (("/seed", e.seed), ("/step", e.step))
-    else:
-        children = [("/src", sub) for sub in ast.child_expressions(e)]
-    for suffix, sub in children:
-        _walk_expr(sub, path + suffix, outer, checked, report)
-
-
-def _walk_cond(
-    c: ast.Condition,
-    path: str,
-    outer: frozenset,
-    checked: Checked,
-    report: NullabilityReport,
-):
-    for q in ast.condition_subqueries(c):
-        _walk_expr(q, path + "/q", outer, checked, report)
-    for step, sub in _steps(c):
-        _walk_cond(sub, path + step, outer, checked, report)
+def _walk(node, path: str, outer: frozenset, checked: Checked, report: NullabilityReport):
+    """Report every expression node under ``node`` and check every selection.
+    ``outer`` holds the possibly-null names of the enclosing rows; a subquery
+    in a selection's condition sees the names that condition reads."""
+    inner = outer
+    sig = checked.notes.get(id(node))  # None for a condition
+    if sig is not None:
+        report.subexpressions.append((path, sig.labels, sig.nullable))
+        if isinstance(node, ast.Selection):
+            inner = _effective(node, outer, checked)
+            violations = _violations(node, inner, checked)
+            report.selections.append(SelectionReport(path, not violations, violations))
+    for step, child in ast.steps(node):
+        _walk(child, path + step, inner if step == "/cond" else outer, checked, report)

@@ -3,6 +3,12 @@
 All nodes are immutable and hashable; structural equality is the equality
 used by the snapshot tests.  The canonical text renderer here is the inverse
 of `nullvl.parser.parse_expression`.
+
+`steps` lists a node's expression and condition children with their path
+steps: `/src`, `/l`, `/r`, `/seed`, `/step`, `/cond` and `/q` (a source, an
+operand, a fixpoint branch, a selection's condition, a subquery) and `.l`,
+`.r`, `.n` (a connective's operands).  Generic walks go through it, and the
+paths of `analyze` and `translate --trace` are strings of these steps.
 """
 from __future__ import annotations
 
@@ -449,33 +455,31 @@ def render_expression(e: Expression) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers
+# Traversal: a node's children, each with its path step
+
+_STEPS = {
+    Selection: lambda n: (("/cond", n.cond), ("/src", n.source)),
+    Projection: lambda n: (("/src", n.source),),
+    Distinct: lambda n: (("/src", n.source),),
+    Group: lambda n: (("/src", n.source),),
+    Product: lambda n: (("/l", n.left), ("/r", n.right)),
+    SetOp: lambda n: (("/l", n.left), ("/r", n.right)),
+    Mu: lambda n: (("/seed", n.seed), ("/step", n.step)),
+    And: lambda n: ((".l", n.left), (".r", n.right)),
+    Or: lambda n: ((".l", n.left), (".r", n.right)),
+    Not: lambda n: ((".n", n.cond),),
+    In: lambda n: (("/q", n.query),),
+    Empty: lambda n: (("/q", n.query),),
+    Quant: lambda n: (("/q", n.query),),
+}
 
 
-def child_expressions(e: Expression) -> list[Expression]:
-    if isinstance(e, BaseRelation):
-        return []
-    if isinstance(e, (Projection, Selection, Distinct, Group)):
-        return [e.source]
-    if isinstance(e, (Product, SetOp)):
-        return [e.left, e.right]
-    if isinstance(e, Mu):
-        return [e.seed, e.step]
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def condition_subqueries(c: Condition) -> list[Expression]:
-    if isinstance(c, (In, Empty, Quant)):
-        return [c.query]
-    return []
-
-
-def condition_children(c: Condition) -> list[Condition]:
-    if isinstance(c, (And, Or)):
-        return [c.left, c.right]
-    if isinstance(c, Not):
-        return [c.cond]
-    return []
+def steps(node) -> tuple:
+    """``((step, child), ...)`` for the expression and condition children of
+    an expression or condition node, in field order; ``()`` for any other
+    node."""
+    children = _STEPS.get(type(node))
+    return children(node) if children else ()
 
 
 def condition_terms(c: Condition) -> list[Term]:
@@ -523,27 +527,15 @@ def term_can_yield_null(t: Term, nullable_names: set[str]) -> bool:
     return False
 
 
-def expression_references(e: Expression, rel: str) -> bool:
-    """Whether the expression mentions a base relation by name, anywhere."""
-    if isinstance(e, BaseRelation):
-        return e.name == rel
-    if isinstance(e, Mu) and e.rel == rel:
+def expression_references(node, rel: str) -> bool:
+    """Whether an expression or condition mentions a base relation by name,
+    anywhere, subqueries included."""
+    if isinstance(node, BaseRelation):
+        return node.name == rel
+    if isinstance(node, Mu) and node.rel == rel:
         # inner binding shadows; the seed still lives in the outer scope
-        return expression_references(e.seed, rel)
-    for sub in child_expressions(e):
-        if expression_references(sub, rel):
-            return True
-    if isinstance(e, Selection):
-        if _condition_references(e.cond, rel):
-            return True
-    return False
-
-
-def _condition_references(c: Condition, rel: str) -> bool:
-    for q in condition_subqueries(c):
-        if expression_references(q, rel):
-            return True
-    for sub in condition_children(c):
-        if _condition_references(sub, rel):
+        return expression_references(node.seed, rel)
+    for _, child in steps(node):
+        if expression_references(child, rel):
             return True
     return False

@@ -429,7 +429,7 @@ def _collect_holes(cond: ast.Condition, what: str) -> set[int]:
             raise KernelError(f"{what}: subqueries are not allowed in templates")
         for t in ast.condition_terms(c):
             walk_term(t)
-        for sub in ast.condition_children(c):
+        for _, sub in ast.steps(c):
             walk(sub)
 
     walk(cond)

@@ -498,7 +498,10 @@ class _SqlParser:
         t = self.tok()
         if t.kind == "num":
             self.next()
-            return SNum(parse_number(t.text))
+            try:
+                return SNum(parse_number(t.text))
+            except ValueError as exc:
+                raise SqlParseError(str(exc), t.line, t.col) from None
         if t.kind == "str":
             self.next()
             return SStr(t.text)
@@ -1186,9 +1189,7 @@ def _flatten_product(e: ast.Expression) -> list[ast.Expression]:
 
 
 def _cond_has_subquery(c: ast.Condition) -> bool:
-    if ast.condition_subqueries(c):
-        return True
-    return any(_cond_has_subquery(sub) for sub in ast.condition_children(c))
+    return any(step == "/q" or _cond_has_subquery(sub) for step, sub in ast.steps(c))
 
 
 def emit_sql(e: ast.Expression) -> str:

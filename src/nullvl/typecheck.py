@@ -2,10 +2,12 @@
 
 `typecheck` walks an expression against a schema, confirms comparison and
 aggregate typing, checks set-operation type words and fixpoint well-formedness,
-and resolves every name.  Where the canonical names of two outputs of one
-projection or grouping clash it renames the later ones with numeric suffixes
-and reports the renaming; clashes across a product must be resolved by the
-caller with an explicit rename.
+and resolves every name.  A fixpoint's relation must be fresh, and its seed
+may read that relation nowhere, condition subqueries included, except inside
+an inner fixpoint that rebinds the name.  Where the canonical names of two
+outputs of one projection or grouping clash it renames the later ones with
+numeric suffixes and reports the renaming; clashes across a product must be
+resolved by the caller with an explicit rename.
 
 It is the one place that derives facts about expression nodes.  The checked
 tree shares no node, so each expression node has its own `RelSig` in

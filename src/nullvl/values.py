@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,14 +46,25 @@ def exact_number(q: Number) -> Number:
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d+|/\d+)?")
 
 
+def _shown(text: str) -> str:
+    """A literal for an error line: whole if short, else a prefix and the length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text):,} characters)"
+
+
+def _past_digit_limit(what: str) -> str:
+    return f"{what} is past the {sys.get_int_max_str_digits():,}-digit limit"
+
+
 def parse_number(text: str) -> Number:
     """Parse an exact decimal or rational literal ("7", "-0.25", "1/3")."""
     try:
-        if _NUMBER.fullmatch(text) is None:
-            raise ValueError(text)
-        return exact_number(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:  # also past the int digit limit
-        raise ValueError(f"not an exact numeric literal: {text!r}") from exc
+        if _NUMBER.fullmatch(text):
+            return exact_number(Fraction(text))
+    except ZeroDivisionError:
+        pass
+    except ValueError:  # a part past Python's limit on the digits of an int's text
+        raise ValueError(_past_digit_limit(f"numeric literal {_shown(text)}")) from None
+    raise ValueError(f"not an exact numeric literal: {_shown(text)}")
 
 
 def format_number(v: Number) -> str:
@@ -60,8 +72,8 @@ def format_number(v: Number) -> str:
         if v.denominator == 1:
             return str(v.numerator)
         return f"{v.numerator}/{v.denominator}"
-    except ValueError:  # past Python's limit on the digits of an int's text
-        raise NullvlError("a number has too many digits to print") from None
+    except ValueError:
+        raise NullvlError(_past_digit_limit("a number to be printed")) from None
 
 
 def value_sort_key(v: Value):
@@ -480,8 +492,10 @@ def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise NullvlError(f"{path}: malformed JSON: {exc}") from None
+        except ValueError:  # an integer past the digit limit
+            raise NullvlError(_past_digit_limit(f"{path}: a JSON integer")) from None
 
 
 def load_database(path: str) -> Database:

@@ -1,3 +1,6 @@
+import dataclasses
+import typing
+
 import pytest
 
 from nullvl import ast
@@ -114,6 +117,36 @@ def test_typecheck_mu_freshness_and_seed_restriction():
     bad_seed = ast.Projection((ast.ProjItem(col("w"), "w"),), ast.BaseRelation("W"))
     with pytest.raises(TypeCheckError, match="must not reference"):
         typecheck(ast.Mu("W", True, bad_seed, step), schema)
+
+    # the seed may not read W through a condition subquery either ...
+    def seed_where(cond):
+        return ast.Projection((ast.ProjItem(col("C"), "w"),), ast.Selection(cond, ast.BaseRelation("S")))
+
+    def subquery_conditions(query):
+        return (ast.Empty(query), ast.Not(ast.In((col("C"),), ast.Projection((ast.ProjItem(col("w")),), query))))
+
+    for cond in subquery_conditions(ast.BaseRelation("W")):
+        with pytest.raises(TypeCheckError, match="must not reference"):
+            typecheck(ast.Mu("W", True, seed_where(cond), step), schema)
+    # ... unless an inner fixpoint of the same name rebinds it
+    for cond in subquery_conditions(ast.Mu("W", True, seed, step)):
+        assert typecheck(ast.Mu("W", True, seed_where(cond), step), schema).sig.labels == ("w",)
+
+
+@pytest.mark.parametrize(
+    "cls", typing.get_args(ast.Expression) + typing.get_args(ast.Condition), ids=lambda c: c.__name__
+)
+def test_steps_lists_every_expression_and_condition_field_in_order(cls):
+    node = cls(*(object() for _ in dataclasses.fields(cls)))
+    hints = typing.get_type_hints(cls)
+    expected = [
+        getattr(node, f.name)
+        for f in dataclasses.fields(cls)
+        if hints[f.name] in (ast.Expression, ast.Condition)
+    ]
+    pairs = ast.steps(node)
+    assert [child for _, child in pairs] == expected
+    assert len({step for step, _ in pairs}) == len(pairs)
 
 
 def test_expression_size():

@@ -448,6 +448,41 @@ def test_numbers_that_cannot_be_read_or_printed_exit_two(tmp_path, capsys):
     assert capsys.readouterr().out.split("\n") == ["(-1/4) x1", "(1/3) x1", "(7) x1", "(12) x1", ""]
 
 
+def _oversized_number_runs(tmp_path):
+    """Commands that read a 5,000-digit number: a literal, a cell, a JSON
+    integer and, last, an SQL literal through `sql2ra` and `rewrite`."""
+    nines = "9" * 5000
+    db = _write(tmp_path, "db.json", DB)
+    literal = _write(tmp_path, "literal.ra", f"(select (cmp = (col R.A) (num {nines})) (base R))")
+    cell = _write(tmp_path, "cell.json", {**DB, "data": {"R": [[nines]], "S": []}})
+    long_int = _write(tmp_path, "long.json", json.dumps(DB).replace('["1"]', f"[{nines}1]"))
+    sql = _write(tmp_path, "q.sql", f"SELECT A FROM R WHERE A = {nines}")
+    return [
+        ["eval", literal, db],
+        ["eval", _write(tmp_path, "q.ra", "(base R)"), cell],
+        ["eval", _write(tmp_path, "q1.ra", Q1_EXPR), long_int],
+        ["sql2ra", "--schema", db, sql],
+        ["rewrite", "--from", "2vl", "--to", "3vl", "--schema", db, sql],
+    ]
+
+
+def test_an_oversized_sql_number_literal_is_a_parse_error(tmp_path, capsys):
+    for argv in _oversized_number_runs(tmp_path)[-2:]:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error:") and "(line 1, column 27)" in captured.err, argv
+
+
+def test_oversized_number_error_lines_are_short_and_name_the_limit(tmp_path, capsys):
+    for argv in _oversized_number_runs(tmp_path):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
+        assert len(captured.err.encode()) < 200 and "4,300-digit limit" in captured.err, argv
+
+
 def test_one_parser_serves_a_sequence_of_commands(tmp_path, capsys, monkeypatch):
     from nullvl import cli
 

@@ -493,20 +493,10 @@ def test_grounded_kernel_through_the_mvl_machinery(cfg3):
         assert verdict.status != "not-equal"
 
 
-def _has_negation_or_tuple_comparison(e) -> bool:
-    def cond_hit(c) -> bool:
-        if isinstance(c, ast.Not):
-            return True
-        if isinstance(c, ast.Compare) and len(c.lhs) > 1:
-            return True
-        for q in ast.condition_subqueries(c):
-            if _has_negation_or_tuple_comparison(q):
-                return True
-        return any(cond_hit(sub) for sub in ast.condition_children(c))
-
-    if isinstance(e, ast.Selection) and cond_hit(e.cond):
+def _has_negation_or_tuple_comparison(node) -> bool:
+    if isinstance(node, ast.Not) or isinstance(node, ast.Compare) and len(node.lhs) > 1:
         return True
-    return any(_has_negation_or_tuple_comparison(sub) for sub in ast.child_expressions(e))
+    return any(_has_negation_or_tuple_comparison(child) for _, child in ast.steps(node))
 
 
 def test_translations_touch_only_negations_and_tuple_comparisons():

@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 property failure, 2 usage or parse error.
+
+The module imports what building the parser and `eval` need; each other
+command imports its own module (`analyze`, `sqlfront`, `harness`) when it
+runs, so a process that starts for one command compiles little else.
 """
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ import functools
 import json
 import sys
 
-from . import analyze, ast, fuzz, harness, sqlfront, translate
+from . import ast, translate
 from .errors import NullvlError
 from .evaluator import EvalConfig, evaluate
 from .logic import GROUNDINGS, KERNELS, RESOLVERS, kernel_by_name
@@ -39,16 +43,30 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    direction = translate.DIRECTIONS[args.direction]
+    for flag in RESOLVERS:
+        if getattr(args, flag) is not None and flag != direction.param:
+            raise NullvlError(f"{args.direction} does not read --{flag}")
     text = _read(args.expr)
     expr = parse_expression(text)
-    schema = load_database(args.schema).schema if args.schema else fuzz.default_schema()
-    direction = translate.DIRECTIONS[args.direction]
+    if args.schema:
+        schema = load_database(args.schema).schema
+    else:
+        from . import fuzz
+
+        schema = fuzz.default_schema()
     param = None
-    if direction.param and direction.translation_uses_param:
+    if direction.param:
         spec = getattr(args, direction.param)
-        if not spec:
+        if spec is not None:
+            # resolved even where the translation holds for every value, so
+            # that a bad name is an error and not ignored
+            try:
+                param = RESOLVERS[direction.param](spec)
+            except (NullvlError, OSError) as exc:
+                raise NullvlError(f"{args.direction} --{direction.param}: {exc}") from None
+        elif direction.translation_uses_param:
             raise NullvlError(f"{args.direction} needs --{direction.param} <name or file>")
-        param = RESOLVERS[direction.param](spec)
     result = direction.translate(expr, schema, param)
     print(ast.render_expression(result.output))
     if args.trace:
@@ -57,6 +75,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analyze
+
     db = load_database(args.db)
     report = analyze.coincidence_certificate(parse_expression(_read(args.expr)), db.schema)
     if args.json:
@@ -67,6 +87,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sql2ra(args) -> int:
+    from . import sqlfront
+
     db = load_database(args.schema)
     query = sqlfront.parse_sql(_read(args.sql))
     lowered = sqlfront.lower_to_algebra(query, db.schema)
@@ -78,6 +100,8 @@ def _cmd_sql2ra(args) -> int:
 def _cmd_rewrite(args) -> int:
     if (args.source, args.target) != ("2vl", "3vl"):
         raise NullvlError("rewrite supports --from 2vl --to 3vl")
+    from . import sqlfront
+
     db = load_database(args.schema)
     query = sqlfront.parse_sql(_read(args.sql))
     lowered = sqlfront.lower_to_algebra(query, db.schema)
@@ -87,6 +111,8 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from . import fuzz, harness
+
     cfg = fuzz.FuzzConfig(
         seed=args.seed,
         max_depth=args.depth,
@@ -103,6 +129,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from . import harness
+
     outcome = harness.replay(read_json(args.bundle))
     print(json.dumps({"status": outcome.status, "detail": outcome.detail}))
     return 0 if outcome.status == "pass" else 1
@@ -120,6 +148,21 @@ def _bounded(convert, low, high=None):
 
     parse.__name__ = convert.__name__  # argparse names the type in its messages
     return parse
+
+
+class _Families:
+    """`harness.FAMILIES` as argparse `choices`: the harness is imported
+    only when a `--family` value is checked or the fuzz help is printed."""
+
+    def __iter__(self):
+        from . import harness
+
+        return iter(sorted(harness.FAMILIES))
+
+    def __contains__(self, name) -> bool:
+        from . import harness
+
+        return name in harness.FAMILIES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("translate", help="translate an expression between semantics")
     pt.add_argument("--direction", required=True, choices=list(translate.DIRECTIONS))
     for flag, built_ins in (("grounding", GROUNDINGS), ("kernel", KERNELS)):
-        users = [name for name, d in translate.DIRECTIONS.items()
-                 if d.param == flag and d.translation_uses_param]
+        users = [name for name, d in translate.DIRECTIONS.items() if d.param == flag]
         pt.add_argument(f"--{flag}",
                         help=f"{' | '.join(built_ins)} | <{flag} file> ({', '.join(users)})")
     pt.add_argument("--schema", help="database JSON supplying the schema")
@@ -170,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=_cmd_rewrite)
 
     pf = sub.add_parser("fuzz", help="run a differential property family")
-    pf.add_argument("--family", required=True, choices=sorted(harness.FAMILIES))
+    # a metavar keeps `add_argument` from iterating the choices
+    pf.add_argument("--family", required=True, choices=_Families(), metavar="FAMILY",
+                    help="one of %(choices)s")
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--cases", type=_bounded(int, 0), default=500)
     pf.add_argument("--depth", type=_bounded(int, 1), default=4)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import analyze, ast, fuzz, translate
+from . import analyze, ast, fuzz, sqlfront, translate
 from .errors import NullvlError, RecursionLimitError, SqlEmitError
 from .evaluator import EvalConfig, eval_condition, evaluate
 from .logic import RESOLVERS, kernel_2vl, kernel_3vl, kernel_by_name
@@ -89,7 +89,7 @@ def _check_capture_case(case: Case) -> CaseOutcome:
     param = None
     if direction.param:
         param = RESOLVERS[direction.param](required(case.params, direction.param, "bundle"))
-    tr = direction.translate(checked.expr, db.schema, param)
+    tr = direction.translate(checked.expr, db.schema, param, checked)
     verdict = translate.check_capture(
         checked, db, EvalConfig(kernel=direction.source(param)),
         EvalConfig(kernel=direction.target(param)), tr,
@@ -169,8 +169,6 @@ def _check_nullable_case(case: Case) -> CaseOutcome:
 
 
 def _check_roundtrip_case(case: Case) -> CaseOutcome:
-    from . import sqlfront
-
     db, checked = case.db, case.checked
     try:
         sql = sqlfront.emit_sql(checked.expr)

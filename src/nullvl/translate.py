@@ -458,41 +458,55 @@ def _merge_profiles(profiles: list[tuple], sizes: list[int]) -> list[tuple]:
 # Public entry points
 
 
-def _translate(make: Callable, expr: ast.Expression, schema: Schema, *args) -> TranslationResult:
-    """Typecheck `expr` once and translate the checked tree with the
-    translator `make(notes, *args)`."""
-    checked = typecheck(expr, schema)
+# Each entry point takes, as `checked`, the `Checked` that `typecheck`
+# returned for `expr` under `schema` where the caller has one; `expr` is
+# then not typechecked again.  The expression stays the first argument, as
+# the benchmark's tracer sizes the output against it.
+
+
+def _translate(
+    make: Callable, expr: ast.Expression, schema: Schema, *args, checked: Optional[Checked]
+) -> TranslationResult:
+    """Translate the checked tree with the translator `make(notes, *args)`,
+    typechecking `expr` first unless `checked` is given."""
+    checked = checked or typecheck(expr, schema)
     return make(checked.notes, *args).run(checked.expr)
 
 
-def tr_to_3vl(expr: ast.Expression, schema: Schema) -> TranslationResult:
+def tr_to_3vl(
+    expr: ast.Expression, schema: Schema, checked: Optional[Checked] = None
+) -> TranslationResult:
     """Rewrite a query written under the conflating two-valued semantics so it
     evaluates identically under the three-valued semantics."""
-    return _translate(_From2VL, expr, schema)
+    return _translate(_From2VL, expr, schema, checked=checked)
 
 
-def tr_from_3vl(expr: ast.Expression, schema: Schema) -> TranslationResult:
+def tr_from_3vl(
+    expr: ast.Expression, schema: Schema, checked: Optional[Checked] = None
+) -> TranslationResult:
     """Rewrite a query written under the three-valued semantics so it
     evaluates identically under the conflating two-valued semantics."""
-    return _translate(_From3VL, expr, schema)
+    return _translate(_From3VL, expr, schema, checked=checked)
 
 
 def tr_grounded_to_3vl(
-    expr: ast.Expression, schema: Schema, grounding: Grounding
+    expr: ast.Expression, schema: Schema, grounding: Grounding, checked: Optional[Checked] = None
 ) -> TranslationResult:
     """Rewrite a query written under the grounding's two-valued semantics so
     it evaluates identically under the three-valued semantics."""
-    return _translate(_FromMVL, expr, schema, kernel_grounded(grounding))
+    return _translate(_FromMVL, expr, schema, kernel_grounded(grounding), checked=checked)
 
 
-def tr_3vl_to_grounded(expr: ast.Expression, schema: Schema) -> TranslationResult:
-    return _translate(_From3VLToGrounded, expr, schema)
+def tr_3vl_to_grounded(
+    expr: ast.Expression, schema: Schema, checked: Optional[Checked] = None
+) -> TranslationResult:
+    return _translate(_From3VLToGrounded, expr, schema, checked=checked)
 
 
 def tr_mvl_to_3vl(
-    expr: ast.Expression, schema: Schema, kernel: LogicKernel
+    expr: ast.Expression, schema: Schema, kernel: LogicKernel, checked: Optional[Checked] = None
 ) -> TranslationResult:
-    return _translate(_FromMVL, expr, schema, kernel)
+    return _translate(_FromMVL, expr, schema, kernel, checked=checked)
 
 
 @dataclass(frozen=True)
@@ -500,12 +514,13 @@ class Direction:
     """A translation direction and the kernels its capture equation uses.
 
     `param` names what the entry is parameterized by ("grounding" or
-    "kernel"); `translate(expr, schema, param)`, `source(param)` and
-    `target(param)` receive its value.  A translation whose output holds for
-    every value of the parameter (`translation_uses_param` false) gets None.
+    "kernel"); `translate(expr, schema, param, checked=None)`, `source(param)`
+    and `target(param)` receive its value.  A translation whose output holds
+    for every value of the parameter (`translation_uses_param` false) ignores
+    it and may be given None.  `checked` is as for the `tr_*` functions.
     """
 
-    translate: Callable[[ast.Expression, object, object], TranslationResult]
+    translate: Callable[..., TranslationResult]
     source: Callable[[object], LogicKernel]
     target: Callable[[object], LogicKernel]
     param: Optional[str] = None
@@ -516,26 +531,26 @@ class Direction:
 # global (as a tracer does) reaches every caller of the registry
 DIRECTIONS: dict[str, Direction] = {
     "2to3": Direction(
-        lambda e, s, _: tr_to_3vl(e, s), lambda _: kernel_2vl(), lambda _: kernel_3vl()
+        lambda e, s, _, c=None: tr_to_3vl(e, s, c), lambda _: kernel_2vl(), lambda _: kernel_3vl()
     ),
     "3to2": Direction(
-        lambda e, s, _: tr_from_3vl(e, s), lambda _: kernel_3vl(), lambda _: kernel_2vl()
+        lambda e, s, _, c=None: tr_from_3vl(e, s, c), lambda _: kernel_3vl(), lambda _: kernel_2vl()
     ),
     "gr-to-3": Direction(
-        lambda e, s, g: tr_grounded_to_3vl(e, s, g),
+        lambda e, s, g, c=None: tr_grounded_to_3vl(e, s, g, c),
         lambda g: kernel_grounded(g),
         lambda _: kernel_3vl(),
         param="grounding",
     ),
     "3-to-gr": Direction(
-        lambda e, s, _: tr_3vl_to_grounded(e, s),
+        lambda e, s, _, c=None: tr_3vl_to_grounded(e, s, c),
         lambda _: kernel_3vl(),
         lambda g: kernel_grounded(g),
         param="grounding",
         translation_uses_param=False,
     ),
     "mvl-to-3": Direction(
-        lambda e, s, k: tr_mvl_to_3vl(e, s, k), lambda k: k, lambda _: kernel_3vl(),
+        lambda e, s, k, c=None: tr_mvl_to_3vl(e, s, k, c), lambda k: k, lambda _: kernel_3vl(),
         param="kernel",
     ),
 }

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import nullvl
 from nullvl import ast
 from nullvl.cli import main
 
@@ -189,6 +193,57 @@ def test_translate_3vl_to_grounded_needs_no_grounding(tmp_path, capsys):
     assert main(["translate", "--direction", "3-to-gr", "--schema", db, expr]) == 0
     out = capsys.readouterr().out
     assert "(not (isnull (col R.A)))" in out and "(empty" in out
+
+
+def test_translate_rejects_a_flag_its_direction_does_not_read(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    for direction, flags, flag in (
+        ("2to3", ["--kernel", "4vl"], "--kernel"),
+        ("3to2", ["--grounding", "leq-sign"], "--grounding"),
+        ("gr-to-3", ["--grounding", "leq-sign", "--kernel", "4vl"], "--kernel"),
+        ("mvl-to-3", ["--kernel", "4vl", "--grounding", "leq-sign"], "--grounding"),
+    ):
+        assert main(["translate", "--direction", direction, *flags, "--schema", db, expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {direction} does not read {flag}\n"
+    # 3-to-gr's output holds under every grounding, but a grounding it is
+    # given must still be one
+    for direction in ("3-to-gr", "gr-to-3"):
+        argv = ["translate", "--direction", direction, "--grounding", "nope", "--schema", db, expr]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {direction} --grounding: unknown grounding 'nope'")
+
+
+def test_the_parser_loads_no_command_module_and_lists_every_family():
+    from nullvl import harness
+
+    code = ("import json, sys, nullvl.cli\n"
+            "nullvl.cli.build_parser()\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('nullvl.'))))\n"
+            "nullvl.cli.main(sys.argv[1:])\n")
+    # a wide terminal keeps argparse from breaking family names at hyphens
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nullvl.__file__)),
+               COLUMNS="1000")
+
+    def spawn(*argv):
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    shown = spawn("fuzz", "--help")
+    assert shown.returncode == 0, shown.stderr
+    loaded, help_text = shown.stdout.split("\n", 1)
+    loaded = set(json.loads(loaded))
+    assert "nullvl.cli" in loaded
+    assert not {"nullvl.sqlfront", "nullvl.harness", "nullvl.fuzz", "nullvl.analyze"} & loaded
+    assert "--family FAMILY" in help_text
+    assert all(family in help_text for family in harness.FAMILIES)
+    bad = spawn("fuzz", "--family", "bogus")
+    assert bad.returncode == 2
+    listed = ", ".join(map(repr, sorted(harness.FAMILIES)))
+    assert f"invalid choice: 'bogus' (choose from {listed})" in bad.stderr
 
 
 def test_every_capture_family_direction_is_a_translate_choice():

@@ -102,16 +102,15 @@ def test_coincidence_cases_typecheck_once(monkeypatch):
     assert len(constructions) <= generated
 
 
-def test_capture_cases_typecheck_three_times(monkeypatch):
-    # generation, the translation of the generator's tree and the evaluation
-    # of the output; the source side of the capture equation reuses the
-    # generator's `Checked`
+def test_capture_cases_typecheck_twice(monkeypatch):
+    # generation and the evaluation of the output; the translation and the
+    # source side of the capture equation reuse the generator's `Checked`
     constructions = _typecheckers(monkeypatch)
     for family in sorted(harness.CAPTURE_FAMILIES):
         constructions.clear()
-        summary = harness.run_differential(family, fuzz.FuzzConfig(seed=0, cases=10))
-        assert summary.cases == 10 and summary.failed == 0
-        assert len(constructions) <= 3 * summary.cases, family
+        summary = harness.run_differential(family, fuzz.FuzzConfig(seed=0, cases=20))
+        assert summary.cases == 20 and summary.failed == 0
+        assert len(constructions) == 2 * summary.cases, family
 
 
 def test_capture_families_report_size_ratios():

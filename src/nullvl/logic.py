@@ -153,6 +153,36 @@ class LogicKernel:
         eq = {p: self.nulls[("=", p)] for p in _PATTERNS}
         self.null_equality = {p: v if isinstance(v, str) else None for p, v in eq.items()}
 
+    # What a translation reads of a kernel, derived on first use.
+
+    @functools.cached_property
+    def null_true(self) -> dict[str, frozenset | None]:
+        """Each comparison's null patterns on which it is true, None where a
+        template decides."""
+        cells = {op: [(p, self.nulls[(op, p)]) for p in _PATTERNS] for op in ast.COMPARISONS}
+        return {op: None if any(not isinstance(e, str) for _, e in row)
+                else frozenset(p for p, e in row if e == self.true) for op, row in cells.items()}
+
+    @functools.cached_property
+    def null_guards(self) -> dict[str, tuple[bool, bool]]:
+        """For each comparison, whether it (its negation) is true on some
+        null pattern, so that a translation into this kernel must rule NULL
+        arguments out of it."""
+        def true_on_a_null(op: str, negated: bool) -> bool:
+            entries = (self.nulls[(op, p)] for p in _PATTERNS)
+            return any(not isinstance(e, str) or (self.not_table[e] if negated else e) == self.true
+                       for e in entries)
+
+        return {op: (true_on_a_null(op, False), true_on_a_null(op, True)) for op in ast.COMPARISONS}
+
+    @functools.cached_property
+    def boolean_truth(self) -> bool:
+        """Whether and / or are true exactly where the Boolean tables are."""
+        t = self.true
+        return all((self.and_table[(a, b)] == t) == (a == b == t)
+                   and (self.or_table[(a, b)] == t) == (t in (a, b))
+                   for a, b in itertools.product(self.values, repeat=2))
+
     def table(self, conn: str) -> dict:
         return self.and_table if conn == AND else self.or_table
 
@@ -176,25 +206,34 @@ class LogicKernel:
             return self.false if conn == OR else self.true
         return acc
 
-    def template(self, op: str, value: TruthValue, a: ast.Term, b: ast.Term) -> ast.Condition:
-        """A condition that is true under 3VL exactly when `a op b` takes
-        `value`: for true (false) the comparison itself (its negation), then
-        the smallest guard over the null patterns whose constant is `value`,
-        then for true (false) each template cell (its negation) under the
-        exact guard of its null pattern."""
-        def polar(c: ast.Condition) -> ast.Condition:
-            return ast.Not(c) if value == self.false else c
-
-        two_valued = value in (self.true, self.false)
+    def template(self, op: str, values, a: ast.Term, b: ast.Term,
+                 guard: tuple[bool, bool] = (False, False)) -> ast.Condition:
+        """A condition that is true under 3VL exactly when `a op b` takes one
+        of `values` (a truth value or a set of them): for true (false) alone
+        the comparison (its negation), not-null tested where `guard` (for
+        true, for false) says a target makes it true on a NULL; for both,
+        that neither argument is NULL; then the smallest guard over the null
+        patterns whose cell is always in `values`; then for true (false)
+        alone each template cell (its negation) under its exact guard."""
+        values = {values} if isinstance(values, str) else values
+        t, f = self.true in values, self.false in values
         cells = [(p, self.nulls[(op, p)]) for p in _PATTERNS]
-        disjuncts = [polar(_cmp(a, op, b))] if two_valued else []
-        disjuncts += _null_guard([p for p, entry in cells if entry == value], a, b)
-        if two_valued:
-            disjuncts += [
-                ast.And(_exact_guard(p, a, b), polar(substitute_holes(entry, (a, b))))
-                for p, entry in cells
-                if not isinstance(entry, str)
-            ]
+        # a template cell is two-valued, so it is always in a set with t and f
+        whole = [p for p, entry in cells if (entry in values if isinstance(entry, str) else t and f)]
+        disjuncts = []
+        if t and f:
+            disjuncts.append(ast.And(ast.Not(ast.IsNull(a)), ast.Not(ast.IsNull(b))))
+        elif t or f:
+            atom = _cmp(a, op, b) if t else ast.Not(_cmp(a, op, b))
+            if guard[0 if t else 1]:
+                atom = ast.and_all([ast.Not(ast.IsNull(a)), ast.Not(ast.IsNull(b)), atom])
+            disjuncts.append(atom)
+        disjuncts += _null_guard(whole, a, b)
+        if t != f:
+            for p, entry in cells:
+                if not isinstance(entry, str):
+                    cell = substitute_holes(entry, (a, b))
+                    disjuncts.append(ast.And(_exact_guard(p, a, b), cell if t else ast.Not(cell)))
         return ast.or_all(disjuncts)
 
     def periodicity(self, value: TruthValue, conn: str) -> tuple[int, int]:

@@ -1,19 +1,22 @@
 """Syntactic translations between condition semantics.
 
-Each translator rewrites selection conditions through a pair of mappings:
-one producing a condition that is true under the target semantics exactly
-when the source condition is true, the other doing the same for "false".
-Expressions translate by replacing every selection condition with its
-"true" image; the output evaluates, under the target semantics, to the same
-bag as the input under the source semantics, on every database.
+Each translator rewrites selection conditions through images: the image of
+a condition at a set of truth values is a condition that is true under the
+target semantics exactly when the source condition takes one of them.
+Expressions translate by replacing every selection condition with its image
+at "true"; the output evaluates, under the target semantics, to the same bag
+as the input under the source semantics, on every database.
 
-Two cores hold the rules.  `_TwoValuedSourceTranslator` serves the fixed
-directions between 2VL and 3VL (2to3, 3to2 and 3-to-gr); `_FromMVL` serves
-every direction from a kernel given as a value: mvl-to-3 with any finite
-kernel, and gr-to-3 with a grounding's two-valued kernel
-(`logic.kernel_grounded`).  It reads each comparison's condition templates
-from the kernel, which derives them from its one NULL table
-(`LogicKernel.template`).
+One core holds the rules.  `_FromMVL` translates from a source kernel given
+as a value into a target: 3VL for mvl-to-3 (any finite kernel) and gr-to-3
+(a grounding's two-valued kernel, `logic.kernel_grounded`), 2VL for 3to2,
+and every grounding at once for 3-to-gr.  Its images range over sets of
+truth values, and it reads each comparison's condition templates from the
+source kernel, which derives them from its one NULL table
+(`LogicKernel.template`), and the not-null guards they need from the target.
+Only 2to3 keeps its own rules (`_From2VL`): a true and a false image per
+condition, whose negated membership keeps the IN shape over a null-filtered
+subquery.
 
 Each entry point typechecks its input once, as `evaluate` does, and
 translates the checked tree; a translator reads the labels of every node it
@@ -143,19 +146,9 @@ class _Translator:
         raise NotImplementedError
 
 
-class _TwoValuedSourceTranslator(_Translator):
-    """The rules shared by the translators between 2VL and 3VL: each
-    condition gets a true image and a false image.
-
-    A direction supplies `compare`, the image of one atomic comparison, and
-    sets the flags below where its rules deviate from the shared ones.
-    """
-
-    # the false image of TRUE/FALSE is `not c` rather than the opposite constant
-    negate_constants = False
-    # the true image of membership and quantified comparisons goes through
-    # selection emptiness instead of keeping their shape
-    via_emptiness = False
+class _From2VL(_Translator):
+    """Conflating two-valued conditions into three-valued equivalents: each
+    condition gets a true image and a false image (`negate`)."""
 
     def cond_true(self, c, path):
         return self.image(c, False, path)
@@ -170,265 +163,202 @@ class _TwoValuedSourceTranslator(_Translator):
         if isinstance(c, (ast.CTrue, ast.CFalse, ast.IsNull)):
             if not negate:
                 return c
-            if isinstance(c, ast.IsNull) or self.negate_constants:
+            if isinstance(c, ast.IsNull):
                 return ast.Not(c)
             return ast.CFalse() if isinstance(c, ast.CTrue) else ast.CTrue()
         if isinstance(c, ast.Compare):
             if len(c.lhs) > 1:
                 return self.image(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), negate, path)
-            return self.compare(c, negate, path)
-        if isinstance(c, ast.Empty) or (
-            isinstance(c, (ast.In, ast.Quant)) and not (negate or self.via_emptiness)
-        ):
+            if not negate:
+                self._note(path, "compare-kept")
+                return c
+            self._note(path, "compare-null-guarded")
+            return ast.or_all([ast.IsNull(c.lhs[0]), ast.IsNull(c.rhs[0]), ast.Not(c)])
+        if isinstance(c, ast.Empty) or isinstance(c, (ast.In, ast.Quant)) and not negate:
             kept = dataclasses.replace(c, query=self.expr(c.query, path + "/q"))
             return ast.Not(kept) if negate else kept
         if isinstance(c, ast.In):
-            return self.image(ast.Quant(c.items, "=", "any", c.query), negate, path)
-        if isinstance(c, ast.Quant):
+            # keep the membership shape, filtering null records out of the
+            # subquery so the negated membership cannot come out unknown
+            self._note(path, "in-null-filtered")
             query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            cmp_ = ast.Compare(c.items, c.op, _cols(labels))
-            return self.quantified(c.quant, cmp_, query, negate, path)
+            null_free = ast.and_all([_not_null(ast.NameRef(n)) for n in labels])
+            kept = ast.Not(ast.In(c.items, ast.Selection(null_free, query)))
+            return ast.or_all([ast.IsNull(t) for t in c.items] + [kept])
+        if isinstance(c, ast.Quant):
+            # falsity of `any` is the emptiness of the records that do not
+            # compare false, falsity of `all` a record that compares false
+            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
+            theta = self.image(ast.Compare(c.items, c.op, _cols(labels)), True, path + ".cmp")
+            if c.quant == "any":
+                self._note(path, "any-false-emptiness")
+                return ast.Empty(ast.Selection(ast.Not(theta), query))
+            self._note(path, "all-false-witness")
+            return ast.Not(ast.Empty(ast.Selection(theta, query)))
         raise NullvlError(f"not a condition: {c!r}")
-
-    def compare(self, c: ast.Compare, negate: bool, path: str) -> ast.Condition:
-        raise NotImplementedError
-
-    def quantified(self, quant, cmp_, query, negate, path) -> ast.Condition:
-        """The image of `cmp_` quantified (`any` or `all`) over the records
-        of the translated subquery `query`."""
-        theta = self.image(cmp_, negate, path + ".cmp")
-        if not negate:
-            if quant == "any":
-                return ast.Not(ast.Empty(ast.Selection(theta, query)))
-            return ast.Empty(ast.Selection(ast.Not(theta), query))
-        if quant == "any":
-            self._note(path, "any-false-emptiness")
-            return ast.Empty(ast.Selection(ast.Not(theta), query))
-        self._note(path, "all-false-witness")
-        return ast.Not(ast.Empty(ast.Selection(theta, query)))
-
-
-def _not_null_guarded(c: ast.Compare, negate: bool) -> ast.Condition:
-    core: ast.Condition = ast.Not(c) if negate else c
-    return ast.and_all([_not_null(c.lhs[0]), _not_null(c.rhs[0]), core])
-
-
-class _From2VL(_TwoValuedSourceTranslator):
-    """Conflating two-valued conditions into three-valued equivalents."""
-
-    def compare(self, c, negate, path):
-        if not negate:
-            self._note(path, "compare-kept")
-            return c
-        self._note(path, "compare-null-guarded")
-        return ast.or_all([ast.IsNull(c.lhs[0]), ast.IsNull(c.rhs[0]), ast.Not(c)])
-
-    def image(self, c, negate, path):
-        if not (negate and isinstance(c, ast.In)):
-            return super().image(c, negate, path)
-        # keep the membership shape, filtering null records out of the
-        # subquery so the negated membership cannot come out unknown
-        self._note(path, "in-null-filtered")
-        query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-        null_free = ast.and_all([_not_null(ast.NameRef(n)) for n in labels])
-        kept = ast.Not(ast.In(c.items, ast.Selection(null_free, query)))
-        return ast.or_all([ast.IsNull(t) for t in c.items] + [kept])
-
-
-class _From3VL(_TwoValuedSourceTranslator):
-    """Three-valued conditions into conflating two-valued equivalents."""
-
-    negate_constants = True
-
-    def compare(self, c, negate, path):
-        if not negate:
-            self._note(path, "compare-kept")
-            return c
-        self._note(path, "compare-not-null-guarded")
-        return _not_null_guarded(c, negate)
-
-
-class _From3VLToGrounded(_From3VL):
-    """Three-valued conditions into grounded two-valued equivalents.
-
-    Compared with the conflating target, every comparison needs explicit
-    non-null guards (a grounding may make null comparisons true), and the
-    quantified conditions go through selection emptiness on both polarities
-    rather than keeping their shape.  The guards pin every comparison to the
-    no-nulls case, where all groundings agree with the standard comparison,
-    so one output is valid under every grounded two-valued target.
-    """
-
-    via_emptiness = True
-
-    def compare(self, c, negate, path):
-        self._note(path, "compare-not-null-guarded")
-        return _not_null_guarded(c, negate)
 
 
 class _FromMVL(_Translator):
-    """Conditions under a finite kernel (many-valued, or the two-valued
-    kernel of a grounding) into three-valued equivalents.
+    """Conditions under a finite source kernel into equivalents under a
+    target: 3VL, 2VL, or (`target` None) every grounding at once.
 
-    For each truth value the translated condition is true exactly when the
-    source condition takes that value.  Three rules keep the output small
-    (and/or/not conditions stay within 4x their size under the 3vl and 4vl
-    kernels; the truth-table cells no operand absorbs are still enumerated):
+    `image(c, values, path)` is a condition that is true under the target
+    exactly when `c` takes one of `values` under the source.  Images are
+    combined only by And, Or and selections, never negated, so an image
+    need not be two-valued under the target.  Five rules keep them small:
 
-    - absorbing operand: an And/Or operand value that gives the wanted value
-      whatever the other operand is becomes one disjunct naming that operand
-      alone; only the truth-table cells neither operand absorbs are
-      enumerated as conjunctions;
-    - don't-care counts: quantified conditions cannot just recurse (the fold
+    - value sets: `not` asks once for the preimage of the set, and the empty
+      set and the set of every value are `(false)` and `(true)`;
+    - connective cover: the And/Or table cells whose value is in the set
+      are covered by rectangles.  Each distinct set B of right values that
+      some left value reaches is paired with the left values that reach at
+      least B, and a side whose set is every value is left out;
+    - counted quantifiers: IN / ANY / ALL cannot just recurse (the fold
       size depends on the data), so they count, per truth value, how many
-      subquery records compare to it, and reduce each count through its
-      eventual periodicity.  The reduced count profiles whose fold is the
-      wanted value are merged, as in an implicant merge, wherever the
-      profiles of one position's whole range agree on every other
-      position; a merged position needs no count at all;
-    - idempotent values: a value whose fold is itself at every length (lead
-      1, period 2) only asks whether any record compares to it, which is
-      selection non-emptiness rather than a count reduced modulo 1.
+      subquery records compare to it, reduced through its eventual
+      periodicity.  The reduced count profiles whose fold is in the set are
+      merged, as in an implicant merge, wherever the profiles of one
+      position's whole range agree on every other position; a merged
+      position needs no count.  The zero counts of a profile share one
+      emptiness test, and a value whose fold is itself at every length
+      (lead 1, period 2) only asks for a record that compares to it;
+    - target guards: the source's comparison templates rule NULL arguments
+      out of `a op b` (its negation) wherever the target makes it true on
+      some null pattern (`LogicKernel.null_guards`; both, for every
+      grounding);
+    - kept quantifiers: at the source's true value IN / ANY / ALL keep their
+      shape, over the translated subquery, when both kernels' and/or are
+      true exactly where the Boolean ones are and the two agree on the null
+      patterns where the comparison (and `=`, for tuples) is true.
     """
 
-    def __init__(self, notes: Mapping[int, RelSig], kernel: LogicKernel):
+    def __init__(self, notes: Mapping[int, RelSig], kernel: LogicKernel,
+                 target: Optional[LogicKernel] = None):
         super().__init__(notes)
-        self.kernel = kernel
+        self.kernel, self.target = kernel, target
+        # every grounding may make a comparison or its negation true on a NULL
+        self.guards = target.null_guards if target else dict.fromkeys(ast.COMPARISONS, (True, True))
 
     def cond_true(self, c, path):
         return self.cond_value(c, self.kernel.true, path)
 
     def cond_value(self, c: ast.Condition, tau, path: str) -> ast.Condition:
+        return self.image(c, frozenset((tau,)), path)
+
+    def _spell(self, values: frozenset) -> str:
+        return ",".join(v for v in self.kernel.values if v in values)
+
+    def _keeps(self, ops) -> bool:
+        source, target = self.kernel, self.target
+        return target is not None and source.boolean_truth and target.boolean_truth and all(
+            source.null_true[op] is not None and source.null_true[op] == target.null_true[op]
+            for op in ops
+        )
+
+    def image(self, c: ast.Condition, values: frozenset, path: str) -> ast.Condition:
         kernel = self.kernel
-        if isinstance(c, ast.CTrue):
-            return ast.CTrue() if tau == kernel.true else ast.CFalse()
-        if isinstance(c, ast.CFalse):
-            return ast.CTrue() if tau == kernel.false else ast.CFalse()
-        if isinstance(c, ast.IsNull):
-            if tau == kernel.true:
-                return c
-            if tau == kernel.false:
-                return ast.Not(c)
-            return ast.CFalse()
+        if not values or len(values) == len(kernel.values):
+            return ast.CTrue() if values else ast.CFalse()
         if isinstance(c, ast.Compare):
             if len(c.lhs) > 1:
-                return self.cond_value(
-                    ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), tau, path
-                )
-            self._note(path, f"compare-template:{tau}")
-            return kernel.template(c.op, tau, c.lhs[0], c.rhs[0])
-        if isinstance(c, ast.Empty):
-            query = self.expr(c.query, path + "/q")
-            if tau == kernel.true:
-                return ast.Empty(query)
-            if tau == kernel.false:
-                return ast.Not(ast.Empty(query))
-            return ast.CFalse()
-        if isinstance(c, ast.In):
-            return self._counted(c.items, "=", c.query, OR, tau, path)
-        if isinstance(c, ast.Quant):
-            conn = OR if c.quant == "any" else AND
-            return self._counted(c.items, c.op, c.query, conn, tau, path)
+                return self.image(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), values, path)
+            self._note(path, f"compare-template:{self._spell(values)}")
+            return kernel.template(c.op, values, c.lhs[0], c.rhs[0], self.guards[c.op])
         if isinstance(c, (ast.And, ast.Or)):
-            return self._connective(c, tau, path)
+            return self._cover(c, values, path)
         if isinstance(c, ast.Not):
-            disjuncts = [
-                self.cond_value(c.cond, t1, path + ".n")
-                for t1 in kernel.values
-                if kernel.not_table[t1] == tau
-            ]
-            self._note(path, f"negation-cases:{tau}")
-            return ast.or_all(disjuncts)
+            self._note(path, f"negation:{self._spell(values)}")
+            preimage = frozenset(v for v in kernel.values if kernel.not_table[v] in values)
+            return self.image(c.cond, preimage, path + ".n")
+        if isinstance(c, (ast.In, ast.Quant)):
+            op = "=" if isinstance(c, ast.In) else c.op
+            conn = AND if isinstance(c, ast.Quant) and c.quant == "all" else OR
+            if values == {kernel.true} and self._keeps({op, "="} if len(c.items) > 1 else {op}):
+                self._note(path, "quantifier-kept")
+                return dataclasses.replace(c, query=self.expr(c.query, path + "/q"))
+            return self._counted(c.items, op, c.query, conn, values, path)
+        if isinstance(c, (ast.IsNull, ast.Empty)):
+            t, f = kernel.true in values, kernel.false in values
+            if t == f:
+                return ast.CTrue() if t else ast.CFalse()
+            if isinstance(c, ast.Empty):
+                c = ast.Empty(self.expr(c.query, path + "/q"))
+            return c if t else ast.Not(c)
+        if isinstance(c, (ast.CTrue, ast.CFalse)):
+            value = kernel.true if isinstance(c, ast.CTrue) else kernel.false
+            return ast.CTrue() if value in values else ast.CFalse()
         raise NullvlError(f"not a condition: {c!r}")
 
-    def _connective(self, c: ast.And | ast.Or, tau, path: str) -> ast.Condition:
-        values = self.kernel.values
+    def _cover(self, c: ast.And | ast.Or, values: frozenset, path: str) -> ast.Condition:
+        kernel_values, every = self.kernel.values, frozenset(self.kernel.values)
         table = self.kernel.and_table if isinstance(c, ast.And) else self.kernel.or_table
-        # operand values that give tau whatever the other operand's value;
-        # kernel tables are commutative, so they absorb on either side
-        absorbing = [a for a in values if all(table[(a, b)] == tau for b in values)]
-        disjuncts = [self.cond_value(c.left, a, path + ".l") for a in absorbing]
-        disjuncts += [self.cond_value(c.right, b, path + ".r") for b in absorbing]
-        if absorbing:
-            self._note(path, f"connective-absorbed:{tau}")
-        cells = [
-            (a, b) for a, b in iter_product(values, repeat=2)
-            if table[(a, b)] == tau and a not in absorbing and b not in absorbing
-        ]
-        for a, b in cells:
-            disjuncts.append(
-                ast.And(self.cond_value(c.left, a, path + ".l"), self.cond_value(c.right, b, path + ".r"))
-            )
-        if cells or not absorbing:
-            self._note(path, f"connective-cases:{tau}")
+        # the right values each left value reaches, and each distinct reach
+        # paired with the left values that reach at least it, largest first
+        reach = {a: frozenset(b for b in every if table[(a, b)] in values) for a in kernel_values}
+        rights = sorted(dict.fromkeys(r for r in reach.values() if r), key=len, reverse=True)
+        self._note(path, f"connective-cover:{self._spell(values)}:{len(rights)}")
+        disjuncts = []
+        for right in rights:
+            left = frozenset(a for a in every if reach[a] >= right)
+            sides = [self.image(c.left, left, path + ".l")] if left != every else []
+            if right != every:
+                sides.append(self.image(c.right, right, path + ".r"))
+            disjuncts.append(ast.and_all(sides))
         return ast.or_all(disjuncts)
 
-    def _counted(self, items, op, query, conn, tau, path) -> ast.Condition:
+    def _counted(self, items, op, query, conn, values, path) -> ast.Condition:
         kernel = self.kernel
         avoid = self._avoid(items) | {COUNT_LABEL, REDUCED_LABEL}
         base, labels = self.subquery(query, path + "/q", avoid)
 
         periods = [kernel.periodicity(v, conn) for v in kernel.values]
-        profiles = []
-        for profile in iter_product(*(range(p) for (_l, p) in periods)):
-            if all(m == 0 for m in profile):
-                value = kernel.false if conn == OR else kernel.true
-            else:
-                value = fold_counted(kernel, conn, dict(zip(kernel.values, profile)))
-            if value == tau:
-                profiles.append(profile)
-        self._note(path, f"count-profiles:{tau}:{len(profiles)}")
+        empty_fold = kernel.false if conn == OR else kernel.true
+        profiles = [
+            profile for profile in iter_product(*(range(p) for (_l, p) in periods))
+            if (fold_counted(kernel, conn, dict(zip(kernel.values, profile)))
+                if any(profile) else empty_fold) in values
+        ]
+        spelled = self._spell(values)
+        self._note(path, f"count-profiles:{spelled}:{len(profiles)}")
         merged = _merge_profiles(profiles, [p for (_l, p) in periods])
         if len(merged) < len(profiles):
-            self._note(path, f"count-dont-care:{tau}:{len(merged)}")
+            self._note(path, f"count-dont-care:{spelled}:{len(merged)}")
 
-        # the per-value selections of the positions some profile still counts
+        # the records of the subquery that compare to a set of values, once per set
         compare = ast.Compare(items, op, _cols(labels))
-        selections = {}
-        for i in sorted({i for profile in merged for i, m in enumerate(profile) if m is not None}):
-            value = kernel.values[i]
-            per_row = self.cond_value(compare, value, path + f".cnt[{value}]")
-            selections[i] = ast.Selection(per_row, base)
+        selections: dict[frozenset, ast.Expression] = {}
+
+        def selected(wanted: frozenset) -> ast.Expression:
+            if wanted not in selections:
+                per_row = self.image(compare, wanted, path + f".cnt[{self._spell(wanted)}]")
+                selections[wanted] = base if per_row == ast.CTrue() else ast.Selection(per_row, base)
+            return selections[wanted]
 
         disjuncts = []
         for profile in merged:
-            conjs = [
-                self._count_matches(selections[i], m, periods[i], path)
-                for i, m in enumerate(profile)
-                if m is not None
+            zeros = frozenset(v for v, m in zip(kernel.values, profile) if m == 0)
+            conjs = [ast.Empty(selected(zeros))] if zeros else []
+            conjs += [
+                self._count_matches(selected(frozenset((v,))), m, lead_period, path)
+                for v, m, lead_period in zip(kernel.values, profile, periods)
+                if m
             ]
             disjuncts.append(ast.and_all(conjs))
         return ast.or_all(disjuncts)
 
-    def _count_matches(self, selected: ast.Selection, m: int, lead_period, path) -> ast.Condition:
+    def _count_matches(self, selected: ast.Expression, m: int, lead_period, path) -> ast.Condition:
         lead, period = lead_period
-        if m == 0:
-            return ast.Empty(selected)
         if (lead, period) == (1, 2):
             self._note(path, "count-idempotent")
             return ast.Not(ast.Empty(selected))
-        counted = ast.Group(
-            (), (ast.AggItem("count_star", None, COUNT_LABEL),), selected
-        )
+        counted = ast.Group((), (ast.AggItem("count_star", None, COUNT_LABEL),), selected)
         if m < lead:
             return ast.Quant((ast.num(m),), "=", "any", counted)
-        modulus = period - lead
+        count, modulus = ast.NameRef(COUNT_LABEL), ast.num(period - lead)
+        residue = ast.FnApply("mod", (ast.FnApply("sub", (count, ast.num(lead))), modulus))
         reduced = ast.Projection(
-            (
-                ast.ProjItem(
-                    ast.FnApply(
-                        "mod",
-                        (
-                            ast.FnApply("sub", (ast.NameRef(COUNT_LABEL), ast.num(lead))),
-                            ast.num(modulus),
-                        ),
-                    ),
-                    REDUCED_LABEL,
-                ),
-            ),
-            ast.Selection(
-                ast.Compare((ast.NameRef(COUNT_LABEL),), ">=", (ast.num(lead),)), counted
-            ),
+            (ast.ProjItem(residue, REDUCED_LABEL),),
+            ast.Selection(ast.Compare((count,), ">=", (ast.num(lead),)), counted),
         )
         return ast.Quant((ast.num(m - lead),), "=", "any", reduced)
 
@@ -486,7 +416,7 @@ def tr_from_3vl(
 ) -> TranslationResult:
     """Rewrite a query written under the three-valued semantics so it
     evaluates identically under the conflating two-valued semantics."""
-    return _translate(_From3VL, expr, schema, checked=checked)
+    return _translate(_FromMVL, expr, schema, kernel_3vl(), kernel_2vl(), checked=checked)
 
 
 def tr_grounded_to_3vl(
@@ -494,19 +424,23 @@ def tr_grounded_to_3vl(
 ) -> TranslationResult:
     """Rewrite a query written under the grounding's two-valued semantics so
     it evaluates identically under the three-valued semantics."""
-    return _translate(_FromMVL, expr, schema, kernel_grounded(grounding), checked=checked)
+    return _translate(
+        _FromMVL, expr, schema, kernel_grounded(grounding), kernel_3vl(), checked=checked
+    )
 
 
 def tr_3vl_to_grounded(
     expr: ast.Expression, schema: Schema, checked: Optional[Checked] = None
 ) -> TranslationResult:
-    return _translate(_From3VLToGrounded, expr, schema, checked=checked)
+    """Rewrite a query written under the three-valued semantics so it
+    evaluates identically under every grounding's two-valued semantics."""
+    return _translate(_FromMVL, expr, schema, kernel_3vl(), None, checked=checked)
 
 
 def tr_mvl_to_3vl(
     expr: ast.Expression, schema: Schema, kernel: LogicKernel, checked: Optional[Checked] = None
 ) -> TranslationResult:
-    return _translate(_FromMVL, expr, schema, kernel, checked=checked)
+    return _translate(_FromMVL, expr, schema, kernel, kernel_3vl(), checked=checked)
 
 
 @dataclass(frozen=True)

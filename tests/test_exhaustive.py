@@ -12,6 +12,7 @@ from nullvl import ast, translate
 from nullvl.ast import col, num
 from nullvl.evaluator import EvalConfig, eval_condition, evaluate
 from nullvl.logic import (
+    GROUNDINGS,
     kernel_2vl,
     kernel_2vl_syntactic,
     kernel_3vl,
@@ -116,6 +117,17 @@ def test_two_way_capture_exhaustive(name, cond):
     for db in ALL_DBS:
         _check(expr, db, K2, K3, to3)
         _check(expr, db, K3, K2, from3)
+
+
+@pytest.mark.parametrize("name,cond", ALL_SHAPES, ids=[n for n, _ in ALL_SHAPES])
+def test_three_valued_to_grounded_holds_under_every_grounding(name, cond):
+    # 3-to-gr gives one output for every grounding, so it is checked under each
+    expr = typecheck(ast.Selection(cond, ast.BaseRelation("R")), SCHEMA).expr
+    to_gr = translate.tr_3vl_to_grounded(expr, SCHEMA)
+    for make in GROUNDINGS.values():
+        target = kernel_grounded(make())
+        for db in ALL_DBS:
+            _check(expr, db, K3, target, to_gr)
 
 
 _SMALL_DBS = [rs_db(r, s) for r, s in itertools.product(([], [1], [None], [1, None]), repeat=2)]

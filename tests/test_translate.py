@@ -371,13 +371,20 @@ def test_mvl_translation_of_connectives_stays_linear():
 
 
 def test_mvl_count_profiles_merge_dont_care_positions():
-    # 3vl membership is true exactly when some record compares true: one
-    # non-emptiness test, whatever the counts of false and unknown records
+    # 3vl membership is unknown exactly when no record compares true and
+    # some record compares unknown: one emptiness and one non-emptiness
+    # test, whatever the count of false records
     sel = ast.Selection(ast.In((num(1),), ast.BaseRelation("S")), ast.BaseRelation("R"))
-    tr = translate.tr_mvl_to_3vl(sel, SCHEMA, kernel_3vl())
+    checked = typecheck(sel, SCHEMA)
+    tr = translate._FromMVL(checked.notes, kernel_3vl(), kernel_3vl())
+    got = tr.cond_value(checked.expr.cond, "u", "/cond")
     cmp_ = ast.Compare((num(1),), "=", (col("S.A"),))
-    assert tr.output.cond == ast.Not(ast.Empty(ast.Selection(cmp_, ast.BaseRelation("S"))))
-    assert ("/cond", "count-dont-care:t:1") in tr.trace and ("/cond", "count-idempotent") in tr.trace
+    unknown = ast.Or(ast.IsNull(num(1)), ast.IsNull(col("S.A")))
+    assert got == ast.And(
+        ast.Empty(ast.Selection(cmp_, ast.BaseRelation("S"))),
+        ast.Not(ast.Empty(ast.Selection(unknown, ast.BaseRelation("S")))),
+    )
+    assert ("/cond", "count-dont-care:u:1") in tr.trace and ("/cond", "count-idempotent") in tr.trace
 
 
 def test_merged_count_profiles_cover_exactly_the_merged_cells():
@@ -493,6 +500,39 @@ def test_grounded_kernel_through_the_mvl_machinery(cfg3):
         assert verdict.status != "not-equal"
 
 
+def _nested_negated_any(depth):
+    """`not (R.A < any (select S.A from S where …))`, nested `depth` deep."""
+    cond = ast.Not(ast.Quant((col("R.A"),), "<", "any", ast.BaseRelation("S")))
+    for _ in range(depth - 1):
+        sub = ast.Projection((ast.ProjItem(col("S.A"), None),), ast.Selection(cond, ast.BaseRelation("S")))
+        cond = ast.Not(ast.Quant((col("R.A"),), "<", "any", sub))
+    return ast.Selection(cond, ast.BaseRelation("R"))
+
+
+def _negated_wide_in(k):
+    """A NOT IN over k columns."""
+    items = tuple(col("R.A") if i % 2 == 0 else num(i) for i in range(k))
+    sub = ast.Projection(tuple(ast.ProjItem(col("S.A"), f"x{i}") for i in range(k)), ast.BaseRelation("S"))
+    return ast.Selection(ast.Not(ast.In(items, sub)), ast.BaseRelation("R"))
+
+
+def test_translation_size_is_linear_in_nesting_and_width():
+    # each level of negated quantifier and each column of a membership adds
+    # a bounded amount of output, in every direction on the many-valued core
+    directions = {
+        "3to2": translate.tr_from_3vl,
+        "3-to-gr": translate.tr_3vl_to_grounded,
+        "mvl-to-3.3vl": lambda e, s: translate.tr_mvl_to_3vl(e, s, kernel_3vl()),
+        "mvl-to-3.4vl": lambda e, s: translate.tr_mvl_to_3vl(e, s, kernel_4vl_example()),
+    }
+    for name, tr_fn in directions.items():
+        for depth in range(1, 9):
+            ratio = tr_fn(_nested_negated_any(depth), SCHEMA).size_ratio
+            assert ratio <= 4, (name, depth, float(ratio))
+        wide = {k: tr_fn(_negated_wide_in(k), SCHEMA).size_ratio for k in range(1, 9)}
+        assert wide[8] <= Fraction(3, 2) * wide[4], (name, {k: float(r) for k, r in wide.items()})
+
+
 def _has_negation_or_tuple_comparison(node) -> bool:
     if isinstance(node, ast.Not) or isinstance(node, ast.Compare) and len(node.lhs) > 1:
         return True
@@ -500,11 +540,22 @@ def _has_negation_or_tuple_comparison(node) -> bool:
 
 
 def test_translations_touch_only_negations_and_tuple_comparisons():
+    # positive conditions mean the same in every direction whose kernels
+    # agree on the comparisons that are true on NULLs
+    from nullvl.logic import empty_grounding
+
     schema = default_schema()
+    directions = (
+        translate.tr_to_3vl,
+        translate.tr_from_3vl,
+        lambda e, s: translate.tr_mvl_to_3vl(e, s, kernel_3vl()),
+        lambda e, s: translate.tr_mvl_to_3vl(e, s, kernel_4vl_example()),
+        lambda e, s: translate.tr_grounded_to_3vl(e, s, empty_grounding()),
+    )
     unchanged = changed = 0
     for expr, _ in _corpus(67, 250, schema=schema):
         plain = not _has_negation_or_tuple_comparison(expr)
-        for tr_fn in (translate.tr_to_3vl, translate.tr_from_3vl):
+        for tr_fn in directions:
             out = tr_fn(expr, schema).output
             if plain:
                 assert out == expr, ast.render_expression(expr)
@@ -530,23 +581,33 @@ def test_translations_touch_only_negations_and_tuple_comparisons():
 # the smallest guard.  Over these 200 expressions the gr-to-3 outputs shrank
 # from about 92k to 38k-43k characters and mvl-to-3.4vl from 32.2k to 24.9k;
 # the mvl-to-3.3vl output and every trace are unchanged.
+# Every entry but 2to3 and 2to3.trace was re-recorded when 3to2 and 3-to-gr
+# moved onto the many-valued core and its images came to range over sets of
+# truth values: a negated quantifier's zero counts share one emptiness test,
+# And/Or images are rectangle covers, a positive IN / ANY / ALL keeps its
+# shape where both kernels agree on the comparisons true on NULLs, 3to2
+# images the falsity of (true) as (false) rather than `not (true)`, and the
+# traces name the core's rules.  Over these 200 expressions the outputs went,
+# in nodes, 3to2 3,513 -> 3,464, 3-to-gr 5,152 -> 5,270, gr-to-3 3,542 /
+# 4,141 / 3,774 -> 3,356 / 4,070 / 3,596 (empty / syntactic / leq-sign) and
+# mvl-to-3 2,208 / 2,337 -> 2,036 / 2,036 (3vl / 4vl).
 PINNED_OUTPUT_DIGESTS = {
     "2to3": "9d8f185c4b587f55318fc09818dd281110d81cdbd1e63ecd5427ea8b6ae19ac7",
-    "3to2": "ba6b787dbbd81822436103d363f9ff9a6b3de17d610b958b1dded6daba0d62c9",
-    "3-to-gr": "3b3c2470e56b7a0b4883e11744432b13aa1108a9ceb528ac78e297206e707a46",
-    "gr-to-3.empty": "c51399f39d7b0ecca033f491681797b5681a1511ebc588ca0780ce0a40aca5f9",
-    "gr-to-3.syntactic": "762b51f49c57d2331c076f1fe86eff9dd91e44196e485b22dca208b679d8db54",
-    "gr-to-3.leq-sign": "1a3193efc24f6b28aa8df65cca6fab6f76687bff695d7e3bd4fe54793fac884c",
-    "mvl-to-3.3vl": "de67dc2cfca004536a51a060cb23b2cdbd22dceec6350ae704059aa297f8c66b",
-    "mvl-to-3.4vl": "5ce75c83d4ca6d898288c402d41c12338c10b2edd5d616d06ecf4e79364d9713",
+    "3to2": "2837cf4cd642ca5aec076fcf7d98e94c7d6f88812c53eed33374257ce5800402",
+    "3-to-gr": "72c16d57ac8b2899dd43faa1a82788fb67625c9d8bd0842ecdabf61ec6e32821",
+    "gr-to-3.empty": "9ebfd9692ad8b3f43ac330c234a110aba1fc39bab599bb32aaed5e22fe161e83",
+    "gr-to-3.syntactic": "ecbef41be9db000ee66900f954a731cd30a2442b5128d8e2c7aac69f838ba283",
+    "gr-to-3.leq-sign": "9d8a7982d87252361cee4230cecd211c8b22410f529fd99d9bbb914b71b8dc21",
+    "mvl-to-3.3vl": "214da1437770e47c7096cac604e8d04498873e16a0cd30fc3dab6ccf720cef42",
+    "mvl-to-3.4vl": "214da1437770e47c7096cac604e8d04498873e16a0cd30fc3dab6ccf720cef42",
     "2to3.trace": "c0ae6fa975dc5f98fd2b61d5671bbcfbe927dc47bf08d295cbf4bce01076e8c8",
-    "3to2.trace": "a3c54ac9b051589c23f1f9f857bd9818b9ed77d0ce69b8693f4fd7d248fa2655",
-    "3-to-gr.trace": "c7e112fa762fb70eb177cd13466e6c1f24796eef7b48fedfa4bfd84a1575802e",
-    "gr-to-3.empty.trace": "b3c4dafaf35a92b150645f4b6d1aff3abbdd9841cc7650ade1e0341149af8526",
-    "gr-to-3.syntactic.trace": "b3c4dafaf35a92b150645f4b6d1aff3abbdd9841cc7650ade1e0341149af8526",
-    "gr-to-3.leq-sign.trace": "b3c4dafaf35a92b150645f4b6d1aff3abbdd9841cc7650ade1e0341149af8526",
-    "mvl-to-3.3vl.trace": "4c4945d00b99275383bc236e4fe8fa96d02eb95ddf31cd872c4602e79f560f46",
-    "mvl-to-3.4vl.trace": "d827b629bf25c43e1900a7a995f41254ebb32953c6e5b0ffbc2b87765ae530b8",
+    "3to2.trace": "de2248925a63d01a462f9188b20fd0e00561efecb41f82345660894111aa863c",
+    "3-to-gr.trace": "90c29ae986665f8b513d337c9b66284130b2dc17e0e138c92690e75d36735275",
+    "gr-to-3.empty.trace": "4b24fc2b92f542ea7e9381472c53bb28b84c32bd0904a1d62baad985014c2683",
+    "gr-to-3.syntactic.trace": "7eec917293a4fc2bfb0460a5c2cd7cf668b642a0b4e333e4b75e2cefbb4de73a",
+    "gr-to-3.leq-sign.trace": "824adcc50376b8848d854793da2709e8d4c6dad447b1c74c95cb8578556bd15c",
+    "mvl-to-3.3vl.trace": "5fef0828a6769483e9381e68477284b36bb1298e694ff5aa9328fd0bcf9beb5d",
+    "mvl-to-3.4vl.trace": "ea894de55b4391f079dedeaaad95a81fea5195f307d1f46ea2c0276aacc256d4",
 }
 
 

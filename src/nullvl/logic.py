@@ -211,7 +211,8 @@ class LogicKernel:
         """A condition that is true under 3VL exactly when `a op b` takes one
         of `values` (a truth value or a set of them): for true (false) alone
         the comparison (its negation), not-null tested where `guard` (for
-        true, for false) says a target makes it true on a NULL; for both,
+        true, for false) says a target makes it true on a NULL and some null
+        pattern's cell is not always in `values`; for both,
         that neither argument is NULL; then the smallest guard over the null
         patterns whose cell is always in `values`; then for true (false)
         alone each template cell (its negation) under its exact guard."""
@@ -225,7 +226,7 @@ class LogicKernel:
             disjuncts.append(ast.And(ast.Not(ast.IsNull(a)), ast.Not(ast.IsNull(b))))
         elif t or f:
             atom = _cmp(a, op, b) if t else ast.Not(_cmp(a, op, b))
-            if guard[0 if t else 1]:
+            if guard[0 if t else 1] and len(whole) < len(_PATTERNS):
                 atom = ast.and_all([ast.Not(ast.IsNull(a)), ast.Not(ast.IsNull(b)), atom])
             disjuncts.append(atom)
         disjuncts += _null_guard(whole, a, b)

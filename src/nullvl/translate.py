@@ -7,16 +7,14 @@ Expressions translate by replacing every selection condition with its image
 at "true"; the output evaluates, under the target semantics, to the same bag
 as the input under the source semantics, on every database.
 
-One core holds the rules.  `_FromMVL` translates from a source kernel given
-as a value into a target: 3VL for mvl-to-3 (any finite kernel) and gr-to-3
-(a grounding's two-valued kernel, `logic.kernel_grounded`), 2VL for 3to2,
-and every grounding at once for 3-to-gr.  Its images range over sets of
+One core holds the rules of every direction.  `_FromMVL` translates from a
+source kernel given as a value into a target: 3VL for 2to3 (from 2VL),
+mvl-to-3 (any finite kernel) and gr-to-3 (a grounding's two-valued kernel,
+`logic.kernel_grounded`), 2VL for 3to2, and every grounding at once for
+3-to-gr.  Its images range over sets of
 truth values, and it reads each comparison's condition templates from the
 source kernel, which derives them from its one NULL table
 (`LogicKernel.template`), and the not-null guards they need from the target.
-Only 2to3 keeps its own rules (`_From2VL`): a true and a false image per
-condition, whose negated membership keeps the IN shape over a null-filtered
-subquery.
 
 Each entry point typechecks its input once, as `evaluate` does, and
 translates the checked tree; a translator reads the labels of every node it
@@ -30,6 +28,7 @@ prefix ``__``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -58,37 +57,72 @@ REDUCED_LABEL = "__red"
 @dataclass(frozen=True)
 class TranslationResult:
     output: ast.Expression
-    size_ratio: Fraction
+    input: ast.Expression
     trace: tuple[tuple[str, str], ...]  # (node path, rule that fired)
+
+    @functools.cached_property
+    def size_ratio(self) -> Fraction:
+        """Output nodes per input node, sized when first read."""
+        return Fraction(ast.expression_size(self.output), ast.expression_size(self.input))
 
     def trace_json(self) -> list[dict]:
         return [{"path": path, "rule": rule} for path, rule in self.trace]
-
-
-def _not_null(term: ast.Term) -> ast.Condition:
-    return ast.Not(ast.IsNull(term))
 
 
 def _cols(labels: tuple[str, ...]) -> tuple[ast.Term, ...]:
     return tuple(ast.NameRef(n) for n in labels)
 
 
-class _Translator:
-    """Shared recursion over expressions; subclasses provide condition rules."""
+class _FromMVL:
+    """Conditions under a finite source kernel into equivalents under a
+    target: 3VL, 2VL, or (`target` None) every grounding at once.
 
-    def __init__(self, notes: Mapping[int, RelSig]):
+    `image(c, values, path)` is a condition that is true under the target
+    exactly when `c` takes one of `values` under the source.  Images are
+    combined only by And, Or and selections, never negated, so an image
+    need not be two-valued under the target.  Six rules keep them small:
+
+    - value sets: `not` asks once for the preimage of the set, and the empty
+      set and the set of every value are `(false)` and `(true)`;
+    - connective cover: the And/Or table cells whose value is in the set
+      are covered by rectangles.  Each distinct set B of right values that
+      some left value reaches is paired with the left values that reach at
+      least B, and a side whose set is every value is left out;
+    - counted quantifiers: IN / ANY / ALL cannot just recurse (the fold
+      size depends on the data), so they count, per truth value, how many
+      subquery records compare to it, reduced through its eventual
+      periodicity.  The reduced count profiles whose fold is in the set are
+      merged, as in an implicant merge, wherever the profiles of one
+      position's whole range agree on every other position; a merged
+      position needs no count.  The zero counts of a profile share one
+      emptiness test, and a value whose fold is itself at every length
+      (lead 1, period 2) only asks for a record that compares to it;
+    - target guards: the source's comparison templates rule NULL arguments
+      out of `a op b` (its negation) wherever the target makes it true on
+      some null pattern (`LogicKernel.null_guards`; both, for every
+      grounding);
+    - kept quantifiers: at the source's true value IN / ANY / ALL keep their
+      shape, over the translated subquery, when both kernels' and/or are
+      true exactly where the Boolean ones are and the two agree on the null
+      patterns where the comparison (and `=`, for tuples) is true;
+    - null-filtered membership: where the source's `=` is false on every
+      null pattern, every record compares t or f, so IN is false exactly
+      when an item is NULL or no record equals the items.  Its false image
+      keeps the membership, negated, over the subquery's null-free records,
+      on which every kernel compares as Boolean.
+    """
+
+    def __init__(self, notes: Mapping[int, RelSig], kernel: LogicKernel,
+                 target: Optional[LogicKernel] = None):
         self.notes = notes  # the `typecheck` notes of the translated tree
         self.trace: list[tuple[str, str]] = []
         self._fresh = 0
-
-    # -- public -------------------------------------------------------------
+        self.kernel, self.target = kernel, target
+        # every grounding may make a comparison or its negation true on a NULL
+        self.guards = target.null_guards if target else dict.fromkeys(ast.COMPARISONS, (True, True))
 
     def run(self, e: ast.Expression) -> TranslationResult:
-        out = self.expr(e, "")
-        ratio = Fraction(ast.expression_size(out), ast.expression_size(e))
-        return TranslationResult(out, ratio, tuple(self.trace))
-
-    # -- helpers ------------------------------------------------------------
+        return TranslationResult(self.expr(e, ""), e, tuple(self.trace))
 
     def _note(self, path: str, rule: str):
         self.trace.append((path, rule))
@@ -117,15 +151,13 @@ class _Translator:
             out |= ast.term_names(item)
         return out
 
-    # -- expression recursion -------------------------------------------------
-
     def expr(self, e: ast.Expression, path: str) -> ast.Expression:
         if isinstance(e, ast.BaseRelation):
             return e
         if isinstance(e, ast.Projection):
             return ast.Projection(e.items, self.expr(e.source, path + "/src"))
         if isinstance(e, ast.Selection):
-            cond = self.cond_true(e.cond, path + "/cond")
+            cond = self.cond_value(e.cond, self.kernel.true, path + "/cond")
             return ast.Selection(cond, self.expr(e.source, path + "/src"))
         if isinstance(e, ast.Product):
             return ast.Product(self.expr(e.left, path + "/l"), self.expr(e.right, path + "/r"))
@@ -139,108 +171,6 @@ class _Translator:
             seed, step = self.expr(e.seed, path + "/seed"), self.expr(e.step, path + "/step")
             return ast.Mu(e.rel, e.distinct, seed, step)
         raise NullvlError(f"not an expression: {e!r}")
-
-    # -- condition hooks ------------------------------------------------------
-
-    def cond_true(self, c: ast.Condition, path: str) -> ast.Condition:
-        raise NotImplementedError
-
-
-class _From2VL(_Translator):
-    """Conflating two-valued conditions into three-valued equivalents: each
-    condition gets a true image and a false image (`negate`)."""
-
-    def cond_true(self, c, path):
-        return self.image(c, False, path)
-
-    def image(self, c: ast.Condition, negate: bool, path: str) -> ast.Condition:
-        if isinstance(c, (ast.And, ast.Or)):
-            conn = ast.And if isinstance(c, ast.And) != negate else ast.Or
-            return conn(self.image(c.left, negate, path + ".l"), self.image(c.right, negate, path + ".r"))
-        if isinstance(c, ast.Not):
-            self._note(path, "false-of-negation" if negate else "true-of-negation")
-            return self.image(c.cond, not negate, path + ".n")
-        if isinstance(c, (ast.CTrue, ast.CFalse, ast.IsNull)):
-            if not negate:
-                return c
-            if isinstance(c, ast.IsNull):
-                return ast.Not(c)
-            return ast.CFalse() if isinstance(c, ast.CTrue) else ast.CTrue()
-        if isinstance(c, ast.Compare):
-            if len(c.lhs) > 1:
-                return self.image(ast.expand_tuple_comparison(c.lhs, c.op, c.rhs), negate, path)
-            if not negate:
-                self._note(path, "compare-kept")
-                return c
-            self._note(path, "compare-null-guarded")
-            return ast.or_all([ast.IsNull(c.lhs[0]), ast.IsNull(c.rhs[0]), ast.Not(c)])
-        if isinstance(c, ast.Empty) or isinstance(c, (ast.In, ast.Quant)) and not negate:
-            kept = dataclasses.replace(c, query=self.expr(c.query, path + "/q"))
-            return ast.Not(kept) if negate else kept
-        if isinstance(c, ast.In):
-            # keep the membership shape, filtering null records out of the
-            # subquery so the negated membership cannot come out unknown
-            self._note(path, "in-null-filtered")
-            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            null_free = ast.and_all([_not_null(ast.NameRef(n)) for n in labels])
-            kept = ast.Not(ast.In(c.items, ast.Selection(null_free, query)))
-            return ast.or_all([ast.IsNull(t) for t in c.items] + [kept])
-        if isinstance(c, ast.Quant):
-            # falsity of `any` is the emptiness of the records that do not
-            # compare false, falsity of `all` a record that compares false
-            query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
-            theta = self.image(ast.Compare(c.items, c.op, _cols(labels)), True, path + ".cmp")
-            if c.quant == "any":
-                self._note(path, "any-false-emptiness")
-                return ast.Empty(ast.Selection(ast.Not(theta), query))
-            self._note(path, "all-false-witness")
-            return ast.Not(ast.Empty(ast.Selection(theta, query)))
-        raise NullvlError(f"not a condition: {c!r}")
-
-
-class _FromMVL(_Translator):
-    """Conditions under a finite source kernel into equivalents under a
-    target: 3VL, 2VL, or (`target` None) every grounding at once.
-
-    `image(c, values, path)` is a condition that is true under the target
-    exactly when `c` takes one of `values` under the source.  Images are
-    combined only by And, Or and selections, never negated, so an image
-    need not be two-valued under the target.  Five rules keep them small:
-
-    - value sets: `not` asks once for the preimage of the set, and the empty
-      set and the set of every value are `(false)` and `(true)`;
-    - connective cover: the And/Or table cells whose value is in the set
-      are covered by rectangles.  Each distinct set B of right values that
-      some left value reaches is paired with the left values that reach at
-      least B, and a side whose set is every value is left out;
-    - counted quantifiers: IN / ANY / ALL cannot just recurse (the fold
-      size depends on the data), so they count, per truth value, how many
-      subquery records compare to it, reduced through its eventual
-      periodicity.  The reduced count profiles whose fold is in the set are
-      merged, as in an implicant merge, wherever the profiles of one
-      position's whole range agree on every other position; a merged
-      position needs no count.  The zero counts of a profile share one
-      emptiness test, and a value whose fold is itself at every length
-      (lead 1, period 2) only asks for a record that compares to it;
-    - target guards: the source's comparison templates rule NULL arguments
-      out of `a op b` (its negation) wherever the target makes it true on
-      some null pattern (`LogicKernel.null_guards`; both, for every
-      grounding);
-    - kept quantifiers: at the source's true value IN / ANY / ALL keep their
-      shape, over the translated subquery, when both kernels' and/or are
-      true exactly where the Boolean ones are and the two agree on the null
-      patterns where the comparison (and `=`, for tuples) is true.
-    """
-
-    def __init__(self, notes: Mapping[int, RelSig], kernel: LogicKernel,
-                 target: Optional[LogicKernel] = None):
-        super().__init__(notes)
-        self.kernel, self.target = kernel, target
-        # every grounding may make a comparison or its negation true on a NULL
-        self.guards = target.null_guards if target else dict.fromkeys(ast.COMPARISONS, (True, True))
-
-    def cond_true(self, c, path):
-        return self.cond_value(c, self.kernel.true, path)
 
     def cond_value(self, c: ast.Condition, tau, path: str) -> ast.Condition:
         return self.image(c, frozenset((tau,)), path)
@@ -271,6 +201,9 @@ class _FromMVL(_Translator):
             preimage = frozenset(v for v in kernel.values if kernel.not_table[v] in values)
             return self.image(c.cond, preimage, path + ".n")
         if isinstance(c, (ast.In, ast.Quant)):
+            if (isinstance(c, ast.In) and values == {kernel.false}
+                    and set(kernel.null_equality.values()) == {kernel.false}):
+                return self._null_filtered(c, path)
             op = "=" if isinstance(c, ast.In) else c.op
             conn = AND if isinstance(c, ast.Quant) and c.quant == "all" else OR
             if values == {kernel.true} and self._keeps({op, "="} if len(c.items) > 1 else {op}):
@@ -288,6 +221,13 @@ class _FromMVL(_Translator):
             value = kernel.true if isinstance(c, ast.CTrue) else kernel.false
             return ast.CTrue() if value in values else ast.CFalse()
         raise NullvlError(f"not a condition: {c!r}")
+
+    def _null_filtered(self, c: ast.In, path: str) -> ast.Condition:
+        self._note(path, "in-null-filtered")
+        query, labels = self.subquery(c.query, path + "/q", self._avoid(c.items))
+        null_free = ast.and_all([ast.Not(ast.IsNull(ast.NameRef(n))) for n in labels])
+        kept = ast.Not(ast.In(c.items, ast.Selection(null_free, query)))
+        return ast.or_all([ast.IsNull(t) for t in c.items] + [kept])
 
     def _cover(self, c: ast.And | ast.Or, values: frozenset, path: str) -> ast.Condition:
         kernel_values, every = self.kernel.values, frozenset(self.kernel.values)
@@ -408,7 +348,7 @@ def tr_to_3vl(
 ) -> TranslationResult:
     """Rewrite a query written under the conflating two-valued semantics so it
     evaluates identically under the three-valued semantics."""
-    return _translate(_From2VL, expr, schema, checked=checked)
+    return _translate(_FromMVL, expr, schema, kernel_2vl(), kernel_3vl(), checked=checked)
 
 
 def tr_from_3vl(

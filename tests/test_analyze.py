@@ -302,7 +302,7 @@ def test_selection_and_violation_paths_are_translate_trace_paths():
     # a selection path, "/" and a violation path make translate's path for that atom
     trace = translate.tr_to_3vl(expr, schema).trace
     assert ("/cond.r.n", "in-null-filtered") in trace
-    assert ("/cond.r.n/q/src/cond.n", "compare-null-guarded") in trace
+    assert ("/cond.r.n/q/src/cond.n", "compare-template:f") in trace
     for sel_path, v_path, _ in found:
         assert any(path == f"{sel_path}/{v_path}" for path, _ in trace)
 

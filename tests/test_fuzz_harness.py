@@ -238,13 +238,20 @@ def test_plan_equivalence_runs_at_depth_one():
 # 3.48 (grounded-syntactic), 3.96 -> 3.82 (grounded-leq), 3.76 -> 4.48
 # (capture-3vl-to-grounded), 2.67 -> 1.70 (mvl-4vl) and 2.08 -> 1.70
 # (mvl-self), and the means 1.06 -> 1.05, 1.26 -> 1.24, 1.21 -> 1.14, 1.44
-# -> 1.47, 1.12 -> 1.06 and 1.09 -> 1.06.
+# -> 1.47, 1.12 -> 1.06 and 1.09 -> 1.06.  grounded-leq and
+# capture-3vl-to-grounded were re-recorded when 2to3 moved onto the
+# many-valued core: under leq-sign, whose `=` is false on every null
+# pattern, a negated IN keeps its shape over the null-free records, and
+# 3-to-gr no longer guards `a op b` in an image that holds on every null
+# pattern.  At seed 0 x 60 the largest size ratio went 3.82 -> 3.82
+# (grounded-leq) and 4.48 -> 3.62 (capture-3vl-to-grounded), and the means
+# 1.14 -> 1.16 and 1.47 -> 1.43.
 PINNED_SUMMARY_DIGESTS = {
     "capture-2vl-to-3vl": "6e3bf304c39297117cdb344f2e370d86f6d337f4d5379c2c368a69e309f00e43",
     "capture-3vl-to-2vl": "4b5c388493b7d652626eb79dcbb76a25469014ea3963d5509f3fd1c0e83a333b",
     "grounded-syntactic": "0773a776609492376b8ec8b54e52ddb895e87d84d4e39cfa95b6d8d68f309268",
-    "grounded-leq": "f6d9b90e42399d14eb0cea61b79b1a47456df196c5cbec821e3a307da29da4f8",
-    "capture-3vl-to-grounded": "07258b573b8f387f2df44208abfa3d80f9ff5e6aed9094ac734b9ce5da61f040",
+    "grounded-leq": "0552e264461e414c589e1cf9fd7bd2c93faea8c5a30af4759ab1f9bad7683a1c",
+    "capture-3vl-to-grounded": "954aad3f652223a2e8661c57d6c3366fade0ac3ea1823c3daffbd7356b5e5c60",
     "mvl-4vl": "901e4638f851b330c3db06e6558087c1b39eef8b03d623287c3550be9031e270",
     "mvl-self": "c148b3801715505008ac5de21c6fb6ffb42ae27a056c7697eeff033ba9236400",
     "null-free-invariance": "557aaa66dd23ac07c98e530ed27ead7e95f84ea988a568dc8737e83882504112",

@@ -9,14 +9,17 @@ hash alike, so the representation never changes a bag.
 """
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import NullvlError, SchemaError
@@ -372,13 +375,15 @@ def schema_to_json(schema: Schema) -> dict:
 def database_from_json(obj: Mapping) -> Database:
     """Load and validate a {"schema": ..., "data": ...} document.
 
-    Work follows distinct records: identical rows are counted first.  When
-    every cell is already its value (JSON integers in numeric columns,
-    strings in text columns, NULLs only where allowed), the counted rows are
-    the table and no cell is parsed.  Otherwise each distinct row is parsed
-    and validated once, and equal cells are parsed once per call.  Rows are
-    visited in order of first occurrence, so the first faulty row in the
-    file is the one reported.
+    Work follows distinct records.  Each table is first checked column by
+    column: when every row is an array of the relation's arity and every
+    cell is already its value (JSON integers in numeric columns, strings in
+    text columns, NULLs only where allowed), the rows are counted as they
+    stand and no cell is parsed.  Otherwise identical rows of plain cells
+    are counted, each distinct row is parsed and validated once, and equal
+    cells are parsed once per call.  Rows are visited in order of first
+    occurrence, so the first faulty row in the file is the one reported.
+    `load_database` calls this with the cyclic collector paused.
     """
     if not isinstance(obj, Mapping) or "schema" not in obj:
         raise SchemaError('a database document is an object with a "schema" key')
@@ -412,34 +417,29 @@ _CANONICAL = {
 }
 
 
-def _is_canonical(columns: tuple[Column, ...], counts: Mapping[tuple, int]) -> bool:
-    """Whether every distinct row has the relation's arity and every cell
-    is its own value: the counted rows are then the table."""
-    if not set(map(len, counts)) <= {len(columns)}:
-        return False
-    for col, cells in zip(columns, zip(*counts)):
-        if not set(map(type, cells)) <= _CANONICAL[(col.type, col.nullable)]:
-            return False
-    return True
-
-
 def _table_from_rows(rel: Relation, rows, memo: dict) -> Bag:
     json_array(rows, f'relation {rel.name}: "data"')
+    columns = rel.columns
+    arrays = set(map(type, rows)) <= _ARRAY_TYPES
+    # a table whose rows are arrays of the relation's arity and whose cells
+    # are already their values is counted as it stands; the types are
+    # checked column by column before counting, since True and 1.0 would
+    # count as 1
+    if arrays and set(map(len, rows)) <= {len(columns)} and all(
+        set(map(type, map(itemgetter(i), rows))) <= _CANONICAL[(col.type, col.nullable)]
+        for i, col in enumerate(columns)
+    ):
+        if len(columns) == 1:
+            return Bag.from_counts({(v,): k for v, k in Counter(map(itemgetter(0), rows)).items()})
+        return Bag.from_counts(Counter(map(tuple, rows)))
     # equal rows count under one key when every row is an array of plain
     # cells; otherwise each row counts apart, so a faulty one is reported
     # in place
-    plain = set(map(type, rows)) <= _ARRAY_TYPES and (
-        set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS
-    )
-    if plain:
-        counts = Counter(map(tuple, rows))
-        if _is_canonical(rel.columns, counts):
-            return Bag.from_counts(counts)
-        distinct = counts.items()
+    if arrays and set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS:
+        distinct = Counter(map(tuple, rows)).items()
     else:
         distinct = ((row, 1) for row in rows)
 
-    columns = rel.columns
     arity = len(columns)
     types = [col.type for col in columns]
     not_null = [i for i, col in enumerate(columns) if not col.nullable]
@@ -498,8 +498,25 @@ def read_json(path: str):
             raise NullvlError(_past_digit_limit(f"{path}: a JSON integer")) from None
 
 
+@contextmanager
+def _collector_paused():
+    """Keep the cyclic collector off for the block, then restore the caller's
+    state.  A decoded JSON document holds no cycles, only thousands of small
+    lists that die with it; a pass while they live walks them for nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_database(path: str) -> Database:
-    return database_from_json(read_json(path))
+    # the decoded document is freed by reference counting when
+    # database_from_json returns, before the collector is back on
+    with _collector_paused():
+        return database_from_json(read_json(path))
 
 
 def bag_to_json(bag: Bag, labels: tuple[str, ...]) -> dict:

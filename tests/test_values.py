@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nullvl import fuzz, values
-from nullvl.errors import SchemaError
+from nullvl.errors import NullvlError, SchemaError
 from nullvl.values import (
     Bag,
     Column,
@@ -220,11 +221,29 @@ def test_rows_outside_plain_cells_count_apart(rows, bad):
         _load(rows)
 
 
+def _row_by_row(mp) -> list:
+    """Switch off both counted paths, the columnar one for canonical tables
+    and the keyed one for plain cells, so that every row is parsed apart;
+    the returned list collects the cells parse_cell is called on."""
+    mp.setattr(values, "_PLAIN_CELLS", frozenset())
+    mp.setattr(values, "_CANONICAL", dict.fromkeys(values._CANONICAL, frozenset()))
+    parsed = []
+    real = values.parse_cell
+
+    def counting(raw, col_type):
+        parsed.append(raw)
+        return real(raw, col_type)
+
+    mp.setattr(values, "parse_cell", counting)
+    return parsed
+
+
 def test_keyed_and_row_by_row_counting_agree(monkeypatch):
     rows = [[1], ["1"], [None], [2], [1], ["2/2"], [None]]
     plain = _load(rows).counts()
-    monkeypatch.setattr(values, "_PLAIN_CELLS", frozenset())
+    parsed = _row_by_row(monkeypatch)
     assert _load(rows).counts() == plain == {row(1): 4, row(2): 1, row(None): 2}
+    assert parsed
 
 
 def test_bag_json_text_matches_the_json_module():
@@ -296,8 +315,11 @@ def _outcome(doc):
 def _agrees_with_row_by_row_loading(doc):
     loaded = _outcome(doc)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(values, "_PLAIN_CELLS", frozenset())
+        parsed = _row_by_row(mp)
         assert _outcome(doc) == loaded
+    # a loaded table with a cell had each of its cells parsed on the row path
+    if isinstance(loaded, dict) and any(doc["data"]["R"]):
+        assert parsed
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,3 +347,65 @@ def test_canonical_tables_are_counted_without_parsing_a_cell(monkeypatch):
         "data": {"R": [[1, "x"], [None, "y"], [1, "x"], [-7, ""]]},
     }
     assert database_from_json(doc).table("R").counts() == {(1, "x"): 2, (None, "y"): 1, (-7, ""): 1}
+
+
+_CANONICAL_DOC = {"schema": {"R": {"columns": [
+    {"name": "a", "type": "num", "nullable": False},
+    {"name": "b", "type": "ord"},
+]}}}
+
+
+@pytest.mark.parametrize(
+    "doc, rows, expected",
+    [
+        (_CANONICAL_DOC, [], {}),
+        ({"schema": {"R": {"columns": []}}}, [[], []], {(): 2}),
+        (_CANONICAL_DOC, [[1, "x"], [2, "y", None], [1, "x"]], "R: row of arity 3, expected 2"),
+        (_CANONICAL_DOC, [[1, "x"], [2], [1, "x"]], "R: row of arity 1, expected 2"),
+        (NUM_COL, [[1], [True], [1]], "relation R, column a: boolean cell True in numeric column"),
+        (NUM_COL, [[True], [1], [1]],
+         "relation R, column a: boolean cell True in numeric column"),
+        (NUM_COL, [[1], [1.0], [2]], "relation R, column a: bad numeric cell 1.0"),
+        (_CANONICAL_DOC, [[1, "x"], [None, "x"], [2, None]], "R.a: NULL in non-nullable column"),
+        (_CANONICAL_DOC, [[1, None], [2, "y"], [1, None]], {(1, None): 2, (2, "y"): 1}),
+    ],
+    ids=["empty", "no-columns", "ragged-long", "ragged-short", "true-after-1", "true-first",
+         "float", "null-in-not-null", "canonical"],
+)
+def test_columnar_and_row_paths_give_the_same_table_or_first_error(doc, rows, expected):
+    doc = dict(doc, data={"R": rows})
+    assert _outcome(doc) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        _row_by_row(mp)
+        assert _outcome(doc) == expected
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "text, error, match",
+    [
+        ('{"schema": {"R": {"columns": [{"name": "a"}]}}, "data": {"R": [["x"], ["x"]]}}',
+         None, None),
+        ('{"schema": {"R": {"columns": [{"name": "a"}]}}, "data": {"R": [["x", "y"]]}}',
+         SchemaError, "row of arity 2"),
+        ('{"schema": {"R": ', NullvlError, "malformed JSON"),
+        ("[" * 100_000 + "]" * 100_000, RecursionError, None),
+    ],
+    ids=["loaded", "schema-error", "malformed", "deep"],
+)
+def test_loading_restores_the_collector_state(tmp_path, collector, text, error, match):
+    path = tmp_path / "db.json"
+    path.write_text(text)
+    if error is None:
+        assert values.load_database(str(path)).table("R").counts() == {("x",): 2}
+    else:
+        with pytest.raises(error, match=match):
+            values.load_database(str(path))
+    assert gc.isenabled() is collector

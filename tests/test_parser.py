@@ -1,3 +1,7 @@
+import json
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +9,7 @@ from nullvl import ast
 from nullvl.ast import col, render_condition, render_expression
 from nullvl.errors import ExprParseError
 from nullvl.fuzz import ExpressionGenerator, FuzzConfig, default_schema
-from nullvl.parser import parse_condition, parse_expression
+from nullvl.parser import MAX_NESTING, parse_condition, parse_expression
 
 
 def test_membership_selection():
@@ -129,6 +133,24 @@ MALFORMED = [
     ('(project ((col A)) (base R)) ; done\n\r\n   "tail', "unterminated string", 42, 3, 4),
     ("; c\r\n\t(select (true)\r\n\t\t(frob R))", "unknown expression keyword 'frob'", 25, 3, 3),
     ('(project\t((as "a\\\nb" (col A)))\n (bse R))', "unknown expression keyword 'bse'", 33, 2, 2),
+    # faults of keywords and their arguments
+    ("(select (cmp == (col A) (num 1)) (base R))", "unknown comparison '=='", 14, 1, 14),
+    ("(select (cmp = (tuple (col A) (col B)) (col C)) (base R))", "tuple arity mismatch: 2 vs 1", 9, 1, 9),
+    ("(project () (base R))", "projection needs at least one item", 10, 1, 10),
+    ('("select" (true) (base R))', "expected a keyword after '('", 1, 1, 1),
+    ("(select (cmp = (col A) (num 1e5)) (base R))", "not an exact numeric literal: '1e5'", 29, 1, 29),
+    ("(select (cmp = (arg x) (num 1)) (base R))", "arg index must be an integer", 21, 1, 21),
+    ("(mu W union-distinct (base R) (base W))", "union kind must be union or union-all", 7, 1, 7),
+    ("(group (A) ((median B)) (base R))", "unknown aggregate 'median'", 13, 1, 13),
+    # the end of input is reported before a fault of the forms it cuts off
+    ("(frobnicate (base R)", "unexpected end of input", 21, 1, 21),
+    # a form's keyword and number of arguments are checked before anything
+    # inside it; `as` reads its term or aggregate before its name, and a
+    # comparison its tuples before it matches their lengths
+    ("(select (frob) (base R) extra)", "select takes a condition and an expression", 1, 1, 1),
+    ("(project ((as (x) (frob))) (base R))", "unknown term keyword 'frob'", 19, 1, 19),
+    ("(group () ((as (x) (frob B))) (base R))", "unknown aggregate 'frob'", 20, 1, 20),
+    ("(select (cmp = (tuple (col A) (col B)) (col C D)) (base R))", "col takes one name", 40, 1, 40),
 ]
 
 
@@ -154,3 +176,71 @@ def test_names_with_layout_and_escapes_round_trip(name):
     cond = ast.Compare((col(name),), "=", (ast.OrdConst(name),))
     e = ast.Projection((ast.ProjItem(col(name), name),), ast.Selection(cond, ast.BaseRelation(name)))
     assert parse_expression(render_expression(e)) == e
+
+
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "parse_faults.json"), encoding="utf-8") as fh:
+    PARSE_FAULTS = json.load(fh)  # written by gen_parse_faults.py
+
+
+def test_mutated_texts_keep_their_errors():
+    assert len(PARSE_FAULTS) == 400
+    wrong = []
+    for text, message, offset, line, column in PARSE_FAULTS:
+        want = f"{message} (offset {offset}, line {line}, column {column})"
+        try:
+            got = repr(parse_expression(text))
+        except ExprParseError as err:
+            got = str(err)
+        if got != want:
+            wrong.append((text, want, got))
+    assert not wrong
+
+
+def test_string_tokens_serve_as_names():
+    # any token read as a name may be a string: an operator, and the `as` and
+    # `tuple` of a projection item or a term tuple, but not a form's keyword
+    c = parse_condition('(cmp "=" ("tuple" (col A)) (col "B"))')
+    assert c == ast.Compare((col("A"),), "=", (col("B"),))
+    e = parse_expression('(project (("as" n (col A))) (base R))')
+    assert e.items[0] == ast.ProjItem(col("A"), "n")
+    assert parse_condition("(true x (y))") == ast.CTrue()
+
+
+def _depth(frame) -> int:
+    count = 0
+    while frame is not None:
+        count, frame = count + 1, frame.f_back
+    return count
+
+
+def _at_stack_depth(depth, fn, *args):
+    """``fn(*args)``, called with ``depth`` frames below its own."""
+
+    def down(n):
+        return fn(*args) if n == 0 else down(n - 1)
+
+    return down(depth - _depth(sys._getframe()) - 1)
+
+
+def test_deepest_nest_parses_deep_in_the_stack():
+    assert _at_stack_depth(780, lambda: _depth(sys._getframe(1))) == 780
+    text = "(not " * (MAX_NESTING - 1) + "(true)" + ")" * (MAX_NESTING - 1)
+    cond = _at_stack_depth(780, parse_condition, text)
+    for _ in range(MAX_NESTING - 1):
+        cond = cond.cond
+    assert cond == ast.CTrue()
+
+
+def test_nest_past_the_limit_is_an_error():
+    text = "(not " * MAX_NESTING + "(true)" + ")" * MAX_NESTING
+    with pytest.raises(ExprParseError, match=f"nesting deeper than {MAX_NESTING}") as err:
+        parse_condition(text)
+    assert err.value.offset == 5 * MAX_NESTING + 1
+
+
+def test_long_flat_conjunction_parses():
+    cond = parse_condition("(and" + " (isnull (col A))" * 3000 + ")")
+    count = 1
+    while isinstance(cond, ast.And):
+        cond, count = cond.left, count + 1
+    assert count == 3000 and cond == ast.IsNull(col("A"))

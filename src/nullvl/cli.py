@@ -23,10 +23,15 @@ from .values import bag_json_text, bag_to_json, load_database, read_json
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a UTF-8 file, or of standard input for ``-``."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise NullvlError(f"{name}: not UTF-8 text: {exc}") from None
 
 
 def _cmd_eval(args) -> int:

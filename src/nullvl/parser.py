@@ -3,19 +3,25 @@
 The grammar is documented in docs/grammar.md.  `parse_expression` is the
 inverse of `nullvl.ast.render_expression`; round-tripping an AST through
 render and parse yields an equal AST.
+
+A text is read in one pass.  One `findall` splits it into token strings, and
+a token's first character gives its kind.  The faults of the text as a whole
+come first: a malformed string anywhere, then the structure of the first
+datum (a parenthesis nested past `MAX_NESTING`, a `)` that closes nothing,
+the end of input, trailing input).  Recursive descent then builds the AST,
+looking up each form's keyword in the table of its syntactic class, with one
+Python frame per level of nesting; a form's keyword and number of arguments
+are checked before anything inside it.  A fault names the index of its
+token, and only then is the text scanned again for that token's offset, line
+and column.
 """
 from __future__ import annotations
 
 import re
-from operator import itemgetter
-from typing import Optional, Union
 
 from . import ast
 from .errors import ExprParseError
 from .values import parse_number
-
-_TERM_KEYWORDS = {"col", "num", "ord", "null", "fn", "arg"}
-_AGG_KEYWORDS = {"count", "count-star", "sum", "avg", "min", "max"}
 
 # The deepest parenthesis nesting a text may have.  Every command handles a
 # nest of `not` or `distinct` this deep within the interpreter's default
@@ -23,16 +29,20 @@ _AGG_KEYWORDS = {"count", "count-star", "sum", "avg", "min", "max"}
 # and/or/not chains (depth 10, through the 4vl kernel) nest 13 deep.
 MAX_NESTING = 200
 
-_OPS = set(ast.COMPARISONS) | {"eq", "ne", "lt", "gt", "le", "ge"}
-_OP_ALIASES = {"eq": "=", "ne": "!=", "lt": "<", "gt": ">", "le": "<=", "ge": ">="}
+_OPS = {op: op for op in ast.COMPARISONS}
+_OPS.update(eq="=", ne="!=", lt="<", gt=">", le="<=", ge=">=")
 
+# A token is a parenthesis, a closed string, a `;` comment or a bare symbol.
+# A `"` that opens no closed string is a token of its own, so a text holds
+# that token exactly when it holds a malformed string.  Layout is the only
+# text that no alternative matches.
+_TOKENS = re.compile(r'[()]|"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"|;[^\n]*|[^ \t\r\n();"]+|"')
 
-# One match reads the layout and comments before a token (group 1), then
-# the token: a parenthesis (group 2), a string or a bare symbol (group 5).
-# A string's body (group 3) runs to the first `"`, newline or end of text
-# that no backslash escapes; group 4 holds which of them it met.  A bare
-# symbol is any run of characters other than layout, parentheses, `;` and
-# `"`.  At the end of the text only group 1 matches.
+# The same tokens for locating a fault.  One match reads the layout and
+# comments before a token (group 1), then the token: a parenthesis (group
+# 2), a string or a bare symbol (group 5).  A string's body (group 3) runs to
+# the first `"`, newline or end of text that no backslash escapes; group 4
+# holds which of them it met.  At the end of the text only group 1 matches.
 _TOKEN = re.compile(
     r'([ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*)'
     r'(?:([()])'
@@ -48,29 +58,14 @@ def _unescape(m: re.Match) -> str:
     return _ESCAPED.get(m.group(1), m.group(1))
 
 
-class _Tok(tuple):
-    """A string or bare-symbol token: ``(kind, text, offset)``."""
-
-    __slots__ = ()
-    kind = property(itemgetter(0))  # "sym" or "str"
-    text = property(itemgetter(1))
-    offset = property(itemgetter(2))  # 0-based
-
-
-class _Form(list):
-    """A parenthesized form; remembers the offset of its opening parenthesis."""
-
-    __slots__ = ("offset",)
-
-
 class _Fault(Exception):
-    """A parse error at a 0-based offset; the entry points add its line and
-    column, which only the text can give."""
+    """A parse error at a token, by its index among the tokens that are not
+    comments; the entry points locate it in the text."""
 
-    def __init__(self, message: str, offset: int):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
         self.message = message
-        self.offset = offset
+        self.index = index
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -86,39 +81,9 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return line, offset - line_start + 1
 
 
-def _string(m: re.Match) -> _Tok:
-    """The string token of a match of `_TOKEN` that read one, or its fault."""
-    stop = m.group(4)
-    if stop == '"':
-        body = m.group(3)
-        if "\\" in body:
-            body = _ESCAPE.sub(_unescape, body)
-        return _Tok(("str", body, m.start(3) - 1))
-    if stop == "\n":
-        raise _Fault("newline inside string", m.start(4))
-    if stop == "\\":
-        raise _Fault("unterminated escape", m.start(4))
-    raise _Fault("unterminated string", m.start(3) - 1)
-
-
-def _next_token(text: str, pos: int) -> Optional[int]:
-    """The offset of the first token at or after ``pos``, if any.  Reads the
-    rest of the text, so a malformed string in it is the fault raised: a
-    text is judged as if it were tokenized whole before it is read."""
-    first = None
-    for m in _TOKEN.finditer(text, pos):
-        if m.lastindex == 1:  # the end of the text
-            break
-        if m.lastindex == 4:
-            _string(m)
-        if first is None:
-            first = m.end(1)
-    return first
-
-
-def _fault_after(text: str, pos: int, message: str, offset: int) -> _Fault:
-    _next_token(text, pos)
-    return _Fault(message, offset)
+def _error(text: str, message: str, offset: int) -> ExprParseError:
+    line, col = _line_col(text, offset)
+    return ExprParseError(message, offset + 1, line, col)
 
 
 def _eof_error(text: str) -> ExprParseError:
@@ -128,265 +93,431 @@ def _eof_error(text: str) -> ExprParseError:
     return ExprParseError("unexpected end of input", off, line, col)
 
 
-def _read(text: str) -> tuple[Union[_Tok, _Form], Optional[int]]:
-    """The first datum of ``text`` and the offset of the token after it."""
-    stack: list[_Form] = []  # the open forms, outermost first
+def _string_error(text: str) -> ExprParseError:
+    """The error of the first malformed string in ``text``."""
     for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if kind == 5:
-            datum = _Tok(("sym", m.group(5), m.start(5)))
-        elif kind == 4:
-            datum = _string(m)
-        elif kind == 1:  # the end of the text
+        stop = m.group(4)
+        if m.lastindex == 4 and stop != '"':
+            if stop == "\n":
+                return _error(text, "newline inside string", m.start(4))
+            if stop == "\\":
+                return _error(text, "unterminated escape", m.start(4))
+            return _error(text, "unterminated string", m.start(3) - 1)
+    raise AssertionError("no malformed string")
+
+
+def _fault_error(text: str, fault: _Fault) -> ExprParseError:
+    """The error of ``fault``: its message at the offset of its token."""
+    for index, m in enumerate(_TOKEN.finditer(text)):
+        if m.lastindex == 1:  # the end of the text
             break
-        elif m.group(2) == "(":
-            form = _Form()
-            form.offset = m.start(2)
-            stack.append(form)
-            if len(stack) > MAX_NESTING:
-                message = f"nesting deeper than {MAX_NESTING} parentheses"
-                raise _fault_after(text, m.end(), message, form.offset)
+        if index == fault.index:
+            return _error(text, fault.message, m.end(1))
+    return _eof_error(text)
+
+
+def _forms(toks: list, what: str) -> dict:
+    """The indices of the tokens directly inside each form of the first
+    datum, by the index of the form's `(`.  Raises the faults of the datum's
+    structure: the first `(` past `MAX_NESTING`, a `)` that closes nothing,
+    the end of input and a token after the datum."""
+    forms = {}
+    stack = []  # the token lists of the forms that enclose `inner`
+    inner = None  # the token list of the innermost open form
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            if inner is not None:
+                inner.append(i)
+                if len(stack) == MAX_NESTING:
+                    raise _Fault(f"nesting deeper than {MAX_NESTING} parentheses", i)
+            stack.append(inner)
+            inner = forms[i] = []
             continue
-        elif stack:
-            datum = stack.pop()
-        else:
-            raise _fault_after(text, m.end(), "unexpected ')'", m.start(2))
-        if stack:
-            stack[-1].append(datum)
-        else:
-            return datum, _next_token(text, m.end())
-    raise _eof_error(text)
+        if tok == ")":
+            if inner is None:
+                raise _Fault("unexpected ')'", i)
+            inner = stack.pop()
+        elif inner is not None:
+            inner.append(i)
+        if inner is None:  # the datum ends at `tok`
+            if i + 1 < len(toks):
+                raise _Fault(f"trailing input after {what}", i + 1)
+            return forms
+    raise _Fault("unexpected end of input", len(toks))
 
 
-def _err(node, message: str) -> _Fault:
-    return _Fault(message, node.offset)
+def _string(tok: str) -> str:
+    """The text of a string token."""
+    body = tok[1:-1]
+    if "\\" in body:
+        body = _ESCAPE.sub(_unescape, body)
+    return body
 
 
-def _head(form: _Form) -> str:
-    if not form or not isinstance(form[0], _Tok) or form[0].kind != "sym":
-        raise _err(form, "expected a keyword after '('")
-    return form[0].text
+def _name(toks: list, i: int) -> str:
+    tok = toks[i]
+    if tok[0] == '"':
+        return _string(tok)
+    if tok == "(":
+        raise _Fault("expected a name", i)
+    return tok
 
 
-def _name(node) -> str:
-    if isinstance(node, _Tok):
-        return node.text
-    raise _err(node, "expected a name")
+class _Table(dict):
+    """The reader of each form of one syntactic class, by its keyword.  A
+    reader takes the tokens, the forms and the index of the form's `(`."""
+
+    def __init__(self, expected: str, unknown: str, readers: dict):
+        super().__init__(readers)
+        self.expected = expected  # the fault of a token that is no form
+        self.unknown = unknown  # the fault of a keyword missing here
 
 
-def _parse_term(node) -> ast.Term:
-    if not isinstance(node, _Form):
-        raise _err(node, "expected a term")
-    head = _head(node)
-    args = node[1:]
-    if head == "col":
-        if len(args) != 1:
-            raise _err(node, "col takes one name")
-        return ast.NameRef(_name(args[0]))
-    if head == "num":
-        if len(args) != 1:
-            raise _err(node, "num takes one literal")
-        try:
-            return ast.NumConst(parse_number(_name(args[0])))
-        except ValueError as exc:
-            raise _err(args[0], str(exc))
-    if head == "ord":
-        if len(args) != 1:
-            raise _err(node, "ord takes one string")
-        return ast.OrdConst(_name(args[0]))
-    if head == "null":
-        if args:
-            raise _err(node, "null takes no arguments")
-        return ast.NullConst()
-    if head == "fn":
-        if len(args) < 2:
-            raise _err(node, "fn takes a function name and at least one argument")
-        fn = _name(args[0])
-        return ast.FnApply(fn, tuple(_parse_term(a) for a in args[1:]))
-    if head == "arg":
-        if len(args) != 1:
-            raise _err(node, "arg takes one index")
-        try:
-            idx = int(_name(args[0]))
-        except ValueError:
-            raise _err(args[0], "arg index must be an integer")
-        return ast.ArgHole(idx)
-    raise _err(node, f"unknown term keyword {head!r}")
+def _reader(table: _Table, toks: list, i: int):
+    """The reader in ``table`` of the form at token ``i``.  It is returned,
+    not called, so that reading a nest takes one frame per level."""
+    if toks[i] != "(":
+        raise _Fault(table.expected, i)
+    head = toks[i + 1]
+    reader = table.get(head)
+    if reader is not None:
+        return reader
+    if head == "(" or head == ")" or head[0] == '"':
+        raise _Fault("expected a keyword after '('", i)
+    raise _Fault(f"{table.unknown} {head!r}", i)
 
 
-def _is_term_form(node) -> bool:
-    return (
-        isinstance(node, _Form)
-        and node
-        and isinstance(node[0], _Tok)
-        and node[0].kind == "sym"
-        and node[0].text in _TERM_KEYWORDS
-    )
+# ---------------------------------------------------------------------------
+# Terms
 
 
-def _parse_tuple(node) -> tuple[ast.Term, ...]:
-    if _is_term_form(node):
-        return (_parse_term(node),)
-    if isinstance(node, _Form) and node and isinstance(node[0], _Tok) and node[0].text == "tuple":
-        if len(node) < 2:
-            raise _err(node, "tuple needs at least one term")
-        return tuple(_parse_term(t) for t in node[1:])
-    raise _err(node, "expected a term or (tuple ...)")
+def _col(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 2:
+        raise _Fault("col takes one name", i)
+    return ast.NameRef(_name(toks, inside[1]))
 
 
-def _parse_op(node) -> str:
-    text = _name(node)
-    if text not in _OPS:
-        raise _err(node, f"unknown comparison {text!r}")
-    return _OP_ALIASES.get(text, text)
-
-
-def _parse_condition(node) -> ast.Condition:
-    if not isinstance(node, _Form):
-        raise _err(node, "expected a condition")
-    head = _head(node)
-    args = node[1:]
-    if head == "true":
-        return ast.CTrue()
-    if head == "false":
-        return ast.CFalse()
-    if head == "isnull":
-        if len(args) != 1:
-            raise _err(node, "isnull takes one term")
-        return ast.IsNull(_parse_term(args[0]))
-    if head == "cmp":
-        if len(args) != 3:
-            raise _err(node, "cmp takes an operator and two term tuples")
-        op = _parse_op(args[0])
-        lhs = _parse_tuple(args[1])
-        rhs = _parse_tuple(args[2])
-        if len(lhs) != len(rhs):
-            raise _err(node, f"tuple arity mismatch: {len(lhs)} vs {len(rhs)}")
-        return ast.Compare(lhs, op, rhs)
-    if head == "in":
-        if len(args) != 2:
-            raise _err(node, "in takes a term tuple and an expression")
-        return ast.In(_parse_tuple(args[0]), _parse_expr(args[1]))
-    if head == "empty":
-        if len(args) != 1:
-            raise _err(node, "empty takes one expression")
-        return ast.Empty(_parse_expr(args[0]))
-    if head in ("any", "all"):
-        if len(args) != 3:
-            raise _err(node, f"{head} takes an operator, a term tuple and an expression")
-        op = _parse_op(args[0])
-        return ast.Quant(_parse_tuple(args[1]), op, head, _parse_expr(args[2]))
-    if head == "and":
-        if len(args) < 2:
-            raise _err(node, "and takes at least two conditions")
-        return ast.and_all([_parse_condition(a) for a in args])
-    if head == "or":
-        if len(args) < 2:
-            raise _err(node, "or takes at least two conditions")
-        return ast.or_all([_parse_condition(a) for a in args])
-    if head == "not":
-        if len(args) != 1:
-            raise _err(node, "not takes one condition")
-        return ast.Not(_parse_condition(args[0]))
-    raise _err(node, f"unknown condition keyword {head!r}")
-
-
-def _parse_proj_item(node) -> ast.ProjItem:
-    if _is_term_form(node):
-        return ast.ProjItem(_parse_term(node), None)
-    if isinstance(node, _Form) and node and isinstance(node[0], _Tok) and node[0].text == "as":
-        if len(node) != 3:
-            raise _err(node, "as takes a name and a term")
-        return ast.ProjItem(_parse_term(node[2]), _name(node[1]))
-    raise _err(node, "expected a term or (as name term)")
-
-
-def _parse_agg(node) -> ast.AggItem:
-    if not isinstance(node, _Form):
-        raise _err(node, "expected an aggregate")
-    head = _head(node)
-    if head == "as":
-        if len(node) != 3:
-            raise _err(node, "as takes a name and an aggregate")
-        inner = _parse_agg(node[2])
-        return ast.AggItem(inner.fn, inner.column, _name(node[1]))
-    if head == "count-star":
-        if len(node) != 1:
-            raise _err(node, "count-star takes no arguments")
-        return ast.AggItem("count_star", None, None)
-    if head in _AGG_KEYWORDS:
-        if len(node) != 2:
-            raise _err(node, f"{head} takes one column name")
-        return ast.AggItem(head, _name(node[1]), None)
-    raise _err(node, f"unknown aggregate {head!r}")
-
-
-def _parse_expr(node) -> ast.Expression:
-    if not isinstance(node, _Form):
-        raise _err(node, "expected an expression")
-    head = _head(node)
-    args = node[1:]
-    if head == "base":
-        if len(args) != 1:
-            raise _err(node, "base takes one relation name")
-        return ast.BaseRelation(_name(args[0]))
-    if head == "project":
-        if len(args) != 2 or not isinstance(args[0], _Form):
-            raise _err(node, "project takes an item list and an expression")
-        items = tuple(_parse_proj_item(i) for i in args[0])
-        if not items:
-            raise _err(args[0], "projection needs at least one item")
-        return ast.Projection(items, _parse_expr(args[1]))
-    if head == "select":
-        if len(args) != 2:
-            raise _err(node, "select takes a condition and an expression")
-        return ast.Selection(_parse_condition(args[0]), _parse_expr(args[1]))
-    if head == "product":
-        if len(args) != 2:
-            raise _err(node, "product takes two expressions")
-        return ast.Product(_parse_expr(args[0]), _parse_expr(args[1]))
-    if head in ("union-all", "intersect-all", "except-all"):
-        if len(args) != 2:
-            raise _err(node, f"{head} takes two expressions")
-        op = {"union-all": "union", "intersect-all": "intersect", "except-all": "except"}[head]
-        return ast.SetOp(op, _parse_expr(args[0]), _parse_expr(args[1]))
-    if head == "distinct":
-        if len(args) != 1:
-            raise _err(node, "distinct takes one expression")
-        return ast.Distinct(_parse_expr(args[0]))
-    if head == "group":
-        if len(args) != 3 or not isinstance(args[0], _Form) or not isinstance(args[1], _Form):
-            raise _err(node, "group takes a name list, an aggregate list and an expression")
-        names = tuple(_name(n) for n in args[0])
-        aggs = tuple(_parse_agg(a) for a in args[1])
-        if not names and not aggs:
-            raise _err(node, "group needs grouping names or aggregates")
-        return ast.Group(names, aggs, _parse_expr(args[2]))
-    if head == "mu":
-        if len(args) != 4:
-            raise _err(node, "mu takes a relation name, a union kind and two expressions")
-        rel = _name(args[0])
-        kind = _name(args[1])
-        if kind not in ("union", "union-all"):
-            raise _err(args[1], "union kind must be union or union-all")
-        return ast.Mu(rel, kind == "union", _parse_expr(args[2]), _parse_expr(args[3]))
-    raise _err(node, f"unknown expression keyword {head!r}")
-
-
-def _parse(text: str, what: str, parse):
+def _num(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 2:
+        raise _Fault("num takes one literal", i)
+    literal = _name(toks, inside[1])
     try:
-        node, extra = _read(text)
-        if extra is not None:
-            raise _Fault(f"trailing input after {what}", extra)
-        return parse(node)
+        return ast.NumConst(parse_number(literal))
+    except ValueError as exc:
+        raise _Fault(str(exc), inside[1]) from None
+
+
+def _ord(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 2:
+        raise _Fault("ord takes one string", i)
+    return ast.OrdConst(_name(toks, inside[1]))
+
+
+def _null(toks, forms, i):
+    if len(forms[i]) != 1:
+        raise _Fault("null takes no arguments", i)
+    return ast.NullConst()
+
+
+def _fn(toks, forms, i):
+    inside = forms[i]
+    if len(inside) < 3:
+        raise _Fault("fn takes a function name and at least one argument", i)
+    fn = _name(toks, inside[1])
+    args = []
+    for j in inside[2:]:
+        args.append(_reader(_TERMS, toks, j)(toks, forms, j))
+    return ast.FnApply(fn, tuple(args))
+
+
+def _arg(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 2:
+        raise _Fault("arg takes one index", i)
+    try:
+        index = int(_name(toks, inside[1]))
+    except ValueError:
+        raise _Fault("arg index must be an integer", inside[1]) from None
+    return ast.ArgHole(index)
+
+
+_TERMS = _Table("expected a term", "unknown term keyword", {
+    "col": _col, "num": _num, "ord": _ord, "null": _null, "fn": _fn, "arg": _arg,
+})
+
+
+def _tuple(toks, forms, i) -> tuple[ast.Term, ...]:
+    """A term, or the terms of a (tuple ...) form."""
+    if toks[i] == "(":
+        head = toks[i + 1]
+        term = _TERMS.get(head)
+        if term is not None:
+            return (term(toks, forms, i),)
+        if head == "tuple" or head[0] == '"' and _string(head) == "tuple":
+            inside = forms[i]
+            if len(inside) < 2:
+                raise _Fault("tuple needs at least one term", i)
+            terms = []
+            for j in inside[1:]:
+                terms.append(_reader(_TERMS, toks, j)(toks, forms, j))
+            return tuple(terms)
+    raise _Fault("expected a term or (tuple ...)", i)
+
+
+def _op(toks, i) -> str:
+    text = _name(toks, i)
+    op = _OPS.get(text)
+    if op is None:
+        raise _Fault(f"unknown comparison {text!r}", i)
+    return op
+
+
+# ---------------------------------------------------------------------------
+# Conditions
+
+
+def _true(toks, forms, i):
+    return ast.CTrue()
+
+
+def _false(toks, forms, i):
+    return ast.CFalse()
+
+
+def _isnull(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 2:
+        raise _Fault("isnull takes one term", i)
+    j = inside[1]
+    return ast.IsNull(_reader(_TERMS, toks, j)(toks, forms, j))
+
+
+def _cmp(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 4:
+        raise _Fault("cmp takes an operator and two term tuples", i)
+    op = _op(toks, inside[1])
+    lhs = _tuple(toks, forms, inside[2])
+    rhs = _tuple(toks, forms, inside[3])
+    if len(lhs) != len(rhs):
+        raise _Fault(f"tuple arity mismatch: {len(lhs)} vs {len(rhs)}", i)
+    return ast.Compare(lhs, op, rhs)
+
+
+def _in(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 3:
+        raise _Fault("in takes a term tuple and an expression", i)
+    items = _tuple(toks, forms, inside[1])
+    j = inside[2]
+    return ast.In(items, _reader(_EXPRS, toks, j)(toks, forms, j))
+
+
+def _empty(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 2:
+        raise _Fault("empty takes one expression", i)
+    j = inside[1]
+    return ast.Empty(_reader(_EXPRS, toks, j)(toks, forms, j))
+
+
+def _quant(toks, forms, i):
+    inside = forms[i]
+    quant = toks[i + 1]
+    if len(inside) != 4:
+        raise _Fault(f"{quant} takes an operator, a term tuple and an expression", i)
+    op = _op(toks, inside[1])
+    items = _tuple(toks, forms, inside[2])
+    j = inside[3]
+    return ast.Quant(items, op, quant, _reader(_EXPRS, toks, j)(toks, forms, j))
+
+
+def _connective(toks, forms, i):
+    inside = forms[i]
+    head = toks[i + 1]
+    if len(inside) < 3:
+        raise _Fault(f"{head} takes at least two conditions", i)
+    conds = []
+    for j in inside[1:]:
+        conds.append(_reader(_CONDS, toks, j)(toks, forms, j))
+    return ast.and_all(conds) if head == "and" else ast.or_all(conds)
+
+
+def _not(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 2:
+        raise _Fault("not takes one condition", i)
+    j = inside[1]
+    return ast.Not(_reader(_CONDS, toks, j)(toks, forms, j))
+
+
+_CONDS = _Table("expected a condition", "unknown condition keyword", {
+    "true": _true, "false": _false, "isnull": _isnull, "cmp": _cmp, "in": _in,
+    "empty": _empty, "any": _quant, "all": _quant, "and": _connective,
+    "or": _connective, "not": _not,
+})
+
+
+# ---------------------------------------------------------------------------
+# Expressions
+
+
+def _item(toks, forms, i) -> ast.ProjItem:
+    """A projection item: a term, or (as name term)."""
+    if toks[i] == "(":
+        head = toks[i + 1]
+        term = _TERMS.get(head)
+        if term is not None:
+            return ast.ProjItem(term(toks, forms, i), None)
+        if head == "as" or head[0] == '"' and _string(head) == "as":
+            inside = forms[i]
+            if len(inside) != 3:
+                raise _Fault("as takes a name and a term", i)
+            j = inside[2]
+            term = _reader(_TERMS, toks, j)(toks, forms, j)
+            return ast.ProjItem(term, _name(toks, inside[1]))
+    raise _Fault("expected a term or (as name term)", i)
+
+
+def _agg_as(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 3:
+        raise _Fault("as takes a name and an aggregate", i)
+    j = inside[2]
+    agg = _reader(_AGGS, toks, j)(toks, forms, j)
+    return ast.AggItem(agg.fn, agg.column, _name(toks, inside[1]))
+
+
+def _count_star(toks, forms, i):
+    if len(forms[i]) != 1:
+        raise _Fault("count-star takes no arguments", i)
+    return ast.AggItem("count_star", None, None)
+
+
+def _agg_call(toks, forms, i):
+    inside = forms[i]
+    fn = toks[i + 1]
+    if len(inside) != 2:
+        raise _Fault(f"{fn} takes one column name", i)
+    return ast.AggItem(fn, _name(toks, inside[1]), None)
+
+
+_AGGS = _Table("expected an aggregate", "unknown aggregate", {
+    "as": _agg_as, "count-star": _count_star, "count": _agg_call, "sum": _agg_call,
+    "avg": _agg_call, "min": _agg_call, "max": _agg_call,
+})
+
+
+def _base(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 2:
+        raise _Fault("base takes one relation name", i)
+    return ast.BaseRelation(_name(toks, inside[1]))
+
+
+def _project(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 3 or toks[inside[1]] != "(":
+        raise _Fault("project takes an item list and an expression", i)
+    items = []
+    for j in forms[inside[1]]:
+        items.append(_item(toks, forms, j))
+    if not items:
+        raise _Fault("projection needs at least one item", inside[1])
+    j = inside[2]
+    return ast.Projection(tuple(items), _reader(_EXPRS, toks, j)(toks, forms, j))
+
+
+def _select(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 3:
+        raise _Fault("select takes a condition and an expression", i)
+    j, k = inside[1], inside[2]
+    cond = _reader(_CONDS, toks, j)(toks, forms, j)
+    return ast.Selection(cond, _reader(_EXPRS, toks, k)(toks, forms, k))
+
+
+def _product(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 3:
+        raise _Fault("product takes two expressions", i)
+    j, k = inside[1], inside[2]
+    left = _reader(_EXPRS, toks, j)(toks, forms, j)
+    return ast.Product(left, _reader(_EXPRS, toks, k)(toks, forms, k))
+
+
+_SET_OPS = {"union-all": "union", "intersect-all": "intersect", "except-all": "except"}
+
+
+def _set_op(toks, forms, i):
+    inside = forms[i]
+    head = toks[i + 1]
+    if len(inside) != 3:
+        raise _Fault(f"{head} takes two expressions", i)
+    j, k = inside[1], inside[2]
+    left = _reader(_EXPRS, toks, j)(toks, forms, j)
+    return ast.SetOp(_SET_OPS[head], left, _reader(_EXPRS, toks, k)(toks, forms, k))
+
+
+def _distinct(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 2:
+        raise _Fault("distinct takes one expression", i)
+    j = inside[1]
+    return ast.Distinct(_reader(_EXPRS, toks, j)(toks, forms, j))
+
+
+def _group(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 4 or toks[inside[1]] != "(" or toks[inside[2]] != "(":
+        raise _Fault("group takes a name list, an aggregate list and an expression", i)
+    names = tuple([_name(toks, j) for j in forms[inside[1]]])
+    aggs = tuple([_reader(_AGGS, toks, j)(toks, forms, j) for j in forms[inside[2]]])
+    if not names and not aggs:
+        raise _Fault("group needs grouping names or aggregates", i)
+    j = inside[3]
+    return ast.Group(names, aggs, _reader(_EXPRS, toks, j)(toks, forms, j))
+
+
+def _mu(toks, forms, i):
+    inside = forms[i]
+    if len(inside) != 5:
+        raise _Fault("mu takes a relation name, a union kind and two expressions", i)
+    rel = _name(toks, inside[1])
+    kind = _name(toks, inside[2])
+    if kind not in ("union", "union-all"):
+        raise _Fault("union kind must be union or union-all", inside[2])
+    j, k = inside[3], inside[4]
+    seed = _reader(_EXPRS, toks, j)(toks, forms, j)
+    return ast.Mu(rel, kind == "union", seed, _reader(_EXPRS, toks, k)(toks, forms, k))
+
+
+_EXPRS = _Table("expected an expression", "unknown expression keyword", {
+    "base": _base, "project": _project, "select": _select, "product": _product,
+    "union-all": _set_op, "intersect-all": _set_op, "except-all": _set_op,
+    "distinct": _distinct, "group": _group, "mu": _mu,
+})
+
+
+def _parse(text: str, what: str, table: _Table):
+    toks = _TOKENS.findall(text)
+    if ";" in text:
+        toks = [tok for tok in toks if tok[0] != ";"]
+    if '"' in text and '"' in toks:
+        raise _string_error(text)
+    try:
+        forms = _forms(toks, what)
+        return _reader(table, toks, 0)(toks, forms, 0)
     except _Fault as fault:
-        line, col = _line_col(text, fault.offset)
-        raise ExprParseError(fault.message, fault.offset + 1, line, col) from None
+        raise _fault_error(text, fault) from None
 
 
 def parse_expression(text: str) -> ast.Expression:
-    return _parse(text, "expression", _parse_expr)
+    return _parse(text, "expression", _EXPRS)
 
 
 def parse_condition(text: str) -> ast.Condition:
-    return _parse(text, "condition", _parse_condition)
+    return _parse(text, "condition", _CONDS)

@@ -45,8 +45,9 @@ def exact_number(q: Number) -> Number:
 
 # an optional sign, then digits with an optional decimal part, or p/q; the
 # other forms `Fraction` reads (exponents, spaces, underscores) are not
-# literals, and an exponent such as 1e10000000 would take seconds to expand
-_NUMBER = re.compile(r"[-+]?\d+(?:\.\d+|/\d+)?")
+# literals, and an exponent such as 1e10000000 would take seconds to expand;
+# group 1 holds the decimal part or the denominator
+_NUMBER = re.compile(r"[-+]?\d+(\.\d+|/\d+)?")
 
 
 def _shown(text: str) -> str:
@@ -61,8 +62,10 @@ def _past_digit_limit(what: str) -> str:
 def parse_number(text: str) -> Number:
     """Parse an exact decimal or rational literal ("7", "-0.25", "1/3")."""
     try:
-        if _NUMBER.fullmatch(text):
-            return exact_number(Fraction(text))
+        m = _NUMBER.fullmatch(text)
+        if m:
+            # `int` reads an integer many times faster than `Fraction` does
+            return exact_number(Fraction(text)) if m.lastindex else int(text)
     except ZeroDivisionError:
         pass
     except ValueError:  # a part past Python's limit on the digits of an int's text

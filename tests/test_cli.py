@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -276,6 +277,39 @@ def test_bad_json_inputs_exit_two(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, argv
+
+
+_READ_COMMANDS = {
+    "eval": lambda db, path: ["eval", path, db],
+    "translate": lambda db, path: ["translate", "--direction", "2to3", path],
+    "analyze": lambda db, path: ["analyze", path, db],
+    "sql2ra": lambda db, path: ["sql2ra", "--schema", db, path],
+    "rewrite": lambda db, path: ["rewrite", "--from", "2vl", "--to", "3vl", "--schema", db, path],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READ_COMMANDS))
+def test_input_text_that_is_not_utf8_exits_two(tmp_path, capsys, monkeypatch, command):
+    db = _write(tmp_path, "db.json", DB)
+    text = (Q1_SQL if command in ("sql2ra", "rewrite") else Q1_EXPR).encode() + b" \xff\n"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text)
+    assert main(_READ_COMMANDS[command](db, str(path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text") and "Traceback" not in err, err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text)))
+    assert main(_READ_COMMANDS[command](db, "-")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: standard input: not UTF-8 text") and "Traceback" not in err, err
+
+
+def test_standard_input_reads_like_a_file(tmp_path, capsys, monkeypatch):
+    db = _write(tmp_path, "db.json", DB)
+    assert main(["eval", _write(tmp_path, "q.ra", Q1_EXPR), db]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(Q1_EXPR.encode())))
+    assert main(["eval", "-", db]) == 0
+    assert capsys.readouterr().out == from_file
 
 
 KERNEL_2VL = {

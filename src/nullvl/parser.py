@@ -4,16 +4,17 @@ The grammar is documented in docs/grammar.md.  `parse_expression` is the
 inverse of `nullvl.ast.render_expression`; round-tripping an AST through
 render and parse yields an equal AST.
 
-A text is read in one pass.  One `findall` splits it into token strings, and
-a token's first character gives its kind.  The faults of the text as a whole
+The text is read once: one `findall` splits it into token strings, and a
+token's first character gives its kind.  The faults of the text as a whole
 come first: a malformed string anywhere, then the structure of the first
 datum (a parenthesis nested past `MAX_NESTING`, a `)` that closes nothing,
-the end of input, trailing input).  Recursive descent then builds the AST,
-looking up each form's keyword in the table of its syntactic class, with one
-Python frame per level of nesting; a form's keyword and number of arguments
-are checked before anything inside it.  A fault names the index of its
-token, and only then is the text scanned again for that token's offset, line
-and column.
+the end of input, trailing input), checked in one pass over the tokens that
+also lists the tokens directly inside each form.  Recursive descent then
+builds the AST, looking up each form's keyword in the table of its syntactic
+class, with one Python frame per level of nesting; a form's keyword and
+number of arguments are checked before anything inside it.  A fault names
+the index of its token, and only then is the text scanned again for that
+token's offset, line and column.
 """
 from __future__ import annotations
 

@@ -3,9 +3,10 @@ that `parse_expression` reports for each.
 
     PYTHONPATH=src python tests/gen_parse_faults.py
 
-Each text is a generated expression with one mutation: one of the
-characters ( ) " \\ ; and newline, or one keyword, deleted, duplicated or
-inserted.  Mutants that still parse are dropped.  The output is a JSON list
+Each text is a generated expression, some of whose spaces are turned into
+other layout or a comment, with one mutation: one of the characters
+( ) " \\ ; and newline, or one keyword, deleted, duplicated or inserted.
+Mutants that still parse are dropped.  The output is a JSON list
 of [text, message, offset, line, column]; `test_parser.py` replays it.
 """
 from __future__ import annotations

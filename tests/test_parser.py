@@ -197,8 +197,10 @@ def test_mutated_texts_keep_their_errors():
 
 
 def test_string_tokens_serve_as_names():
-    # any token read as a name may be a string: an operator, and the `as` and
-    # `tuple` of a projection item or a term tuple, but not a form's keyword
+    # a token read as a name may be a string: an operator, and the `as` and
+    # `tuple` that open a projection item or a term tuple; a keyword looked
+    # up in a table may not (see MALFORMED); `true` and `false` read no
+    # arguments, so any are ignored
     c = parse_condition('(cmp "=" ("tuple" (col A)) (col "B"))')
     assert c == ast.Compare((col("A"),), "=", (col("B"),))
     e = parse_expression('(project (("as" n (col A))) (base R))')

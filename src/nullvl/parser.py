@@ -183,7 +183,7 @@ def _reader(table: _Table, toks: list, i: int):
     reader = table.get(head)
     if reader is not None:
         return reader
-    if head == "(" or head == ")" or head[0] == '"':
+    if head[0] in '()"':  # a parenthesis or a string
         raise _Fault("expected a keyword after '('", i)
     raise _Fault(f"{table.unknown} {head!r}", i)
 

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -61,6 +63,25 @@ def test_distinct_inside_an_aggregate_is_named_unsupported():
         with pytest.raises(UnsupportedSqlError,
                            match="^unsupported feature: DISTINCT inside an aggregate$"):
             sqlfront.parse_sql(sql)
+
+
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "sql_faults.json"), encoding="utf-8") as fh:
+    SQL_FAULTS = json.load(fh)  # written by gen_sql_faults.py
+
+
+def test_mutated_sql_texts_keep_their_errors():
+    # 13 hand-written texts, then 400 mutants
+    assert len(SQL_FAULTS) == 413
+    wrong = []
+    for text, cls, message in SQL_FAULTS:
+        try:
+            sqlfront.parse_sql(text)
+            got = None
+        except (SqlParseError, UnsupportedSqlError) as err:
+            got = [type(err).__name__, str(err)]
+        if got != [cls, message]:
+            wrong.append((text, [cls, message], got))
+    assert not wrong
 
 
 def test_not_exists_lowers_to_emptiness():

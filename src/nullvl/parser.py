@@ -33,24 +33,16 @@ MAX_NESTING = 200
 _OPS = {op: op for op in ast.COMPARISONS}
 _OPS.update(eq="=", ne="!=", lt="<", gt=">", le="<=", ge=">=")
 
+# A string's body runs to the first `"`, newline or end of text that no
+# backslash escapes.
+_BODY = r'[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*'
+_STRING_BODY = re.compile(_BODY)
+
 # A token is a parenthesis, a closed string, a `;` comment or a bare symbol.
 # A `"` that opens no closed string is a token of its own, so a text holds
 # that token exactly when it holds a malformed string.  Layout is the only
 # text that no alternative matches.
-_TOKENS = re.compile(r'[()]|"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"|;[^\n]*|[^ \t\r\n();"]+|"')
-
-# The same tokens for locating a fault.  One match reads the layout and
-# comments before a token (group 1), then the token: a parenthesis (group
-# 2), a string or a bare symbol (group 5).  A string's body (group 3) runs to
-# the first `"`, newline or end of text that no backslash escapes; group 4
-# holds which of them it met.  At the end of the text only group 1 matches.
-_TOKEN = re.compile(
-    r'([ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*)'
-    r'(?:([()])'
-    r'|"([^"\\\n]*(?:\\[\s\S][^"\\\n]*)*)(["\n\\]?)'
-    r'|([^ \t\r\n();"]+)'
-    r'|\Z)'
-)
+_TOKENS = re.compile(rf'[()]|"{_BODY}"|;[^\n]*|[^ \t\r\n();"]+|"')
 _ESCAPE = re.compile(r"\\([\s\S])")
 _ESCAPED = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
 
@@ -60,8 +52,9 @@ def _unescape(m: re.Match) -> str:
 
 
 class _Fault(Exception):
-    """A parse error at a token, by its index among the tokens that are not
-    comments; the entry points locate it in the text."""
+    """A parse error at a token, by its index in the reader's token list
+    (here the tokens that are not comments); the reader's entry point
+    locates it in the text."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)
@@ -69,22 +62,18 @@ class _Fault(Exception):
         self.index = index
 
 
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    """Line and column of ``offset``.  Lines are counted in the layout
-    between tokens: a newline escaped inside a string starts none."""
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text, 0, offset):
-        start, end = m.span(1)
-        breaks = text.count("\n", start, end)
+def _located(text: str):
+    """Each token's match, with the line it starts on and the offset at
+    which that line starts.  Lines are counted in the layout between
+    tokens: a newline escaped inside a string starts none."""
+    line, line_start, end = 1, 0, 0
+    for m in _TOKENS.finditer(text):
+        breaks = text.count("\n", end, m.start())
         if breaks:
             line += breaks
-            line_start = text.rindex("\n", start, end) + 1
-    return line, offset - line_start + 1
-
-
-def _error(text: str, message: str, offset: int) -> ExprParseError:
-    line, col = _line_col(text, offset)
-    return ExprParseError(message, offset + 1, line, col)
+            line_start = text.rindex("\n", end, m.start()) + 1
+        yield m, line, line_start
+        end = m.end()
 
 
 def _eof_error(text: str) -> ExprParseError:
@@ -96,24 +85,27 @@ def _eof_error(text: str) -> ExprParseError:
 
 def _string_error(text: str) -> ExprParseError:
     """The error of the first malformed string in ``text``."""
-    for m in _TOKEN.finditer(text):
-        stop = m.group(4)
-        if m.lastindex == 4 and stop != '"':
-            if stop == "\n":
-                return _error(text, "newline inside string", m.start(4))
-            if stop == "\\":
-                return _error(text, "unterminated escape", m.start(4))
-            return _error(text, "unterminated string", m.start(3) - 1)
+    for m, line, line_start in _located(text):
+        if m.group() == '"':
+            stop = _STRING_BODY.match(text, m.end()).end()
+            if stop == len(text):
+                message, offset = "unterminated string", m.start()
+            elif text[stop] == "\n":
+                message, offset = "newline inside string", stop
+            else:
+                message, offset = "unterminated escape", stop
+            return ExprParseError(message, offset + 1, line, offset - line_start + 1)
     raise AssertionError("no malformed string")
 
 
 def _fault_error(text: str, fault: _Fault) -> ExprParseError:
     """The error of ``fault``: its message at the offset of its token."""
-    for index, m in enumerate(_TOKEN.finditer(text)):
-        if m.lastindex == 1:  # the end of the text
-            break
-        if index == fault.index:
-            return _error(text, fault.message, m.end(1))
+    index = 0
+    for m, line, line_start in _located(text):
+        if m.group()[0] != ";":
+            if index == fault.index:
+                return ExprParseError(fault.message, m.start() + 1, line, m.start() - line_start + 1)
+            index += 1
     return _eof_error(text)
 
 

@@ -6,15 +6,29 @@ UNION / INTERSECT / EXCEPT with optional ALL, and WITH RECURSIVE.  Anything
 else is rejected with a named-feature diagnostic.  The printer emits a
 generic dialect that this parser reads back; round-tripping an expression
 through emit and lower preserves its evaluation result.
+
+The text is read as token strings from one `findall`, layout and `--`
+comments skipped, and a token's first character gives its kind: `'` a
+string, `"` a quoted name, a digit a number, a letter or `_` a word (in
+lower case when it spells a keyword, in any case), anything else an
+operator, and the empty string the end of input.  Faults come in this
+order: a stray character anywhere (one that starts no token, or a quote
+that no closing quote follows), then parse faults from the left, each at
+its token's line and column, then lowering faults, without a position.  A
+parse fault names its token's index, and the text is scanned again for
+that token's line and column only as the fault leaves `parse_sql`.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import string
+from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from . import ast
 from .errors import SqlEmitError, SqlParseError, UnsupportedSqlError
+from .parser import _Fault
 from .typecheck import _labels
 from .values import Number, Schema, parse_number
 
@@ -45,61 +59,35 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 _AGG_FNS = ("count", "sum", "avg", "min", "max")
+# a keyword's token, by its lower-case spelling
+_WORDS = {word: word for word in (*_KEYWORDS, *_UNSUPPORTED_KEYWORDS)}
+_WORD_START = frozenset(string.ascii_letters + "_")
+_OPERATORS = frozenset(["<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "*", "+", "-", "/", "%"])
+_COMPARISONS = ("=", "!=", "<>", "<", ">", "<=", ">=")
 
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # kw, ident, qident, num, str, op, eof
-    text: str
-    line: int
-    col: int
-
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<num>\d+(\.\d+)?)
-  | (?P<qident>"(?:[^"]|"")*")
-  | (?P<str>'(?:[^']|'')*')
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-  | (?P<op><=|>=|<>|!=|=|<|>|\(|\)|,|\.|\*|\+|-|/|%)
-    """,
-    re.VERBOSE,
+# One match reads the layout and `--` comments before a token, then the
+# token (group 1): a number, a quoted name, a string, a word or an operator.
+# A character that starts none of them takes the rest of the text with it,
+# so a text holds a stray character exactly when the last token before the
+# end is such a rest.  At the end of the text the token is the empty string.
+_TOKENS = re.compile(
+    r"""\s*(?:--[^\n]*\s*)*(\d+(?:\.\d+)?|"(?:[^"]|"")*"|'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_$]*"""
+    r"|<=|>=|<>|!=|[=<>(),.*+\-/%]|\S[\s\S]*|\Z)"
 )
 
 
-def _tokenize_sql(text: str) -> list[_Tok]:
-    toks = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SqlParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "ident":
-                low = chunk.lower()
-                if low in _KEYWORDS or low in _UNSUPPORTED_KEYWORDS:
-                    toks.append(_Tok("kw", low, line, col))
-                else:
-                    toks.append(_Tok("ident", chunk, line, col))
-            elif kind == "qident":
-                toks.append(_Tok("ident", chunk[1:-1].replace('""', '"'), line, col))
-            elif kind == "str":
-                toks.append(_Tok("str", chunk[1:-1].replace("''", "'"), line, col))
-            else:
-                toks.append(_Tok(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+def _is_stray(tok: str) -> bool:
+    """Whether ``tok`` starts with a character that starts no token: a
+    quote that no closing quote follows, or a character of no token."""
+    first = tok[:1]
+    if first in ("'", '"'):
+        return tok.count(first) == 1
+    return bool(first) and not (first in _WORD_START or first.isdecimal() or tok in _OPERATORS)
+
+
+def _name(tok: str) -> str:
+    """The name that a word or a quoted name token spells."""
+    return tok[1:-1].replace('""', '"') if tok[0] == '"' else tok
 
 
 # ---------------------------------------------------------------------------
@@ -251,223 +239,184 @@ class WithRecursive:
 SQuery = object
 
 
-@dataclass
-class SqlQuery:
-    """A parsed statement; feed to `lower_to_algebra` to obtain the algebra."""
-
-    source: str
-    tree: SQuery
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
 
 class _SqlParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize_sql(text)
+    """Recursive descent over token strings, keywords in lower case.  A
+    fault is raised at the index of the current token."""
+
+    def __init__(self, toks: list):
+        self.toks = toks
         self.i = 0
 
-    def tok(self, ahead=0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def tok(self, ahead=0) -> str:
+        return self.toks[self.i + ahead]
 
-    def _error(self, message: str) -> SqlParseError:
-        t = self.tok()
-        return SqlParseError(message, t.line, t.col)
+    def fault(self, message: str) -> _Fault:
+        return _Fault(message, self.i)
 
-    def _unsupported(self, kw: str):
-        raise UnsupportedSqlError(f"unsupported feature: {_UNSUPPORTED_KEYWORDS[kw]}")
-
-    def next(self) -> _Tok:
-        t = self.tok()
+    def next(self) -> str:
+        tok = self.toks[self.i]
         self.i += 1
-        return t
+        return tok
 
-    def at_kw(self, *kws) -> bool:
-        t = self.tok()
-        return t.kind == "kw" and t.text in kws
+    def at(self, *texts) -> bool:
+        return self.toks[self.i] in texts
 
-    def eat_kw(self, kw) -> bool:
-        if self.at_kw(kw):
+    def eat(self, text) -> bool:
+        if self.toks[self.i] == text:
             self.i += 1
             return True
         return False
 
-    def expect_kw(self, kw):
-        if not self.eat_kw(kw):
-            raise self._error(f"expected {kw.upper()}")
+    def expect(self, text):
+        if not self.eat(text):
+            raise self.fault(f"expected {text.upper() if text.isalpha() else repr(text)}")
 
-    def at_op(self, *ops) -> bool:
-        t = self.tok()
-        return t.kind == "op" and t.text in ops
-
-    def eat_op(self, op) -> bool:
-        if self.at_op(op):
-            self.i += 1
-            return True
-        return False
-
-    def expect_op(self, op):
-        if not self.eat_op(op):
-            raise self._error(f"expected {op!r}")
+    def at_name(self) -> bool:
+        tok = self.toks[self.i]
+        return tok[:1] == '"' or tok[:1] in _WORD_START and tok not in _WORDS
 
     def _check_unsupported(self):
-        t = self.tok()
-        if t.kind == "kw" and t.text in _UNSUPPORTED_KEYWORDS:
-            self._unsupported(t.text)
+        tok = self.toks[self.i]
+        if tok in _UNSUPPORTED_KEYWORDS:
+            raise UnsupportedSqlError(f"unsupported feature: {_UNSUPPORTED_KEYWORDS[tok]}")
 
     # -- entry ---------------------------------------------------------------
 
     def parse(self) -> SQuery:
         q = self.query()
-        if self.tok().kind != "eof":
+        if self.tok():
             self._check_unsupported()
-            raise self._error("trailing input after query")
+            raise self.fault("trailing input after query")
         return q
 
     def query(self) -> SQuery:
-        if self.at_kw("with"):
+        if self.at("with"):
             return self.with_recursive()
         return self.set_expr()
 
     def with_recursive(self) -> SQuery:
-        self.expect_kw("with")
-        if not self.eat_kw("recursive"):
+        self.expect("with")
+        if not self.eat("recursive"):
             raise UnsupportedSqlError(
                 "unsupported feature: non-recursive WITH (only WITH RECURSIVE is supported)"
             )
         name = self.identifier("recursive relation name")
         columns = None
-        if self.eat_op("("):
+        if self.eat("("):
             cols = [self.identifier("column name")]
-            while self.eat_op(","):
+            while self.eat(","):
                 cols.append(self.identifier("column name"))
-            self.expect_op(")")
+            self.expect(")")
             columns = tuple(cols)
-        self.expect_kw("as")
-        self.expect_op("(")
+        self.expect("as")
+        self.expect("(")
         seed = self.set_operand()
-        if not self.at_kw("union"):
-            raise self._error("recursive definition needs UNION or UNION ALL")
-        self.next()
-        distinct = not self.eat_kw("all")
+        if not self.eat("union"):
+            raise self.fault("recursive definition needs UNION or UNION ALL")
+        distinct = not self.eat("all")
         step = self.set_operand()
-        self.expect_op(")")
-        if self.eat_op(","):
+        self.expect(")")
+        if self.eat(","):
             raise UnsupportedSqlError("unsupported feature: multiple WITH clauses")
         body = self.query()
         return WithRecursive(name, columns, seed, step, distinct, body)
 
     def set_expr(self) -> SQuery:
         left = self.intersect_expr()
-        while self.at_kw("union", "except"):
-            op = self.next().text
-            all_ = self.eat_kw("all")
+        while self.at("union", "except"):
+            op = self.next()
+            all_ = self.eat("all")
             right = self.intersect_expr()
             left = SetExpr(op, all_, left, right)
         return left
 
     def intersect_expr(self) -> SQuery:
         left = self.set_operand()
-        while self.at_kw("intersect"):
-            self.next()
-            all_ = self.eat_kw("all")
+        while self.eat("intersect"):
+            all_ = self.eat("all")
             right = self.set_operand()
             left = SetExpr("intersect", all_, left, right)
         return left
 
     def set_operand(self) -> SQuery:
-        if self.at_op("("):
-            save = self.i
+        if self.at("(") and self.tok(1) in ("select", "with", "("):
             self.next()
-            if self.at_kw("select", "with") or self.at_op("("):
-                inner = self.query()
-                self.expect_op(")")
-                return inner
-            self.i = save
+            inner = self.query()
+            self.expect(")")
+            return inner
         return self.select_core()
 
     def identifier(self, what: str) -> str:
-        t = self.tok()
-        if t.kind == "ident":
-            self.i += 1
-            return t.text
-        raise self._error(f"expected {what}")
+        if not self.at_name():
+            raise self.fault(f"expected {what}")
+        return _name(self.next())
 
     # -- select core -----------------------------------------------------------
 
     def select_core(self) -> SelectCore:
         self._check_unsupported()
-        self.expect_kw("select")
-        distinct = self.eat_kw("distinct")
+        self.expect("select")
+        distinct = self.eat("distinct")
         items: Optional[tuple[SelectItem, ...]]
-        if self.eat_op("*"):
+        if self.eat("*"):
             items = None
         else:
             parsed = [self.select_item()]
-            while self.eat_op(","):
+            while self.eat(","):
                 parsed.append(self.select_item())
             items = tuple(parsed)
-        self.expect_kw("from")
+        self.expect("from")
         from_items = [self.from_item()]
-        while self.eat_op(","):
+        while self.eat(","):
             from_items.append(self.from_item())
         self._check_unsupported()
         where = None
-        if self.eat_kw("where"):
+        if self.eat("where"):
             where = self.condition()
         group_by: tuple[SCol, ...] = ()
-        if self.at_kw("group"):
-            self.next()
-            self.expect_kw("by")
+        if self.eat("group"):
+            self.expect("by")
             cols = [self.column_ref()]
-            while self.eat_op(","):
+            while self.eat(","):
                 cols.append(self.column_ref())
             group_by = tuple(cols)
         having = None
-        if self.eat_kw("having"):
+        if self.eat("having"):
             having = self.condition()
         self._check_unsupported()
         return SelectCore(distinct, items, tuple(from_items), where, group_by, having)
 
     def select_item(self) -> SelectItem:
-        if self.at_op("("):
-            save = self.i
-            self.next()
-            if self.at_kw("select", "with"):
-                raise UnsupportedSqlError(
-                    "unsupported feature: scalar subqueries in SELECT"
-                )
-            self.i = save
+        if self.at("(") and self.tok(1) in ("select", "with"):
+            raise UnsupportedSqlError("unsupported feature: scalar subqueries in SELECT")
         expr = self.expression()
         alias = None
-        if self.eat_kw("as"):
+        if self.eat("as") or self.at_name():
             alias = self.identifier("output name")
-        elif self.tok().kind == "ident":
-            alias = self.next().text
         return SelectItem(expr, alias)
 
     def from_item(self) -> FromItem:
-        if self.eat_op("("):
+        if self.eat("("):
             sub = self.query()
-            self.expect_op(")")
-            self.eat_kw("as")
+            self.expect(")")
+            self.eat("as")
             alias = self.identifier("derived table alias")
             return FromItem(sub, alias)
         name = self.identifier("relation name")
         self._check_unsupported()
         alias = name
-        if self.eat_kw("as"):
+        if self.eat("as") or self.at_name():
             alias = self.identifier("alias")
-        elif self.tok().kind == "ident":
-            alias = self.next().text
         self._check_unsupported()
         return FromItem(name, alias)
 
     def column_ref(self) -> SCol:
         first = self.identifier("column name")
-        if self.eat_op("."):
+        if self.eat("."):
             return SCol(first, self.identifier("column name"))
         return SCol(None, first)
 
@@ -475,192 +424,171 @@ class _SqlParser:
 
     def expression(self) -> SExpr:
         left = self.mul_expr()
-        while self.at_op("+", "-"):
-            op = self.next().text
+        while self.at("+", "-"):
+            op = self.next()
             left = SBin(op, left, self.mul_expr())
         return left
 
     def mul_expr(self) -> SExpr:
         left = self.unary_expr()
-        while self.at_op("*", "/", "%"):
-            op = self.next().text
+        while self.at("*", "/", "%"):
+            op = self.next()
             left = SBin(op, left, self.unary_expr())
         return left
 
     def unary_expr(self) -> SExpr:
-        if self.eat_op("-"):
+        if self.eat("-"):
             return SNeg(self.unary_expr())
-        if self.eat_op("+"):
+        if self.eat("+"):
             return self.unary_expr()
         return self.atom_expr()
 
     def atom_expr(self) -> SExpr:
-        t = self.tok()
-        if t.kind == "num":
-            self.next()
+        tok = self.tok()
+        if tok[:1].isdecimal():
             try:
-                return SNum(parse_number(t.text))
+                value = parse_number(tok)
             except ValueError as exc:
-                raise SqlParseError(str(exc), t.line, t.col) from None
-        if t.kind == "str":
-            self.next()
-            return SStr(t.text)
-        if t.kind == "kw" and t.text == "null":
-            self.next()
+                raise self.fault(str(exc)) from None
+            self.i += 1
+            return SNum(value)
+        if tok[:1] == "'":
+            self.i += 1
+            return SStr(tok[1:-1].replace("''", "'"))
+        if self.eat("null"):
             return SNull()
-        if t.kind == "kw" and t.text in _AGG_FNS:
-            self.next()
-            self.expect_op("(")
-            if self.at_kw("distinct"):
+        if tok in _AGG_FNS:
+            self.i += 1
+            self.expect("(")
+            if self.at("distinct"):
                 raise UnsupportedSqlError("unsupported feature: DISTINCT inside an aggregate")
-            if t.text == "count" and self.eat_op("*"):
-                self.expect_op(")")
+            if tok == "count" and self.eat("*"):
+                self.expect(")")
                 call = SAgg("count", True, None)
             else:
                 arg = self.expression()
-                self.expect_op(")")
-                call = SAgg(t.text, False, arg)
-            if self.at_kw("over"):
-                self._unsupported("over")
+                self.expect(")")
+                call = SAgg(tok, False, arg)
+            if self.at("over"):
+                raise UnsupportedSqlError(f"unsupported feature: {_UNSUPPORTED_KEYWORDS['over']}")
             return call
-        if t.kind == "ident":
-            nxt = self.tok(1)
-            if nxt.kind == "op" and nxt.text == "(":
+        if self.at_name():
+            if self.tok(1) == "(":
                 raise UnsupportedSqlError(
-                    f"unsupported feature: function call {t.text!r} "
+                    f"unsupported feature: function call {_name(tok)!r} "
                     "(only +,-,*,/,% arithmetic and the standard aggregates)"
                 )
-            col = self.column_ref()
-            return SCol(col.qualifier, col.name)
-        if t.kind == "op" and t.text == "(":
-            self.next()
+            return self.column_ref()
+        if self.eat("("):
             inner = self.expression()
-            self.expect_op(")")
+            self.expect(")")
             return inner
-        if t.kind == "kw" and t.text in _UNSUPPORTED_KEYWORDS:
-            self._unsupported(t.text)
-        raise self._error("expected an expression")
+        self._check_unsupported()
+        raise self.fault("expected an expression")
 
     # -- conditions -----------------------------------------------------------
 
     def condition(self) -> SCond:
         left = self.and_cond()
-        while self.eat_kw("or"):
+        while self.eat("or"):
             left = COr(left, self.and_cond())
         return left
 
     def and_cond(self) -> SCond:
         left = self.not_cond()
-        while self.eat_kw("and"):
+        while self.eat("and"):
             left = CAnd(left, self.not_cond())
         return left
 
     def not_cond(self) -> SCond:
-        if self.at_kw("not"):
-            nxt = self.tok(1)
-            if nxt.kind == "kw" and nxt.text == "exists":
-                self.next()
-                self.next()
-                self.expect_op("(")
-                q = self.query()
-                self.expect_op(")")
-                return CExists(q, negated=True)
-            self.next()
+        if self.eat("not"):
+            if self.eat("exists"):
+                return CExists(self.subquery(), negated=True)
             return CNot(self.not_cond())
         return self.primary_cond()
 
+    def subquery(self) -> SQuery:
+        self.expect("(")
+        q = self.query()
+        self.expect(")")
+        return q
+
     def primary_cond(self) -> SCond:
-        if self.at_kw("true"):
-            self.next()
+        if self.eat("true"):
             return CTruth(True)
-        if self.at_kw("false"):
-            self.next()
+        if self.eat("false"):
             return CTruth(False)
-        if self.at_kw("exists"):
-            self.next()
-            self.expect_op("(")
-            q = self.query()
-            self.expect_op(")")
-            return CExists(q, negated=False)
-        if self.at_op("("):
+        if self.eat("exists"):
+            return CExists(self.subquery(), negated=False)
+        if self.at("("):
             save = self.i
             self.next()
             try:
                 inner = self.condition()
-                self.expect_op(")")
-            except (SqlParseError, UnsupportedSqlError):
+                self.expect(")")
+            except (_Fault, UnsupportedSqlError):
                 self.i = save
             else:
-                nxt = self.tok()
-                if not (
-                    nxt.kind == "op" and nxt.text in ("=", "!=", "<>", "<", ">", "<=", ">=", ",")
-                ) and not (nxt.kind == "kw" and nxt.text in ("is", "in")):
+                if not self.at(*_COMPARISONS, ",", "is", "in"):
                     return inner
                 self.i = save
         row = self.row_or_expr()
         return self.postfix_cond(row)
 
     def row_or_expr(self) -> tuple:
-        if self.at_op("("):
+        if self.at("("):
             save = self.i
             self.next()
             first = self.expression()
-            if self.eat_op(","):
+            if self.eat(","):
                 items = [first, self.expression()]
-                while self.eat_op(","):
+                while self.eat(","):
                     items.append(self.expression())
-                self.expect_op(")")
+                self.expect(")")
                 return tuple(items)
             self.i = save
         return (self.expression(),)
 
     def postfix_cond(self, row: tuple) -> SCond:
-        if self.eat_kw("is"):
-            negated = self.eat_kw("not")
-            self.expect_kw("null")
+        if self.eat("is"):
+            negated = self.eat("not")
+            self.expect("null")
             if len(row) != 1:
-                raise self._error("IS NULL applies to a single value")
+                raise self.fault("IS NULL applies to a single value")
             return CIsNull(row[0], negated)
-        negated = False
-        if self.eat_kw("not"):
-            negated = True
-            if not self.at_kw("in"):
-                raise self._error("expected IN after NOT")
-        if self.eat_kw("in"):
-            self.expect_op("(")
-            q = self.query()
-            self.expect_op(")")
-            return CIn(row, q, negated)
-        t = self.tok()
-        if t.kind == "op" and t.text in ("=", "!=", "<>", "<", ">", "<=", ">="):
-            self.next()
-            op = "!=" if t.text == "<>" else t.text
-            if self.at_kw("any", "some", "all"):
-                quant = "any" if self.next().text in ("any", "some") else "all"
-                self.expect_op("(")
-                q = self.query()
-                self.expect_op(")")
-                return CCmpQuery(row, op, quant, q)
-            if self.at_op("("):
-                save = self.i
-                self.next()
-                if self.at_kw("select", "with"):
-                    q = self.query()
-                    self.expect_op(")")
-                    return CCmpQuery(row, op, "scalar", q)
-                self.i = save
+        negated = self.eat("not")
+        if negated and not self.at("in"):
+            raise self.fault("expected IN after NOT")
+        if self.eat("in"):
+            return CIn(row, self.subquery(), negated)
+        if self.at(*_COMPARISONS):
+            op = self.next()
+            op = "!=" if op == "<>" else op
+            if self.at("any", "some", "all"):
+                quant = "all" if self.next() == "all" else "any"
+                return CCmpQuery(row, op, quant, self.subquery())
+            if self.at("(") and self.tok(1) in ("select", "with"):
+                return CCmpQuery(row, op, "scalar", self.subquery())
             rhs = self.row_or_expr()
             if len(rhs) != len(row):
-                raise self._error(
-                    f"comparison arity mismatch: {len(row)} vs {len(rhs)}"
-                )
+                raise self.fault(f"comparison arity mismatch: {len(row)} vs {len(rhs)}")
             return CCmp(row, op, rhs)
         self._check_unsupported()
-        raise self._error("expected a comparison, IN, IS NULL or EXISTS")
+        raise self.fault("expected a comparison, IN, IS NULL or EXISTS")
 
 
-def parse_sql(text: str) -> SqlQuery:
-    return SqlQuery(text, _SqlParser(text).parse())
+def parse_sql(text: str) -> SQuery:
+    """The syntax tree of one statement; `lower_to_algebra` lowers it.  A
+    fault is located in the text only here, as it leaves."""
+    toks = _TOKENS.findall(text)
+    try:
+        if len(toks) > 1 and _is_stray(toks[-2]):
+            raise _Fault(f"unexpected character {toks[-2][0]!r}", len(toks) - 2)
+        return _SqlParser([_WORDS.get(tok.lower(), tok) for tok in toks]).parse()
+    except _Fault as fault:
+        start = next(islice(_TOKENS.finditer(text), fault.index, None)).start(1)
+        line = text.count("\n", 0, start) + 1
+        raise SqlParseError(fault.message, line, start - text.rfind("\n", 0, start)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -982,9 +910,9 @@ def _collect_aggs_cond(c: SCond, out: list):
             _collect_aggs(x, out)
 
 
-def lower_to_algebra(q: SqlQuery, schema: Schema) -> ast.Expression:
+def lower_to_algebra(q: SQuery, schema: Schema) -> ast.Expression:
     """Resolve and lower a parsed statement to an algebra expression."""
-    return _Lowerer(schema).lower_query(q.tree)
+    return _Lowerer(schema).lower_query(q)
 
 
 # ---------------------------------------------------------------------------

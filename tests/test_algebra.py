@@ -220,4 +220,4 @@ def test_sql_comments_are_skipped():
     from nullvl import sqlfront
 
     q = sqlfront.parse_sql("SELECT R.A -- the column\nFROM R")
-    assert q.tree.items[0].expr.name == "A"
+    assert q.items[0].expr.name == "A"

@@ -23,10 +23,11 @@ from .values import bag_json_text, bag_to_json, load_database, read_json
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 file, or of standard input for ``-``."""
+    """The text of a UTF-8 file, or of standard input for ``-``.  Both read
+    a CR LF pair and a lone CR as one newline, as text-mode files do."""
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
+            return sys.stdin.buffer.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:

@@ -40,10 +40,11 @@ class KernelError(NullvlError):
 
 
 class SqlParseError(NullvlError):
-    """Malformed SQL text."""
+    """Malformed SQL text, with the line and column of the fault, or a
+    query that does not lower to the algebra, without a position."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 

@@ -310,6 +310,24 @@ def test_standard_input_reads_like_a_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(Q1_EXPR.encode())))
     assert main(["eval", "-", db]) == 0
     assert capsys.readouterr().out == from_file
+    # CR LF and a lone CR end a line on standard input as in a file, so a
+    # fault is reported at the same position
+    faults = [
+        ("sql2ra", "SELECT R.A\r\nFROM R\r\nWHERE $"),
+        ("sql2ra", "SELECT R.A\rFROM R\rWHERE R.A = = 1"),
+        ("translate", "(select ; c\r\n(true)\r\n(base R)) (base R)"),
+        ("translate", "(select\r(true)\r(base R)) (base R)"),
+    ]
+    for command, text in faults:
+        path = tmp_path / "fault.txt"
+        path.write_bytes(text.encode())
+        args = ["sql2ra", "--schema", db] if command == "sql2ra" else ["translate", "--direction", "2to3"]
+        assert main([*args, str(path)]) == 2
+        from_file = capsys.readouterr().err
+        assert "line 3" in from_file, from_file
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        assert main([*args, "-"]) == 2
+        assert capsys.readouterr().err == from_file
 
 
 KERNEL_2VL = {

@@ -107,6 +107,20 @@ def test_scalar_aggregate_comparison_becomes_any():
     assert isinstance(sel.cond.query, ast.Group)
 
 
+def test_lowering_differs_from_sql_where_documented(cfg3):
+    # docs/grammar.md, "Where the lowering differs from SQL": change the doc
+    # with any fix that changes these results
+    db = rs_db([1, 2, None], [])
+    # SQL gives one row, 0; the grouping over no names has no row on empty input
+    assert evaluate(typecheck(lower("SELECT COUNT(*) FROM S", SCHEMA), SCHEMA).expr, db, cfg=cfg3) == Bag([])
+    # SQL compares with the subquery's one NULL row and keeps none; `= ANY`
+    # over no row is false, so NOT keeps every row
+    sql = "SELECT R.A FROM R WHERE NOT (R.A = (SELECT MAX(S.A) FROM S))"
+    lowered = typecheck(lower(sql, SCHEMA), SCHEMA).expr
+    assert lowered.cond.cond.quant == "any"
+    assert evaluate(lowered, db, cfg=cfg3) == bag(1, 2, None)
+
+
 def test_having_lowers_to_selection_over_group():
     schema = customer_orders_schema()
     lowered = lower(
@@ -143,6 +157,34 @@ def test_unresolved_and_ambiguous_references():
     )
     with pytest.raises(SqlParseError, match="ambiguous"):
         lower("SELECT A FROM R, S", schema)
+
+
+LOWERING_ERRORS = [
+    ("SELECT Z FROM R", "unresolved column reference 'Z'"),
+    ("SELECT R.Z FROM R", "unresolved column reference 'R.Z'"),
+    ("SELECT A FROM R, S", "ambiguous column reference 'A'"),
+    ("SELECT * FROM T", "unknown relation 'T'"),
+    ("SELECT * FROM R X, S X", "duplicate alias in FROM: ['X', 'X']"),
+    ("SELECT R.A FROM R WHERE COUNT(*) > 1", "aggregate used outside SELECT/HAVING of a grouped query"),
+    (
+        "WITH RECURSIVE W (a, b) AS ((SELECT R.A FROM R) UNION (SELECT W.a FROM W)) SELECT * FROM W",
+        "WITH RECURSIVE W: 2 declared columns, seed produces 1",
+    ),
+    (
+        "WITH RECURSIVE R AS ((SELECT S.A FROM S) UNION (SELECT S.A FROM S)) SELECT * FROM R",
+        "recursive relation 'R' is not a fresh name",
+    ),
+]
+
+
+def test_lowering_errors_claim_no_position():
+    # a query that parses but does not lower has no line and column
+    schema = Schema([Relation("R", (Column("A", NUM),)), Relation("S", (Column("A", NUM),))])
+    for sql, message in LOWERING_ERRORS:
+        query = sqlfront.parse_sql(sql)
+        with pytest.raises(SqlParseError) as err:
+            sqlfront.lower_to_algebra(query, schema)
+        assert str(err.value) == message, sql
 
 
 def test_with_recursive_round_trips(cfg3):

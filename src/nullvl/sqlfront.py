@@ -294,12 +294,11 @@ class _SqlParser:
         return q
 
     def query(self) -> SQuery:
-        if self.at("with"):
+        if self.eat("with"):
             return self.with_recursive()
         return self.set_expr()
 
     def with_recursive(self) -> SQuery:
-        self.expect("with")
         if not self.eat("recursive"):
             raise UnsupportedSqlError(
                 "unsupported feature: non-recursive WITH (only WITH RECURSIVE is supported)"

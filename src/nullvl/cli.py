@@ -16,7 +16,7 @@ import sys
 from . import ast, translate
 from .errors import NullvlError
 from .evaluator import EvalConfig, evaluate
-from .logic import GROUNDINGS, KERNELS, RESOLVERS, kernel_by_name
+from .logic import GROUNDINGS, KERNELS, kernel_3vl, kernel_by_name
 from .parser import parse_expression
 from .typecheck import typecheck
 from .values import bag_json_text, bag_to_json, load_database, read_json
@@ -49,10 +49,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    direction = translate.DIRECTIONS[args.direction]
-    for flag in RESOLVERS:
-        if getattr(args, flag) is not None and flag != direction.param:
-            raise NullvlError(f"{args.direction} does not read --{flag}")
+    flag = translate.flag_of(args.direction)
+    for other in ("grounding", "kernel"):
+        if getattr(args, other) is not None and other != flag:
+            raise NullvlError(f"{args.direction} does not read --{other}")
     text = _read(args.expr)
     expr = parse_expression(text)
     if args.schema:
@@ -61,19 +61,16 @@ def _cmd_translate(args) -> int:
         from . import fuzz
 
         schema = fuzz.default_schema()
-    param = None
-    if direction.param:
-        spec = getattr(args, direction.param)
-        if spec is not None:
-            # resolved even where the translation holds for every value, so
-            # that a bad name is an error and not ignored
-            try:
-                param = RESOLVERS[direction.param](spec)
-            except (NullvlError, OSError) as exc:
-                raise NullvlError(f"{args.direction} --{direction.param}: {exc}") from None
-        elif direction.translation_uses_param:
-            raise NullvlError(f"{args.direction} needs --{direction.param} <name or file>")
-    result = direction.translate(expr, schema, param)
+    spec = getattr(args, flag) if flag else None
+    try:
+        # resolved even where the translation holds for every value, so
+        # that a bad name is an error and not ignored
+        run, _, _ = translate.direction(args.direction, spec)
+    except (NullvlError, OSError) as exc:
+        if spec is None:  # the direction needs a value
+            raise
+        raise NullvlError(f"{args.direction} --{flag}: {exc}") from None
+    result = run(expr, schema)
     print(ast.render_expression(result.output))
     if args.trace:
         print(json.dumps({"size_ratio": float(result.size_ratio), "trace": result.trace_json()}, indent=1), file=sys.stderr)
@@ -104,14 +101,18 @@ def _cmd_sql2ra(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
-    if (args.source, args.target) != ("2vl", "3vl"):
-        raise NullvlError("rewrite supports --from 2vl --to 3vl")
+    if args.target != "3vl":
+        raise NullvlError("rewrite supports --to 3vl only, the semantics SQL engines run")
+    try:
+        source = kernel_by_name(args.source)
+    except (NullvlError, OSError) as exc:
+        raise NullvlError(f"rewrite --from: {exc}") from None
     from . import sqlfront
 
     db = load_database(args.schema)
     query = sqlfront.parse_sql(_read(args.sql))
     lowered = sqlfront.lower_to_algebra(query, db.schema)
-    result = translate.tr_to_3vl(lowered, db.schema)
+    result = translate.translate(lowered, db.schema, source, kernel_3vl())
     print(sqlfront.emit_sql(result.output))
     return 0
 
@@ -178,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
         "under pluggable condition semantics.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    semantics = f"{' | '.join(KERNELS)} | grounded:<grounding> | [mvl:]<kernel file>"
 
     pe = sub.add_parser("eval", help="evaluate an expression on a database")
-    pe.add_argument("--semantics", default="3vl",
-                    help=f"{' | '.join(KERNELS)} | grounded:<grounding> | [mvl:]<kernel file>")
+    pe.add_argument("--semantics", default="3vl", help=semantics)
     pe.add_argument("--canonical", action="store_true", help="print the sorted text form")
     pe.add_argument("--recursion-cap", type=_bounded(int, 1), default=10_000)
     pe.add_argument("expr", help="expression file ('-' for stdin)")
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("translate", help="translate an expression between semantics")
     pt.add_argument("--direction", required=True, choices=list(translate.DIRECTIONS))
     for flag, built_ins in (("grounding", GROUNDINGS), ("kernel", KERNELS)):
-        users = [name for name, d in translate.DIRECTIONS.items() if d.param == flag]
+        users = [name for name in translate.DIRECTIONS if translate.flag_of(name) == flag]
         pt.add_argument(f"--{flag}",
                         help=f"{' | '.join(built_ins)} | <{flag} file> ({', '.join(users)})")
     pt.add_argument("--schema", help="database JSON supplying the schema")
@@ -211,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(fn=_cmd_sql2ra)
 
     pr = sub.add_parser("rewrite", help="rewrite SQL from one semantics into another")
-    pr.add_argument("--from", dest="source", required=True)
-    pr.add_argument("--to", dest="target", required=True)
+    pr.add_argument("--from", dest="source", required=True, help=semantics)
+    pr.add_argument("--to", dest="target", required=True, help="3vl")
     pr.add_argument("--schema", required=True, help="database JSON supplying the schema")
     pr.add_argument("sql", help="SQL file ('-' for stdin)")
     pr.set_defaults(fn=_cmd_rewrite)

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import analyze, ast, fuzz, sqlfront, translate
-from .errors import NullvlError, RecursionLimitError, SqlEmitError
+from .errors import KernelError, NullvlError, RecursionLimitError, SqlEmitError
 from .evaluator import EvalConfig, eval_condition, evaluate
-from .logic import RESOLVERS, kernel_2vl, kernel_3vl, kernel_by_name
+from .logic import kernel_2vl, kernel_3vl, kernel_by_name
 from .parser import parse_condition, parse_expression
 from .typecheck import Checked, typecheck
 from .values import (
@@ -83,17 +83,13 @@ class Case:
 def _check_capture_case(case: Case) -> CaseOutcome:
     db, checked = case.db, case.checked
     name = required(case.params, "direction", "bundle")
-    direction = translate.DIRECTIONS.get(name) if isinstance(name, str) else None
-    if direction is None:
-        raise NullvlError(f"unknown direction {name!r}")
-    param = None
-    if direction.param:
-        param = RESOLVERS[direction.param](required(case.params, direction.param, "bundle"))
-    tr = direction.translate(checked.expr, db.schema, param, checked)
-    verdict = translate.check_capture(
-        checked, db, EvalConfig(kernel=direction.source(param)),
-        EvalConfig(kernel=direction.target(param)), tr,
-    )
+    flag = translate.flag_of(name)
+    spec = required(case.params, flag, "bundle") if flag else None
+    if flag and not isinstance(spec, str):
+        raise KernelError(f"a {flag} name must be a string, not {spec!r}")
+    run, source, target = translate.direction(name, spec)
+    tr = run(checked.expr, db.schema, checked)
+    verdict = translate.check_capture(checked, db, EvalConfig(kernel=source), EvalConfig(kernel=target), tr)
     if verdict.status == "inconclusive":
         return CaseOutcome("skip", verdict.detail)
     if verdict.equal:
@@ -253,7 +249,7 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
         case = _base_case(schema, cfg, rng, family)
         case.params["direction"] = direction
         if param is not None:
-            case.params[translate.DIRECTIONS[direction].param] = param
+            case.params[translate.flag_of(direction)] = param
         return case
     if family == "null-free-invariance":
         return _base_case(schema, replace(cfg, null_rate=0.0), rng, family)

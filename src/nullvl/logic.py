@@ -112,6 +112,9 @@ class LogicKernel:
     associative/commutative or not Boolean on {t, f}, or naming a NULL table
     cell that is missing or holds neither a value nor a template."""
 
+    # the grounding that `kernel_grounded` built the kernel from
+    grounding: Grounding | None = None
+
     def __init__(
         self,
         name: str,
@@ -515,9 +518,11 @@ def kernel_grounded(grounding: Grounding) -> LogicKernel:
     # non-null argument
     constants = {ast.CTrue(): "t", ast.CFalse(): "f"}
     table = {cell: constants.get(t, t) for cell, t in grounding.templates.items()}
-    return LogicKernel(
+    kernel = LogicKernel(
         f"grounded:{grounding.name}", ("t", "f"), "t", "f", and_t, or_t, not_t, table
     )
+    kernel.grounding = grounding
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +705,3 @@ def kernel_by_name(spec) -> LogicKernel:
     if isinstance(spec, str) and spec.startswith("grounded:"):
         return kernel_grounded(grounding_by_name(spec.removeprefix("grounded:")))
     return _by_name(spec, "kernel", KERNELS, lambda path: load_kernel(path.removeprefix("mvl:")))
-
-
-# the resolver of each kind of name, keyed as `translate.Direction.param`
-RESOLVERS = {"grounding": grounding_by_name, "kernel": kernel_by_name}

@@ -62,6 +62,7 @@ _AGG_FNS = ("count", "sum", "avg", "min", "max")
 # a keyword's token, by its lower-case spelling
 _WORDS = {word: word for word in (*_KEYWORDS, *_UNSUPPORTED_KEYWORDS)}
 _WORD_START = frozenset(string.ascii_letters + "_")
+_DIGITS = frozenset(string.digits)
 _OPERATORS = frozenset(["<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "*", "+", "-", "/", "%"])
 _COMPARISONS = ("=", "!=", "<>", "<", ">", "<=", ">=")
 
@@ -70,9 +71,11 @@ _COMPARISONS = ("=", "!=", "<>", "<", ">", "<=", ">=")
 # A character that starts none of them takes the rest of the text with it,
 # so a text holds a stray character exactly when the last token before the
 # end is such a rest.  At the end of the text the token is the empty string.
+# Digits and layout are ASCII only.
 _TOKENS = re.compile(
     r"""\s*(?:--[^\n]*\s*)*(\d+(?:\.\d+)?|"(?:[^"]|"")*"|'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_$]*"""
-    r"|<=|>=|<>|!=|[=<>(),.*+\-/%]|\S[\s\S]*|\Z)"
+    r"|<=|>=|<>|!=|[=<>(),.*+\-/%]|\S[\s\S]*|\Z)",
+    re.ASCII,
 )
 
 
@@ -82,7 +85,7 @@ def _is_stray(tok: str) -> bool:
     first = tok[:1]
     if first in ("'", '"'):
         return tok.count(first) == 1
-    return bool(first) and not (first in _WORD_START or first.isdecimal() or tok in _OPERATORS)
+    return bool(first) and not (first in _WORD_START or first in _DIGITS or tok in _OPERATORS)
 
 
 def _name(tok: str) -> str:
@@ -444,7 +447,7 @@ class _SqlParser:
 
     def atom_expr(self) -> SExpr:
         tok = self.tok()
-        if tok[:1].isdecimal():
+        if tok[:1] in _DIGITS:
             try:
                 value = parse_number(tok)
             except ValueError as exc:

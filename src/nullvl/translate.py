@@ -7,18 +7,19 @@ Expressions translate by replacing every selection condition with its image
 at "true"; the output evaluates, under the target semantics, to the same bag
 as the input under the source semantics, on every database.
 
-One core holds the rules of every direction.  `_FromMVL` translates from a
-source kernel given as a value into a target: 3VL for 2to3 (from 2VL),
-mvl-to-3 (any finite kernel) and gr-to-3 (a grounding's two-valued kernel,
-`logic.kernel_grounded`), 2VL for 3to2, and every grounding at once for
-3-to-gr.  Its images range over sets of
-truth values, and it reads each comparison's condition templates from the
-source kernel, which derives them from its one NULL table
+One entry point serves every pair of semantics:
+`translate(expr, schema, source, target)` runs the one core, `_FromMVL`,
+from any finite source kernel into any target kernel, or into every
+grounding at once when `target` is None.  The core's images range over sets
+of truth values, and it reads each comparison's condition templates from
+the source kernel, which derives them from its one NULL table
 (`LogicKernel.template`), and the not-null guards they need from the target.
+The named pairs (`tr_*`) are `translate` between fixed semantics, and
+`DIRECTIONS` names each by its source and target for the CLI and harness.
 
-Each entry point typechecks its input once, as `evaluate` does, and
-translates the checked tree; a translator reads the labels of every node it
-needs them for from the `typecheck` notes of that tree.  Translation keeps
+`translate` typechecks its input once, as `evaluate` does, and translates
+the checked tree; the core reads the labels of every node it needs them for
+from the `typecheck` notes of that tree.  Translation keeps
 the labels of every node, so a translated subquery has its input's labels.
 
 The translations are purely syntactic and deterministic; no simplification
@@ -32,7 +33,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import ast
 from .errors import EvalError, NullvlError, RecursionLimitError
@@ -45,6 +46,7 @@ from .logic import (
     fold_counted,
     kernel_2vl,
     kernel_3vl,
+    kernel_by_name,
     kernel_grounded,
 )
 from .typecheck import Checked, RelSig, typecheck
@@ -328,106 +330,109 @@ def _merge_profiles(profiles: list[tuple], sizes: list[int]) -> list[tuple]:
 # Public entry points
 
 
-# Each entry point takes, as `checked`, the `Checked` that `typecheck`
-# returned for `expr` under `schema` where the caller has one; `expr` is
-# then not typechecked again.  The expression stays the first argument, as
-# the benchmark's tracer sizes the output against it.
-
-
-def _translate(
-    make: Callable, expr: ast.Expression, schema: Schema, *args, checked: Optional[Checked]
+def translate(
+    expr: ast.Expression, schema: Schema, source: LogicKernel, target: Optional[LogicKernel],
+    checked: Optional[Checked] = None,
 ) -> TranslationResult:
-    """Translate the checked tree with the translator `make(notes, *args)`,
-    typechecking `expr` first unless `checked` is given."""
+    """Rewrite a query written under the `source` kernel so that it
+    evaluates identically under the `target` kernel, or under every
+    grounding's two-valued semantics when `target` is None.
+
+    `checked` is the `Checked` that `typecheck` returned for `expr` under
+    `schema` where the caller has one; `expr` is then not typechecked again.
+    """
     checked = checked or typecheck(expr, schema)
-    return make(checked.notes, *args).run(checked.expr)
+    return _FromMVL(checked.notes, source, target).run(checked.expr)
+
+
+# The named pairs, each `translate` from one semantics into another.  Each
+# keeps the expression as its first argument, as the benchmark's tracer
+# sizes the output against it.
 
 
 def tr_to_3vl(
     expr: ast.Expression, schema: Schema, checked: Optional[Checked] = None
 ) -> TranslationResult:
-    """Rewrite a query written under the conflating two-valued semantics so it
-    evaluates identically under the three-valued semantics."""
-    return _translate(_FromMVL, expr, schema, kernel_2vl(), kernel_3vl(), checked=checked)
+    """From the conflating two-valued semantics into the three-valued one."""
+    return translate(expr, schema, kernel_2vl(), kernel_3vl(), checked)
 
 
 def tr_from_3vl(
     expr: ast.Expression, schema: Schema, checked: Optional[Checked] = None
 ) -> TranslationResult:
-    """Rewrite a query written under the three-valued semantics so it
-    evaluates identically under the conflating two-valued semantics."""
-    return _translate(_FromMVL, expr, schema, kernel_3vl(), kernel_2vl(), checked=checked)
+    """From the three-valued semantics into the conflating two-valued one."""
+    return translate(expr, schema, kernel_3vl(), kernel_2vl(), checked)
 
 
 def tr_grounded_to_3vl(
     expr: ast.Expression, schema: Schema, grounding: Grounding, checked: Optional[Checked] = None
 ) -> TranslationResult:
-    """Rewrite a query written under the grounding's two-valued semantics so
-    it evaluates identically under the three-valued semantics."""
-    return _translate(
-        _FromMVL, expr, schema, kernel_grounded(grounding), kernel_3vl(), checked=checked
-    )
+    """From the grounding's two-valued semantics into the three-valued one."""
+    return translate(expr, schema, kernel_grounded(grounding), kernel_3vl(), checked)
 
 
 def tr_3vl_to_grounded(
     expr: ast.Expression, schema: Schema, checked: Optional[Checked] = None
 ) -> TranslationResult:
-    """Rewrite a query written under the three-valued semantics so it
-    evaluates identically under every grounding's two-valued semantics."""
-    return _translate(_FromMVL, expr, schema, kernel_3vl(), None, checked=checked)
+    """From the three-valued semantics into every grounding's at once."""
+    return translate(expr, schema, kernel_3vl(), None, checked)
 
 
 def tr_mvl_to_3vl(
     expr: ast.Expression, schema: Schema, kernel: LogicKernel, checked: Optional[Checked] = None
 ) -> TranslationResult:
-    return _translate(_FromMVL, expr, schema, kernel, kernel_3vl(), checked=checked)
+    """From a finite many-valued kernel into the three-valued semantics."""
+    return translate(expr, schema, kernel, kernel_3vl(), checked)
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A translation direction and the kernels its capture equation uses.
-
-    `param` names what the entry is parameterized by ("grounding" or
-    "kernel"); `translate(expr, schema, param, checked=None)`, `source(param)`
-    and `target(param)` receive its value.  A translation whose output holds
-    for every value of the parameter (`translation_uses_param` false) ignores
-    it and may be given None.  `checked` is as for the `tr_*` functions.
-    """
-
-    translate: Callable[..., TranslationResult]
-    source: Callable[[object], LogicKernel]
-    target: Callable[[object], LogicKernel]
-    param: Optional[str] = None
-    translation_uses_param: bool = True
-
-
-# the lambdas look the functions up at call time, so rebinding a module
-# global (as a tracer does) reaches every caller of the registry
-DIRECTIONS: dict[str, Direction] = {
-    "2to3": Direction(
-        lambda e, s, _, c=None: tr_to_3vl(e, s, c), lambda _: kernel_2vl(), lambda _: kernel_3vl()
-    ),
-    "3to2": Direction(
-        lambda e, s, _, c=None: tr_from_3vl(e, s, c), lambda _: kernel_3vl(), lambda _: kernel_2vl()
-    ),
-    "gr-to-3": Direction(
-        lambda e, s, g, c=None: tr_grounded_to_3vl(e, s, g, c),
-        lambda g: kernel_grounded(g),
-        lambda _: kernel_3vl(),
-        param="grounding",
-    ),
-    "3-to-gr": Direction(
-        lambda e, s, _, c=None: tr_3vl_to_grounded(e, s, c),
-        lambda _: kernel_3vl(),
-        lambda g: kernel_grounded(g),
-        param="grounding",
-        translation_uses_param=False,
-    ),
-    "mvl-to-3": Direction(
-        lambda e, s, k, c=None: tr_mvl_to_3vl(e, s, k, c), lambda k: k, lambda _: kernel_3vl(),
-        param="kernel",
-    ),
+# Each direction's source and target, as `logic.kernel_by_name` names whose
+# "{}" holds the value of the direction's flag (`flag_of`).  A translation
+# into a target with "{}" holds for every value, so only a source needs one.
+DIRECTIONS: dict[str, tuple[str, str]] = {
+    "2to3": ("2vl", "3vl"),
+    "3to2": ("3vl", "2vl"),
+    "gr-to-3": ("grounded:{}", "3vl"),
+    "3-to-gr": ("3vl", "grounded:{}"),
+    "mvl-to-3": ("{}", "3vl"),
 }
+
+
+def flag_of(name: str) -> Optional[str]:
+    """The flag whose value fills direction `name`'s "{}", if it has one."""
+    if not isinstance(name, str) or name not in DIRECTIONS:
+        raise NullvlError(f"unknown direction {name!r}")
+    for semantics in DIRECTIONS[name]:
+        if "{}" in semantics:
+            return "grounding" if semantics.startswith("grounded:") else "kernel"
+    return None
+
+
+def direction(name: str, spec: Optional[str] = None):
+    """Direction `name` with `spec`, its flag's value, in its "{}":
+    `run(expr, schema, checked=None)`, which translates through the
+    direction's named pair, and the source and target kernels of its
+    capture equation.  Without a value a target with "{}" is None."""
+    flag = flag_of(name)
+    if spec is None and "{}" in DIRECTIONS[name][0]:
+        raise NullvlError(f"{name} needs --{flag} <name or file>")
+    source, target = (
+        None if spec is None and "{}" in semantics else kernel_by_name(semantics.format(spec))
+        for semantics in DIRECTIONS[name]
+    )
+
+    def run(expr, schema, checked=None) -> TranslationResult:
+        # the named pair is looked up here, when it runs, so that rebinding
+        # a module global (as a tracer does) reaches every caller
+        pair, *args = {
+            "2to3": (tr_to_3vl,),
+            "3to2": (tr_from_3vl,),
+            "gr-to-3": (tr_grounded_to_3vl, source.grounding),
+            "3-to-gr": (tr_3vl_to_grounded,),
+            "mvl-to-3": (tr_mvl_to_3vl, source),
+        }[name]
+        return pair(expr, schema, *args, checked)
+
+    return run, source, target
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,11 @@ def exact_number(q: Number) -> Number:
     return q.numerator if q.denominator == 1 else q
 
 
-# an optional sign, then digits with an optional decimal part, or p/q; the
-# other forms `Fraction` reads (exponents, spaces, underscores) are not
-# literals, and an exponent such as 1e10000000 would take seconds to expand;
-# group 1 holds the decimal part or the denominator
-_NUMBER = re.compile(r"[-+]?\d+(\.\d+|/\d+)?")
+# an optional sign, then ASCII digits with an optional decimal part, or p/q;
+# the other forms `Fraction` reads (other decimal digits, exponents, spaces,
+# underscores) are not literals, and an exponent such as 1e10000000 would
+# take seconds to expand; group 1 holds the decimal part or the denominator
+_NUMBER = re.compile(r"[-+]?[0-9]+(\.[0-9]+|/[0-9]+)?")
 
 
 def _shown(text: str) -> str:
@@ -277,13 +277,6 @@ class Database:
 
     def table(self, name: str) -> Bag:
         return self.tables[name]
-
-    def is_null_free(self) -> bool:
-        return all(
-            not any(is_null(v) for v in record)
-            for bag in self.tables.values()
-            for record in bag.records()
-        )
 
 
 def parse_cell(raw, col_type: str) -> Value:

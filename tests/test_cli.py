@@ -83,6 +83,52 @@ def test_translate_and_rewrite(tmp_path, capsys, monkeypatch):
     assert "IS NULL" in out and "IS NOT NULL" in out and len(typecheckers) == 2
 
 
+# NOT IN, a negated ALL and a correlated NOT EXISTS
+REWRITE_SQL = (
+    Q1_SQL,
+    "SELECT R.A FROM R WHERE NOT (R.A > ALL (SELECT S.A FROM S))",
+    "SELECT R.A FROM R WHERE NOT EXISTS (SELECT S.A FROM S WHERE S.A = R.A)",
+)
+
+
+def test_rewrite_from_every_built_in_semantics_keeps_its_answers(tmp_path, capsys):
+    from nullvl import sqlfront
+    from nullvl.evaluator import EvalConfig, evaluate
+    from nullvl.logic import kernel_3vl, kernel_by_name
+    from nullvl.values import database_from_json
+
+    db = _write(tmp_path, "db.json", DB)
+    schema = database_from_json(DB).schema
+    databases = [database_from_json(dict(DB, data=data)) for data in (
+        DB["data"],
+        {"R": [["-1"], ["0"], ["2"], ["2"], [None]], "S": [["0"], [None], ["1"]]},
+        {"R": [["1"], ["3"], [None]], "S": [["1"], ["2"]]},
+        {"R": [["1"], [None]], "S": []},
+    )]
+    answers = set()
+    for source in ("2vl", "2vl-syn", "4vl", "grounded:leq-sign", "3vl"):
+        for i, text in enumerate(REWRITE_SQL):
+            sql = _write(tmp_path, f"q{i}.sql", text)
+            assert main(["rewrite", "--from", source, "--to", "3vl", "--schema", db, sql]) == 0, source
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1, out
+            query = sqlfront.lower_to_algebra(sqlfront.parse_sql(text), schema)
+            rewritten = sqlfront.lower_to_algebra(sqlfront.parse_sql(out), schema)
+            for database in databases:
+                want = evaluate(query, database, cfg=EvalConfig(kernel=kernel_by_name(source)))
+                got = evaluate(rewritten, database, cfg=EvalConfig(kernel=kernel_3vl()))
+                assert got == want, (source, text, out)
+                answers.add((text, str(database.tables), want.canonical_text()))
+    # the sources disagree on some query and database, so a rewrite that
+    # ignored --from would fail above
+    assert len(answers) > len(REWRITE_SQL) * len(databases)
+    sql = _write(tmp_path, "q.sql", Q1_SQL)
+    for flags in (["--from", "2vl", "--to", "2vl"], ["--from", "nope", "--to", "3vl"]):
+        assert main(["rewrite", *flags, "--schema", db, sql]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_sql2ra_and_analyze(tmp_path, capsys):
     db = _write(tmp_path, "db.json", DB)
     sql = _write(tmp_path, "q.sql", Q1_SQL)
@@ -555,6 +601,26 @@ def test_numbers_that_cannot_be_read_or_printed_exit_two(tmp_path, capsys):
     assert capsys.readouterr().out.split("\n") == ["(-1/4) x1", "(1/3) x1", "(7) x1", "(12) x1", ""]
 
 
+def test_digits_and_layout_outside_ascii_exit_two(tmp_path, capsys):
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    runs = []
+    # an Arabic-Indic three, alone and after a decimal point, and a fullwidth one
+    for i, digits in enumerate(["\u0663", "1.\u0663", "\uff11"]):
+        literal = _write(tmp_path, f"literal{i}.ra", f"(select (cmp = (col R.A) (num {digits})) (base R))")
+        cell = _write(tmp_path, f"cell{i}.json", {**DB, "data": {"R": [[digits]], "S": []}})
+        sql = _write(tmp_path, f"q{i}.sql", f"SELECT R.A FROM R WHERE R.A = {digits}")
+        runs += [["eval", literal, db], ["eval", expr, cell], ["sql2ra", "--schema", db, sql]]
+    # a no-break space between SQL tokens is no layout
+    sql = _write(tmp_path, "nbsp.sql", "SELECT\u00a0R.A FROM R")
+    runs += [["sql2ra", "--schema", db, sql], ["rewrite", "--from", "2vl", "--to", "3vl", "--schema", db, sql]]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), argv
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err, argv
+
+
 def _oversized_number_runs(tmp_path):
     """Commands that read a 5,000-digit number: a literal, a cell, a JSON
     integer and, last, an SQL literal through `sql2ra` and `rewrite`."""
@@ -823,7 +889,7 @@ def _bundle_names():
     names = {"kernel": set(harness.PLAN_KERNELS) | {"grounded:empty"}, "grounding": set()}
     for direction, param, _ in harness.CAPTURE_FAMILIES.values():
         if param is not None:
-            names[translate.DIRECTIONS[direction].param].add(param)
+            names[translate.flag_of(direction)].add(param)
     return names
 
 
@@ -852,7 +918,6 @@ def test_every_bundle_kernel_name_evaluates_as_the_harness_kernel(tmp_path, caps
 
 def test_every_bundle_parameter_name_is_a_translate_flag_value(tmp_path, capsys):
     from nullvl import harness, translate
-    from nullvl.logic import RESOLVERS
     from nullvl.parser import parse_expression
     from nullvl.typecheck import typecheck
     from nullvl.values import database_from_json
@@ -864,14 +929,13 @@ def test_every_bundle_parameter_name_is_a_translate_flag_value(tmp_path, capsys)
     checked = typecheck(parse_expression(text), schema).expr
     seen = set()
     for direction_name, name, _ in harness.CAPTURE_FAMILIES.values():
-        direction = translate.DIRECTIONS[direction_name]
+        flag = translate.flag_of(direction_name)
         if name is None:
             continue
-        argv = ["translate", "--direction", direction_name, f"--{direction.param}", name,
-                "--schema", db, expr]
+        argv = ["translate", "--direction", direction_name, f"--{flag}", name, "--schema", db, expr]
         assert main(argv) == 0, argv
-        param = RESOLVERS[direction.param](name) if direction.translation_uses_param else None
-        want = ast.render_expression(direction.translate(checked, schema, param).output)
+        run, _, _ = translate.direction(direction_name, name)
+        want = ast.render_expression(run(checked, schema).output)
         assert capsys.readouterr().out == want + "\n"
-        seen.add((direction.param, name))
+        seen.add((flag, name))
     assert {kind for kind, _ in seen} == {"grounding", "kernel"}

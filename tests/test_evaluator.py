@@ -286,7 +286,7 @@ def test_kernel_independence_on_null_free_databases():
         gen = ExpressionGenerator(schema, cfgf, rng)
         expr = typecheck(gen.expression(), schema).expr
         db = gen_database(schema, cfgf, rng)
-        assert db.is_null_free()
+        assert all(None not in record for bag in db.tables.values() for record in bag.records())
         try:
             outs = [evaluate(expr, db, cfg=EvalConfig(kernel=k)) for k in kernels]
         except RecursionLimitError:

@@ -327,7 +327,7 @@ def test_semantics_names_that_are_no_strings_or_unknown_are_kernel_errors():
     from nullvl import logic
 
     for bad in (["3vl"], None, 4):
-        for resolve in logic.RESOLVERS.values():
+        for resolve in (logic.grounding_by_name, logic.kernel_by_name):
             with pytest.raises(KernelError, match="must be a string"):
                 resolve(bad)
     with pytest.raises(KernelError, match="3vl, 2vl, 2vl-syn, 4vl"):

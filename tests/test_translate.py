@@ -12,14 +12,16 @@ from nullvl.ast import col, num
 from nullvl.evaluator import EvalConfig, eval_condition, evaluate
 from nullvl.fuzz import ExpressionGenerator, FuzzConfig, default_schema, gen_database
 from nullvl.logic import (
+    GROUNDINGS,
     kernel_2vl,
     kernel_3vl,
     kernel_4vl_example,
+    kernel_by_name,
     kernel_grounded,
     nonnegative_leq_grounding,
     syntactic_equality_grounding,
 )
-from nullvl.errors import TypeCheckError
+from nullvl.errors import RecursionLimitError, TypeCheckError
 from nullvl.typecheck import typecheck
 from nullvl.values import NUM, Bag, Column, Database, Relation, Schema
 
@@ -448,6 +450,29 @@ def test_three_vl_to_grounded_direction(cfg3):
         tr = translate.tr_3vl_to_grounded(expr, schema)
         verdict = translate.check_capture(expr, db, cfg3, EvalConfig(kernel=kg), tr)
         assert verdict.status != "not-equal"
+
+
+def test_translate_captures_every_pair_of_built_in_semantics():
+    """`translate` from each built-in semantics into each, and from 3VL into
+    every grounding at once, checked under each built-in grounding: equal
+    bags, multiplicities included, unless a fixpoint passes its cap."""
+    names = ("3vl", "2vl", "2vl-syn", "4vl", "grounded:leq-sign")
+    pairs = [(kernel_by_name(s), kernel_by_name(t), kernel_by_name(t)) for s in names for t in names]
+    pairs += [(kernel_3vl(), None, kernel_by_name(f"grounded:{g}")) for g in GROUNDINGS]
+    schema = default_schema()
+    compared = 0
+    for expr, db in _corpus(28, 40, depth=3, schema=schema):
+        checked = typecheck(expr, schema)
+        for source, target, under in pairs:
+            output = translate.translate(expr, schema, source, target, checked).output
+            try:
+                want = evaluate(checked, db, cfg=EvalConfig(kernel=source))
+                got = evaluate(output, db, cfg=EvalConfig(kernel=under))
+            except RecursionLimitError:
+                continue
+            assert got == want, (source.name, target and target.name, under.name, ast.render_expression(expr))
+            compared += 1
+    assert compared > 30 * len(pairs)
 
 
 def test_doubly_nested_correlated_negation_captures(cfg2, cfg3):

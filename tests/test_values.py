@@ -11,7 +11,6 @@ from nullvl.errors import NullvlError, SchemaError
 from nullvl.values import (
     Bag,
     Column,
-    Database,
     Relation,
     Schema,
     database_from_json,
@@ -20,7 +19,7 @@ from nullvl.values import (
     parse_number,
 )
 
-from sample_queries import bag, row
+from sample_queries import row
 
 
 def test_exact_number_parsing_and_formatting():
@@ -102,12 +101,6 @@ def test_duplicate_relation_and_column_names_rejected():
         Relation("R", (Column("a", "n"), Column("a", "n")))
     with pytest.raises(SchemaError, match="duplicate relation"):
         Schema([Relation("R", (Column("a", "n"),)), Relation("R", (Column("b", "n"),))])
-
-
-def test_null_free_predicate():
-    schema = Schema([Relation("R", (Column("a", "n"),))])
-    assert Database(schema, {"R": bag(1, 2)}).is_null_free()
-    assert not Database(schema, {"R": bag(1, None)}).is_null_free()
 
 
 # -- count-first loading -------------------------------------------------------

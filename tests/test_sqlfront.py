@@ -12,6 +12,7 @@ from nullvl.fuzz import ExpressionGenerator, FuzzConfig, default_schema, gen_dat
 from nullvl.typecheck import typecheck
 from nullvl.values import NUM, Bag, Column, Database, Relation, Schema
 
+from gen_sql_lowerings import lowering
 from sample_queries import bag, customer_orders_schema, q1, q5, rs_db, rs_schema
 
 SCHEMA = rs_schema()
@@ -81,6 +82,18 @@ def test_mutated_sql_texts_keep_their_errors():
             got = [type(err).__name__, str(err)]
         if got != [cls, message]:
             wrong.append((text, [cls, message], got))
+    assert not wrong
+
+
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "sql_lowerings.json"), encoding="utf-8") as fh:
+    SQL_LOWERINGS = json.load(fh)  # written by gen_sql_lowerings.py
+
+
+def test_sql_texts_keep_their_lowerings():
+    # 28 hand-written texts, 300 printed expressions, the 7 BASE queries of
+    # gen_sql_faults.py and 300 mutants that parse
+    assert len(SQL_LOWERINGS) == 635
+    wrong = [(entry, got) for entry in SQL_LOWERINGS if (got := lowering(*entry[:2])) != entry]
     assert not wrong
 
 

@@ -17,6 +17,13 @@ that no closing quote follows), then parse faults from the left, each at
 its token's line and column, then lowering faults, without a position.  A
 parse fault names its token's index, and the text is scanned again for
 that token's line and column only as the fault leaves `parse_sql`.
+
+The parser builds the algebra's own terms and conditions (`NOT EXISTS q` is
+`Empty(q)`, `EXISTS q` is `Not(Empty(q))`, and `IS NOT NULL` and `NOT IN`
+are `Not(...)`).  Its only nodes of its own are column references,
+aggregate calls and the query nodes.  The lowering resolves those in one
+rebuild of each term and condition, and lowers a condition's query slot
+after its items, so lowering faults come from the left.
 """
 from __future__ import annotations
 
@@ -30,7 +37,7 @@ from . import ast
 from .errors import SqlEmitError, SqlParseError, UnsupportedSqlError
 from .parser import _Fault
 from .typecheck import _labels
-from .values import Number, Schema, parse_number
+from .values import Schema, parse_number
 
 _KEYWORDS = {
     "select", "distinct", "from", "where", "group", "by", "having", "as",
@@ -65,6 +72,7 @@ _WORD_START = frozenset(string.ascii_letters + "_")
 _DIGITS = frozenset(string.digits)
 _OPERATORS = frozenset(["<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "*", "+", "-", "/", "%"])
 _COMPARISONS = ("=", "!=", "<>", "<", ">", "<=", ">=")
+_FUNCTIONS = {"+": "add", "-": "sub", "*": "mult", "/": "div", "%": "mod"}
 
 # One match reads the layout and `--` comments before a token, then the
 # token (group 1): a number, a quoted name, a string, a word or an operator.
@@ -95,6 +103,12 @@ def _name(tok: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Frontend syntax tree
+#
+# Terms and conditions are parsed straight into `ast` nodes.  Only what the
+# lowering must still resolve has nodes of its own: a column reference
+# (SCol) and an aggregate call (SAgg), which stand where the lowered tree has
+# a NameRef, and the query nodes below, which stand in a condition's query
+# slot until the lowering replaces them with algebra expressions.
 
 
 @dataclass(frozen=True)
@@ -104,104 +118,15 @@ class SCol:
 
 
 @dataclass(frozen=True)
-class SNum:
-    value: Number
-
-
-@dataclass(frozen=True)
-class SStr:
-    value: str
-
-
-@dataclass(frozen=True)
-class SNull:
-    pass
-
-
-@dataclass(frozen=True)
-class SBin:
-    op: str  # + - * / %
-    left: "SExpr"
-    right: "SExpr"
-
-
-@dataclass(frozen=True)
-class SNeg:
-    arg: "SExpr"
-
-
-@dataclass(frozen=True)
 class SAgg:
     fn: str  # count/sum/avg/min/max; fn=="count" and star selects count(*)
     star: bool
-    arg: Optional["SExpr"]
-
-
-SExpr = object
-
-
-@dataclass(frozen=True)
-class CTruth:
-    value: bool
-
-
-@dataclass(frozen=True)
-class CCmp:
-    lhs: tuple
-    op: str
-    rhs: tuple
-
-
-@dataclass(frozen=True)
-class CCmpQuery:
-    lhs: tuple
-    op: str
-    quant: str  # "any" | "all" | "scalar"
-    query: "SQuery"
-
-
-@dataclass(frozen=True)
-class CIn:
-    lhs: tuple
-    query: "SQuery"
-    negated: bool
-
-
-@dataclass(frozen=True)
-class CExists:
-    query: "SQuery"
-    negated: bool
-
-
-@dataclass(frozen=True)
-class CIsNull:
-    arg: SExpr
-    negated: bool
-
-
-@dataclass(frozen=True)
-class CAnd:
-    left: "SCond"
-    right: "SCond"
-
-
-@dataclass(frozen=True)
-class COr:
-    left: "SCond"
-    right: "SCond"
-
-
-@dataclass(frozen=True)
-class CNot:
-    cond: "SCond"
-
-
-SCond = object
+    arg: object  # a term, None for count(*)
 
 
 @dataclass(frozen=True)
 class SelectItem:
-    expr: SExpr
+    expr: object  # a term
     alias: Optional[str]
 
 
@@ -216,9 +141,9 @@ class SelectCore:
     distinct: bool
     items: Optional[tuple[SelectItem, ...]]  # None means '*'
     from_items: tuple[FromItem, ...]
-    where: Optional[SCond]
+    where: Optional[ast.Condition]
     group_by: tuple[SCol, ...]
-    having: Optional[SCond]
+    having: Optional[ast.Condition]
 
 
 @dataclass(frozen=True)
@@ -424,28 +349,26 @@ class _SqlParser:
 
     # -- scalar expressions ------------------------------------------------------
 
-    def expression(self) -> SExpr:
+    def expression(self):
         left = self.mul_expr()
         while self.at("+", "-"):
-            op = self.next()
-            left = SBin(op, left, self.mul_expr())
+            left = ast.FnApply(_FUNCTIONS[self.next()], (left, self.mul_expr()))
         return left
 
-    def mul_expr(self) -> SExpr:
+    def mul_expr(self):
         left = self.unary_expr()
         while self.at("*", "/", "%"):
-            op = self.next()
-            left = SBin(op, left, self.unary_expr())
+            left = ast.FnApply(_FUNCTIONS[self.next()], (left, self.unary_expr()))
         return left
 
-    def unary_expr(self) -> SExpr:
+    def unary_expr(self):
         if self.eat("-"):
-            return SNeg(self.unary_expr())
+            return ast.FnApply("neg", (self.unary_expr(),))
         if self.eat("+"):
             return self.unary_expr()
         return self.atom_expr()
 
-    def atom_expr(self) -> SExpr:
+    def atom_expr(self):
         tok = self.tok()
         if tok[:1] in _DIGITS:
             try:
@@ -453,12 +376,12 @@ class _SqlParser:
             except ValueError as exc:
                 raise self.fault(str(exc)) from None
             self.i += 1
-            return SNum(value)
+            return ast.NumConst(value)
         if tok[:1] == "'":
             self.i += 1
-            return SStr(tok[1:-1].replace("''", "'"))
+            return ast.OrdConst(tok[1:-1].replace("''", "'"))
         if self.eat("null"):
-            return SNull()
+            return ast.NullConst()
         if tok in _AGG_FNS:
             self.i += 1
             self.expect("(")
@@ -490,23 +413,23 @@ class _SqlParser:
 
     # -- conditions -----------------------------------------------------------
 
-    def condition(self) -> SCond:
+    def condition(self) -> ast.Condition:
         left = self.and_cond()
         while self.eat("or"):
-            left = COr(left, self.and_cond())
+            left = ast.Or(left, self.and_cond())
         return left
 
-    def and_cond(self) -> SCond:
+    def and_cond(self) -> ast.Condition:
         left = self.not_cond()
         while self.eat("and"):
-            left = CAnd(left, self.not_cond())
+            left = ast.And(left, self.not_cond())
         return left
 
-    def not_cond(self) -> SCond:
+    def not_cond(self) -> ast.Condition:
         if self.eat("not"):
             if self.eat("exists"):
-                return CExists(self.subquery(), negated=True)
-            return CNot(self.not_cond())
+                return ast.Empty(self.subquery())
+            return ast.Not(self.not_cond())
         return self.primary_cond()
 
     def subquery(self) -> SQuery:
@@ -515,13 +438,13 @@ class _SqlParser:
         self.expect(")")
         return q
 
-    def primary_cond(self) -> SCond:
+    def primary_cond(self) -> ast.Condition:
         if self.eat("true"):
-            return CTruth(True)
+            return ast.CTrue()
         if self.eat("false"):
-            return CTruth(False)
+            return ast.CFalse()
         if self.eat("exists"):
-            return CExists(self.subquery(), negated=False)
+            return ast.Not(ast.Empty(self.subquery()))
         if self.at("("):
             save = self.i
             self.next()
@@ -551,30 +474,33 @@ class _SqlParser:
             self.i = save
         return (self.expression(),)
 
-    def postfix_cond(self, row: tuple) -> SCond:
+    def postfix_cond(self, row: tuple) -> ast.Condition:
         if self.eat("is"):
             negated = self.eat("not")
             self.expect("null")
             if len(row) != 1:
                 raise self.fault("IS NULL applies to a single value")
-            return CIsNull(row[0], negated)
+            cond = ast.IsNull(row[0])
+            return ast.Not(cond) if negated else cond
         negated = self.eat("not")
         if negated and not self.at("in"):
             raise self.fault("expected IN after NOT")
         if self.eat("in"):
-            return CIn(row, self.subquery(), negated)
+            cond = ast.In(row, self.subquery())
+            return ast.Not(cond) if negated else cond
         if self.at(*_COMPARISONS):
             op = self.next()
             op = "!=" if op == "<>" else op
             if self.at("any", "some", "all"):
                 quant = "all" if self.next() == "all" else "any"
-                return CCmpQuery(row, op, quant, self.subquery())
+                return ast.Quant(row, op, quant, self.subquery())
             if self.at("(") and self.tok(1) in ("select", "with"):
-                return CCmpQuery(row, op, "scalar", self.subquery())
+                # read as ANY; docs/grammar.md says how that differs from SQL
+                return ast.Quant(row, op, "any", self.subquery())
             rhs = self.row_or_expr()
             if len(rhs) != len(row):
                 raise self.fault(f"comparison arity mismatch: {len(row)} vs {len(rhs)}")
-            return CCmp(row, op, rhs)
+            return ast.Compare(row, op, rhs)
         self._check_unsupported()
         raise self.fault("expected a comparison, IN, IS NULL or EXISTS")
 
@@ -608,15 +534,11 @@ class _Source:
     expr: ast.Expression
 
 
-@dataclass
-class _Scope:
-    sources: list
-
-
 class _Lowerer:
     def __init__(self, schema: Schema):
         self.schema = schema
-        self.scopes: list[_Scope] = []
+        # the sources in scope, one list per enclosing SELECT core
+        self.scopes: list[list[_Source]] = []
         # relation name -> labels, for the schema's relations and the
         # recursive relations in scope
         self.labels = {rel.name: rel.labels for rel in schema.relations.values()}
@@ -626,9 +548,9 @@ class _Lowerer:
     # -- resolution -----------------------------------------------------------
 
     def resolve(self, col: SCol) -> str:
-        for scope in reversed(self.scopes):
+        for sources in reversed(self.scopes):
             cands = []
-            for src in scope.sources:
+            for src in sources:
                 if col.qualifier is not None and src.alias != col.qualifier:
                     continue
                 for lbl in src.labels:
@@ -755,18 +677,16 @@ class _Lowerer:
 
     def lower_select(self, core: SelectCore) -> ast.Expression:
         sources, expr = self.lower_from(core.from_items)
-        scope = _Scope(sources)
-        self.scopes.append(scope)
+        self.scopes.append(sources)
         try:
             if core.where is not None:
-                expr = ast.Selection(self.lower_cond(core.where), expr)
+                expr = ast.Selection(self.lower(core.where), expr)
 
             agg_calls: list[SAgg] = []
-            if core.items is not None:
-                for item in core.items:
-                    _collect_aggs(item.expr, agg_calls)
+            for item in core.items or ():
+                _collect_aggs(item.expr, agg_calls)
             if core.having is not None:
-                _collect_aggs_cond(core.having, agg_calls)
+                _collect_aggs(core.having, agg_calls)
 
             agg_map: dict[SAgg, str] = {}
             if core.group_by or agg_calls:
@@ -780,9 +700,9 @@ class _Lowerer:
                     agg_items.append(item)
                 expr = ast.Group(names, tuple(agg_items), expr)
                 group_labels = names + tuple(ast.agg_name(a) for a in agg_items)
-                self.scopes[-1] = _Scope([_Source("", group_labels, expr)])
+                self.scopes[-1] = [_Source("", group_labels, expr)]
                 if core.having is not None:
-                    expr = ast.Selection(self.lower_cond(core.having, agg_map), expr)
+                    expr = ast.Selection(self.lower(core.having, agg_map), expr)
             elif core.having is not None:
                 raise UnsupportedSqlError(
                     "unsupported feature: HAVING without grouping or aggregation"
@@ -791,7 +711,7 @@ class _Lowerer:
             if core.items is not None:
                 items = []
                 for item in core.items:
-                    term = self.lower_expr(item.expr, agg_map)
+                    term = self.lower(item.expr, agg_map)
                     rename = item.alias
                     items.append(ast.ProjItem(term, rename))
                 if not self._is_identity(items):
@@ -804,9 +724,7 @@ class _Lowerer:
             self.scopes.pop()
 
     def _is_identity(self, items) -> bool:
-        labels = []
-        for src in self.scopes[-1].sources:
-            labels.extend(src.labels)
+        labels = [lbl for src in self.scopes[-1] for lbl in src.labels]
         if len(items) != len(labels):
             return False
         for item, lbl in zip(items, labels):
@@ -826,90 +744,58 @@ class _Lowerer:
             )
         return ast.AggItem(call.fn, self.resolve(call.arg), None)
 
-    # -- scalar expressions ---------------------------------------------------------
+    # -- terms and conditions ---------------------------------------------------
 
-    def lower_expr(self, e: SExpr, agg_map: Optional[dict] = None) -> ast.Term:
-        if isinstance(e, SCol):
-            return ast.NameRef(self.resolve(e))
-        if isinstance(e, SNum):
-            return ast.NumConst(e.value)
-        if isinstance(e, SStr):
-            return ast.OrdConst(e.value)
-        if isinstance(e, SNull):
-            return ast.NullConst()
-        if isinstance(e, SNeg):
-            return ast.FnApply("neg", (self.lower_expr(e.arg, agg_map),))
-        if isinstance(e, SBin):
-            fn = {"+": "add", "-": "sub", "*": "mult", "/": "div", "%": "mod"}[e.op]
-            return ast.FnApply(
-                fn, (self.lower_expr(e.left, agg_map), self.lower_expr(e.right, agg_map))
-            )
-        if isinstance(e, SAgg):
-            if not agg_map or e not in agg_map:
+    def lower(self, node, agg_map: Optional[dict] = None):
+        """A parsed term or condition with its columns resolved, its
+        aggregates named by the grouping outputs in ``agg_map`` and its
+        subqueries lowered, from the left: a condition's items before its
+        subquery."""
+        kind = type(node)
+        if kind is SCol:
+            return ast.NameRef(self.resolve(node))
+        if kind is SAgg:
+            if not agg_map or node not in agg_map:
                 raise SqlParseError("aggregate used outside SELECT/HAVING of a grouped query")
-            return ast.NameRef(agg_map[e])
-        raise SqlParseError(f"not a scalar expression: {e!r}")
+            return ast.NameRef(agg_map[node])
+        if kind is ast.FnApply:
+            return ast.FnApply(node.fn, self.lower_row(node.args, agg_map))
+        if kind is ast.Compare:
+            return ast.Compare(self.lower_row(node.lhs, agg_map), node.op, self.lower_row(node.rhs, agg_map))
+        if kind is ast.IsNull:
+            return ast.IsNull(self.lower(node.term, agg_map))
+        if kind is ast.In:
+            return ast.In(self.lower_row(node.items, agg_map), self.lower_query(node.query))
+        if kind is ast.Quant:
+            items = self.lower_row(node.items, agg_map)
+            return ast.Quant(items, node.op, node.quant, self.lower_query(node.query))
+        if kind is ast.Empty:
+            return ast.Empty(self.lower_query(node.query))
+        if kind is ast.Not:
+            return ast.Not(self.lower(node.cond, agg_map))
+        if kind is ast.And or kind is ast.Or:
+            return kind(self.lower(node.left, agg_map), self.lower(node.right, agg_map))
+        return node  # a constant, TRUE or FALSE
 
-    # -- conditions --------------------------------------------------------------
-
-    def lower_cond(self, c: SCond, agg_map: Optional[dict] = None) -> ast.Condition:
-        if isinstance(c, CTruth):
-            return ast.CTrue() if c.value else ast.CFalse()
-        if isinstance(c, CAnd):
-            return ast.And(self.lower_cond(c.left, agg_map), self.lower_cond(c.right, agg_map))
-        if isinstance(c, COr):
-            return ast.Or(self.lower_cond(c.left, agg_map), self.lower_cond(c.right, agg_map))
-        if isinstance(c, CNot):
-            return ast.Not(self.lower_cond(c.cond, agg_map))
-        if isinstance(c, CIsNull):
-            out: ast.Condition = ast.IsNull(self.lower_expr(c.arg, agg_map))
-            return ast.Not(out) if c.negated else out
-        if isinstance(c, CCmp):
-            lhs = tuple(self.lower_expr(x, agg_map) for x in c.lhs)
-            rhs = tuple(self.lower_expr(x, agg_map) for x in c.rhs)
-            return ast.Compare(lhs, c.op, rhs)
-        if isinstance(c, CIn):
-            items = tuple(self.lower_expr(x, agg_map) for x in c.lhs)
-            query = self.lower_query(c.query)
-            cond: ast.Condition = ast.In(items, query)
-            return ast.Not(cond) if c.negated else cond
-        if isinstance(c, CExists):
-            query = self.lower_query(c.query)
-            return ast.Empty(query) if c.negated else ast.Not(ast.Empty(query))
-        if isinstance(c, CCmpQuery):
-            items = tuple(self.lower_expr(x, agg_map) for x in c.lhs)
-            query = self.lower_query(c.query)
-            quant = "all" if c.quant == "all" else "any"
-            return ast.Quant(items, c.op, quant, query)
-        raise SqlParseError(f"not a condition node: {c!r}")
+    def lower_row(self, terms: tuple, agg_map: Optional[dict]) -> tuple:
+        return tuple(self.lower(t, agg_map) for t in terms)
 
 
-def _collect_aggs(e: SExpr, out: list):
-    if isinstance(e, SAgg):
-        if e not in out:
-            out.append(e)
-        return
-    if isinstance(e, SBin):
-        _collect_aggs(e.left, out)
-        _collect_aggs(e.right, out)
-    elif isinstance(e, SNeg):
-        _collect_aggs(e.arg, out)
-
-
-def _collect_aggs_cond(c: SCond, out: list):
-    if isinstance(c, (CAnd, COr)):
-        _collect_aggs_cond(c.left, out)
-        _collect_aggs_cond(c.right, out)
-    elif isinstance(c, CNot):
-        _collect_aggs_cond(c.cond, out)
-    elif isinstance(c, CIsNull):
-        _collect_aggs(c.arg, out)
-    elif isinstance(c, CCmp):
-        for x in c.lhs + c.rhs:
-            _collect_aggs(x, out)
-    elif isinstance(c, (CIn, CCmpQuery)):
-        for x in c.lhs:
-            _collect_aggs(x, out)
+def _collect_aggs(node, out: list):
+    """Append each aggregate call of a parsed term or condition to ``out``
+    once, from the left, outside subqueries."""
+    if isinstance(node, SAgg):
+        if node not in out:
+            out.append(node)
+    elif isinstance(node, ast.FnApply):
+        for arg in node.args:
+            _collect_aggs(arg, out)
+    else:
+        for term in ast.condition_terms(node):
+            _collect_aggs(term, out)
+        for step, child in ast.steps(node):
+            if step[0] == ".":
+                _collect_aggs(child, out)
 
 
 def lower_to_algebra(q: SQuery, schema: Schema) -> ast.Expression:

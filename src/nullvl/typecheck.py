@@ -22,11 +22,12 @@ grouping names and aggregates over nullable columns.  Every name in scope
 carries its nullability, so a correlated subquery sees which of the enclosing
 rows' names may be NULL.
 
-`labels` and `_labels` derive output labels alone, without checking.  In the
-library `_labels` now serves only the SQL lowerer, which labels derived
-tables and the seeds of WITH RECURSIVE while it builds the expression,
-before any typecheck; the evaluator, the analyzer and the translators read
-the notes.
+`labels` and `_labels` derive output labels alone, without checking.  They
+name repeated outputs apart by the rule the typechecker renames them by
+(`_apart`), so they give the labels that `typecheck` will.  In the library
+`_labels` serves only the SQL lowerer, which labels derived tables and the
+seeds of WITH RECURSIVE while it builds the expression, before any
+typecheck; the evaluator, the analyzer and the translators read the notes.
 """
 from __future__ import annotations
 
@@ -345,26 +346,37 @@ class Typechecker:
     # -- naming -------------------------------------------------------------
 
     def _rename_apart(self, parts, name_of, taken, what: str):
-        """The items or aggregates with each output named apart from
-        ``taken`` and from the earlier ones, and their output names; every
-        rename is recorded."""
-        seen: dict[str, int] = dict.fromkeys(taken, 1)
-        out, labels = [], []
-        for part in parts:
-            name = name_of(part)
-            if name in seen:
+        """The items or aggregates with each output named apart as
+        `_apart` names it, and their output names; every rename is
+        recorded."""
+        names = [name_of(part) for part in parts]
+        labels = _apart(names, taken)
+        out = []
+        for part, name, label in zip(parts, names, labels):
+            if label != name:
+                self.renames.append(f"{what} output {name!r} renamed to {label!r}")
+                part = dataclasses.replace(part, rename=label)
+            out.append(part)
+        return tuple(out), labels
+
+
+def _apart(names, taken=()) -> tuple[str, ...]:
+    """``names`` with each named apart from ``taken`` and from the earlier
+    ones by the first free numeric suffix: the output labels of a
+    projection's items, or of a grouping's aggregates after its names."""
+    seen: dict[str, int] = dict.fromkeys(taken, 1)
+    out = []
+    for name in names:
+        if name in seen:
+            seen[name] += 1
+            fresh = f"{name}_{seen[name]}"
+            while fresh in seen:
                 seen[name] += 1
                 fresh = f"{name}_{seen[name]}"
-                while fresh in seen:
-                    seen[name] += 1
-                    fresh = f"{name}_{seen[name]}"
-                self.renames.append(f"{what} output {name!r} renamed to {fresh!r}")
-                part = dataclasses.replace(part, rename=fresh)
-                name = fresh
-            seen.setdefault(name, 1)
-            out.append(part)
-            labels.append(name)
-        return tuple(out), tuple(labels)
+            name = fresh
+        seen.setdefault(name, 1)
+        out.append(name)
+    return tuple(out)
 
 
 def _names(terms) -> set:
@@ -378,11 +390,12 @@ def typecheck(expr: ast.Expression, schema: Schema) -> Checked:
 
 
 def labels(expr: ast.Expression, schema: Schema) -> tuple[str, ...]:
-    """The output label sequence of an expression.
+    """The output label sequence of an expression, as `typecheck` derives it.
 
     Computed structurally: projections and groupings use renames or canonical
-    term names, products concatenate, set operations take the left side.
-    Rejects duplicate names; run `typecheck` first to auto-rename.
+    term names, named apart as `typecheck` names them; products concatenate,
+    set operations take the left side.  A product whose sides share a label,
+    and repeated grouping names, are rejected.
     """
     return _labels(expr, {rel.name: rel.labels for rel in schema.relations.values()})
 
@@ -394,9 +407,7 @@ def _labels(e: ast.Expression, catalog: Mapping[str, tuple[str, ...]]) -> tuple[
             raise TypeCheckError(f"unknown relation {e.name!r}")
         return catalog[e.name]
     if isinstance(e, ast.Projection):
-        out = tuple(ast.proj_item_name(i) for i in e.items)
-        _require_distinct(out, "projection")
-        return out
+        return _apart([ast.proj_item_name(i) for i in e.items])
     if isinstance(e, (ast.Selection, ast.Distinct)):
         return _labels(e.source, catalog)
     if isinstance(e, ast.Product):
@@ -406,9 +417,8 @@ def _labels(e: ast.Expression, catalog: Mapping[str, tuple[str, ...]]) -> tuple[
     if isinstance(e, ast.SetOp):
         return _labels(e.left, catalog)
     if isinstance(e, ast.Group):
-        out = e.names + tuple(ast.agg_name(a) for a in e.aggs)
-        _require_distinct(out, "group")
-        return out
+        _require_distinct(e.names, "group")
+        return e.names + _apart([ast.agg_name(a) for a in e.aggs], e.names)
     if isinstance(e, ast.Mu):
         return _labels(e.seed, catalog)
     raise TypeCheckError(f"not an expression: {e!r}")

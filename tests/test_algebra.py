@@ -51,6 +51,23 @@ def test_labels_rejects_duplicates():
         labels(ast.Product(ast.BaseRelation("R"), ast.BaseRelation("R")), schema)
 
 
+def test_labels_names_repeated_outputs_apart_as_typecheck_does():
+    schema = abc_schema()
+    proj = ast.Projection(
+        (ast.ProjItem(col("A")), ast.ProjItem(col("A")), ast.ProjItem(col("B"), "A_2"), ast.ProjItem(col("A"))),
+        ast.BaseRelation("R"),
+    )
+    assert labels(proj, schema) == typecheck(proj, schema).sig.labels == ("A", "A_2", "A_2_2", "A_3")
+    group = ast.Group(
+        ("A",),
+        (ast.AggItem("count", "A", "A"), ast.AggItem("count_star", None), ast.AggItem("count_star", None)),
+        ast.BaseRelation("R"),
+    )
+    assert labels(group, schema) == typecheck(group, schema).sig.labels == ("A", "A_2", "count(*)", "count(*)_2")
+    with pytest.raises(TypeCheckError, match="group output repeats names"):
+        labels(ast.Group(("A", "A"), (), ast.BaseRelation("R")), schema)
+
+
 def test_typecheck_rejects_sum_over_ordinary():
     schema = abc_schema()
     g = ast.Group((), (ast.AggItem("sum", "B", None),), ast.BaseRelation("R"))

@@ -97,6 +97,32 @@ def test_sql_texts_keep_their_lowerings():
     assert not wrong
 
 
+REPEATED_OUTPUTS = [
+    ("SELECT * FROM (SELECT A, A FROM R) AS T", "SELECT A, A FROM R"),
+    ("SELECT * FROM (SELECT COUNT(*), COUNT(*) FROM R) AS T", "SELECT COUNT(*), COUNT(*) FROM R"),
+    (
+        "WITH RECURSIVE W AS ((SELECT A, A FROM R) UNION ALL (SELECT * FROM W WHERE FALSE)) SELECT * FROM W",
+        "SELECT A, A FROM R",
+    ),
+    (
+        "SELECT * FROM (SELECT A, COUNT(*), COUNT(*) FROM R GROUP BY A) AS T",
+        "SELECT A, COUNT(*), COUNT(*) FROM R GROUP BY A",
+    ),
+]
+
+
+@pytest.mark.parametrize("sql,top", REPEATED_OUTPUTS)
+def test_repeated_output_names_below_the_top_are_named_apart_as_at_the_top(sql, top, cfg3):
+    db = rs_db([1, 1, None], [])
+
+    def run(text):
+        checked = typecheck(lower(text, SCHEMA), SCHEMA)
+        return checked.sig.labels, evaluate(checked.expr, db, cfg=cfg3)
+
+    assert run(sql) == run(top)
+    assert run(sql)[0][-1].endswith("_2")
+
+
 def test_not_exists_lowers_to_emptiness():
     sql = "SELECT R.A FROM R WHERE NOT EXISTS (SELECT S.A FROM S WHERE S.A = R.A)"
     lowered = lower(sql, SCHEMA)

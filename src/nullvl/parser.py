@@ -249,10 +249,10 @@ def _tuple(toks, forms, i) -> tuple[ast.Term, ...]:
         term = _TERMS.get(head)
         if term is not None:
             return (term(toks, forms, i),)
-        if head == "tuple" or head[0] == '"' and _string(head) == "tuple":
+        if head == "tuple":
             inside = forms[i]
-            if len(inside) < 2:
-                raise _Fault("tuple needs at least one term", i)
+            if len(inside) < 3:
+                raise _Fault("tuple needs at least two terms", i)
             terms = []
             for j in inside[1:]:
                 terms.append(_reader(_TERMS, toks, j)(toks, forms, j))
@@ -272,12 +272,11 @@ def _op(toks, i) -> str:
 # Conditions
 
 
-def _true(toks, forms, i):
-    return ast.CTrue()
-
-
-def _false(toks, forms, i):
-    return ast.CFalse()
+def _truth(toks, forms, i):
+    head = toks[i + 1]
+    if len(forms[i]) != 1:
+        raise _Fault(f"{head} takes no arguments", i)
+    return ast.CTrue() if head == "true" else ast.CFalse()
 
 
 def _isnull(toks, forms, i):
@@ -348,7 +347,7 @@ def _not(toks, forms, i):
 
 
 _CONDS = _Table("expected a condition", "unknown condition keyword", {
-    "true": _true, "false": _false, "isnull": _isnull, "cmp": _cmp, "in": _in,
+    "true": _truth, "false": _truth, "isnull": _isnull, "cmp": _cmp, "in": _in,
     "empty": _empty, "any": _quant, "all": _quant, "and": _connective,
     "or": _connective, "not": _not,
 })
@@ -365,7 +364,7 @@ def _item(toks, forms, i) -> ast.ProjItem:
         term = _TERMS.get(head)
         if term is not None:
             return ast.ProjItem(term(toks, forms, i), None)
-        if head == "as" or head[0] == '"' and _string(head) == "as":
+        if head == "as":
             inside = forms[i]
             if len(inside) != 3:
                 raise _Fault("as takes a name and a term", i)

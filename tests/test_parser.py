@@ -197,15 +197,21 @@ def test_mutated_texts_keep_their_errors():
 
 
 def test_string_tokens_serve_as_names():
-    # a token read as a name may be a string: an operator, and the `as` and
-    # `tuple` that open a projection item or a term tuple; a keyword looked
-    # up in a table may not (see MALFORMED); `true` and `false` read no
-    # arguments, so any are ignored
-    c = parse_condition('(cmp "=" ("tuple" (col A)) (col "B"))')
-    assert c == ast.Compare((col("A"),), "=", (col("B"),))
-    e = parse_expression('(project (("as" n (col A))) (base R))')
-    assert e.items[0] == ast.ProjItem(col("A"), "n")
-    assert parse_condition("(true x (y))") == ast.CTrue()
+    # a token read as a name may be a string, an operator too; a keyword may
+    # not, the `as` and `tuple` that open a projection item or a term tuple
+    # included (see MALFORMED); `true` and `false` take no arguments, and a
+    # tuple holds two terms or more (docs/grammar.md)
+    c = parse_condition('(cmp "=" (tuple (col A) (col "B")) (tuple (col "B") (col A)))')
+    assert c == ast.Compare((col("A"), col("B")), "=", (col("B"), col("A")))
+    with pytest.raises(ExprParseError, match=r"^expected a term or \(tuple \.\.\.\) \(offset 10, line 1, column 10\)$"):
+        parse_condition('(cmp "=" ("tuple" (col A) (col B)) (tuple (col B) (col A)))')
+    with pytest.raises(ExprParseError, match=r"^tuple needs at least two terms \(offset 10, line 1, column 10\)$"):
+        parse_condition('(cmp "=" (tuple (col A)) (col "B"))')
+    with pytest.raises(ExprParseError, match=r"^expected a term or \(as name term\) \(offset 11, line 1, column 11\)$"):
+        parse_expression('(project (("as" n (col A))) (base R))')
+    for text in ("(true x (y))", "(false x)"):
+        with pytest.raises(ExprParseError, match=r"^(true|false) takes no arguments \(offset 1, line 1, column 1\)$"):
+            parse_condition(text)
 
 
 def _depth(frame) -> int:

@@ -104,11 +104,9 @@ def _name(tok: str) -> str:
 # ---------------------------------------------------------------------------
 # Frontend syntax tree
 #
-# Terms and conditions are parsed straight into `ast` nodes.  Only what the
-# lowering must still resolve has nodes of its own: a column reference
-# (SCol) and an aggregate call (SAgg), which stand where the lowered tree has
-# a NameRef, and the query nodes below, which stand in a condition's query
-# slot until the lowering replaces them with algebra expressions.
+# Terms and conditions are `ast` nodes.  These are the frontend's own: SCol
+# and SAgg, which stand where the lowered tree has a NameRef, and the query
+# nodes, which also fill a condition's query slot until lowering.
 
 
 @dataclass(frozen=True)
@@ -761,7 +759,8 @@ class _Lowerer:
         if kind is ast.FnApply:
             return ast.FnApply(node.fn, self.lower_row(node.args, agg_map))
         if kind is ast.Compare:
-            return ast.Compare(self.lower_row(node.lhs, agg_map), node.op, self.lower_row(node.rhs, agg_map))
+            lhs = self.lower_row(node.lhs, agg_map)
+            return ast.Compare(lhs, node.op, self.lower_row(node.rhs, agg_map))
         if kind is ast.IsNull:
             return ast.IsNull(self.lower(node.term, agg_map))
         if kind is ast.In:

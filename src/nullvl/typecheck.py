@@ -349,8 +349,10 @@ class Typechecker:
         """The items or aggregates with each output named apart as
         `_apart` names it, and their output names; every rename is
         recorded."""
-        names = [name_of(part) for part in parts]
+        names = tuple([name_of(part) for part in parts])
         labels = _apart(names, taken)
+        if labels == names:
+            return tuple(parts), labels
         out = []
         for part, name, label in zip(parts, names, labels):
             if label != name:
@@ -360,10 +362,12 @@ class Typechecker:
         return tuple(out), labels
 
 
-def _apart(names, taken=()) -> tuple[str, ...]:
-    """``names`` with each named apart from ``taken`` and from the earlier
-    ones by the first free numeric suffix: the output labels of a
-    projection's items, or of a grouping's aggregates after its names."""
+def _apart(names: tuple[str, ...], taken: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """``names`` with each named apart from the distinct ``taken`` and from
+    the earlier ones by the first free numeric suffix: the output labels of
+    a projection's items, or of a grouping's aggregates after its names."""
+    if len({*taken, *names}) == len(taken) + len(names):
+        return names
     seen: dict[str, int] = dict.fromkeys(taken, 1)
     out = []
     for name in names:
@@ -407,7 +411,7 @@ def _labels(e: ast.Expression, catalog: Mapping[str, tuple[str, ...]]) -> tuple[
             raise TypeCheckError(f"unknown relation {e.name!r}")
         return catalog[e.name]
     if isinstance(e, ast.Projection):
-        return _apart([ast.proj_item_name(i) for i in e.items])
+        return _apart(tuple([ast.proj_item_name(i) for i in e.items]))
     if isinstance(e, (ast.Selection, ast.Distinct)):
         return _labels(e.source, catalog)
     if isinstance(e, ast.Product):
@@ -418,7 +422,7 @@ def _labels(e: ast.Expression, catalog: Mapping[str, tuple[str, ...]]) -> tuple[
         return _labels(e.left, catalog)
     if isinstance(e, ast.Group):
         _require_distinct(e.names, "group")
-        return e.names + _apart([ast.agg_name(a) for a in e.aggs], e.names)
+        return e.names + _apart(tuple([ast.agg_name(a) for a in e.aggs]), e.names)
     if isinstance(e, ast.Mu):
         return _labels(e.seed, catalog)
     raise TypeCheckError(f"not an expression: {e!r}")

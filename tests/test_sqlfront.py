@@ -119,8 +119,9 @@ def test_repeated_output_names_below_the_top_are_named_apart_as_at_the_top(sql, 
         checked = typecheck(lower(text, SCHEMA), SCHEMA)
         return checked.sig.labels, evaluate(checked.expr, db, cfg=cfg3)
 
-    assert run(sql) == run(top)
-    assert run(sql)[0][-1].endswith("_2")
+    got = run(sql)
+    assert got == run(top)
+    assert got[0][-1].endswith("_2")
 
 
 def test_not_exists_lowers_to_emptiness():

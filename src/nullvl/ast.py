@@ -4,6 +4,14 @@ All nodes are immutable and hashable; structural equality is the equality
 used by the snapshot tests.  The canonical text renderer here is the inverse
 of `nullvl.parser.parse_expression`.
 
+Each node class subclasses `nullvl.frozen.Frozen`: its fields are its
+annotations, and the base gives it ``__init__``, ``==``, ``hash``, ``repr``
+and ``_fields`` when the class is created.  The nodes are not dataclasses
+because every command imports this module and a frozen dataclass compiles
+generated source for each class: the 26 here cost 14-23 ms of a start-up
+(0.5-0.9 ms each, Python 3.11) besides the 7-10 ms of importing
+`dataclasses`, where the base takes under 1 ms for all of them.
+
 `steps` lists a node's expression and condition children with their path
 steps: `/src`, `/l`, `/r`, `/seed`, `/step`, `/cond` and `/q` (a source, an
 operand, a fixpoint branch, a selection's condition, a subquery) and `.l`,
@@ -13,10 +21,10 @@ paths of `analyze` and `translate --trace` are strings of these steps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .frozen import Frozen
 from .values import Number, exact_number, format_number
 
 COMPARISONS = ("=", "!=", "<", ">", "<=", ">=")
@@ -30,34 +38,28 @@ AGGREGATES = ("count", "count_star", "sum", "avg", "min", "max")
 # Terms
 
 
-@dataclass(frozen=True)
-class NumConst:
+class NumConst(Frozen):
     value: Number
 
 
-@dataclass(frozen=True)
-class OrdConst:
+class OrdConst(Frozen):
     value: str
 
 
-@dataclass(frozen=True)
-class NullConst:
+class NullConst(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class NameRef:
+class NameRef(Frozen):
     name: str
 
 
-@dataclass(frozen=True)
-class FnApply:
+class FnApply(Frozen):
     fn: str
     args: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
-class ArgHole:
+class ArgHole(Frozen):
     """Placeholder inside condition templates; substituted before evaluation."""
 
     index: int  # 1-based
@@ -78,41 +80,34 @@ def col(name: str) -> NameRef:
 # Conditions
 
 
-@dataclass(frozen=True)
-class CTrue:
+class CTrue(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class CFalse:
+class CFalse(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class IsNull:
+class IsNull(Frozen):
     term: Term
 
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(Frozen):
     lhs: tuple[Term, ...]
     op: str
     rhs: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class In:
+class In(Frozen):
     items: tuple[Term, ...]
     query: "Expression"
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Frozen):
     query: "Expression"
 
 
-@dataclass(frozen=True)
-class Quant:
+class Quant(Frozen):
     """ANY / ALL comparison against a subquery result."""
 
     items: tuple[Term, ...]
@@ -121,20 +116,17 @@ class Quant:
     query: "Expression"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Frozen):
     left: "Condition"
     right: "Condition"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Frozen):
     left: "Condition"
     right: "Condition"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Frozen):
     cond: "Condition"
 
 
@@ -163,63 +155,53 @@ def or_all(conds: list) -> Condition:
 # Expressions
 
 
-@dataclass(frozen=True)
-class BaseRelation:
+class BaseRelation(Frozen):
     name: str
 
 
-@dataclass(frozen=True)
-class ProjItem:
+class ProjItem(Frozen):
     term: Term
     rename: str | None = None
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(Frozen):
     items: tuple[ProjItem, ...]
     source: "Expression"
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(Frozen):
     cond: Condition
     source: "Expression"
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Frozen):
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class SetOp:
+class SetOp(Frozen):
     op: str  # "union" | "intersect" | "except" (ALL/bag semantics)
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Distinct:
+class Distinct(Frozen):
     source: "Expression"
 
 
-@dataclass(frozen=True)
-class AggItem:
+class AggItem(Frozen):
     fn: str  # one of AGGREGATES
     column: str | None  # None only for count_star
     rename: str | None = None
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Frozen):
     names: tuple[str, ...]
     aggs: tuple[AggItem, ...]
     source: "Expression"
 
 
-@dataclass(frozen=True)
-class Mu:
+class Mu(Frozen):
     """Fixpoint iteration over a fresh relation name.
 
     ``distinct`` selects the deduplicating iteration (single-copy union);

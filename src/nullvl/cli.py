@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 property failure, 2 usage or parse error.
 
 The module imports what building the parser and `eval` need; each other
-command imports its own module (`analyze`, `sqlfront`, `harness`) when it
-runs, so a process that starts for one command compiles little else.
+command imports its own module (`translate`, `analyze`, `sqlfront`,
+`harness`) when it runs, so a process that starts for one command compiles
+little else.
 """
 from __future__ import annotations
 
@@ -13,10 +14,10 @@ import functools
 import json
 import sys
 
-from . import ast, translate
+from . import ast
 from .errors import NullvlError
 from .evaluator import EvalConfig, evaluate
-from .logic import GROUNDINGS, KERNELS, kernel_3vl, kernel_by_name
+from .logic import DIRECTIONS, GROUNDINGS, KERNELS, flag_of, kernel_3vl, kernel_by_name
 from .parser import parse_expression
 from .typecheck import typecheck
 from .values import bag_json_text, bag_to_json, load_database, read_json
@@ -49,7 +50,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    flag = translate.flag_of(args.direction)
+    from . import translate
+
+    flag = flag_of(args.direction)
     for other in ("grounding", "kernel"):
         if getattr(args, other) is not None and other != flag:
             raise NullvlError(f"{args.direction} does not read --{other}")
@@ -107,7 +110,7 @@ def _cmd_rewrite(args) -> int:
         source = kernel_by_name(args.source)
     except (NullvlError, OSError) as exc:
         raise NullvlError(f"rewrite --from: {exc}") from None
-    from . import sqlfront
+    from . import sqlfront, translate
 
     db = load_database(args.schema)
     query = sqlfront.parse_sql(_read(args.sql))
@@ -190,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=_cmd_eval)
 
     pt = sub.add_parser("translate", help="translate an expression between semantics")
-    pt.add_argument("--direction", required=True, choices=list(translate.DIRECTIONS))
+    pt.add_argument("--direction", required=True, choices=list(DIRECTIONS))
     for flag, built_ins in (("grounding", GROUNDINGS), ("kernel", KERNELS)):
-        users = [name for name in translate.DIRECTIONS if translate.flag_of(name) == flag]
+        users = [name for name in DIRECTIONS if flag_of(name) == flag]
         pt.add_argument(f"--{flag}",
                         help=f"{' | '.join(built_ins)} | <{flag} file> ({', '.join(users)})")
     pt.add_argument("--schema", help="database JSON supplying the schema")

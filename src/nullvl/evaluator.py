@@ -48,12 +48,12 @@ no planner state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
 from . import ast
 from .errors import EvalError, RecursionLimitError
+from .frozen import Frozen
 from .funcs import apply_aggregate, apply_function
 from .logic import AND, OR, LogicKernel, TruthValue, fold_counted, kernel_3vl
 from .typecheck import Checked, RelSig, Typechecker, catalog_from_schema, typecheck
@@ -62,13 +62,14 @@ from .values import Bag, Database, Value, is_null
 Env = Mapping[str, Value]
 
 
-@dataclass
-class EvalConfig:
-    kernel: LogicKernel = field(default_factory=kernel_3vl)
+class EvalConfig(Frozen):
+    kernel: LogicKernel = None  # None: kernel_3vl()
     recursion_cap: int = 10_000
     plan: bool = True  # False: the plain tree-walker
 
     def __post_init__(self):
+        if self.kernel is None:
+            object.__setattr__(self, "kernel", kernel_3vl())
         if self.recursion_cap < 1:
             raise ValueError("recursion_cap must be at least 1")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import analyze, ast, fuzz, sqlfront, translate
+from . import analyze, ast, frozen, fuzz, sqlfront, translate
 from .errors import KernelError, NullvlError, RecursionLimitError, SqlEmitError
 from .evaluator import EvalConfig, eval_condition, evaluate
 from .logic import kernel_2vl, kernel_3vl, kernel_by_name
@@ -277,7 +277,7 @@ def _renamed(gen: fuzz.ExpressionGenerator, expr: ast.Expression, sig):
         tuple(ast.ProjItem(ast.NameRef(old), new) for old, new in zip(sig.labels, renamed)),
         expr,
     )
-    return expr, replace(sig, labels=renamed)
+    return expr, frozen.replace(sig, labels=renamed)
 
 
 def _equated(gen: fuzz.ExpressionGenerator, cfg: fuzz.FuzzConfig, rng, lsig, rsig) -> ast.Condition:

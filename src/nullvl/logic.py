@@ -21,7 +21,7 @@ import itertools
 from typing import Callable, Iterable, Mapping, get_args
 
 from . import ast
-from .errors import KernelError
+from .errors import KernelError, NullvlError
 from .values import Value, json_array, read_json, required
 
 TruthValue = str
@@ -399,7 +399,8 @@ class Grounding:
     A missing entry is the empty grounding: ``(false)`` stands in for it.
     The evaluator runs a template under 3VL with the holes bound to the
     argument values, and it must come out t or f.  Two groundings are equal
-    when their names and templates are, which keys `kernel_grounded`.
+    when their names and templates are, which keys `kernel_grounded`; the
+    hash of the templates is taken once, when the grounding is made.
     """
 
     def __init__(self, name: str, templates: Mapping[tuple[str, frozenset], ast.Condition]):
@@ -417,22 +418,26 @@ class Grounding:
             self.templates[(op, pattern)] = cond
         # every template map holds the cells in `_NULL_CELLS` order
         self._key = (name, tuple(self.templates.items()))
+        self._hash = hash(self._key)
 
     def __eq__(self, other):
         return isinstance(other, Grounding) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
 
+@functools.cache
 def empty_grounding() -> Grounding:
     return Grounding("empty", {})
 
 
+@functools.cache
 def syntactic_equality_grounding() -> Grounding:
     return Grounding("syntactic-eq", {("=", frozenset({1, 2})): ast.CTrue()})
 
 
+@functools.cache
 def nonnegative_leq_grounding() -> Grounding:
     """NULL <= x holds for x >= 0, x <= NULL holds for x < 0, and
     NULL <= NULL holds."""
@@ -678,6 +683,28 @@ GROUNDINGS: dict[str, Callable[[], Grounding]] = {
     "leq-sign": nonnegative_leq_grounding,
 }
 
+# Each translation direction's source and target, as `kernel_by_name` names
+# whose "{}" holds the value of the direction's flag (`flag_of`).  A
+# translation into a target with "{}" holds for every value, so only a
+# source needs one.  `translate.direction` runs them.
+DIRECTIONS: dict[str, tuple[str, str]] = {
+    "2to3": ("2vl", "3vl"),
+    "3to2": ("3vl", "2vl"),
+    "gr-to-3": ("grounded:{}", "3vl"),
+    "3-to-gr": ("3vl", "grounded:{}"),
+    "mvl-to-3": ("{}", "3vl"),
+}
+
+
+def flag_of(name: str) -> str | None:
+    """The flag whose value fills direction `name`'s "{}", if it has one."""
+    if not isinstance(name, str) or name not in DIRECTIONS:
+        raise NullvlError(f"unknown direction {name!r}")
+    for semantics in DIRECTIONS[name]:
+        if "{}" in semantics:
+            return "grounding" if semantics.startswith("grounded:") else "kernel"
+    return None
+
 
 def _by_name(spec, what: str, built_ins: Mapping, load: Callable):
     """A built-in by name, else `load(spec)` of a file."""
@@ -699,9 +726,9 @@ def grounding_by_name(spec) -> Grounding:
 
 def kernel_by_name(spec) -> LogicKernel:
     """A built-in kernel, `grounded:<grounding>`, or a kernel JSON file with
-    or without the `mvl:` prefix.  A built-in kernel is built once per
-    process and a grounded kernel once per distinct grounding; a file is
-    read on every call."""
+    or without the `mvl:` prefix.  A built-in kernel or grounding is built
+    once per process and a grounded kernel once per distinct grounding; a
+    file is read on every call."""
     if isinstance(spec, str) and spec.startswith("grounded:"):
         return kernel_grounded(grounding_by_name(spec.removeprefix("grounded:")))
     return _by_name(spec, "kernel", KERNELS, lambda path: load_kernel(path.removeprefix("mvl:")))

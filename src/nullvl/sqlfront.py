@@ -687,6 +687,7 @@ class _Lowerer:
                 _collect_aggs(core.having, agg_calls)
 
             agg_map: dict[SAgg, str] = {}
+            labels = [lbl for src in sources for lbl in src.labels]
             if core.group_by or agg_calls:
                 names = tuple(self.resolve(c) for c in core.group_by)
                 agg_items = []
@@ -697,8 +698,12 @@ class _Lowerer:
                     agg_map[call] = ast.agg_name(item)
                     agg_items.append(item)
                 expr = ast.Group(names, tuple(agg_items), expr)
-                group_labels = names + tuple(ast.agg_name(a) for a in agg_items)
-                self.scopes[-1] = [_Source("", group_labels, expr)]
+                # each FROM source keeps its alias over its grouping labels
+                self.scopes[-1] = [
+                    _Source(src.alias, tuple(n for n in names if n in src.labels), expr)
+                    for src in sources
+                ] + [_Source("", tuple(agg_map.values()), expr)]
+                labels = names + tuple(agg_map.values())
                 if core.having is not None:
                     expr = ast.Selection(self.lower(core.having, agg_map), expr)
             elif core.having is not None:
@@ -712,7 +717,7 @@ class _Lowerer:
                     term = self.lower(item.expr, agg_map)
                     rename = item.alias
                     items.append(ast.ProjItem(term, rename))
-                if not self._is_identity(items):
+                if not self._is_identity(items, labels):
                     expr = ast.Projection(tuple(items), expr)
             # SELECT * keeps the source columns as they are
             if core.distinct:
@@ -721,8 +726,8 @@ class _Lowerer:
         finally:
             self.scopes.pop()
 
-    def _is_identity(self, items) -> bool:
-        labels = [lbl for src in self.scopes[-1] for lbl in src.labels]
+    @staticmethod
+    def _is_identity(items, labels) -> bool:
         if len(items) != len(labels):
             return False
         for item, lbl in zip(items, labels):

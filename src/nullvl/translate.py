@@ -15,7 +15,8 @@ of truth values, and it reads each comparison's condition templates from
 the source kernel, which derives them from its one NULL table
 (`LogicKernel.template`), and the not-null guards they need from the target.
 The named pairs (`tr_*`) are `translate` between fixed semantics, and
-`DIRECTIONS` names each by its source and target for the CLI and harness.
+`direction` runs the pair that `logic.DIRECTIONS` names by its source and
+target for the CLI and harness.
 
 `translate` typechecks its input once, as `evaluate` does, and translates
 the checked tree; the core reads the labels of every node it needs them for
@@ -28,7 +29,6 @@ prefix ``__``.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,11 +38,14 @@ from typing import Mapping, Optional
 from . import ast
 from .errors import EvalError, NullvlError, RecursionLimitError
 from .evaluator import EvalConfig, evaluate
+from .frozen import replace
 from .logic import (
     AND,
+    DIRECTIONS,
     OR,
     Grounding,
     LogicKernel,
+    flag_of,
     fold_counted,
     kernel_2vl,
     kernel_3vl,
@@ -210,7 +213,7 @@ class _FromMVL:
             conn = AND if isinstance(c, ast.Quant) and c.quant == "all" else OR
             if values == {kernel.true} and self._keeps({op, "="} if len(c.items) > 1 else {op}):
                 self._note(path, "quantifier-kept")
-                return dataclasses.replace(c, query=self.expr(c.query, path + "/q"))
+                return replace(c, query=self.expr(c.query, path + "/q"))
             return self._counted(c.items, op, c.query, conn, values, path)
         if isinstance(c, (ast.IsNull, ast.Empty)):
             t, f = kernel.true in values, kernel.false in values
@@ -383,28 +386,6 @@ def tr_mvl_to_3vl(
 ) -> TranslationResult:
     """From a finite many-valued kernel into the three-valued semantics."""
     return translate(expr, schema, kernel, kernel_3vl(), checked)
-
-
-# Each direction's source and target, as `logic.kernel_by_name` names whose
-# "{}" holds the value of the direction's flag (`flag_of`).  A translation
-# into a target with "{}" holds for every value, so only a source needs one.
-DIRECTIONS: dict[str, tuple[str, str]] = {
-    "2to3": ("2vl", "3vl"),
-    "3to2": ("3vl", "2vl"),
-    "gr-to-3": ("grounded:{}", "3vl"),
-    "3-to-gr": ("3vl", "grounded:{}"),
-    "mvl-to-3": ("{}", "3vl"),
-}
-
-
-def flag_of(name: str) -> Optional[str]:
-    """The flag whose value fills direction `name`'s "{}", if it has one."""
-    if not isinstance(name, str) or name not in DIRECTIONS:
-        raise NullvlError(f"unknown direction {name!r}")
-    for semantics in DIRECTIONS[name]:
-        if "{}" in semantics:
-            return "grounding" if semantics.startswith("grounded:") else "kernel"
-    return None
 
 
 def direction(name: str, spec: Optional[str] = None):

@@ -31,19 +31,17 @@ typecheck; the evaluator, the analyzer and the translators read the notes.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import ast
 from .errors import TypeCheckError
+from .frozen import Frozen, replace
 from .values import NUM, ORD, Schema
 
 ANY = "?"  # type of the NULL constant: member of both type universes
 
 
-@dataclass(frozen=True, slots=True)
-class RelSig:
+class RelSig(Frozen):
     """What is known of a relation or expression node: output labels and type
     word, the labels that may carry NULL, and the names read from enclosing
     rows."""
@@ -77,8 +75,7 @@ def catalog_from_schema(schema: Schema) -> dict[str, RelSig]:
     }
 
 
-@dataclass(frozen=True)
-class Checked:
+class Checked(Frozen):
     expr: ast.Expression
     sig: RelSig
     renames: tuple[str, ...]  # human-readable notes about applied renamings
@@ -357,7 +354,7 @@ class Typechecker:
         for part, name, label in zip(parts, names, labels):
             if label != name:
                 self.renames.append(f"{what} output {name!r} renamed to {label!r}")
-                part = dataclasses.replace(part, rename=label)
+                part = replace(part, rename=label)
             out.append(part)
         return tuple(out), labels
 

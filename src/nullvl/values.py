@@ -15,7 +15,6 @@ import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -23,6 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import NullvlError, SchemaError
+from .frozen import Frozen
 
 NULL = None
 # exact rationals: int when integral, Fraction otherwise
@@ -212,8 +212,7 @@ def format_value(v: Value) -> str:
     return format_number(v)
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(Frozen):
     name: str
     type: str  # NUM or ORD
     nullable: bool = True
@@ -227,8 +226,7 @@ class Column:
             object.__setattr__(self, "nullable", False)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Frozen):
     name: str
     columns: tuple[Column, ...]
 
@@ -270,8 +268,7 @@ class Schema:
         return list(self.relations)
 
 
-@dataclass
-class Database:
+class Database(Frozen):
     schema: Schema
     tables: dict[str, Bag]
 

@@ -70,6 +70,7 @@ HAND = [
     "SELECT S.A FROM S WHERE S.A IN (SELECT T.A FROM (SELECT A, A FROM R) AS T)",
     "SELECT * FROM (SELECT A, A FROM R) AS T, (SELECT A, A FROM R) AS U",
     "SELECT * FROM (SELECT A, COUNT(*), COUNT(*) FROM R GROUP BY A) AS T",
+    "SELECT customer.c_nationkey, COUNT(*) FROM customer GROUP BY customer.c_nationkey",
 ]
 SCHEMAS = {"default": default_schema(), "base": BASE_SCHEMA}
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sql_lowerings.json")

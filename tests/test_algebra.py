@@ -1,4 +1,3 @@
-import dataclasses
 import typing
 
 import pytest
@@ -154,12 +153,12 @@ def test_typecheck_mu_freshness_and_seed_restriction():
     "cls", typing.get_args(ast.Expression) + typing.get_args(ast.Condition), ids=lambda c: c.__name__
 )
 def test_steps_lists_every_expression_and_condition_field_in_order(cls):
-    node = cls(*(object() for _ in dataclasses.fields(cls)))
+    node = cls(*(object() for _ in cls._fields))
     hints = typing.get_type_hints(cls)
     expected = [
-        getattr(node, f.name)
-        for f in dataclasses.fields(cls)
-        if hints[f.name] in (ast.Expression, ast.Condition)
+        getattr(node, name)
+        for name in cls._fields
+        if hints[name] in (ast.Expression, ast.Condition)
     ]
     pairs = ast.steps(node)
     assert [child for _, child in pairs] == expected

@@ -293,6 +293,41 @@ def test_the_parser_loads_no_command_module_and_lists_every_family():
     assert f"invalid choice: 'bogus' (choose from {listed})" in bad.stderr
 
 
+def test_starting_the_cli_loads_no_dataclasses_inspect_or_translate(tmp_path):
+    from nullvl import translate
+
+    db = _write(tmp_path, "db.json", DB)
+    expr = _write(tmp_path, "q.ra", Q1_EXPR)
+    # the modules loaded go to the last line of standard error, also when
+    # argparse exits after printing a help text
+    code = ("import json, sys, nullvl.cli\n"
+            "try:\n"
+            "    sys.exit(nullvl.cli.main(sys.argv[1:]) if sys.argv[1:] else nullvl.cli.build_parser() and 0)\n"
+            "finally:\n"
+            "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nullvl.__file__)),
+               COLUMNS="1000")
+
+    def spawn(*argv):
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout, set(json.loads(done.stderr.splitlines()[-1]))
+
+    for argv in ((), ("eval", expr, db)):
+        out, loaded = spawn(*argv)
+        assert "nullvl.cli" in loaded
+        assert not {"dataclasses", "inspect", "nullvl.translate"} & loaded, argv
+    assert json.loads(out) == {"columns": ["R.A"], "rows": []}
+    out, loaded = spawn("translate", "--direction", "3to2", "--schema", db, expr)
+    assert "nullvl.translate" in loaded and out.startswith("(select ")
+    help_text, _ = spawn("translate", "--help")
+    assert "{" + ",".join(translate.DIRECTIONS) + "}" in help_text
+    for flag in ("grounding", "kernel"):
+        users = [name for name in translate.DIRECTIONS if translate.flag_of(name) == flag]
+        assert f"({', '.join(users)})" in help_text
+
+
 def test_every_capture_family_direction_is_a_translate_choice():
     from nullvl import harness
     from nullvl.cli import build_parser

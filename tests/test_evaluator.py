@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from nullvl.evaluator import (
     eval_term,
     evaluate,
 )
+from nullvl.frozen import replace
 from nullvl.funcs import apply_aggregate
 from nullvl.fuzz import ExpressionGenerator, FuzzConfig, default_schema, gen_database
 from nullvl.logic import AND, OR, kernel_2vl, kernel_2vl_syntactic, kernel_3vl, kernel_grounded, empty_grounding

@@ -47,6 +47,29 @@ def test_aggregate_query_text_is_accepted():
     assert "(not (in (col c_custkey)" in got
 
 
+def test_a_qualified_column_after_group_by_resolves_as_the_bare_one():
+    schema = customer_orders_schema()
+    bare = "SELECT c_nationkey, COUNT(*) FROM customer GROUP BY c_nationkey"
+    want = lower(bare, schema)
+    assert ast.render_expression(want) == "(group (c_nationkey) ((count-star)) (base customer))"
+    assert lower(bare.replace("c_nationkey", "customer.c_nationkey"), schema) == want
+    aliased = "SELECT c.c_nationkey, COUNT(*) FROM customer AS c GROUP BY c.c_nationkey"
+    assert lower(aliased, schema) == want
+    # the grouping's output order is kept where the items list it otherwise
+    pair = "SELECT {} FROM customer, orders GROUP BY orders.o_custkey, customer.c_nationkey"
+    kept = lower(pair.format("customer.c_nationkey, orders.o_custkey"), schema)
+    assert typecheck(kept, schema).sig.labels == ("c_nationkey", "o_custkey")
+    elided = lower(pair.format("orders.o_custkey, c_nationkey"), schema)
+    assert isinstance(elided, ast.Group)
+    for text, ref in (
+        ("SELECT customer.c_acctbal FROM customer GROUP BY c_nationkey", "customer.c_acctbal"),
+        ("SELECT orders.c_nationkey FROM customer, orders GROUP BY c_nationkey", "orders.c_nationkey"),
+        ("SELECT customer.c_nationkey FROM customer AS c GROUP BY c.c_nationkey", "customer.c_nationkey"),
+    ):
+        with pytest.raises(SqlParseError, match=f"unresolved column reference '{ref}'"):
+            lower(text, schema)
+
+
 def test_window_functions_are_named_unsupported():
     with pytest.raises(UnsupportedSqlError):
         sqlfront.parse_sql("SELECT rank() OVER (ORDER BY x) FROM R")
@@ -90,9 +113,9 @@ with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "sql_lowering
 
 
 def test_sql_texts_keep_their_lowerings():
-    # 28 hand-written texts, 300 printed expressions, the 7 BASE queries of
+    # 29 hand-written texts, 300 printed expressions, the 7 BASE queries of
     # gen_sql_faults.py and 300 mutants that parse
-    assert len(SQL_LOWERINGS) == 635
+    assert len(SQL_LOWERINGS) == 636
     wrong = [(entry, got) for entry in SQL_LOWERINGS if (got := lowering(*entry[:2])) != entry]
     assert not wrong
 

@@ -19,7 +19,7 @@ of which changes a result:
    that lives for that evaluation only.
 3. Equality lookups go through hash indexes when the kernel allows it
    (`_Run.join_nulls`), and the full condition is still tested on every
-   candidate:
+   candidate unless a key-only EMPTY makes that needless:
    - a selection over a base relation or a product probes one index.  Its
      `=` conjuncts that compare a column of the indexed side (the relation,
      or the product's right side) with a term reading none of that side's
@@ -30,9 +30,14 @@ of which changes a result:
      lives for the `evaluate` call and is kept while the side's bag is
      unchanged: a loop-invariant side of a fixpoint's step is indexed once,
      a fixpoint relation again on every iteration;
+   - a correlated EMPTY over such a selection of a base relation, or over
+     projections and DISTINCTs of one, is one lookup of the outer record's
+     key values (`_empty_probe`), with no bag built.  When every conjunct
+     is a key `=`, a candidate is exactly a record where the condition is
+     true, so it is not evaluated: EMPTY is "no candidate";
    - single-item IN / ANY-`=` looks the item up in a value count index of
-     the subquery's bag.
-4. Quantifiers fold once per distinct record through `fold_counted`.
+     the subquery's bag, and folds once per hit count (`_Members.member`).
+4. Other quantifiers fold once per distinct record through `fold_counted`.
 5. Each selection's condition and each projection's items are compiled once
    per call, next to the selection's other facts, to closures: the source's
    labels read record positions, outer names the caller's environment, and
@@ -219,6 +224,7 @@ class _Members:
             else:
                 self.counts[v] = k
         self.non_null = sum(self.counts.values())
+        self.folded: dict = {}
 
     def equalities(self, kernel: LogicKernel, x: Value) -> list:
         """(truth value, multiplicity) of `x = v` over the bag's records v."""
@@ -229,6 +235,14 @@ class _Members:
         return [
             (kernel.true, hits), (kernel.false, self.non_null - hits), (eq[_NULLS_2], self.nulls)
         ]
+
+    def member(self, kernel: LogicKernel, x: Value) -> TruthValue:
+        """`x IN` the bag, folded once per hit count and once for NULL: the
+        equalities depend on x through nothing else."""
+        key = None if x is None else self.counts.get(x, 0)
+        if key not in self.folded:
+            self.folded[key] = _fold_pairs(kernel, OR, self.equalities(kernel, x))
+        return self.folded[key]
 
 
 def _connective(cond: ast.In | ast.Quant) -> tuple[str, str]:
@@ -251,14 +265,16 @@ def _eval_quantified(
 ) -> TruthValue:
     """IN and ANY/ALL over the subquery's ``source``, folded once per
     distinct record."""
-    op, conn = _connective(cond)
     if isinstance(source, _Members):
-        pairs = source.equalities(kernel, items[0])
-    else:
-        pairs = [
-            (_compare_value_tuples(kernel, items, op, record), k)
-            for record, k in source.items()
-        ]
+        return source.member(kernel, items[0])
+    op, conn = _connective(cond)
+    return _fold_pairs(kernel, conn, [
+        (_compare_value_tuples(kernel, items, op, record), k) for record, k in source.items()
+    ])
+
+
+def _fold_pairs(kernel: LogicKernel, conn: str, pairs: list) -> TruthValue:
+    """The connective over (truth value, multiplicity) pairs."""
     counts: dict = {}
     for value, k in pairs:
         if k:
@@ -360,14 +376,19 @@ def _compile_condition(cond: ast.Condition, labels: tuple[str, ...], run: _Run):
 def _compile_subquery(cond: ast.In | ast.Quant | ast.Empty, labels, where, run: _Run):
     """IN, ANY/ALL and EMPTY.  A subquery that reads none of the labels is
     hoisted: it runs on the caller's environment once per memo, on first
-    use.  Any other runs on the record bound over the environment."""
+    use.  An EMPTY that reads them may be one index lookup (`_empty_probe`);
+    any other runs on the record bound over the environment."""
     key, query, kernel = id(cond), cond.query, run.kernel
+    correlated = run.notes[id(query)].free & set(labels)
     if isinstance(cond, ast.Empty):
+        probe = _empty_probe(query, labels, where, run) if correlated else None
+        if probe is not None:
+            return probe
         true, false = kernel.true, kernel.false
         form, items = (lambda bag: true if bag.is_empty() else false), None
     else:
         form, items = _source_form(cond, run), [_compile_term(t, where) for t in cond.items]
-    if run.notes[id(query)].free & set(labels):
+    if correlated:
         def source(record, rt, env, run, memo):
             return form(eval_rt(query, rt, _bind(env, labels, record), run))
     else:
@@ -380,6 +401,48 @@ def _compile_subquery(cond: ast.In | ast.Quant | ast.Empty, labels, where, run: 
     return lambda record, rt, env, run, memo: _eval_quantified(
         cond, source(record, rt, env, run, memo), [t(record, env) for t in items], kernel
     )
+
+
+def _empty_probe(query: ast.Expression, labels, where, run: _Run):
+    """EMPTY over σ_c(S), S a base relation, as a lookup of the outer
+    record's key values in S's probe index; None where the kernel allows no
+    index or c has no probe keys.  Projections and DISTINCTs over σ_c(S)
+    are skipped: neither changes emptiness, and after typecheck an item
+    cannot raise (names are bound; a zero divisor gives NULL).  When every
+    conjunct of c is a key `=`, the candidates are exactly the records where
+    c is true, so c is not evaluated; otherwise it is tested on them, with
+    the outer record bound, until one is true."""
+    while isinstance(query, (ast.Projection, ast.Distinct)):
+        query = query.source
+    if run.join_nulls is None or not (
+        isinstance(query, ast.Selection) and isinstance(query.source, ast.BaseRelation)
+    ):
+        return None
+    inner = run.notes[id(query.source)].labels
+    probe = _probe_keys(query, run.notes, inner, where)
+    if probe is None:
+        return None
+    side, positions, terms = probe
+    true, false, sel = run.kernel.true, run.kernel.false, id(query)
+    if len(terms) == len(_equalities(query.cond)) and all(
+        isinstance(c, ast.Compare) and c.op == "=" for c in _conjuncts(query.cond)
+    ):
+        def no_candidate(record, rt, env, run, memo):
+            index = _side_index(sel, side, positions, rt, env, run)
+            return false if tuple([t(record, env) for t in terms]) in index else true
+
+        return no_candidate
+    test = _compile_condition(query.cond, inner, run)
+
+    def no_true_candidate(record, rt, env, run, memo):
+        index = _side_index(sel, side, positions, rt, env, run)
+        bound, memo = _bind(env, labels, record), {}
+        for row, _ in index.get(tuple([t(record, env) for t in terms]), ()):
+            if test(row, rt, bound, run, memo) == true:
+                return false
+        return true
+
+    return no_true_candidate
 
 
 def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
@@ -453,7 +516,7 @@ def _projection(e: ast.Projection, run: _Run):
 def _plan_selection(e: ast.Selection, run: _Run):
     """The probe keys and the compiled condition."""
     labels = run.notes[id(e.source)].labels
-    return _probe_keys(e, run.notes, labels), _compile_condition(e.cond, labels, run)
+    return _probe_keys(e, run.notes, labels, {}), _compile_condition(e.cond, labels, run)
 
 
 def _equalities(cond: ast.Condition) -> list:
@@ -464,22 +527,25 @@ def _equalities(cond: ast.Condition) -> list:
     ]
 
 
-def _probe_keys(e: ast.Selection, notes: Mapping[int, RelSig], labels: tuple[str, ...]):
+def _probe_keys(
+    e: ast.Selection, notes: Mapping[int, RelSig], labels: tuple[str, ...], outer: Mapping[str, int]
+):
     """For a selection over a base relation or a product: the indexed side
     (the relation, or the product's right side), the positions of its
     columns that `=` conjuncts compare with terms reading none of them, and
-    those terms compiled over the product's left labels (over none for a
-    base relation).  q3's `X.A = Y.A` over `X × Y` gives the position of Y.A
-    and the left record's X.A; q2's `S.A = R.A` over S gives the position of
-    S.A and the outer R.A."""
+    those terms compiled over the product's left labels (over the ``outer``
+    positions for a base relation).  q3's `X.A = Y.A` over `X × Y` gives the
+    position of Y.A and the left record's X.A; q2's `S.A = R.A` over S gives
+    the position of S.A and the outer R.A."""
     if isinstance(e.source, ast.Product):
         side, left = e.source.right, notes[id(e.source.left)].labels
+        read = {name: i for i, name in enumerate(left)}
     elif isinstance(e.source, ast.BaseRelation):
-        side, left = e.source, ()
+        side, left, read = e.source, (), outer
     else:
         return None
     where = {name: i for i, name in enumerate(labels[len(left):])}
-    read, bound = {name: i for i, name in enumerate(left)}, where.keys()
+    bound = where.keys()
     terms, positions = [], []
     for pair in _equalities(e.cond):
         for a, b in (pair, pair[::-1]):
@@ -534,6 +600,16 @@ def _key_index(bag: Bag, positions: tuple[int, ...], nulls: bool) -> dict:
     return index
 
 
+def _side_index(key: int, side: ast.Expression, positions, rt: Rt, env: Env, run: _Run) -> dict:
+    """The `_key_index` of the side's bag for the selection ``key``, built
+    once and kept while the side's bag is the same object."""
+    bag = eval_rt(side, rt, env, run)
+    built = run.indexes.get(key)
+    if built is None or built[0] is not bag:
+        built = run.indexes[key] = bag, _key_index(bag, positions, run.join_nulls)
+    return built[1]
+
+
 def _probe_candidates(e: ast.Selection, probe, rt: Rt, env: Env, run: _Run):
     """The records of the selection's source whose indexed side has key
     columns equal to the probe terms, with their multiplicities.  The left
@@ -542,11 +618,7 @@ def _probe_candidates(e: ast.Selection, probe, rt: Rt, env: Env, run: _Run):
     changes; each left record probes with its key values."""
     side, positions, terms = probe
     left = (((), 1),) if side is e.source else eval_rt(e.source.left, rt, env, run).items()
-    bag = eval_rt(side, rt, env, run)
-    built = run.indexes.get(id(e))
-    if built is None or built[0] is not bag:
-        built = run.indexes[id(e)] = bag, _key_index(bag, positions, run.join_nulls)
-    index = built[1]
+    index = _side_index(id(e), side, positions, rt, env, run)
     for lrec, lk in left:
         for rrec, rk in index.get(tuple([t(lrec, env) for t in terms]), ()):
             yield lrec + rrec, lk * rk

@@ -30,7 +30,6 @@ prefix ``__``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Mapping, Optional
@@ -38,7 +37,7 @@ from typing import Mapping, Optional
 from . import ast
 from .errors import EvalError, NullvlError, RecursionLimitError
 from .evaluator import EvalConfig, evaluate
-from .frozen import replace
+from .frozen import Frozen, replace
 from .logic import (
     AND,
     DIRECTIONS,
@@ -59,8 +58,7 @@ COUNT_LABEL = "__cnt"
 REDUCED_LABEL = "__red"
 
 
-@dataclass(frozen=True)
-class TranslationResult:
+class TranslationResult(Frozen):
     output: ast.Expression
     input: ast.Expression
     trace: tuple[tuple[str, str], ...]  # (node path, rule that fired)
@@ -420,12 +418,10 @@ def direction(name: str, spec: Optional[str] = None):
 # The capture oracle
 
 
-@dataclass
-class Verdict:
+class Verdict(Frozen):
     status: str  # "equal" | "not-equal" | "inconclusive"
     left: Optional[Bag]
     right: Optional[Bag]
-    size_ratio: Optional[Fraction]
     detail: str = ""
 
     @property
@@ -447,6 +443,5 @@ def check_capture(
         left = evaluate(expr, db, cfg=source_cfg)
         right = evaluate(translation.output, db, cfg=target_cfg)
     except (RecursionLimitError, EvalError) as exc:
-        return Verdict("inconclusive", None, None, translation.size_ratio, str(exc))
-    status = "equal" if left == right else "not-equal"
-    return Verdict(status, left, right, translation.size_ratio)
+        return Verdict("inconclusive", None, None, str(exc))
+    return Verdict("equal" if left == right else "not-equal", left, right)

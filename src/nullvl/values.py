@@ -95,6 +95,14 @@ def record_sort_key(record: Record):
     return tuple(value_sort_key(v) for v in record)
 
 
+_BELOW_NUMBERS = float("-inf")  # no cell is a float
+
+
+def _nulls_first(item: tuple[Record, int]) -> list:
+    """The canonical key where no position holds both numbers and text."""
+    return [_BELOW_NUMBERS if v is None else v for v in item[0]]
+
+
 class Bag:
     """A multiset of same-arity records.
 
@@ -193,7 +201,19 @@ class Bag:
         return Bag.from_counts({r: 1 for r in self._counts})
 
     def sorted_items(self) -> list[tuple[Record, int]]:
-        return sorted(self._counts.items(), key=lambda it: record_sort_key(it[0]))
+        """The records and their multiplicities in canonical order.  Native
+        tuple order is that order wherever it does not raise: at the first
+        position where two distinct records differ it then meets two numbers
+        or two texts."""
+        items = list(self._counts.items())
+        try:
+            items.sort()
+        except TypeError:  # a NULL met a value, or a number met text
+            try:
+                items.sort(key=_nulls_first)
+            except TypeError:  # a number met text
+                items.sort(key=lambda it: record_sort_key(it[0]))
+        return items
 
     def canonical_text(self) -> str:
         """Deterministic text form: nulls first, numbers before text atoms."""
@@ -514,10 +534,13 @@ def load_database(path: str) -> Database:
 
 def bag_to_json(bag: Bag, labels: tuple[str, ...]) -> dict:
     """Result emission: rows with an explicit multiplicity field."""
-    rows = [
-        {"values": [dump_cell(v) for v in record], "multiplicity": k}
-        for record, k in bag.sorted_items()
-    ]
+    try:
+        rows = [{"values": [
+            v if v is None or v.__class__ is str else str(v) if v.__class__ is int else format_number(v)
+            for v in record
+        ], "multiplicity": k} for record, k in bag.sorted_items()]
+    except ValueError:  # `str` of an int past the digit limit
+        raise NullvlError(_past_digit_limit("a number to be printed")) from None
     return {"columns": list(labels), "rows": rows}
 
 
@@ -528,13 +551,16 @@ def bag_json_text(doc: dict) -> str:
     def array(cells, pad: str) -> str:
         if not cells:
             return "[]"
-        inner = f",\n{pad} ".join("null" if c is None else encode_basestring_ascii(c) for c in cells)
-        return f"[\n{pad} {inner}\n{pad}]"
+        if None in cells:
+            cells = ["null" if c is None else encode_basestring_ascii(c) for c in cells]
+        else:
+            cells = map(encode_basestring_ascii, cells)
+        return f"[\n{pad} " + f",\n{pad} ".join(cells) + f"\n{pad}]"
 
-    rows = ",\n  ".join(
+    rows = ",\n  ".join([
         f'{{\n   "values": {array(row["values"], "   ")},\n'
         f'   "multiplicity": {format_number(row["multiplicity"])}\n  }}'
         for row in doc["rows"]
-    )
+    ])
     rows = f"[\n  {rows}\n ]" if rows else "[]"
     return f'{{\n "columns": {array(doc["columns"], " ")},\n "rows": {rows}\n}}'

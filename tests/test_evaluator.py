@@ -709,10 +709,12 @@ def test_shared_step_under_two_bindings_of_one_mu_name(cfg3):
 
 def test_q2_tests_only_the_outer_rows_and_their_matches(monkeypatch):
     # R: 400 values and a NULL; S: the even ones and a NULL.  The plain
-    # tree-walker makes 401 + 401 x 201 condition calls
+    # tree-walker makes 401 + 401 x 201 condition calls; the planned one
+    # tests each outer record once and answers its key-only EMPTY from S's
+    # index, evaluating `R.A = S.A` on none of the 200 matches
     db = rs_db(list(range(400)) + [None], list(range(0, 400, 2)) + [None])
     out, calls, _ = _count_condition_evals(monkeypatch, q2(), db, kernel_3vl)
-    assert calls == 401 + 200
+    assert calls == 401
     assert out == Bag([row(v) for v in range(1, 400, 2)] + [row(None)])
 
 
@@ -721,9 +723,144 @@ def test_q2_null_outer_key_matches_null_rows_under_syntactic_equality(cfg_syn, m
     planned, reference = _plan_and_reference(q2(), db, cfg_syn.kernel)
     assert planned == reference == bag(1)
     # three distinct outer records; 2 finds S's 2 and NULL finds S's NULL
-    # record (two copies), 1 finds nothing
+    # record (two copies), 1 finds nothing.  Each is a candidate of the
+    # key-only EMPTY, so `R.A = S.A` is evaluated on neither
     out, calls, _ = _count_condition_evals(monkeypatch, q2(), db, kernel_2vl_syntactic)
-    assert out == reference and calls == 3 + 1 + 1
+    assert out == reference and calls == 3
+
+
+def test_membership_folds_once_per_hit_count(monkeypatch):
+    # q1 over 400 distinct values and a NULL; S holds the even values once,
+    # the multiples of 10 twice and a NULL, so an outer value hits 0, 1 or
+    # 2 times: three folds, and one for the NULL item, not one per record
+    db = rs_db(list(range(400)) + [None], [*range(0, 400, 2), *range(0, 400, 10), None])
+    folds = []
+    real = evaluator.fold_counted
+
+    def counting(kernel, conn, counts):
+        folds.append(counts)
+        return real(kernel, conn, counts)
+
+    monkeypatch.setattr(evaluator, "fold_counted", counting)
+    for kname in ("3vl", "2vl", "4vl"):
+        kernel = kernel_by_name(kname)
+        folds.clear()
+        planned = evaluate(q1(), db, cfg=EvalConfig(kernel=kernel))
+        assert len(folds) == 3 + 1, kname
+        assert planned == evaluate(q1(), db, cfg=EvalConfig(kernel=kernel, plan=False)), kname
+
+
+def _count_empty_lookups(monkeypatch) -> list:
+    """One entry per call of a correlated EMPTY answered from an index: the
+    name of the compiled closure, "no_candidate" for a key-only selection
+    and "no_true_candidate" for one with a residual condition."""
+    lookups = []
+    real = evaluator._empty_probe
+
+    def probing(*args):
+        probe = real(*args)
+        if probe is None:
+            return None
+
+        def counting(*call):
+            lookups.append(probe.__name__)
+            return probe(*call)
+
+        return counting
+
+    monkeypatch.setattr(evaluator, "_empty_probe", probing)
+    return lookups
+
+
+def _empty_shapes() -> list:
+    """q2, and EMPTY over a projection and a DISTINCT of a selection with a
+    residual condition; the projection divides by S.A, which may be 0."""
+    key = ast.Compare((col("S.A"),), "=", (col("R.A"),))
+    theta = ast.Or(ast.Compare((col("S.A"),), ">", (num(4),)), ast.IsNull(col("R.A")))
+    residual = ast.Selection(ast.And(key, theta), ast.BaseRelation("S"))
+    ratio = ast.FnApply("div", (col("R.A"), col("S.A")))
+    projected = ast.Projection((ast.ProjItem(ratio, "X"),), residual)
+    return [
+        (q2(), "no_candidate"),
+        (ast.Selection(ast.Empty(projected), ast.BaseRelation("R")), "no_true_candidate"),
+        (
+            ast.Selection(ast.Not(ast.Empty(ast.Distinct(projected))), ast.BaseRelation("R")),
+            "no_true_candidate",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("kname", (*PLAN_KERNELS, "grounded:syntactic"))
+def test_correlated_empty_is_one_lookup_per_outer_record(kname, monkeypatch):
+    kernel = kernel_by_name(kname)
+    lookups = _count_empty_lookups(monkeypatch)
+    for seed in range(4):
+        db = _rs_db_with_nulls(seed)
+        for expr, kind in _empty_shapes():
+            lookups.clear()
+            planned, reference = _plan_and_reference(expr, db, kernel)
+            assert planned == reference, (kname, seed, ast.render_expression(expr))
+            assert lookups == [kind] * db.table("R").distinct_count()
+
+
+def test_correlated_empty_falls_back_under_a_value_dependent_equality(monkeypatch):
+    # NULL = v is true exactly when v >= 0, so no index can serve `=`
+    grounding = Grounding(
+        "eq-sign", {("=", frozenset({1})): ast.Compare((ast.ArgHole(2),), ">=", (num(0),))}
+    )
+    kernel = kernel_grounded(grounding)
+    lookups = _count_empty_lookups(monkeypatch)
+    for seed in range(4):
+        for expr, _ in _empty_shapes():
+            planned, reference = _plan_and_reference(expr, _rs_db_with_nulls(seed), kernel)
+            assert planned == reference
+    assert lookups == []
+
+
+def test_correlated_empty_indexes_once_and_tests_only_candidates(monkeypatch):
+    # the residual U.D > 0 runs on U records whose U.C equals T.A, until one
+    # is true: once for T.A = 1 (both candidates are true), twice for 2
+    # (both false), never for 3 or NULL, which have no candidate
+    cond = ast.And(
+        ast.Compare((col("U.C"),), "=", (col("T.A"),)), ast.Compare((col("U.D"),), ">", (num(0),))
+    )
+    expr = ast.Selection(ast.Empty(ast.Selection(cond, ast.BaseRelation("U"))), ast.BaseRelation("T"))
+    t = bag((1, 0), (2, 0), (3, 0), (None, 0))
+    u = bag((1, 5), (1, 6), (2, -1), (2, -2), (None, 3))
+    db = Database(TUV, {"T": t, "U": u, "V": Bag()})
+    tested = []
+    real = evaluator._compile_condition
+
+    def compiling(c, labels, run):
+        test = real(c, labels, run)
+
+        def counting(*args):
+            tested.append(c)
+            return test(*args)
+
+        return counting
+
+    monkeypatch.setattr(evaluator, "_compile_condition", compiling)
+    builds = _count_index_builds(monkeypatch)
+    for _ in range(2):
+        assert evaluate(expr, db, cfg=EvalConfig(kernel=kernel_3vl())) == bag(
+            (2, 0), (3, 0), (None, 0)
+        )
+    assert tested.count(cond) == 2 * 3
+    assert builds == [(0,), (0,)]  # once per evaluate call
+    # a key-only EMPTY over a DISTINCT projection evaluates its condition on
+    # no record: only the outer condition runs, once per outer record
+    key_only = ast.Selection(
+        ast.Empty(ast.Distinct(ast.Projection(
+            (ast.ProjItem(col("U.D"), None),),
+            ast.Selection(ast.Compare((col("T.A"),), "=", (col("U.C"),)), ast.BaseRelation("U")),
+        ))),
+        ast.BaseRelation("T"),
+    )
+    tested.clear()
+    builds.clear()
+    assert evaluate(key_only, db, cfg=EvalConfig(kernel=kernel_3vl())) == bag((3, 0), (None, 0))
+    assert len(tested) == 4 and builds == [(0,)]
 
 
 def test_correlated_membership_keeps_exact_bags_under_4vl(cfg4):

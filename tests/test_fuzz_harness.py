@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -214,6 +215,31 @@ def test_plan_equivalence_probes_correlated_selections_under_every_kernel(monkey
         summary = harness.run_differential("plan-equivalence", fuzz.FuzzConfig(seed=seed, cases=20))
         assert summary.failed == 0, summary.bundles[:1]
     assert correlated == products == set(harness.PLAN_KERNELS)
+
+
+def test_plan_equivalence_answers_correlated_empty_from_an_index(monkeypatch):
+    # 64 seeds x 20 cases reach the correlated EMPTY that one index lookup
+    # answers, both with a key-only selection ("no_candidate") and with a
+    # residual condition tested on the candidates ("no_true_candidate")
+    lookups = Counter()
+    real = evaluator._empty_probe
+
+    def probing(*args):
+        probe = real(*args)
+        if probe is None:
+            return None
+
+        def counting(*call):
+            lookups[probe.__name__] += 1
+            return probe(*call)
+
+        return counting
+
+    monkeypatch.setattr(evaluator, "_empty_probe", probing)
+    for seed in range(64):
+        summary = harness.run_differential("plan-equivalence", fuzz.FuzzConfig(seed=seed, cases=20))
+        assert summary.failed == 0, summary.bundles[:1]
+    assert lookups["no_candidate"] > 0 and lookups["no_true_candidate"] > 0, lookups
 
 
 def test_plan_equivalence_runs_at_depth_one():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -10,6 +9,7 @@ import pytest
 from nullvl import ast, translate
 from nullvl.ast import col, num
 from nullvl.evaluator import EvalConfig, eval_condition, evaluate
+from nullvl.frozen import replace
 from nullvl.fuzz import ExpressionGenerator, FuzzConfig, default_schema, gen_database
 from nullvl.logic import (
     GROUNDINGS,
@@ -400,7 +400,7 @@ def test_merged_count_profiles_cover_exactly_the_merged_cells():
 def test_corrupted_translation_is_caught(cfg2, cfg3):
     tr = translate.tr_to_3vl(q1(), SCHEMA)
     sel = tr.output
-    corrupted = dataclasses.replace(tr, output=ast.Selection(sel.cond.right, sel.source))
+    corrupted = replace(tr, output=ast.Selection(sel.cond.right, sel.source))
     db = rs_db([1, None], [1])
     verdict = translate.check_capture(q1(), db, cfg2, cfg3, corrupted)
     assert verdict.status == "not-equal"

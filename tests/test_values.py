@@ -254,6 +254,23 @@ def test_bag_json_text_matches_the_json_module():
         assert values.bag_json_text(doc) == json.dumps(doc, indent=1)
 
 
+def test_sorted_items_follow_the_canonical_key():
+    # native tuple order, the NULL key and the full key each sort some of
+    # these bags: numbers only, numbers and NULL, text and NULL, all mixed
+    rng = random.Random(11)
+    columns = [
+        [0, -3, 12, Fraction(1, 3), Fraction(-7, 4), 10 ** 30],
+        [None, 0, 5, Fraction(9, 2), -1],
+        [None, "", "a", "B", "é"],
+        [None, 1, "1", Fraction(1, 2), "z"],
+    ]
+    for _ in range(200):
+        pools = [rng.choice(columns) for _ in range(rng.randrange(1, 4))]
+        records = [tuple(rng.choice(pool) for pool in pools) for _ in range(rng.randrange(0, 12))]
+        items = Bag(records).sorted_items()
+        assert items == sorted(Bag(records).items(), key=lambda it: values.record_sort_key(it[0]))
+
+
 def test_loaded_numbers_are_canonical():
     doc = {
         "schema": {"R": {"columns": [{"name": "R.A", "type": "num"}]}},

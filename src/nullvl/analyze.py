@@ -14,10 +14,10 @@ the path `translate --trace` gives the same node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import ast
+from .frozen import Frozen
 from .typecheck import Checked, typecheck
 from .values import Schema
 
@@ -32,8 +32,7 @@ def nullable(e: ast.Expression, schema: Schema) -> tuple[str, ...]:
 # The null-free condition
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     path: str
     rule: str  # "null-literal" | "nullable-comparison" | "nullable-subquery"
     detail: str
@@ -133,19 +132,17 @@ def _violations(selection: ast.Selection, effective: frozenset, checked: Checked
 # Certificates and reports
 
 
-@dataclass
-class SelectionReport:
+class SelectionReport(Frozen):
     path: str
     null_free: bool
     violations: list[Violation]
 
 
-@dataclass
-class NullabilityReport:
+class NullabilityReport(Frozen):
     certified: bool
     nullable: tuple[str, ...]  # of the whole expression
     subexpressions: list[tuple[str, tuple[str, ...], tuple[str, ...]]]  # path, labels, nullable
-    selections: list[SelectionReport] = field(default_factory=list)
+    selections: list[SelectionReport]
 
     def to_json(self) -> dict:
         return {
@@ -192,23 +189,24 @@ def coincidence_certificate(e: ast.Expression | Checked, schema: Schema) -> Null
     `typecheck` returned for this schema.
     """
     checked = e if isinstance(e, Checked) else typecheck(e, schema)
-    report = NullabilityReport(True, checked.sig.nullable, [])
-    _walk(checked.expr, "", frozenset(), checked, report)
-    report.certified = all(s.null_free for s in report.selections)
-    return report
+    subexpressions, selections = [], []
+    _walk(checked.expr, "", frozenset(), checked, subexpressions, selections)
+    return NullabilityReport(all(s.null_free for s in selections), checked.sig.nullable, subexpressions,
+                             selections)
 
 
-def _walk(node, path: str, outer: frozenset, checked: Checked, report: NullabilityReport):
-    """Report every expression node under ``node`` and check every selection.
-    ``outer`` holds the possibly-null names of the enclosing rows; a subquery
-    in a selection's condition sees the names that condition reads."""
+def _walk(node, path: str, outer: frozenset, checked: Checked, subexpressions: list, selections: list):
+    """Append every expression node under ``node`` to ``subexpressions`` and
+    the check of every selection to ``selections``.  ``outer`` holds the
+    possibly-null names of the enclosing rows; a subquery in a selection's
+    condition sees the names that condition reads."""
     inner = outer
     sig = checked.notes.get(id(node))  # None for a condition
     if sig is not None:
-        report.subexpressions.append((path, sig.labels, sig.nullable))
+        subexpressions.append((path, sig.labels, sig.nullable))
         if isinstance(node, ast.Selection):
             inner = _effective(node, outer, checked)
             violations = _violations(node, inner, checked)
-            report.selections.append(SelectionReport(path, not violations, violations))
+            selections.append(SelectionReport(path, not violations, violations))
     for step, child in ast.steps(node):
-        _walk(child, path + step, inner if step == "/cond" else outer, checked, report)
+        _walk(child, path + step, inner if step == "/cond" else outer, checked, subexpressions, selections)

@@ -4,13 +4,12 @@ All nodes are immutable and hashable; structural equality is the equality
 used by the snapshot tests.  The canonical text renderer here is the inverse
 of `nullvl.parser.parse_expression`.
 
-Each node class subclasses `nullvl.frozen.Frozen`: its fields are its
-annotations, and the base gives it ``__init__``, ``==``, ``hash``, ``repr``
-and ``_fields`` when the class is created.  The nodes are not dataclasses
-because every command imports this module and a frozen dataclass compiles
-generated source for each class: the 26 here cost 14-23 ms of a start-up
-(0.5-0.9 ms each, Python 3.11) besides the 7-10 ms of importing
-`dataclasses`, where the base takes under 1 ms for all of them.
+Each node class subclasses `nullvl.frozen.Frozen`, the package's one
+record base: its fields are its annotations, and the base gives it
+``__init__``, ``==``, ``hash``, ``repr`` and ``_fields`` when the class is
+created.  Every command imports this module, and the base makes the 26
+classes here in about 1.5 ms, where frozen dataclasses took 14-23 ms
+besides the 7-10 ms of importing `dataclasses`.
 
 `steps` lists a node's expression and condition children with their path
 steps: `/src`, `/l`, `/r`, `/seed`, `/step`, `/cond` and `/q` (a source, an

@@ -1,9 +1,9 @@
-"""Immutable records: the base class of the syntax-tree nodes and of the
-other records that starting the CLI loads.
+"""Immutable records: the base class of every record in the package.
 
-A subclass lists its fields, at most four, as annotations in order, and
-gives trailing defaults as class attributes, as a frozen dataclass does.
-When the class is created, `Frozen.__init_subclass__` gives it
+A subclass lists its fields as annotations in order, and gives trailing
+defaults as class attributes, as a frozen dataclass does.  A default is
+shared by every instance, so it must not be mutable.  When the class is
+created, `Frozen.__init_subclass__` gives it
 
 - ``__init__``, which takes the fields by position or keyword and then
   calls ``__post_init__`` if the class defines one;
@@ -14,54 +14,27 @@ When the class is created, `Frozen.__init_subclass__` gives it
 ``__repr__`` names each field.  Assigning or deleting an attribute raises
 `AttributeError`; `replace` copies a record with some fields changed.
 
-``__init__`` is one of the closures below, chosen by field count, with its
-parameters renamed after the fields, so defining a record compiles nothing.
-A frozen dataclass execs generated source instead, 0.5-0.9 ms per class
-against 15-20 us here (3 fields, Python 3.11), and importing `dataclasses`
-takes 7-10 ms, most of it in `inspect`.
+``__init__`` is compiled from a template filled with the field names of the
+class's own annotations, as `collections.namedtuple` builds its
+constructor, so a wrong call raises Python's own `TypeError`.  Compiling it
+makes a class cost 50-65 us (3 fields, Python 3.11).  A frozen dataclass
+execs larger generated source, 0.5-0.9 ms per class, and importing
+`dataclasses` takes 7-10 ms, most of it in `inspect`.
 """
 from __future__ import annotations
 
 from operator import attrgetter
 
-_set = object.__setattr__
 
-
-def _inits(a, b, c, d, post: bool):
-    """Initialisers that set 0 to 4 fields named ``a`` to ``d`` in order,
-    then call ``__post_init__`` if ``post``."""
-
-    def init0(self):
-        if post:
-            self.__post_init__()
-
-    def init1(self, v0):
-        _set(self, a, v0)
-        if post:
-            self.__post_init__()
-
-    def init2(self, v0, v1):
-        _set(self, a, v0)
-        _set(self, b, v1)
-        if post:
-            self.__post_init__()
-
-    def init3(self, v0, v1, v2):
-        _set(self, a, v0)
-        _set(self, b, v1)
-        _set(self, c, v2)
-        if post:
-            self.__post_init__()
-
-    def init4(self, v0, v1, v2, v3):
-        _set(self, a, v0)
-        _set(self, b, v1)
-        _set(self, c, v2)
-        _set(self, d, v3)
-        if post:
-            self.__post_init__()
-
-    return init0, init1, init2, init3, init4
+def _init(fields: tuple, post: bool):
+    """``__init__`` setting ``fields`` in order, then calling
+    ``__post_init__`` if ``post``."""
+    body = [f"    _set(self, {f!r}, {f})" for f in fields]
+    if post:
+        body.append("    self.__post_init__()")
+    namespace = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(fields)}):\n" + ("\n".join(body) or "    pass"), namespace)
+    return namespace["__init__"]
 
 
 def _eq_hash(fields: tuple):
@@ -88,14 +61,10 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__dict__.get("__annotations__", ()))
-        if len(fields) > 4:
-            raise TypeError(f"{cls.__name__}: a record has at most 4 fields")
         defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
         if any(f not in cls.__dict__ for f in fields[len(fields) - len(defaults):]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with")
-        post = "__post_init__" in cls.__dict__
-        init = _inits(*fields, *(None,) * (4 - len(fields)), post)[len(fields)]
-        init.__code__ = init.__code__.replace(co_varnames=("self", *fields))
+        init = _init(fields, "__post_init__" in cls.__dict__)
         init.__defaults__ = defaults or None
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init

@@ -7,18 +7,17 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional
 
 from . import ast
 from .errors import SchemaError
+from .frozen import Frozen
 from .typecheck import RelSig
 from .values import NUM, ORD, Bag, Column, Database, Relation, Schema
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(Frozen):
     seed: int = 0
     max_depth: int = 4
     null_rate: float = 0.3

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -21,27 +20,26 @@ from .logic import kernel_2vl, kernel_3vl, kernel_by_name
 from .parser import parse_condition, parse_expression
 from .typecheck import Checked, typecheck
 from .values import (
-    NUM, Bag, Database, Schema, bag_to_json, database_from_json, database_to_json, required,
+    NUM, Bag, Database, Schema, bag_to_json, database_from_json, database_to_json, json_array,
+    required,
 )
 
 
-@dataclass
-class CaseOutcome:
+class CaseOutcome(frozen.Frozen):
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
     size_ratio: Optional[Fraction] = None
 
 
-@dataclass
-class FamilySummary:
+class FamilySummary(frozen.Frozen):
     family: str
     cases: int
     passed: int
     failed: int
     skipped: int
-    max_size_ratio: Optional[Fraction] = None
-    notes: dict = field(default_factory=dict)
-    bundles: list = field(default_factory=list)  # failing case bundles
+    max_size_ratio: Optional[Fraction]
+    notes: dict
+    bundles: list  # failing case bundles
 
     def to_json(self) -> dict:
         out = {
@@ -63,8 +61,7 @@ def _bags_equal_detail(left: Bag, right: Bag, labels) -> str:
     )
 
 
-@dataclass
-class Case:
+class Case(frozen.Frozen):
     """One harness case in memory: the `Checked` of the generator's one
     typecheck, the database, the family's parameters by bundle key
     (direction, grounding, kernel) and, for prop-4.1, its checks as trees."""
@@ -72,7 +69,7 @@ class Case:
     family: str
     checked: Checked
     db: Database
-    params: dict = field(default_factory=dict)
+    params: dict
     checks: tuple = ()  # (kind, first, second), the fields as in `_CHECK_FIELDS`
 
 
@@ -98,12 +95,10 @@ def _check_capture_case(case: Case) -> CaseOutcome:
 
 
 def _check_invariance_case(case: Case) -> CaseOutcome:
-    outs = []
-    try:
-        for name in ("3vl", "2vl", "2vl-syn", "grounded:empty"):
-            outs.append(evaluate(case.checked, case.db, cfg=EvalConfig(kernel=kernel_by_name(name))))
-    except RecursionLimitError as exc:
-        return CaseOutcome("skip", str(exc))
+    outs = [
+        evaluate(case.checked, case.db, cfg=EvalConfig(kernel=kernel_by_name(name)))
+        for name in ("3vl", "2vl", "2vl-syn", "grounded:empty")
+    ]
     if all(o == outs[0] for o in outs):
         return CaseOutcome("pass")
     return CaseOutcome("fail", "kernels disagree on a null-free database")
@@ -112,32 +107,26 @@ def _check_invariance_case(case: Case) -> CaseOutcome:
 def _check_prop41_case(case: Case) -> CaseOutcome:
     db = case.db
     cfg = EvalConfig(kernel=kernel_2vl())
-    try:
-        for kind, a, b in case.checks:
-            if kind == "bags-equal":
-                if evaluate(a, db, cfg=cfg) != evaluate(b, db, cfg=cfg):
-                    return CaseOutcome("fail", f"{kind}: bags differ")
-            else:
-                value = eval_condition(a, db, cfg=cfg)
-                bag = evaluate(b, db, cfg=cfg)
-                wanted = "f" if kind == "cond-false-iff-empty" else "t"
-                if (value == wanted) != bag.is_empty():
-                    return CaseOutcome(
-                        "fail", f"{kind}: condition {value}, selection empty={bag.is_empty()}"
-                    )
-    except RecursionLimitError as exc:
-        return CaseOutcome("skip", str(exc))
+    for kind, a, b in case.checks:
+        if kind == "bags-equal":
+            if evaluate(a, db, cfg=cfg) != evaluate(b, db, cfg=cfg):
+                return CaseOutcome("fail", f"{kind}: bags differ")
+        else:
+            value = eval_condition(a, db, cfg=cfg)
+            bag = evaluate(b, db, cfg=cfg)
+            wanted = "f" if kind == "cond-false-iff-empty" else "t"
+            if (value == wanted) != bag.is_empty():
+                return CaseOutcome(
+                    "fail", f"{kind}: condition {value}, selection empty={bag.is_empty()}"
+                )
     return CaseOutcome("pass")
 
 
 def _check_coincidence_case(case: Case) -> CaseOutcome:
     db, checked = case.db, case.checked
     report = analyze.coincidence_certificate(checked, db.schema)
-    try:
-        two = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_2vl()))
-        three = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_3vl()))
-    except RecursionLimitError as exc:
-        return CaseOutcome("skip", str(exc))
+    two = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_2vl()))
+    three = evaluate(checked, db, cfg=EvalConfig(kernel=kernel_3vl()))
     if report.certified:
         if two == three:
             return CaseOutcome("pass", "certified")
@@ -151,10 +140,7 @@ def _check_nullable_case(case: Case) -> CaseOutcome:
     labels = checked.sig.labels
     nul = set(checked.sig.nullable)
     for kernel in (kernel_2vl(), kernel_3vl()):
-        try:
-            out = evaluate(checked, case.db, cfg=EvalConfig(kernel=kernel))
-        except RecursionLimitError as exc:
-            return CaseOutcome("skip", str(exc))
+        out = evaluate(checked, case.db, cfg=EvalConfig(kernel=kernel))
         for record in out.records():
             for name, v in zip(labels, record):
                 if v is None and name not in nul:
@@ -173,12 +159,7 @@ def _check_roundtrip_case(case: Case) -> CaseOutcome:
     lowered = sqlfront.lower_to_algebra(sqlfront.parse_sql(sql), db.schema)
     lowered = typecheck(lowered, db.schema)
     cfg = EvalConfig(kernel=kernel_3vl())
-    try:
-        a = evaluate(checked, db, cfg=cfg)
-        b = evaluate(lowered, db, cfg=cfg)
-    except RecursionLimitError as exc:
-        return CaseOutcome("skip", str(exc))
-    if a == b:
+    if evaluate(checked, db, cfg=cfg) == evaluate(lowered, db, cfg=cfg):
         return CaseOutcome("pass")
     return CaseOutcome("fail", f"round-trip changed the result; sql: {sql}")
 
@@ -191,12 +172,9 @@ def _check_plan_case(case: Case) -> CaseOutcome:
     """The planned evaluator against the plain tree-walker."""
     db, checked = case.db, case.checked
     kernel = kernel_by_name(required(case.params, "kernel", "bundle"))
-    try:
-        reference = evaluate(checked, db, cfg=EvalConfig(kernel=kernel, plan=False))
-    except RecursionLimitError as exc:
-        # the planned run does a subset of the reference's work, so it may
-        # finish where the reference hits the cap; there is nothing to compare
-        return CaseOutcome("skip", str(exc))
+    # the planned run does a subset of the reference's work, so it may finish
+    # where the reference hits the cap: that skips the case in `_check`
+    reference = evaluate(checked, db, cfg=EvalConfig(kernel=kernel, plan=False))
     try:
         planned = evaluate(checked, db, cfg=EvalConfig(kernel=kernel, plan=True))
     except RecursionLimitError as exc:
@@ -228,13 +206,22 @@ _CHECKERS: dict[str, Callable[[Case], CaseOutcome]] = {
 }
 
 
+def _check(case: Case) -> CaseOutcome:
+    """The family's checker on ``case``.  A fixpoint that hits the recursion
+    cap skips the case, since there is no result to compare."""
+    try:
+        return _CHECKERS[case.family](case)
+    except RecursionLimitError as exc:
+        return CaseOutcome("skip", str(exc))
+
+
 # ---------------------------------------------------------------------------
 # Case generators
 
 
 def _case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng, expr: ast.Expression) -> Case:
     """A case of `expr`, typechecked once, over a database drawn next."""
-    return Case(family, typecheck(expr, schema), fuzz.gen_database(schema, cfg, rng))
+    return Case(family, typecheck(expr, schema), fuzz.gen_database(schema, cfg, rng), {})
 
 
 def _base_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, family: str) -> Case:
@@ -245,14 +232,14 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
     if family in CAPTURE_FAMILIES:
         direction, param, depth_cap = CAPTURE_FAMILIES[family]
         if depth_cap is not None:
-            cfg = replace(cfg, max_depth=min(cfg.max_depth, depth_cap))
+            cfg = frozen.replace(cfg, max_depth=min(cfg.max_depth, depth_cap))
         case = _base_case(schema, cfg, rng, family)
         case.params["direction"] = direction
         if param is not None:
             case.params[translate.flag_of(direction)] = param
         return case
     if family == "null-free-invariance":
-        return _base_case(schema, replace(cfg, null_rate=0.0), rng, family)
+        return _base_case(schema, frozen.replace(cfg, null_rate=0.0), rng, family)
     if family in ("coincidence", "nullable-soundness", "sql-roundtrip"):
         return _base_case(schema, cfg, rng, family)
     if family == "plan-equivalence":
@@ -356,7 +343,7 @@ def _gen_prop41_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
          ast.Selection(ast.Not(ast.Compare(items2, op, labels)), expr)),
     )
     db = fuzz.gen_database(schema, cfg, rng)
-    return Case("prop-4.1", checked, db, checks=checks)
+    return Case("prop-4.1", checked, db, {}, checks)
 
 
 FAMILIES = tuple(_CHECKERS)
@@ -398,11 +385,12 @@ def _case_from_bundle(bundle: dict) -> Case:
     if not isinstance(family, str) or family not in _CHECKERS:
         raise NullvlError(f"bundle names unknown family {family!r}")
     db = database_from_json(required(bundle, "db", "bundle"))
-    expr = parse_expression(required(bundle, "expression", "bundle"))
+    expr = parse_expression(_text(bundle, "expression", "bundle"))
     params = {key: bundle[key] for key in ("direction", "grounding", "kernel") if key in bundle}
     checks = ()
     if family == "prop-4.1":
-        checks = tuple(_check_from_json(chk) for chk in required(bundle, "checks", "bundle"))
+        listed = json_array(required(bundle, "checks", "bundle"), 'bundle: "checks"')
+        checks = tuple(_check_from_json(chk) for chk in listed)
     return Case(family, typecheck(expr, db.schema), db, params, checks)
 
 
@@ -410,9 +398,17 @@ def _check_from_json(chk: dict) -> tuple:
     kind = required(chk, "kind", "check")
     if not isinstance(kind, str) or kind not in _CHECK_FIELDS:
         raise NullvlError(f"unknown check {kind!r}")
-    first, second = (required(chk, key, kind) for key in _CHECK_FIELDS[kind])
+    first, second = (_text(chk, key, kind) for key in _CHECK_FIELDS[kind])
     parse = parse_expression if kind == "bags-equal" else parse_condition
     return kind, parse(first), parse_expression(second)
+
+
+def _text(obj: dict, key: str, what: str) -> str:
+    """The string ``obj[key]``, or an error naming the field."""
+    text = required(obj, key, what)
+    if not isinstance(text, str):
+        raise NullvlError(f'{what}: "{key}" must be a string, not {text!r}')
+    return text
 
 
 def run_differential(
@@ -426,37 +422,35 @@ def run_differential(
         raise NullvlError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     cfg = cfg or fuzz.FuzzConfig()
     schema = schema or fuzz.default_schema()
-    checker = _CHECKERS[family]
-    summary = FamilySummary(family, 0, 0, 0, 0)
+    cases = passed = failed = skipped = 0
     ratios: list[Fraction] = []
     notes: dict[str, int] = {}
-    produced = 0
+    bundles: list[dict] = []
     attempts = 0
     target = cfg.cases
     needs_certified = family == "coincidence"
-    while produced < target and attempts < 40 * max(target, 1):
+    while cases < target and attempts < 40 * max(target, 1):
         rng = fuzz.case_rng(cfg.seed, attempts)
         attempts += 1
         case = _gen_case(family, schema, cfg, rng)
         if needs_certified and not analyze.coincidence_certificate(case.checked, schema).certified:
             notes["uncertified-generated"] = notes.get("uncertified-generated", 0) + 1
             continue
-        produced += 1
-        outcome = checker(case)
-        summary.cases += 1
+        cases += 1
+        outcome = _check(case)
         if outcome.status == "pass":
-            summary.passed += 1
+            passed += 1
             if outcome.detail.startswith("uncertified"):
                 notes[outcome.detail] = notes.get(outcome.detail, 0) + 1
             if outcome.size_ratio is not None:
                 ratios.append(outcome.size_ratio)
         elif outcome.status == "skip":
-            summary.skipped += 1
+            skipped += 1
         else:
-            summary.failed += 1
+            failed += 1
             bundle = _case_to_bundle(case)
             bundle.update(index=attempts - 1, seed=cfg.seed, failure=outcome.detail)
-            summary.bundles.append(bundle)
+            bundles.append(bundle)
             if bundle_dir:
                 os.makedirs(bundle_dir, exist_ok=True)
                 path = os.path.join(bundle_dir, f"{family}-{bundle['index']}.json")
@@ -465,13 +459,10 @@ def run_differential(
                 notes.setdefault("bundle_files", 0)
                 notes["bundle_files"] += 1
     if ratios:
-        summary.max_size_ratio = max(ratios)
-        summary.notes["mean_size_ratio"] = float(sum(ratios) / len(ratios))
-    summary.notes.update(notes)
-    return summary
+        notes = {"mean_size_ratio": float(sum(ratios) / len(ratios)), **notes}
+    return FamilySummary(family, cases, passed, failed, skipped, max(ratios, default=None), notes, bundles)
 
 
 def replay(bundle: dict) -> CaseOutcome:
     """Re-run a counterexample bundle; deterministic, no randomness involved."""
-    case = _case_from_bundle(bundle)
-    return _CHECKERS[case.family](case)
+    return _check(_case_from_bundle(bundle))

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
 from . import ast
 from .errors import SqlEmitError, SqlParseError, UnsupportedSqlError
+from .frozen import Frozen
 from .parser import _Fault
 from .typecheck import _labels
 from .values import Schema, parse_number
@@ -109,33 +109,28 @@ def _name(tok: str) -> str:
 # nodes, which also fill a condition's query slot until lowering.
 
 
-@dataclass(frozen=True)
-class SCol:
+class SCol(Frozen):
     qualifier: Optional[str]
     name: str
 
 
-@dataclass(frozen=True)
-class SAgg:
+class SAgg(Frozen):
     fn: str  # count/sum/avg/min/max; fn=="count" and star selects count(*)
     star: bool
     arg: object  # a term, None for count(*)
 
 
-@dataclass(frozen=True)
-class SelectItem:
+class SelectItem(Frozen):
     expr: object  # a term
     alias: Optional[str]
 
 
-@dataclass(frozen=True)
-class FromItem:
+class FromItem(Frozen):
     source: object  # str (relation name) or SQuery
     alias: str
 
 
-@dataclass(frozen=True)
-class SelectCore:
+class SelectCore(Frozen):
     distinct: bool
     items: Optional[tuple[SelectItem, ...]]  # None means '*'
     from_items: tuple[FromItem, ...]
@@ -144,16 +139,14 @@ class SelectCore:
     having: Optional[ast.Condition]
 
 
-@dataclass(frozen=True)
-class SetExpr:
+class SetExpr(Frozen):
     op: str  # union | intersect | except
     all: bool
     left: "SQuery"
     right: "SQuery"
 
 
-@dataclass(frozen=True)
-class WithRecursive:
+class WithRecursive(Frozen):
     name: str
     columns: Optional[tuple[str, ...]]
     seed: "SQuery"
@@ -525,8 +518,7 @@ def _base_name(label: str) -> str:
     return label.rsplit(".", 1)[-1]
 
 
-@dataclass
-class _Source:
+class _Source(Frozen):
     alias: str
     labels: tuple[str, ...]
     expr: ast.Expression

@@ -321,6 +321,21 @@ def test_starting_the_cli_loads_no_dataclasses_inspect_or_translate(tmp_path):
     assert json.loads(out) == {"columns": ["R.A"], "rows": []}
     out, loaded = spawn("translate", "--direction", "3to2", "--schema", db, expr)
     assert "nullvl.translate" in loaded and out.startswith("(select ")
+    sql = _write(tmp_path, "q.sql", Q1_SQL)
+    bundle = _write(tmp_path, "bundle.json", {"family": "coincidence", "expression": Q1_EXPR, "db": DB})
+    base = _write(tmp_path, "base.ra", "(base R)")  # over the default schema
+    commands = [
+        (("translate", "--direction", "3to2", base), "nullvl.translate"),
+        (("sql2ra", "--schema", db, sql), "nullvl.sqlfront"),
+        (("rewrite", "--from", "2vl", "--to", "3vl", "--schema", db, sql), "nullvl.sqlfront"),
+        (("analyze", expr, db), "nullvl.analyze"),
+        (("fuzz", "--family", "sql-roundtrip", "--cases", "3"), "nullvl.harness"),
+        (("replay", bundle), "nullvl.harness"),
+    ]
+    for argv, module in commands:
+        out, loaded = spawn(*argv)
+        assert module in loaded and out, argv
+        assert not {"dataclasses", "inspect"} & loaded, argv
     help_text, _ = spawn("translate", "--help")
     assert "{" + ",".join(translate.DIRECTIONS) + "}" in help_text
     for flag in ("grounding", "kernel"):
@@ -566,6 +581,18 @@ def test_json_fields_of_the_wrong_type_exit_two(tmp_path, capsys):
         runs.append((["eval", "--semantics", f"grounded:{gpath}", expr, db], fields))
         translate = ["translate", "--direction", "gr-to-3", "--grounding", gpath, "--schema", db]
         runs.append((translate + [expr], fields))
+    bundle = {"family": "coincidence", "expression": Q1_EXPR, "db": DB}
+    prop41 = dict(bundle, family="prop-4.1", checks=[{"kind": "bags-equal", "left": "(base R)",
+                                                       "right": "(base R)"}])
+    bundles = [
+        (dict(bundle, expression=5), ['"expression"']),
+        (dict(bundle, expression=["(base R)"]), ['"expression"']),
+        (dict(prop41, checks=[dict(prop41["checks"][0], left=5)]), ['"left"']),
+        (dict(prop41, checks=5), ['"checks"', "JSON array"]),
+        (dict(prop41, checks={"kind": "bags-equal"}), ['"checks"', "JSON array"]),
+    ]
+    for i, (doc, fields) in enumerate(bundles):
+        runs.append((["replay", _write(tmp_path, f"bundle-{i}.json", doc)], fields))
     for argv, fields in runs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

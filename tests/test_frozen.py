@@ -1,27 +1,70 @@
-"""The record contract of `nullvl.frozen.Frozen`, for every syntax-tree node
-and for `RelSig`: construction by position and keyword, trailing defaults,
+"""The record contract of `nullvl.frozen.Frozen`, for every record class in
+the package: construction by position and keyword, trailing defaults,
 structural equality and hashing within one class, the field-naming repr,
 immutability and `replace`."""
+import importlib
 import itertools
+import pkgutil
 import typing
 
 import pytest
 
+import nullvl
 from nullvl import ast
 from nullvl.errors import TypeCheckError
+from nullvl.evaluator import EvalConfig
 from nullvl.frozen import Frozen, replace
+from nullvl.fuzz import FuzzConfig
+from nullvl.logic import kernel_2vl, kernel_3vl
 from nullvl.typecheck import RelSig
+from nullvl.values import NUM, ORD, Column, Relation
 
 NODES = typing.get_args(ast.Expression) + typing.get_args(ast.Condition) + typing.get_args(ast.Term)
-RECORDS = NODES + (RelSig,)
+
+
+def _package_records() -> tuple:
+    """Every subclass of `Frozen` that a module of the package defines."""
+    for module in pkgutil.iter_modules(nullvl.__path__):
+        importlib.import_module(f"nullvl.{module.name}")
+    found, todo = [], [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("nullvl."):
+                found.append(sub)
+    return tuple(sorted(found, key=lambda c: (c.__module__, c.__qualname__)))
+
+
+RECORDS = _package_records()
 
 
 def _values(cls, tag: str) -> dict:
-    """A value per field of ``cls``, each distinct and marked by ``tag``."""
+    """A value per field of ``cls``, each distinct and marked by ``tag``, and
+    valid for a record whose ``__post_init__`` checks them."""
+    first = tag == "1"
     if cls is RelSig:
         return {"labels": (f"a{tag}",), "types": (f"t{tag}",), "nullable": (f"a{tag}",),
                 "free": frozenset({f"x{tag}"})}
+    if cls is Column:
+        # a nullable key is made NOT NULL, so tag 1's column is neither, and
+        # replacing one of its flags by tag 2's never makes a nullable key
+        return {"name": f"c{tag}", "type": NUM if first else ORD, "nullable": not first, "key": not first}
+    if cls is Relation:
+        return {"name": f"r{tag}", "columns": (Column(f"c{tag}", NUM),)}
+    if cls is FuzzConfig:
+        return {"seed": int(tag), "max_depth": int(tag), "null_rate": int(tag) / 10,
+                "rows_per_relation": int(tag), "cases": int(tag)}
+    if cls is EvalConfig:
+        return {"kernel": kernel_3vl() if first else kernel_2vl(), "recursion_cap": int(tag),
+                "plan": first}
     return {name: f"{name}-{tag}" for name in cls._fields}
+
+
+def test_every_record_of_the_package_is_checked():
+    names = {cls.__name__ for cls in RECORDS}
+    assert set(NODES) < set(RECORDS)
+    assert {"RelSig", "Checked", "Column", "EvalConfig", "TranslationResult", "SelectCore",
+            "WithRecursive", "NullabilityReport", "FuzzConfig", "FamilySummary", "Case"} <= names
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -48,8 +91,10 @@ def test_trailing_defaults(cls):
     required = [f for f in cls._fields if f not in cls.__dict__]
     values = _values(cls, "1")
     node = cls(*(values[f] for f in required))
-    for f in cls._fields[len(required):]:
-        assert getattr(node, f) == cls.__dict__[f]
+    # the same as passing each default: EvalConfig's __post_init__ reads its
+    # default kernel None as kernel_3vl()
+    defaults = {f: cls.__dict__[f] for f in cls._fields[len(required):]}
+    assert node == cls(*(values[f] for f in required), **defaults)
     if not required:
         return
     with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{required[-1]}'"):
@@ -117,7 +162,21 @@ def test_replace_checks_again_and_rejects_unknown_fields():
 
 
 def test_a_record_states_its_fields_within_the_rules():
-    with pytest.raises(TypeError, match="at most 4 fields"):
-        type("Wide", (Frozen,), {"__annotations__": dict.fromkeys("abcde", "int")})
+    wide = type("Wide", (Frozen,), {"__annotations__": dict.fromkeys("abcdef", "int"), "e": 5, "f": 6})
+    assert wide._fields == tuple("abcdef")
+    record = wide(1, 2, 3, 4)
+    assert tuple(getattr(record, f) for f in wide._fields) == (1, 2, 3, 4, 5, 6)
+    assert wide(f=0, e=9, d=4, c=3, b=2, a=1) == wide(1, 2, 3, 4, 9, 0) != record
+    with pytest.raises(TypeError, match=r"missing 1 required positional argument: 'd'"):
+        wide(1, 2, 3)
     with pytest.raises(TypeError, match="without a default follows"):
         type("Gap", (Frozen,), {"__annotations__": {"a": "int", "b": "int"}, "a": 0})
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_defaults_are_hashable(cls):
+    # a default is a class attribute that every instance shares, so a
+    # mutable one such as {} or [] would leak between records
+    for f in cls._fields:
+        if f in cls.__dict__:
+            hash(cls.__dict__[f])

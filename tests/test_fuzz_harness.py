@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from nullvl import ast, evaluator, fuzz, harness, parser, values
+from nullvl import ast, evaluator, fuzz, harness, parser, translate, values
+from nullvl.errors import RecursionLimitError
 from nullvl.typecheck import typecheck
 from nullvl.values import database_from_json, database_to_json
 
@@ -154,6 +155,45 @@ def test_passing_bundle_replays_clean():
         "db": database_to_json(db),
     }
     assert harness.replay(bundle).status in ("pass", "skip")
+
+
+# a bag-union fixpoint that adds the same record forever
+RUNAWAY = "(mu W union-all (project ((as w (col R.A))) (base R)) (project ((as w (col w))) (base W)))"
+RUNAWAY_DB = {"schema": {"R": {"columns": [{"name": "R.A", "type": "num", "nullable": True}]}},
+              "data": {"R": [["1"]]}}
+
+
+def _runaway_bundle(family: str) -> dict:
+    bundle = {"family": family, "expression": RUNAWAY, "db": RUNAWAY_DB}
+    if family in harness.CAPTURE_FAMILIES:
+        direction, param, _ = harness.CAPTURE_FAMILIES[family]
+        bundle["direction"] = direction
+        if param is not None:
+            bundle[translate.flag_of(direction)] = param
+    elif family == "plan-equivalence":
+        bundle["kernel"] = "3vl"
+    elif family == "prop-4.1":
+        bundle["checks"] = [{"kind": "bags-equal", "left": RUNAWAY, "right": "(base R)"}]
+    return bundle
+
+
+@pytest.mark.parametrize("family", harness.FAMILIES)
+def test_a_fixpoint_over_the_cap_skips_the_case(family):
+    outcome = harness.replay(_runaway_bundle(family))
+    assert outcome.status == "skip" and "exceeded 10000 iterations" in outcome.detail
+
+
+def test_a_cap_overrun_of_the_planned_run_alone_fails(monkeypatch):
+    def evaluate(expr, db, cfg):
+        if cfg.plan:
+            raise RecursionLimitError("planned run over the cap")
+        return real(expr, db, cfg=cfg)
+
+    real = harness.evaluate
+    monkeypatch.setattr(harness, "evaluate", evaluate)
+    bundle = dict(_runaway_bundle("plan-equivalence"), expression="(base R)")
+    outcome = harness.replay(bundle)
+    assert (outcome.status, outcome.detail) == ("fail", "planned evaluation only: planned run over the cap")
 
 
 def test_unknown_family_rejected():
@@ -329,9 +369,8 @@ def test_generated_cases_round_trip_through_text_and_json(family):
 
 @pytest.mark.parametrize("family", harness.FAMILIES)
 def test_replay_of_a_bundle_gives_the_in_memory_verdict(family):
-    checker = harness._CHECKERS[family]
     for case in _generated_cases(family, range(3), 10):
-        direct = checker(case)
+        direct = harness._check(case)
         bundle = json.loads(json.dumps(harness._case_to_bundle(case)))
         replayed = harness.replay(bundle)
         assert (replayed.status, replayed.detail, replayed.size_ratio) == (

@@ -19,7 +19,7 @@ of which changes a result:
    that lives for that evaluation only.
 3. Equality lookups go through hash indexes when the kernel allows it
    (`_Run.join_nulls`), and the full condition is still tested on every
-   candidate unless a key-only EMPTY makes that needless:
+   candidate unless the selection is key-only (`_key_only`):
    - a selection over a base relation or a product probes one index.  Its
      `=` conjuncts that compare a column of the indexed side (the relation,
      or the product's right side) with a term reading none of that side's
@@ -29,23 +29,31 @@ of which changes a result:
      product (q3's `X.A = Y.A`, or a computed `X.A + 1 = Y.C`).  The index
      lives for the `evaluate` call and is kept while the side's bag is
      unchanged: a loop-invariant side of a fixpoint's step is indexed once,
-     a fixpoint relation again on every iteration;
+     a fixpoint relation again on every iteration.  When every conjunct is
+     a key `=`, a candidate is exactly a record where the condition is
+     true, so the selection keeps its candidates and its condition is
+     neither compiled nor run (q3's join, reachability's step);
    - a correlated EMPTY over such a selection of a base relation, or over
      projections and DISTINCTs of one, is one lookup of the outer record's
-     key values (`_empty_probe`), with no bag built.  When every conjunct
-     is a key `=`, a candidate is exactly a record where the condition is
-     true, so it is not evaluated: EMPTY is "no candidate";
+     key values (`_empty_probe`), with no bag built; over a key-only
+     selection EMPTY is "no candidate", with the condition not evaluated;
    - single-item IN / ANY-`=` looks the item up in a value count index of
      the subquery's bag, and folds once per hit count (`_Members.member`).
 4. Other quantifiers fold once per distinct record through `fold_counted`.
 5. Each selection's condition and each projection's items are compiled once
    per call, next to the selection's other facts, to closures: the source's
    labels read record positions, outer names the caller's environment, and
-   connectives index the kernel's tables.  A record is bound into an
-   environment only for a subquery that reads the source's labels.
-   `eval_condition` compiles its condition with no labels, so each of its
-   subqueries is hoisted.  Grounding templates compile through the same
-   compiler (`condition_rule`).
+   connectives index the kernel's tables.  Projection items and probe keys
+   that are all columns read their positions through one item getter
+   (`_reader`).  A record is bound into an environment only for a subquery
+   that reads the source's labels.  `eval_condition` compiles its condition
+   with no labels, so each of its subqueries is hoisted.  Grounding
+   templates compile through the same compiler (`condition_rule`).
+
+Under either setting each operator builds its result bag once, from a dict
+it owns (`Bag.adopt`), and a fixpoint accumulates its result in one dict in
+place: a DISTINCT step's frontier is its records not yet in that dict, so
+no iteration copies the result.
 
 With ``plan=False`` it is the plain tree-walker, the reference the planned
 evaluation is tested against; `eval_condition_rt` is that walker and reads
@@ -54,6 +62,7 @@ no planner state.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from . import ast
@@ -408,10 +417,10 @@ def _empty_probe(query: ast.Expression, labels, where, run: _Run):
     record's key values in S's probe index; None where the kernel allows no
     index or c has no probe keys.  Projections and DISTINCTs over σ_c(S)
     are skipped: neither changes emptiness, and after typecheck an item
-    cannot raise (names are bound; a zero divisor gives NULL).  When every
-    conjunct of c is a key `=`, the candidates are exactly the records where
-    c is true, so c is not evaluated; otherwise it is tested on them, with
-    the outer record bound, until one is true."""
+    cannot raise (names are bound; a zero divisor gives NULL).  When c is
+    key-only (`_key_only`), the candidates are exactly the records where c
+    is true, so c is not evaluated; otherwise it is tested on them, with the
+    outer record bound, until one is true."""
     while isinstance(query, (ast.Projection, ast.Distinct)):
         query = query.source
     if run.join_nulls is None or not (
@@ -422,14 +431,12 @@ def _empty_probe(query: ast.Expression, labels, where, run: _Run):
     probe = _probe_keys(query, run.notes, inner, where)
     if probe is None:
         return None
-    side, positions, terms = probe
+    side, positions, key = probe
     true, false, sel = run.kernel.true, run.kernel.false, id(query)
-    if len(terms) == len(_equalities(query.cond)) and all(
-        isinstance(c, ast.Compare) and c.op == "=" for c in _conjuncts(query.cond)
-    ):
+    if _key_only(query.cond, positions):
         def no_candidate(record, rt, env, run, memo):
             index = _side_index(sel, side, positions, rt, env, run)
-            return false if tuple([t(record, env) for t in terms]) in index else true
+            return false if key(env)(record) in index else true
 
         return no_candidate
     test = _compile_condition(query.cond, inner, run)
@@ -437,7 +444,7 @@ def _empty_probe(query: ast.Expression, labels, where, run: _Run):
     def no_true_candidate(record, rt, env, run, memo):
         index = _side_index(sel, side, positions, rt, env, run)
         bound, memo = _bind(env, labels, record), {}
-        for row, _ in index.get(tuple([t(record, env) for t in terms]), ()):
+        for row, _ in index.get(key(env)(record), ()):
             if test(row, rt, bound, run, memo) == true:
                 return false
         return true
@@ -454,12 +461,12 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
 
     if isinstance(e, ast.Projection):
         src = eval_rt(e.source, rt, env, run)
-        project = _projection(e, run)
+        project = _projection(e, run)(env)
         counts: dict = {}
         for record, k in src.items():
-            out = project(record, env)
+            out = project(record)
             counts[out] = counts.get(out, 0) + k
-        return Bag.from_counts(counts)
+        return Bag.adopt(counts)
 
     if isinstance(e, ast.Selection):
         return _eval_selection(e, rt, env, run)
@@ -467,12 +474,10 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
     if isinstance(e, ast.Product):
         left = eval_rt(e.left, rt, env, run)
         right = eval_rt(e.right, rt, env, run)
-        counts: dict = {}
-        for lrec, lk in left.items():
-            for rrec, rk in right.items():
-                rec = lrec + rrec
-                counts[rec] = counts.get(rec, 0) + lk * rk
-        return Bag.from_counts(counts)
+        # records of one arity concatenate to distinct records
+        return Bag.adopt({
+            lrec + rrec: lk * rk for lrec, lk in left.items() for rrec, rk in right.items()
+        })
 
     if isinstance(e, ast.SetOp):
         left = eval_rt(e.left, rt, env, run)
@@ -496,27 +501,54 @@ def eval_rt(e: ast.Expression, rt: Rt, env: Env, run: _Run) -> Bag:
 
 
 def _projection(e: ast.Projection, run: _Run):
-    """The projection's items as a function of a source record and the
-    environment: tree-walked, or compiled once per call."""
+    """The projection's items as a `_reader` of a source record:
+    tree-walked, or compiled once per call."""
     labels = run.notes[id(e.source)].labels
     if run.facts is None:
-        def project(record, env):
-            row_env = _bind(env, labels, record)
-            return tuple(eval_term(item.term, row_env) for item in e.items)
+        def project(env):
+            def row(record):
+                row_env = _bind(env, labels, record)
+                return tuple(eval_term(item.term, row_env) for item in e.items)
+
+            return row
 
         return project
     project = run.facts.get(id(e))
     if project is None:
         where = {name: i for i, name in enumerate(labels)}
-        terms = [_compile_term(item.term, where) for item in e.items]
-        project = run.facts[id(e)] = lambda record, env: tuple([t(record, env) for t in terms])
+        project = run.facts[id(e)] = _reader([item.term for item in e.items], where)
     return project
 
 
+def _positions(positions):
+    """A function of a record to its values at ``positions``, as a tuple."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda record: (record[i],)
+    if positions:
+        return itemgetter(*positions)
+    return lambda record: ()
+
+
+def _reader(terms: list, where: Mapping[str, int]):
+    """The values of ``terms`` at a record, as a tuple: a function of the
+    environment that gives a function of the record.  Terms that are all
+    names in ``where`` read their positions (`_positions`)."""
+    if terms and all(isinstance(t, ast.NameRef) and t.name in where for t in terms):
+        read = _positions([where[t.name] for t in terms])
+        return lambda env: read
+    compiled = [_compile_term(t, where) for t in terms]
+    return lambda env: lambda record: tuple([t(record, env) for t in compiled])
+
+
 def _plan_selection(e: ast.Selection, run: _Run):
-    """The probe keys and the compiled condition."""
+    """The probe keys and the compiled condition, which is None when the
+    selection is key-only and goes through its index."""
     labels = run.notes[id(e.source)].labels
-    return _probe_keys(e, run.notes, labels, {}), _compile_condition(e.cond, labels, run)
+    probe = _probe_keys(e, run.notes, labels, {})
+    if probe is not None and run.join_nulls is not None and _key_only(e.cond, probe[1]):
+        return probe, None
+    return probe, _compile_condition(e.cond, labels, run)
 
 
 def _equalities(cond: ast.Condition) -> list:
@@ -533,10 +565,10 @@ def _probe_keys(
     """For a selection over a base relation or a product: the indexed side
     (the relation, or the product's right side), the positions of its
     columns that `=` conjuncts compare with terms reading none of them, and
-    those terms compiled over the product's left labels (over the ``outer``
-    positions for a base relation).  q3's `X.A = Y.A` over `X × Y` gives the
-    position of Y.A and the left record's X.A; q2's `S.A = R.A` over S gives
-    the position of S.A and the outer R.A."""
+    those terms as a `_reader` over the product's left labels (over the
+    ``outer`` positions for a base relation).  q3's `X.A = Y.A` over `X × Y`
+    gives the position of Y.A and the left record's X.A; q2's `S.A = R.A`
+    over S gives the position of S.A and the outer R.A."""
     if isinstance(e.source, ast.Product):
         side, left = e.source.right, notes[id(e.source.left)].labels
         read = {name: i for i, name in enumerate(left)}
@@ -550,12 +582,21 @@ def _probe_keys(
     for pair in _equalities(e.cond):
         for a, b in (pair, pair[::-1]):
             if isinstance(a, ast.NameRef) and a.name in where and not ast.term_names(b) & bound:
-                terms.append(_compile_term(b, read))
+                terms.append(b)
                 positions.append(where[a.name])
                 break
     if not terms:
         return None
-    return side, tuple(positions), tuple(terms)
+    return side, tuple(positions), _reader(terms, read)
+
+
+def _key_only(cond: ast.Condition, positions: tuple[int, ...]) -> bool:
+    """Whether every conjunct of ``cond`` is an `=` each of whose pairs gave
+    one of the probe key ``positions``: then, where `_Run.join_nulls` lets
+    an index serve `=`, a candidate is exactly a record where it is true."""
+    return len(positions) == len(_equalities(cond)) and all(
+        isinstance(c, ast.Compare) and c.op == "=" for c in _conjuncts(cond)
+    )
 
 
 def _conjuncts(c: ast.Condition) -> list:
@@ -576,16 +617,15 @@ def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
         if facts is None:
             facts = run.facts[id(e)] = _plan_selection(e, run)
         probe, test = facts
+    # the candidates, like a bag's items, are distinct records
     if probe is not None and run.join_nulls is not None:
         rows = _probe_candidates(e, probe, rt, env, run)
+        if test is None:
+            return Bag.adopt(dict(rows))
     else:
         rows = eval_rt(e.source, rt, env, run).items()
     true, memo = run.kernel.true, {}
-    counts: dict = {}
-    for record, k in rows:
-        if test(record, rt, env, run, memo) == true:
-            counts[record] = counts.get(record, 0) + k
-    return Bag.from_counts(counts)
+    return Bag.adopt({record: k for record, k in rows if test(record, rt, env, run, memo) == true})
 
 
 def _key_index(bag: Bag, positions: tuple[int, ...], nulls: bool) -> dict:
@@ -593,8 +633,9 @@ def _key_index(bag: Bag, positions: tuple[int, ...], nulls: bool) -> dict:
     ``positions``; records with a NULL there are left out unless NULL keys
     match (the kernel makes NULL = NULL true)."""
     index: dict = {}
+    read = _positions(positions)
     for record, k in bag.items():
-        key = tuple(record[i] for i in positions)
+        key = read(record)
         if nulls or None not in key:
             index.setdefault(key, []).append((record, k))
     return index
@@ -612,21 +653,25 @@ def _side_index(key: int, side: ast.Expression, positions, rt: Rt, env: Env, run
 
 def _probe_candidates(e: ast.Selection, probe, rt: Rt, env: Env, run: _Run):
     """The records of the selection's source whose indexed side has key
-    columns equal to the probe terms, with their multiplicities.  The left
-    side is evaluated first (over a base relation it is the one empty
-    record), then the indexed side, whose index is kept until its bag
-    changes; each left record probes with its key values."""
-    side, positions, terms = probe
-    left = (((), 1),) if side is e.source else eval_rt(e.source.left, rt, env, run).items()
-    index = _side_index(id(e), side, positions, rt, env, run)
-    for lrec, lk in left:
-        for rrec, rk in index.get(tuple([t(lrec, env) for t in terms]), ()):
-            yield lrec + rrec, lk * rk
+    columns equal to the probe terms, with their multiplicities.  Over a
+    product the left side is evaluated first, then the indexed side, whose
+    index is kept until its bag changes; each left record probes with its
+    key values.  Over a base relation it is one lookup of the terms'
+    values."""
+    side, positions, key = probe
+    key = key(env)
+    if side is e.source:
+        return _side_index(id(e), side, positions, rt, env, run).get(key(()), ())
+    left = eval_rt(e.source.left, rt, env, run)
+    find = _side_index(id(e), side, positions, rt, env, run).get
+    return (
+        (lrec + rrec, lk * rk) for lrec, lk in left.items() for rrec, rk in find(key(lrec), ())
+    )
 
 
 def _eval_group(e: ast.Group, rt: Rt, env: Env, run: _Run) -> Bag:
     src_labels = run.notes[id(e.source)].labels
-    key_pos = [src_labels.index(n) for n in e.names]
+    group_key = _positions([src_labels.index(n) for n in e.names])
     agg_pos = [src_labels.index(a.column) if a.column is not None else None for a in e.aggs]
     src = eval_rt(e.source, rt, env, run)
 
@@ -634,8 +679,7 @@ def _eval_group(e: ast.Group, rt: Rt, env: Env, run: _Run) -> Bag:
     # NULL grouping with NULL
     groups: dict[tuple, list] = {}
     for record, k in src.items():
-        key = tuple(record[i] for i in key_pos)
-        groups.setdefault(key, []).append((record, k))
+        groups.setdefault(group_key(record), []).append((record, k))
 
     out: dict = {}
     for key, rows in groups.items():
@@ -647,21 +691,20 @@ def _eval_group(e: ast.Group, rt: Rt, env: Env, run: _Run) -> Bag:
                 continue
             cells = [(record[pos], k) for record, k in rows if record[pos] is not None]
             agg_values.append(apply_aggregate(agg.fn, cells, total))
-        rec = key + tuple(agg_values)
-        out[rec] = out.get(rec, 0) + 1
-    return Bag.from_counts(out)
+        out[key + tuple(agg_values)] = 1  # the keys are distinct
+    return Bag.adopt(out)
 
 
 def _eval_mu(e: ast.Mu, rt: Rt, env: Env, run: _Run) -> Bag:
-    seed = eval_rt(e.seed, rt, env, run)
+    """The fixpoint, accumulated in one dict in place.  Each step runs on the
+    frontier, what the last step added; under DISTINCT that is the step's
+    records not yet in the result, each once."""
+    frontier = eval_rt(e.seed, rt, env, run)
     if e.distinct:
-        seed = seed.distinct()
-    result = seed
-    frontier = seed
+        frontier = frontier.distinct()
+    result = frontier.counts()
     iterations = 0
-    while True:
-        if frontier.is_empty():
-            return result
+    while not frontier.is_empty():
         iterations += 1
         if iterations > run.cfg.recursion_cap:
             raise RecursionLimitError(
@@ -672,9 +715,14 @@ def _eval_mu(e: ast.Mu, rt: Rt, env: Env, run: _Run) -> Bag:
         extended[e.rel] = frontier
         step = eval_rt(e.step, extended, env, run)
         if e.distinct:
-            step = step.distinct().difference(result)
-        result = result.union(step)
-        frontier = step
+            new = dict.fromkeys([r for r in step.records() if r not in result], 1)
+            result.update(new)
+            frontier = Bag.adopt(new)
+        else:
+            for r, k in step.items():
+                result[r] = result.get(r, 0) + k
+            frontier = step
+    return Bag.adopt(result)
 
 
 def _db_rt(db: Database) -> Rt:

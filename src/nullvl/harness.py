@@ -228,15 +228,23 @@ def _base_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, family: str) -> Case:
     return _case(family, schema, cfg, rng, fuzz.gen_expression(schema, cfg, rng))
 
 
+def _capture_params(family: str) -> dict:
+    """A capture family's bundle keys: its direction, and the grounding or
+    kernel that the direction reads."""
+    direction, param, _ = CAPTURE_FAMILIES[family]
+    params = {"direction": direction}
+    if param is not None:
+        params[translate.flag_of(direction)] = param
+    return params
+
+
 def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
     if family in CAPTURE_FAMILIES:
-        direction, param, depth_cap = CAPTURE_FAMILIES[family]
+        depth_cap = CAPTURE_FAMILIES[family][2]
         if depth_cap is not None:
             cfg = frozen.replace(cfg, max_depth=min(cfg.max_depth, depth_cap))
         case = _base_case(schema, cfg, rng, family)
-        case.params["direction"] = direction
-        if param is not None:
-            case.params[translate.flag_of(direction)] = param
+        case.params.update(_capture_params(family))
         return case
     if family == "null-free-invariance":
         return _base_case(schema, frozen.replace(cfg, null_rate=0.0), rng, family)
@@ -387,6 +395,17 @@ def _case_from_bundle(bundle: dict) -> Case:
     db = database_from_json(required(bundle, "db", "bundle"))
     expr = parse_expression(_text(bundle, "expression", "bundle"))
     params = {key: bundle[key] for key in ("direction", "grounding", "kernel") if key in bundle}
+    if family in CAPTURE_FAMILIES:
+        # the family fixes what is checked; a bundle may only repeat it
+        fixed = _capture_params(family)
+        for key, value in params.items():
+            if key not in fixed:
+                raise NullvlError(f'bundle: family {family} takes no "{key}"')
+            if value != fixed[key]:
+                raise NullvlError(
+                    f'bundle: family {family} checks "{key}" {fixed[key]!r}, not {value!r}'
+                )
+        params = fixed
     checks = ()
     if family == "prop-4.1":
         listed = json_array(required(bundle, "checks", "bundle"), 'bundle: "checks"')

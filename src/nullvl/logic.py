@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Mapping, get_args
+from collections.abc import Mapping
+from typing import Callable, Iterable, get_args
 
 from . import ast
 from .errors import KernelError, NullvlError

@@ -14,12 +14,13 @@ import json
 import re
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import NullvlError, SchemaError
 from .frozen import Frozen
@@ -135,6 +136,15 @@ class Bag:
             bag._counts = {r: k for r, k in bag._counts.items() if k > 0}
         return bag
 
+    @classmethod
+    def adopt(cls, counts: dict[Record, int]) -> "Bag":
+        """The bag of ``counts``, taken as it is: with no copy and no check,
+        so every count must be positive, and the caller must not change the
+        dict afterwards."""
+        bag = cls.__new__(cls)
+        bag._counts = counts
+        return bag
+
     def counts(self) -> dict[Record, int]:
         return dict(self._counts)
 
@@ -179,7 +189,7 @@ class Bag:
         merged = dict(self._counts)
         for r, k in other._counts.items():
             merged[r] = merged.get(r, 0) + k
-        return Bag.from_counts(merged)
+        return Bag.adopt(merged)
 
     def intersect(self, other: "Bag") -> "Bag":
         out = {}
@@ -187,7 +197,7 @@ class Bag:
             m = min(k, other._counts.get(r, 0))
             if m > 0:
                 out[r] = m
-        return Bag.from_counts(out)
+        return Bag.adopt(out)
 
     def difference(self, other: "Bag") -> "Bag":
         out = {}
@@ -195,10 +205,10 @@ class Bag:
             m = k - other._counts.get(r, 0)
             if m > 0:
                 out[r] = m
-        return Bag.from_counts(out)
+        return Bag.adopt(out)
 
     def distinct(self) -> "Bag":
-        return Bag.from_counts({r: 1 for r in self._counts})
+        return Bag.adopt(dict.fromkeys(self._counts, 1))
 
     def sorted_items(self) -> list[tuple[Record, int]]:
         """The records and their multiplicities in canonical order.  Native
@@ -546,21 +556,24 @@ def bag_to_json(bag: Bag, labels: tuple[str, ...]) -> dict:
 
 def bag_json_text(doc: dict) -> str:
     """``json.dumps(doc, indent=1)`` of a `bag_to_json` document, assembled
-    from the C string encoder instead of the pure-Python indenting one."""
-
-    def array(cells, pad: str) -> str:
-        if not cells:
-            return "[]"
-        if None in cells:
-            cells = ["null" if c is None else encode_basestring_ascii(c) for c in cells]
-        else:
-            cells = map(encode_basestring_ascii, cells)
-        return f"[\n{pad} " + f",\n{pad} ".join(cells) + f"\n{pad}]"
-
-    rows = ",\n  ".join([
-        f'{{\n   "values": {array(row["values"], "   ")},\n'
-        f'   "multiplicity": {format_number(row["multiplicity"])}\n  }}'
-        for row in doc["rows"]
-    ])
+    from the C string encoder instead of the pure-Python indenting one.
+    Every row has as many values as there are columns, and each row is one
+    f-string."""
+    encode, columns = encode_basestring_ascii, doc["columns"]
+    if columns:
+        head = '{\n   "values": [\n    '
+        sep = ",\n    "
+        tail = '\n   ],\n   "multiplicity": '
+        names = "[\n  " + ",\n  ".join(map(encode, columns)) + "\n ]"
+    else:
+        head, sep, tail, names = '{\n   "values": [', "", '],\n   "multiplicity": ', "[]"
+    try:
+        rows = ",\n  ".join([
+            f'{head}{sep.join(["null" if c is None else encode(c) for c in row["values"]])}'
+            f'{tail}{row["multiplicity"]}\n  }}'
+            for row in doc["rows"]
+        ])
+    except ValueError:  # `str` of a multiplicity past the digit limit
+        raise NullvlError(_past_digit_limit("a number to be printed")) from None
     rows = f"[\n  {rows}\n ]" if rows else "[]"
-    return f'{{\n "columns": {array(doc["columns"], " ")},\n "rows": {rows}\n}}'
+    return f'{{\n "columns": {names},\n "rows": {rows}\n}}'

@@ -531,6 +531,36 @@ def test_json_missing_required_fields_exit_two(tmp_path, capsys):
         assert err.startswith("error:") and field in err and "Traceback" not in err, (argv, err)
 
 
+def test_replay_checks_a_capture_familys_own_direction(tmp_path, capsys, monkeypatch):
+    from nullvl import translate
+
+    bundle = {"family": "capture-3vl-to-2vl", "expression": Q1_EXPR, "db": DB}
+    others = [
+        (dict(bundle, direction="2to3"), ['"direction" \'3to2\', not \'2to3\'']),
+        (dict(bundle, direction="3to2", kernel="4vl"), ['takes no "kernel"']),
+        (dict(bundle, family="grounded-leq", direction="gr-to-3", grounding="syntactic"),
+         ['"grounding" \'leq-sign\', not \'syntactic\'']),
+    ]
+    for i, (doc, fields) in enumerate(others):
+        assert main(["replay", _write(tmp_path, f"other-{i}.json", doc)]) == 2, doc
+        captured = capsys.readouterr()
+        err = captured.err
+        assert captured.out == "" and err.startswith("error: bundle: family "), err
+        assert all(f in err for f in fields) and "Traceback" not in err, err
+    # a bundle that names no direction, or its family's own, checks 3to2
+    checked, real = [], translate.direction
+
+    def direction(name, spec):
+        checked.append((name, spec))
+        return real(name, spec)
+
+    monkeypatch.setattr(translate, "direction", direction)
+    for i, doc in enumerate([bundle, dict(bundle, direction="3to2")]):
+        assert main(["replay", _write(tmp_path, f"own-{i}.json", doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert checked == [("3to2", None)] * 2
+
+
 def test_json_fields_of_the_wrong_type_exit_two(tmp_path, capsys):
     expr = _write(tmp_path, "q.ra", Q1_EXPR)
     db = _write(tmp_path, "db.json", DB)

@@ -536,14 +536,31 @@ def _count_index_builds(monkeypatch) -> list:
     return builds
 
 
+def _count_candidates(monkeypatch) -> list:
+    """The records that each probe of an index yields, as they are read."""
+    candidates = []
+    real = evaluator._probe_candidates
+
+    def counting(*args):
+        for pair in real(*args):
+            candidates.append(pair[0])
+            yield pair
+
+    monkeypatch.setattr(evaluator, "_probe_candidates", counting)
+    return candidates
+
+
 def test_syntactic_equality_joins_null_keys(cfg_syn, monkeypatch):
     db = rs_db([1, 2, None, None], [])
     planned, reference = _plan_and_reference(_self_join(), db, cfg_syn.kernel)
     assert planned == reference
     assert planned.multiplicity(row(None, None)) == 4
-    # distinct records 1, 2 and NULL each pair with themselves only
+    # distinct records 1, 2 and NULL each pair with themselves only.  The
+    # condition is the key `=` alone, so each candidate is a record where it
+    # is true, and it is never compiled or run: 0 calls, 3 candidates
+    candidates = _count_candidates(monkeypatch)
     out, calls, _ = _count_condition_evals(monkeypatch, _self_join(), db, kernel_2vl_syntactic)
-    assert out == reference and calls == 3
+    assert out == reference and calls == 0 and len(candidates) == 3
 
 
 def test_value_dependent_grounding_falls_back_to_nested_loop(monkeypatch):
@@ -623,10 +640,13 @@ def test_hoisted_subquery_reading_the_outer_row_reruns_per_inner_evaluation(cfg3
 
 
 def test_self_join_tests_only_matching_pairs(monkeypatch):
-    # 400 distinct values and a NULL: 401 x 401 pairs, 400 of them matching
+    # 400 distinct values and a NULL: 401 x 401 pairs, 400 of them matching.
+    # X.A = Y.A is a key-only condition, so the index yields the 400
+    # matching pairs and the condition is neither compiled nor run (0 calls)
     db = rs_db(list(range(400)) + [None] * 3, [])
+    candidates = _count_candidates(monkeypatch)
     out, calls, _ = _count_condition_evals(monkeypatch, q3(), db, kernel_3vl)
-    assert calls == 400
+    assert calls == 0 and len(candidates) == 400
     assert out == Bag([row(v) for v in range(400)])
 
 
@@ -660,20 +680,125 @@ def test_join_keys_span_both_sides(cfg3):
 
 def test_join_on_a_computed_key_tests_only_candidate_pairs(monkeypatch):
     # X.A + 1 = Y.C over 100 values and a NULL: each left record probes Y's
-    # index with X.A + 1, so only the 99 pairs (v, v + 1) are tested, where
-    # a nested loop tests 101 x 101
+    # index with X.A + 1, so only the 99 pairs (v, v + 1) are candidates,
+    # where a nested loop tests 101 x 101.  The condition is the key `=`
+    # alone, so it is neither compiled nor run on them (0 calls)
     left = ast.Projection((ast.ProjItem(col("R.A"), "X.A"),), ast.BaseRelation("R"))
     right = ast.Projection((ast.ProjItem(col("R.A"), "Y.C"),), ast.BaseRelation("R"))
     cond = ast.Compare((ast.FnApply("add", (col("X.A"), num(1))),), "=", (col("Y.C"),))
     expr = ast.Selection(cond, ast.Product(left, right))
     db = rs_db(list(range(100)) + [None], [])
+    candidates = _count_candidates(monkeypatch)
     out, calls, _ = _count_condition_evals(monkeypatch, expr, db, kernel_3vl)
-    assert calls == 99
+    assert calls == 0 and len(candidates) == 99
     assert out == Bag([row(v, v + 1) for v in range(99)])
     for kname in PLAN_KERNELS:
         for rs in (db, *(_rs_db_with_nulls(seed) for seed in range(3))):
             planned, reference = _plan_and_reference(expr, rs, kernel_by_name(kname))
             assert planned == reference, kname
+
+
+def _tu_db(seed: int, rows: int = 14) -> Database:
+    """T(X.A, X.B) and U(Y.C, Y.D) over a few values, NULLs and repeats."""
+    rng = random.Random(seed)
+    schema = Schema(
+        [
+            Relation("T", (Column("X.A", NUM), Column("X.B", NUM))),
+            Relation("U", (Column("Y.C", NUM), Column("Y.D", NUM))),
+        ]
+    )
+
+    def table():
+        return Bag([row(_cell(rng, range(4)), _cell(rng, range(5))) for _ in range(rows)])
+
+    return Database(schema, {"T": table(), "U": table()})
+
+
+def _key_only_selections() -> list:
+    """Selections whose every conjunct is a probe-key `=`: over a product on
+    one column, on a tuple, on a computed key beside a second conjunct, on
+    two keys of one column, and over a base relation on a constant and on
+    an outer name."""
+    tu = ast.Product(ast.BaseRelation("T"), ast.BaseRelation("U"))
+    x_a, x_b, y_c, y_d = col("X.A"), col("X.B"), col("Y.C"), col("Y.D")
+    correlated = ast.Selection(ast.Compare((y_c,), "=", (x_a,)), ast.BaseRelation("U"))
+    return [
+        ast.Selection(ast.Compare((x_a,), "=", (y_c,)), tu),
+        ast.Selection(ast.Compare((x_a, x_b), "=", (y_c, y_d)), tu),
+        ast.Selection(
+            ast.And(
+                ast.Compare((y_d,), "=", (ast.FnApply("add", (x_b, num(1))),)),
+                ast.Compare((x_a,), "=", (y_c,)),
+            ),
+            tu,
+        ),
+        ast.Selection(
+            ast.And(ast.Compare((y_c,), "=", (x_a,)), ast.Compare((y_c,), "=", (x_b,))), tu
+        ),
+        ast.Selection(ast.Compare((y_c,), "=", (num(2),)), ast.BaseRelation("U")),
+        ast.Selection(
+            ast.In((x_b,), ast.Projection((ast.ProjItem(y_d, None),), correlated)),
+            ast.BaseRelation("T"),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("kname", (*PLAN_KERNELS, "grounded:syntactic"))
+def test_key_only_joins_match_the_tree_walker_without_their_condition(kname, monkeypatch):
+    # every kernel here allows the index; a key-only selection keeps its
+    # candidates, so its own condition is never compiled
+    kernel = kernel_by_name(kname)
+    compiled = []
+    real = evaluator._compile_condition
+
+    def compiling(cond, labels, run):
+        compiled.append(cond)
+        return real(cond, labels, run)
+
+    monkeypatch.setattr(evaluator, "_compile_condition", compiling)
+    for seed in range(4):
+        db = _tu_db(seed)
+        for expr in _key_only_selections():
+            compiled.clear()
+            planned, reference = _plan_and_reference(expr, db, kernel)
+            assert planned == reference, (kname, seed, ast.render_expression(expr))
+            if isinstance(expr.cond, ast.In):  # the outer condition compiles
+                assert compiled == [expr.cond]
+            else:
+                assert compiled == [], ast.render_expression(expr)
+
+
+def test_fixpoints_accumulate_in_place(cfg3, monkeypatch):
+    def no_copy(*args):
+        raise AssertionError("a fixpoint copied its result")
+
+    monkeypatch.setattr(Bag, "union", no_copy)
+    monkeypatch.setattr(Bag, "difference", no_copy)
+    # bag union: R = {1, 1, 2} and w + 1 while w < 3 add up to 1 x2, 2 x3, 3 x3
+    seed = ast.Projection((ast.ProjItem(col("R.A"), "w"),), ast.BaseRelation("R"))
+    step = ast.Projection(
+        (ast.ProjItem(ast.FnApply("add", (col("w"), num(1))), "w"),),
+        ast.Selection(ast.Compare((col("w"),), "<", (num(3),)), ast.BaseRelation("W")),
+    )
+    counted = ast.Mu("W", False, seed, step)
+    for plan in (True, False):
+        out = evaluate(counted, rs_db([1, 1, 2], []), cfg=EvalConfig(kernel=cfg3.kernel, plan=plan))
+        assert out.counts() == {row(1): 2, row(2): 3, row(3): 3}
+    # set union: reachability over graphs with cycles, repeats and NULLs is
+    # each pair once, as a closure computed apart finds it
+    expr = typecheck(parse_expression(REACH), _edge_db(0).schema).expr
+    for seed in range(4):
+        db = _edge_db(seed)
+        edges = set(db.table("E").records())
+        closure = set(edges)
+        while True:
+            more = {(s, y) for s, d in closure for x, y in edges if d is not None and d == x}
+            if more <= closure:
+                break
+            closure |= more
+        for plan in (True, False):
+            out = evaluate(expr, db, cfg=EvalConfig(kernel=cfg3.kernel, plan=plan))
+            assert out.counts() == dict.fromkeys(closure, 1)
 
 
 def test_shared_step_under_two_bindings_of_one_mu_name(cfg3):

@@ -224,23 +224,23 @@ def test_plan_equivalence_covers_every_kernel():
 
 def test_plan_equivalence_probes_correlated_selections_under_every_kernel(monkeypatch):
     # 64 seeds x 20 cases; no kernel in PLAN_KERNELS makes `=` value-dependent.
-    # A probe's key terms are compiled closures, so the terms they came
-    # from are recorded as they compile
+    # A probe's key is a function of the environment, so the terms it reads
+    # are recorded as it is made
     correlated, products, kernel = set(), set(), [None]
     sources = weakref.WeakKeyDictionary()
-    real_compile, real_probe = evaluator._compile_term, evaluator._probe_candidates
+    real_reader, real_probe = evaluator._reader, evaluator._probe_candidates
     real_check = harness._CHECKERS["plan-equivalence"]
 
-    def compile_term(term, where):
-        compiled = real_compile(term, where)
-        sources[compiled] = term
-        return compiled
+    def reader(terms, where):
+        made = real_reader(terms, where)
+        sources[made] = terms
+        return made
 
     def probe(e, keys, *args):
-        side, _, terms = keys
+        side, _, key = keys
         if side is not e.source:  # the right side of a product
             products.add(kernel[0])
-        elif any(ast.term_names(sources[t]) for t in terms):  # outer names
+        elif any(ast.term_names(t) for t in sources[key]):  # outer names
             correlated.add(kernel[0])
         return real_probe(e, keys, *args)
 
@@ -248,7 +248,7 @@ def test_plan_equivalence_probes_correlated_selections_under_every_kernel(monkey
         kernel[0] = case.params["kernel"]
         return real_check(case)
 
-    monkeypatch.setattr(evaluator, "_compile_term", compile_term)
+    monkeypatch.setattr(evaluator, "_reader", reader)
     monkeypatch.setattr(evaluator, "_probe_candidates", probe)
     monkeypatch.setitem(harness._CHECKERS, "plan-equivalence", check)
     for seed in range(64):

@@ -244,6 +244,12 @@ def test_bag_json_text_matches_the_json_module():
     cells = [None, 0, -3, 12, Fraction(1, 3), Fraction(-7, 4), "", "a", 'say "hi"', "back\\slash",
              "tab\tnew\nline", "café", "☃ snow", "\U0001f600", "ctl\x01"]
     cases = [(Bag([]), ()), (Bag([]), ("A",)), (Bag([(), ()]), ()), (Bag([()]), ())]
+    # many columns: NULLs, Fractions and escaped text in one row, repeated
+    # rows, and documents with no columns or no rows
+    mixed = [(None, Fraction(-7, 4), 'say "hi"'), ("tab\tnew\nline", None, Fraction(1, 3)),
+             (12, "\U0001f600", None), (None, None, None)]
+    cases += [(Bag(mixed * 3 + mixed[:1]), ("A", "R.B", 'q"uote')), (Bag([]), ("A", "B", "C")),
+              (Bag([()] * 5), ()), (Bag([(None, "ctl\x01")] * 2), ("é", "back\\slash"))]
     for _ in range(60):
         arity = rng.randrange(0, 4)
         records = [tuple(rng.choice(cells) for _ in range(arity)) for _ in range(rng.randrange(0, 8))]

@@ -11,11 +11,19 @@ created.  Every command imports this module, and the base makes the 26
 classes here in about 1.5 ms, where frozen dataclasses took 14-23 ms
 besides the 7-10 ms of importing `dataclasses`.
 
-`steps` lists a node's expression and condition children with their path
-steps: `/src`, `/l`, `/r`, `/seed`, `/step`, `/cond` and `/q` (a source, an
-operand, a fixpoint branch, a selection's condition, a subquery) and `.l`,
-`.r`, `.n` (a connective's operands).  Generic walks go through it, and the
-paths of `analyze` and `translate --trace` are strings of these steps.
+A node kind's fields are spelled out here only: in its class, its
+renderer and its entry in one table, `_STEPS`.  `steps` lists a node's
+expression and condition children with their path steps: `/src`, `/l`,
+`/r`, `/seed`, `/step`, `/cond` and `/q` (a source, an operand, a fixpoint
+branch, a selection's condition, a subquery) and `.l`, `.r`, `.n` (a
+connective's operands).  `map_children` rebuilds a node with each child
+replaced by a function of the child and its path, and `condition_terms` /
+`map_terms` read and rebuild a condition's own terms.  Generic walks and
+rewrites go through them, so `analyze`, `expression_size`, the
+translators' walk over expressions, the SQL lowerer's conditions and
+template substitution have no case per node kind.  The paths of `analyze`
+and `translate --trace` are strings of these steps.  `renamed` builds the
+projection that renames an expression's columns.
 """
 from __future__ import annotations
 
@@ -252,48 +260,6 @@ def proj_item_name(item: ProjItem) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Size of the parse tree
-
-def expression_size(node) -> int:
-    """Node count of the parse tree, terms and conditions included."""
-    if isinstance(node, (NumConst, OrdConst, NullConst, NameRef, ArgHole)):
-        return 1
-    if isinstance(node, FnApply):
-        return 1 + sum(expression_size(a) for a in node.args)
-    if isinstance(node, (CTrue, CFalse)):
-        return 1
-    if isinstance(node, IsNull):
-        return 1 + expression_size(node.term)
-    if isinstance(node, Compare):
-        return 1 + sum(expression_size(t) for t in node.lhs + node.rhs)
-    if isinstance(node, In):
-        return 1 + sum(expression_size(t) for t in node.items) + expression_size(node.query)
-    if isinstance(node, Empty):
-        return 1 + expression_size(node.query)
-    if isinstance(node, Quant):
-        return 1 + sum(expression_size(t) for t in node.items) + expression_size(node.query)
-    if isinstance(node, (And, Or)):
-        return 1 + expression_size(node.left) + expression_size(node.right)
-    if isinstance(node, Not):
-        return 1 + expression_size(node.cond)
-    if isinstance(node, BaseRelation):
-        return 1
-    if isinstance(node, Projection):
-        return 1 + sum(expression_size(i.term) for i in node.items) + expression_size(node.source)
-    if isinstance(node, Selection):
-        return 1 + expression_size(node.cond) + expression_size(node.source)
-    if isinstance(node, (Product, SetOp)):
-        return 1 + expression_size(node.left) + expression_size(node.right)
-    if isinstance(node, Distinct):
-        return 1 + expression_size(node.source)
-    if isinstance(node, Group):
-        return 1 + len(node.aggs) + expression_size(node.source)
-    if isinstance(node, Mu):
-        return 1 + expression_size(node.seed) + expression_size(node.step)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
 # Tuple comparisons spelled out as Boolean combinations
 
 
@@ -436,22 +402,41 @@ def render_expression(e: Expression) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Traversal: a node's children, each with its path step
+# Traversal: a node's children, each with its path step, and its rebuild
 
+# Each expression and condition kind with expression or condition children:
+# its ``(step, child)`` pairs in field order, and its rebuild, a copy with
+# each child replaced by ``f(child, path + step)``, called in step order.
+# BaseRelation, CTrue, CFalse, IsNull and Compare have no such children and
+# no entry.  A rebuild is one call that names the fields, as rebuilding from
+# the pairs through `frozen.replace` slows every translation.
 _STEPS = {
-    Selection: lambda n: (("/cond", n.cond), ("/src", n.source)),
-    Projection: lambda n: (("/src", n.source),),
-    Distinct: lambda n: (("/src", n.source),),
-    Group: lambda n: (("/src", n.source),),
-    Product: lambda n: (("/l", n.left), ("/r", n.right)),
-    SetOp: lambda n: (("/l", n.left), ("/r", n.right)),
-    Mu: lambda n: (("/seed", n.seed), ("/step", n.step)),
-    And: lambda n: ((".l", n.left), (".r", n.right)),
-    Or: lambda n: ((".l", n.left), (".r", n.right)),
-    Not: lambda n: ((".n", n.cond),),
-    In: lambda n: (("/q", n.query),),
-    Empty: lambda n: (("/q", n.query),),
-    Quant: lambda n: (("/q", n.query),),
+    Selection: (lambda n: (("/cond", n.cond), ("/src", n.source)),
+                lambda n, f, p: Selection(f(n.cond, p + "/cond"), f(n.source, p + "/src"))),
+    Projection: (lambda n: (("/src", n.source),),
+                 lambda n, f, p: Projection(n.items, f(n.source, p + "/src"))),
+    Distinct: (lambda n: (("/src", n.source),),
+               lambda n, f, p: Distinct(f(n.source, p + "/src"))),
+    Group: (lambda n: (("/src", n.source),),
+            lambda n, f, p: Group(n.names, n.aggs, f(n.source, p + "/src"))),
+    Product: (lambda n: (("/l", n.left), ("/r", n.right)),
+              lambda n, f, p: Product(f(n.left, p + "/l"), f(n.right, p + "/r"))),
+    SetOp: (lambda n: (("/l", n.left), ("/r", n.right)),
+            lambda n, f, p: SetOp(n.op, f(n.left, p + "/l"), f(n.right, p + "/r"))),
+    Mu: (lambda n: (("/seed", n.seed), ("/step", n.step)),
+         lambda n, f, p: Mu(n.rel, n.distinct, f(n.seed, p + "/seed"), f(n.step, p + "/step"))),
+    And: (lambda n: ((".l", n.left), (".r", n.right)),
+          lambda n, f, p: And(f(n.left, p + ".l"), f(n.right, p + ".r"))),
+    Or: (lambda n: ((".l", n.left), (".r", n.right)),
+         lambda n, f, p: Or(f(n.left, p + ".l"), f(n.right, p + ".r"))),
+    Not: (lambda n: ((".n", n.cond),),
+          lambda n, f, p: Not(f(n.cond, p + ".n"))),
+    In: (lambda n: (("/q", n.query),),
+         lambda n, f, p: In(n.items, f(n.query, p + "/q"))),
+    Empty: (lambda n: (("/q", n.query),),
+            lambda n, f, p: Empty(f(n.query, p + "/q"))),
+    Quant: (lambda n: (("/q", n.query),),
+            lambda n, f, p: Quant(n.items, n.op, n.quant, f(n.query, p + "/q"))),
 }
 
 
@@ -459,18 +444,73 @@ def steps(node) -> tuple:
     """``((step, child), ...)`` for the expression and condition children of
     an expression or condition node, in field order; ``()`` for any other
     node."""
-    children = _STEPS.get(type(node))
-    return children(node) if children else ()
+    entry = _STEPS.get(type(node))
+    return entry[0](node) if entry else ()
+
+
+def map_children(node, f, path: str = ""):
+    """``node`` with each expression and condition child replaced by
+    ``f(child, path + step)``, called in step order; any other node as it
+    is."""
+    entry = _STEPS.get(type(node))
+    return entry[1](node, f, path) if entry else node
+
+
+# Each condition kind with terms: its terms in field order, and its rebuild
+# with each term replaced by ``f(term)``, called in that order.
+_TERMS = {
+    IsNull: (lambda c: [c.term], lambda c, f: IsNull(f(c.term))),
+    Compare: (lambda c: [*c.lhs, *c.rhs],
+              lambda c, f: Compare(tuple(map(f, c.lhs)), c.op, tuple(map(f, c.rhs)))),
+    In: (lambda c: list(c.items), lambda c, f: In(tuple(map(f, c.items)), c.query)),
+    Quant: (lambda c: list(c.items),
+            lambda c, f: Quant(tuple(map(f, c.items)), c.op, c.quant, c.query)),
+}
 
 
 def condition_terms(c: Condition) -> list[Term]:
-    if isinstance(c, IsNull):
-        return [c.term]
-    if isinstance(c, Compare):
-        return list(c.lhs + c.rhs)
-    if isinstance(c, (In, Quant)):
-        return list(c.items)
-    return []
+    """The terms of a condition node, its subconditions' not included."""
+    entry = _TERMS.get(type(c))
+    return entry[0](c) if entry else []
+
+
+def map_terms(c: Condition, f) -> Condition:
+    """``c`` with each of its terms replaced by ``f(term)``, called in field
+    order; its subconditions and subquery as they are."""
+    entry = _TERMS.get(type(c))
+    return entry[1](c, f) if entry else c
+
+
+# ---------------------------------------------------------------------------
+# Size of the parse tree, and the renaming projection
+
+def expression_size(node) -> int:
+    """Node count of the parse tree, terms and conditions included; each
+    aggregate of a grouping counts as one node."""
+    kind = type(node)
+    if kind is FnApply:
+        return 1 + sum(map(expression_size, node.args))
+    # the tables are read here, not through `steps` and `condition_terms`:
+    # every capture case of the harness sizes its input and translation
+    size, children, terms = 1, _STEPS.get(kind), _TERMS.get(kind)
+    if children:
+        for _, child in children[0](node):
+            size += expression_size(child)
+    if terms:
+        size += sum(map(expression_size, terms[0](node)))
+    if kind is Projection:
+        size += sum(expression_size(item.term) for item in node.items)
+    elif kind is Group:
+        size += len(node.aggs)
+    return size
+
+
+def renamed(expr: Expression, old_labels, new_labels) -> Projection:
+    """``expr`` with its columns ``old_labels`` renamed to ``new_labels``,
+    position by position."""
+    return Projection(
+        tuple(ProjItem(NameRef(old), new) for old, new in zip(old_labels, new_labels)), expr
+    )
 
 
 def term_names(t: Term) -> set[str]:

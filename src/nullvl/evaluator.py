@@ -18,7 +18,7 @@ of which changes a result:
    once per evaluation of the selection, on first use, and kept in a memo
    that lives for that evaluation only.
 3. Equality lookups go through hash indexes when the kernel allows it
-   (`_Run.join_nulls`), and the full condition is still tested on every
+   (`LogicKernel.join_nulls`), and the full condition is still tested on every
    candidate unless the selection is key-only (`_key_only`):
    - a selection over a base relation or a product probes one index.  Its
      `=` conjuncts that compare a column of the indexed side (the relation,
@@ -61,7 +61,6 @@ no planner state.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, Optional
 
@@ -69,7 +68,7 @@ from . import ast
 from .errors import EvalError, RecursionLimitError
 from .frozen import Frozen
 from .funcs import apply_aggregate, apply_function
-from .logic import AND, OR, LogicKernel, TruthValue, fold_counted, kernel_3vl
+from .logic import _PATTERNS, AND, OR, LogicKernel, TruthValue, fold_counted, kernel_3vl
 from .typecheck import Checked, RelSig, Typechecker, catalog_from_schema, typecheck
 from .values import Bag, Database, Value, is_null
 
@@ -91,8 +90,6 @@ class EvalConfig(Frozen):
 # runtime catalog: relation name -> bag
 Rt = dict
 
-_NULLS_1, _NULLS_2, _NULLS_12 = frozenset({1}), frozenset({2}), frozenset({1, 2})
-
 
 class _Run:
     """The state of one `evaluate` call.
@@ -110,27 +107,6 @@ class _Run:
         self.notes = notes
         self.facts: Optional[dict] = {} if cfg.plan else None
         self.indexes: dict = {}
-
-    @cached_property
-    def members(self) -> bool:
-        """Whether a one-column bag can answer `=` through a count index:
-        every null pattern gives a constant."""
-        return all(v is not None for v in self.kernel.null_equality.values())
-
-    @cached_property
-    def join_nulls(self) -> Optional[bool]:
-        """None if selections may not go through a hash index on their `=`
-        conjuncts, otherwise whether NULL keys match.  An index yields only
-        records with equal keys; the others must be false for certain: no
-        null pattern with a NULL on one side is true, and a conjunction is
-        true only when both operands are."""
-        kernel, eq = self.kernel, self.kernel.null_equality
-        true = kernel.true
-        if not self.members or true in (eq[_NULLS_1], eq[_NULLS_2]):
-            return None
-        if any(v == true and pair != (true, true) for pair, v in kernel.and_table.items()):
-            return None
-        return eq[_NULLS_12] == true
 
 
 def eval_term(term: ast.Term, env: Env) -> Value:
@@ -237,13 +213,11 @@ class _Members:
 
     def equalities(self, kernel: LogicKernel, x: Value) -> list:
         """(truth value, multiplicity) of `x = v` over the bag's records v."""
-        eq = kernel.null_equality
+        left, right, both = map(kernel.null_equality.get, _PATTERNS)
         if x is None:
-            return [(eq[_NULLS_1], self.non_null), (eq[_NULLS_12], self.nulls)]
+            return [(left, self.non_null), (both, self.nulls)]
         hits = self.counts.get(x, 0)
-        return [
-            (kernel.true, hits), (kernel.false, self.non_null - hits), (eq[_NULLS_2], self.nulls)
-        ]
+        return [(kernel.true, hits), (kernel.false, self.non_null - hits), (right, self.nulls)]
 
     def member(self, kernel: LogicKernel, x: Value) -> TruthValue:
         """`x IN` the bag, folded once per hit count and once for NULL: the
@@ -264,7 +238,7 @@ def _connective(cond: ast.In | ast.Quant) -> tuple[str, str]:
 def _source_form(cond: ast.In | ast.Quant, run: _Run):
     """How the subquery's bag is kept: as value counts when a single-item
     `=` disjunction can look its item up, as the bag otherwise."""
-    if _connective(cond) == ("=", OR) and len(cond.items) == 1 and run.members:
+    if _connective(cond) == ("=", OR) and len(cond.items) == 1 and run.kernel.members:
         return _Members
     return _same
 
@@ -423,7 +397,7 @@ def _empty_probe(query: ast.Expression, labels, where, run: _Run):
     outer record bound, until one is true."""
     while isinstance(query, (ast.Projection, ast.Distinct)):
         query = query.source
-    if run.join_nulls is None or not (
+    if run.kernel.join_nulls is None or not (
         isinstance(query, ast.Selection) and isinstance(query.source, ast.BaseRelation)
     ):
         return None
@@ -546,7 +520,7 @@ def _plan_selection(e: ast.Selection, run: _Run):
     selection is key-only and goes through its index."""
     labels = run.notes[id(e.source)].labels
     probe = _probe_keys(e, run.notes, labels, {})
-    if probe is not None and run.join_nulls is not None and _key_only(e.cond, probe[1]):
+    if probe is not None and run.kernel.join_nulls is not None and _key_only(e.cond, probe[1]):
         return probe, None
     return probe, _compile_condition(e.cond, labels, run)
 
@@ -592,7 +566,7 @@ def _probe_keys(
 
 def _key_only(cond: ast.Condition, positions: tuple[int, ...]) -> bool:
     """Whether every conjunct of ``cond`` is an `=` each of whose pairs gave
-    one of the probe key ``positions``: then, where `_Run.join_nulls` lets
+    one of the probe key ``positions``: then, where `LogicKernel.join_nulls` lets
     an index serve `=`, a candidate is exactly a record where it is true."""
     return len(positions) == len(_equalities(cond)) and all(
         isinstance(c, ast.Compare) and c.op == "=" for c in _conjuncts(cond)
@@ -618,7 +592,7 @@ def _eval_selection(e: ast.Selection, rt: Rt, env: Env, run: _Run) -> Bag:
             facts = run.facts[id(e)] = _plan_selection(e, run)
         probe, test = facts
     # the candidates, like a bag's items, are distinct records
-    if probe is not None and run.join_nulls is not None:
+    if probe is not None and run.kernel.join_nulls is not None:
         rows = _probe_candidates(e, probe, rt, env, run)
         if test is None:
             return Bag.adopt(dict(rows))
@@ -647,7 +621,7 @@ def _side_index(key: int, side: ast.Expression, positions, rt: Rt, env: Env, run
     bag = eval_rt(side, rt, env, run)
     built = run.indexes.get(key)
     if built is None or built[0] is not bag:
-        built = run.indexes[key] = bag, _key_index(bag, positions, run.join_nulls)
+        built = run.indexes[key] = bag, _key_index(bag, positions, run.kernel.join_nulls)
     return built[1]
 
 

@@ -232,18 +232,11 @@ class ExpressionGenerator:
         else:
             width = rng.choice((1, 1, 2))
             keep = [rng.randrange(len(sub_sig.labels)) for _ in range(min(width, len(sub_sig.labels)))]
-        items = []
-        proj = []
-        types = []
-        for pos in keep:
-            proj.append(ast.ProjItem(ast.NameRef(sub_sig.labels[pos]), self.fresh("q")))
-            types.append(sub_sig.types[pos])
-        sub = ast.Projection(tuple(proj), sub)
-        for t in types:
-            items.append(self.term(t, scope))
+        sub = ast.renamed(sub, [sub_sig.labels[pos] for pos in keep], [self.fresh("q") for _ in keep])
+        items = tuple(self.term(sub_sig.types[pos], scope) for pos in keep)
         if kind == "in":
-            return ast.In(tuple(items), sub)
-        return ast.Quant(tuple(items), op, kind, sub)
+            return ast.In(items, sub)
+        return ast.Quant(items, op, kind, sub)
 
     # -- expressions ------------------------------------------------------------------
 
@@ -293,13 +286,7 @@ class ExpressionGenerator:
             right, rsig = self.expr(depth - 1, params)
             if set(lsig.labels) & set(rsig.labels):
                 fresh = tuple(self.fresh("r") for _ in rsig.labels)
-                right = ast.Projection(
-                    tuple(
-                        ast.ProjItem(ast.NameRef(old), new)
-                        for old, new in zip(rsig.labels, fresh)
-                    ),
-                    right,
-                )
+                right = ast.renamed(right, rsig.labels, fresh)
                 rsig = RelSig(fresh, rsig.types)
             return ast.Product(left, right), RelSig(
                 lsig.labels + rsig.labels, lsig.types + rsig.types

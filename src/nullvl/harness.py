@@ -219,13 +219,15 @@ def _check(case: Case) -> CaseOutcome:
 # Case generators
 
 
-def _case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng, expr: ast.Expression) -> Case:
+def _case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng, expr: ast.Expression,
+          params: Optional[dict] = None) -> Case:
     """A case of `expr`, typechecked once, over a database drawn next."""
-    return Case(family, typecheck(expr, schema), fuzz.gen_database(schema, cfg, rng), {})
+    return Case(family, typecheck(expr, schema), fuzz.gen_database(schema, cfg, rng), params or {})
 
 
-def _base_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, family: str) -> Case:
-    return _case(family, schema, cfg, rng, fuzz.gen_expression(schema, cfg, rng))
+def _base_case(schema: Schema, cfg: fuzz.FuzzConfig, rng, family: str,
+               params: Optional[dict] = None) -> Case:
+    return _case(family, schema, cfg, rng, fuzz.gen_expression(schema, cfg, rng), params)
 
 
 def _capture_params(family: str) -> dict:
@@ -243,9 +245,7 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
         depth_cap = CAPTURE_FAMILIES[family][2]
         if depth_cap is not None:
             cfg = frozen.replace(cfg, max_depth=min(cfg.max_depth, depth_cap))
-        case = _base_case(schema, cfg, rng, family)
-        case.params.update(_capture_params(family))
-        return case
+        return _base_case(schema, cfg, rng, family, _capture_params(family))
     if family == "null-free-invariance":
         return _base_case(schema, frozen.replace(cfg, null_rate=0.0), rng, family)
     if family in ("coincidence", "nullable-soundness", "sql-roundtrip"):
@@ -258,8 +258,8 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
             case = _join_case(schema, cfg, rng)
         else:
             case = _correlated_case(schema, cfg, rng)
-        case.params["kernel"] = rng.choice(PLAN_KERNELS)
-        return case
+        # the kernel is drawn after the database
+        return frozen.replace(case, params={"kernel": rng.choice(PLAN_KERNELS)})
     if family == "prop-4.1":
         return _gen_prop41_case(schema, cfg, rng)
     raise NullvlError(f"unknown family {family!r}")
@@ -268,11 +268,7 @@ def _gen_case(family: str, schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
 def _renamed(gen: fuzz.ExpressionGenerator, expr: ast.Expression, sig):
     """An expression with its columns renamed apart, and its signature."""
     renamed = tuple(gen.fresh("j") for _ in sig.labels)
-    expr = ast.Projection(
-        tuple(ast.ProjItem(ast.NameRef(old), new) for old, new in zip(sig.labels, renamed)),
-        expr,
-    )
-    return expr, frozen.replace(sig, labels=renamed)
+    return ast.renamed(expr, sig.labels, renamed), frozen.replace(sig, labels=renamed)
 
 
 def _equated(gen: fuzz.ExpressionGenerator, cfg: fuzz.FuzzConfig, rng, lsig, rsig) -> ast.Condition:
@@ -309,10 +305,9 @@ def _correlated_case(schema: Schema, cfg: fuzz.FuzzConfig, rng) -> Case:
     outer, osig = _renamed(gen, *gen.expr(rng.randint(1, max(1, cfg.max_depth - 1)), {}))
     rel = rng.choice(list(schema.relations.values()))
     pick = rng.randrange(len(rel.labels))
-    query = ast.Projection(
-        (ast.ProjItem(ast.NameRef(rel.labels[pick]), gen.fresh("q")),),
-        ast.Selection(_equated(gen, cfg, rng, osig, rel), ast.BaseRelation(rel.name)),
-    )
+    name = gen.fresh("q")
+    query = ast.renamed(ast.Selection(_equated(gen, cfg, rng, osig, rel), ast.BaseRelation(rel.name)),
+                        (rel.labels[pick],), (name,))
     item = (gen.term(rel.types[pick], dict(zip(osig.labels, osig.types))),)
     kind = rng.choice(("empty", "in", "any"))
     if kind == "empty":
@@ -433,14 +428,13 @@ def _text(obj: dict, key: str, what: str) -> str:
 def run_differential(
     family: str,
     cfg: Optional[fuzz.FuzzConfig] = None,
-    schema: Optional[Schema] = None,
     bundle_dir: Optional[str] = None,
 ) -> FamilySummary:
     """Run one property family over a fresh corpus; failures become bundles."""
     if family not in _CHECKERS:
         raise NullvlError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     cfg = cfg or fuzz.FuzzConfig()
-    schema = schema or fuzz.default_schema()
+    schema = fuzz.default_schema()
     cases = passed = failed = skipped = 0
     ratios: list[Fraction] = []
     notes: dict[str, int] = {}

@@ -157,6 +157,35 @@ class LogicKernel:
         eq = {p: self.nulls[("=", p)] for p in _PATTERNS}
         self.null_equality = {p: v if isinstance(v, str) else None for p, v in eq.items()}
 
+    # What the evaluator's indexes and a translation read of the `=` row
+
+    @functools.cached_property
+    def members(self) -> bool:
+        """Whether a one-column bag can answer `=` through a count index:
+        every null pattern gives a constant."""
+        return all(v is not None for v in self.null_equality.values())
+
+    @functools.cached_property
+    def join_nulls(self) -> bool | None:
+        """None if selections may not go through a hash index on their `=`
+        conjuncts, otherwise whether NULL keys match.  An index yields only
+        records with equal keys; the others must be false for certain: no
+        null pattern with a NULL on one side is true, and a conjunction is
+        true only when both operands are."""
+        eq, true = self.null_equality, self.true
+        left, right, both = _PATTERNS
+        if not self.members or true in (eq[left], eq[right]):
+            return None
+        if any(v == true and pair != (true, true) for pair, v in self.and_table.items()):
+            return None
+        return eq[both] == true
+
+    @functools.cached_property
+    def nulls_unequal(self) -> bool:
+        """Whether `=` is false on every null pattern, which a translation's
+        null-filtered IN relies on."""
+        return set(self.null_equality.values()) == {self.false}
+
     # What a translation reads of a kernel, derived on first use.
 
     @functools.cached_property
@@ -334,21 +363,17 @@ def kernel_3vl() -> LogicKernel:
     return LogicKernel("3vl", ("t", "f", "u"), "t", "f", and_t, or_t, not_t, nulls)
 
 
-@functools.cache
 def kernel_2vl() -> LogicKernel:
-    """Two truth values; any comparison with a null argument is false."""
-    and_t, or_t, not_t = _bool_tables("t", "f")
-    nulls = dict.fromkeys(_NULL_CELLS, "f")
-    return LogicKernel("2vl", ("t", "f"), "t", "f", and_t, or_t, not_t, nulls)
+    """Two truth values; any comparison with a null argument is false: the
+    empty grounding's kernel."""
+    return kernel_grounded(empty_grounding())
 
 
-@functools.cache
 def kernel_2vl_syntactic() -> LogicKernel:
     """Like the conflating two-valued kernel except NULL = NULL is true and,
-    by negation, NULL != NULL is false."""
-    and_t, or_t, not_t = _bool_tables("t", "f")
-    nulls = {**dict.fromkeys(_NULL_CELLS, "f"), ("=", frozenset({1, 2})): "t"}
-    return LogicKernel("2vl-syn", ("t", "f"), "t", "f", and_t, or_t, not_t, nulls)
+    by negation, NULL != NULL is false: the syntactic-equality grounding's
+    kernel."""
+    return kernel_grounded(syntactic_equality_grounding())
 
 
 _4VL_AND = {}
@@ -494,25 +519,12 @@ def substitute_holes_term(t: ast.Term, args: tuple[ast.Term, ...]) -> ast.Term:
 
 
 def substitute_holes(cond: ast.Condition, args: tuple[ast.Term, ...]) -> ast.Condition:
-    if isinstance(cond, (ast.CTrue, ast.CFalse)):
-        return cond
-    if isinstance(cond, ast.IsNull):
-        return ast.IsNull(substitute_holes_term(cond.term, args))
-    if isinstance(cond, ast.Compare):
-        return ast.Compare(
-            tuple(substitute_holes_term(t, args) for t in cond.lhs),
-            cond.op,
-            tuple(substitute_holes_term(t, args) for t in cond.rhs),
-        )
-    if isinstance(cond, ast.And):
-        return ast.And(substitute_holes(cond.left, args), substitute_holes(cond.right, args))
-    if isinstance(cond, ast.Or):
-        return ast.Or(substitute_holes(cond.left, args), substitute_holes(cond.right, args))
-    if isinstance(cond, ast.Not):
-        return ast.Not(substitute_holes(cond.cond, args))
     if isinstance(cond, (ast.In, ast.Empty, ast.Quant)):
         raise KernelError("subqueries are not allowed in templates")
-    raise KernelError(f"not a template condition: {cond!r}")
+    if not isinstance(cond, _CONDITIONS):
+        raise KernelError(f"not a template condition: {cond!r}")
+    cond = ast.map_terms(cond, lambda t: substitute_holes_term(t, args))
+    return ast.map_children(cond, lambda c, _: substitute_holes(c, args))
 
 
 @functools.cache

@@ -610,11 +610,7 @@ class _Lowerer:
         if len(set(bases)) != len(bases):
             bases = list(src.labels)
         new_labels = tuple(f"{src.alias}.{b}" for b in bases)
-        items = tuple(
-            ast.ProjItem(ast.NameRef(old), new)
-            for old, new in zip(src.labels, new_labels)
-        )
-        return _Source(src.alias, new_labels, ast.Projection(items, src.expr))
+        return _Source(src.alias, new_labels, ast.renamed(src.expr, src.labels, new_labels))
 
     # -- queries ----------------------------------------------------------------
 
@@ -644,13 +640,7 @@ class _Lowerer:
                     f"WITH RECURSIVE {q.name}: {len(q.columns)} declared columns, "
                     f"seed produces {len(labels)}"
                 )
-            seed = ast.Projection(
-                tuple(
-                    ast.ProjItem(ast.NameRef(old), new)
-                    for old, new in zip(labels, q.columns)
-                ),
-                seed,
-            )
+            seed = ast.renamed(seed, labels, q.columns)
             labels = tuple(q.columns)
         self.labels[q.name] = labels
         self.ctes[q.name] = None  # step refers to the relation itself
@@ -754,27 +744,12 @@ class _Lowerer:
                 raise SqlParseError("aggregate used outside SELECT/HAVING of a grouped query")
             return ast.NameRef(agg_map[node])
         if kind is ast.FnApply:
-            return ast.FnApply(node.fn, self.lower_row(node.args, agg_map))
-        if kind is ast.Compare:
-            lhs = self.lower_row(node.lhs, agg_map)
-            return ast.Compare(lhs, node.op, self.lower_row(node.rhs, agg_map))
-        if kind is ast.IsNull:
-            return ast.IsNull(self.lower(node.term, agg_map))
-        if kind is ast.In:
-            return ast.In(self.lower_row(node.items, agg_map), self.lower_query(node.query))
-        if kind is ast.Quant:
-            items = self.lower_row(node.items, agg_map)
-            return ast.Quant(items, node.op, node.quant, self.lower_query(node.query))
-        if kind is ast.Empty:
-            return ast.Empty(self.lower_query(node.query))
-        if kind is ast.Not:
-            return ast.Not(self.lower(node.cond, agg_map))
-        if kind is ast.And or kind is ast.Or:
-            return kind(self.lower(node.left, agg_map), self.lower(node.right, agg_map))
-        return node  # a constant, TRUE or FALSE
-
-    def lower_row(self, terms: tuple, agg_map: Optional[dict]) -> tuple:
-        return tuple(self.lower(t, agg_map) for t in terms)
+            return ast.FnApply(node.fn, tuple(self.lower(a, agg_map) for a in node.args))
+        # a constant as it is; a condition's terms, then its operands or subquery
+        node = ast.map_terms(node, lambda t: self.lower(t, agg_map))
+        return ast.map_children(
+            node, lambda c, step: self.lower_query(c) if step == "/q" else self.lower(c, agg_map)
+        )
 
 
 def _collect_aggs(node, out: list):

@@ -37,7 +37,7 @@ from typing import Mapping, Optional
 from . import ast
 from .errors import EvalError, NullvlError, RecursionLimitError
 from .evaluator import EvalConfig, evaluate
-from .frozen import Frozen, replace
+from .frozen import Frozen
 from .logic import (
     AND,
     DIRECTIONS,
@@ -143,10 +143,7 @@ class _FromMVL:
             return out, labels
         fresh = tuple(self._fresh_name("c") for _ in labels)
         self._note(path, "rename-subquery-labels")
-        renamed = ast.Projection(
-            tuple(ast.ProjItem(ast.NameRef(n), f) for n, f in zip(labels, fresh)), out
-        )
-        return renamed, fresh
+        return ast.renamed(out, labels, fresh), fresh
 
     def _avoid(self, items: tuple[ast.Term, ...]) -> set[str]:
         out: set[str] = set()
@@ -155,25 +152,10 @@ class _FromMVL:
         return out
 
     def expr(self, e: ast.Expression, path: str) -> ast.Expression:
-        if isinstance(e, ast.BaseRelation):
-            return e
-        if isinstance(e, ast.Projection):
-            return ast.Projection(e.items, self.expr(e.source, path + "/src"))
         if isinstance(e, ast.Selection):
             cond = self.cond_value(e.cond, self.kernel.true, path + "/cond")
             return ast.Selection(cond, self.expr(e.source, path + "/src"))
-        if isinstance(e, ast.Product):
-            return ast.Product(self.expr(e.left, path + "/l"), self.expr(e.right, path + "/r"))
-        if isinstance(e, ast.SetOp):
-            return ast.SetOp(e.op, self.expr(e.left, path + "/l"), self.expr(e.right, path + "/r"))
-        if isinstance(e, ast.Distinct):
-            return ast.Distinct(self.expr(e.source, path + "/src"))
-        if isinstance(e, ast.Group):
-            return ast.Group(e.names, e.aggs, self.expr(e.source, path + "/src"))
-        if isinstance(e, ast.Mu):
-            seed, step = self.expr(e.seed, path + "/seed"), self.expr(e.step, path + "/step")
-            return ast.Mu(e.rel, e.distinct, seed, step)
-        raise NullvlError(f"not an expression: {e!r}")
+        return ast.map_children(e, self.expr, path)
 
     def cond_value(self, c: ast.Condition, tau, path: str) -> ast.Condition:
         return self.image(c, frozenset((tau,)), path)
@@ -204,21 +186,19 @@ class _FromMVL:
             preimage = frozenset(v for v in kernel.values if kernel.not_table[v] in values)
             return self.image(c.cond, preimage, path + ".n")
         if isinstance(c, (ast.In, ast.Quant)):
-            if (isinstance(c, ast.In) and values == {kernel.false}
-                    and set(kernel.null_equality.values()) == {kernel.false}):
+            if isinstance(c, ast.In) and values == {kernel.false} and kernel.nulls_unequal:
                 return self._null_filtered(c, path)
             op = "=" if isinstance(c, ast.In) else c.op
             conn = AND if isinstance(c, ast.Quant) and c.quant == "all" else OR
             if values == {kernel.true} and self._keeps({op, "="} if len(c.items) > 1 else {op}):
                 self._note(path, "quantifier-kept")
-                return replace(c, query=self.expr(c.query, path + "/q"))
+                return ast.map_children(c, self.expr, path)
             return self._counted(c.items, op, c.query, conn, values, path)
         if isinstance(c, (ast.IsNull, ast.Empty)):
             t, f = kernel.true in values, kernel.false in values
             if t == f:
                 return ast.CTrue() if t else ast.CFalse()
-            if isinstance(c, ast.Empty):
-                c = ast.Empty(self.expr(c.query, path + "/q"))
+            c = ast.map_children(c, self.expr, path)  # an EMPTY's subquery
             return c if t else ast.Not(c)
         if isinstance(c, (ast.CTrue, ast.CFalse)):
             value = kernel.true if isinstance(c, ast.CTrue) else kernel.false

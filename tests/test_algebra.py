@@ -165,6 +165,57 @@ def test_steps_lists_every_expression_and_condition_field_in_order(cls):
     assert len({step for step, _ in pairs}) == len(pairs)
 
 
+_R, _S = ast.BaseRelation("R"), ast.BaseRelation("S")
+_A, _B = col("A"), col("B")
+# one instance of every expression and condition kind, its children and
+# terms told apart
+SAMPLE_NODES = {
+    ast.BaseRelation: _R,
+    ast.Projection: ast.Projection((ast.ProjItem(_A, "x"),), _R),
+    ast.Selection: ast.Selection(ast.CTrue(), _R),
+    ast.Product: ast.Product(_R, _S),
+    ast.SetOp: ast.SetOp("except", _R, _S),
+    ast.Distinct: ast.Distinct(_R),
+    ast.Group: ast.Group(("A",), (ast.AggItem("count_star", None, "n"),), _R),
+    ast.Mu: ast.Mu("W", True, _R, ast.BaseRelation("W")),
+    ast.CTrue: ast.CTrue(),
+    ast.CFalse: ast.CFalse(),
+    ast.IsNull: ast.IsNull(_A),
+    ast.Compare: ast.Compare((_A, num(1)), "<", (_B, num(2))),
+    ast.In: ast.In((_A, _B), _R),
+    ast.Empty: ast.Empty(_S),
+    ast.Quant: ast.Quant((_A,), "<=", "all", _R),
+    ast.And: ast.And(ast.CTrue(), ast.CFalse()),
+    ast.Or: ast.Or(ast.CFalse(), ast.CTrue()),
+    ast.Not: ast.Not(ast.IsNull(_B)),
+}
+# the kinds with no expression or condition child, and no table entry
+CHILDLESS = {ast.BaseRelation, ast.CTrue, ast.CFalse, ast.IsNull, ast.Compare}
+
+
+@pytest.mark.parametrize(
+    "cls", typing.get_args(ast.Expression) + typing.get_args(ast.Condition), ids=lambda c: c.__name__
+)
+def test_map_children_and_map_terms_rebuild_every_kind(cls):
+    node = SAMPLE_NODES[cls]
+    assert bool(ast.steps(node)) == (cls not in CHILDLESS)
+    seen = []
+    rebuilt = ast.map_children(node, lambda child, path: seen.append((path, child)) or child, "/x")
+    assert rebuilt == node
+    assert seen == [("/x" + step, child) for step, child in ast.steps(node)]
+    hints = typing.get_type_hints(cls)
+    terms = []
+    for name in cls._fields:
+        if hints[name] == ast.Term:
+            terms.append(getattr(node, name))
+        elif hints[name] == tuple[ast.Term, ...]:
+            terms.extend(getattr(node, name))
+    assert ast.condition_terms(node) == terms
+    seen_terms = []
+    assert ast.map_terms(node, lambda t: seen_terms.append(t) or t) == node
+    assert seen_terms == terms
+
+
 def test_expression_size():
     assert expression_size(ast.BaseRelation("R")) == 1
     assert expression_size(ast.Selection(ast.CTrue(), ast.BaseRelation("R"))) == 3

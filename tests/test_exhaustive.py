@@ -167,8 +167,11 @@ def test_negated_shapes_through_the_four_valued_counting():
 ROW_FREE_SHAPES = [(n, c) for n, c in ALL_SHAPES if "R.A" not in ast.render_condition(c)]
 
 
+# named by their specs: 2vl and 2vl-syn are the kernels of the empty and
+# the syntactic-equality groundings, and take those groundings' names
 @pytest.mark.parametrize(
-    "kernel", [K3, K2, KSYN, K4, KG_SYN, KG_LEQ], ids=lambda k: k.name
+    "kernel", [K3, K2, KSYN, K4, KG_SYN, KG_LEQ],
+    ids=["3vl", "2vl", "2vl-syn", "4vl", "grounded:syntactic-eq", "grounded:leq-sign"],
 )
 def test_compiled_row_free_conditions_match_the_tree_walker(kernel):
     planned, reference = EvalConfig(kernel=kernel), EvalConfig(kernel=kernel, plan=False)

@@ -26,6 +26,7 @@ from nullvl.logic import (
     nonnegative_leq_grounding,
     periodicity,
     reduce_count,
+    standard_compare,
     syntactic_equality_grounding,
 )
 
@@ -70,20 +71,32 @@ def test_grounded_sign_rule_for_null_leq():
     assert k.compare("<=", None, None) == "t"
 
 
+def _two_valued(op, a, b, null_null_equal: bool) -> str:
+    """The conflating two-valued comparison, and with `null_null_equal`
+    the syntactic one, spelled out."""
+    if a is None or b is None:
+        return "t" if null_null_equal and op == "=" and a is b else "f"
+    return "t" if standard_compare(op, a, b) else "f"
+
+
 def test_empty_grounding_matches_conflating_kernel_on_grid():
     kg = kernel_grounded(empty_grounding())
-    k2 = kernel_2vl()
     for op in ast.COMPARISONS:
         for a, b in itertools.product(_GRID, repeat=2):
-            assert kg.compare(op, a, b) == k2.compare(op, a, b), (op, a, b)
+            assert kg.compare(op, a, b) == _two_valued(op, a, b, False), (op, a, b)
 
 
 def test_syntactic_grounding_matches_syntactic_kernel_on_grid():
     kg = kernel_grounded(syntactic_equality_grounding())
-    ks = kernel_2vl_syntactic()
     for op in ast.COMPARISONS:
         for a, b in itertools.product(_GRID, repeat=2):
-            assert kg.compare(op, a, b) == ks.compare(op, a, b), (op, a, b)
+            assert kg.compare(op, a, b) == _two_valued(op, a, b, True), (op, a, b)
+
+
+def test_two_valued_kernels_are_the_kernels_of_their_groundings():
+    assert kernel_2vl() is kernel_grounded(empty_grounding())
+    assert kernel_2vl_syntactic() is kernel_grounded(syntactic_equality_grounding())
+    assert (kernel_2vl().name, kernel_2vl_syntactic().name) == ("grounded:empty", "grounded:syntactic-eq")
 
 
 _4VL_AND_GOLDEN = {

@@ -642,7 +642,9 @@ PINNED_OUTPUT_DIGESTS = {
 }
 
 
-def test_two_valued_source_outputs_match_pinned_digests():
+def _pinned_translations():
+    """(depth, input, {direction: result}) for each of the 200 generated
+    expressions that the pinned digests and sizes cover."""
     from nullvl.fuzz import gen_expression
     from nullvl.logic import empty_grounding
 
@@ -659,17 +661,46 @@ def test_two_valued_source_outputs_match_pinned_digests():
         f"mvl-to-3.{k.name}": lambda e, k=k: translate.tr_mvl_to_3vl(e, schema, k)
         for k in (kernel_3vl(), kernel_4vl_example())
     }
+    for i in range(200):
+        for depth, group in ((4, runs), (3, mvl_runs)):
+            cfg = FuzzConfig(seed=i, max_depth=depth)
+            expr = typecheck(gen_expression(schema, cfg, random.Random(i)), schema).expr
+            yield depth, expr, {name: run(expr) for name, run in group.items()}
+
+
+def test_two_valued_source_outputs_match_pinned_digests():
     digests = {}
 
     def update(key, text):
         digests.setdefault(key, hashlib.sha256()).update(text.encode() + b"\n")
 
-    for i in range(200):
-        for depth, group in ((4, runs), (3, mvl_runs)):
-            cfg = FuzzConfig(seed=i, max_depth=depth)
-            expr = typecheck(gen_expression(schema, cfg, random.Random(i)), schema).expr
-            for name, run in group.items():
-                tr = run(expr)
-                update(name, ast.render_expression(tr.output))
-                update(f"{name}.trace", json.dumps(tr.trace_json()))
+    for _depth, _expr, results in _pinned_translations():
+        for name, tr in results.items():
+            update(name, ast.render_expression(tr.output))
+            update(f"{name}.trace", json.dumps(tr.trace_json()))
     assert {name: d.hexdigest() for name, d in digests.items()} == PINNED_OUTPUT_DIGESTS
+
+
+# `ast.expression_size` summed over the inputs of the pinned digests, by
+# generator depth, and over their outputs in every direction
+PINNED_SIZE_TOTALS = {
+    "input.4": 3046,
+    "input.3": 1895,
+    "2to3": 3421,
+    "3to2": 3464,
+    "3-to-gr": 5087,
+    "gr-to-3.empty": 3421,
+    "gr-to-3.syntactic": 4070,
+    "gr-to-3.leq-sign": 3661,
+    "mvl-to-3.3vl": 2036,
+    "mvl-to-3.4vl": 2036,
+}
+
+
+def test_expression_size_totals_match_pinned_values():
+    totals = {}
+    for depth, expr, results in _pinned_translations():
+        sizes = {f"input.{depth}": expr, **{name: tr.output for name, tr in results.items()}}
+        for key, node in sizes.items():
+            totals[key] = totals.get(key, 0) + ast.expression_size(node)
+    assert totals == PINNED_SIZE_TOTALS
